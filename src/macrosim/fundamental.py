@@ -286,9 +286,3 @@ def save_fit(fit: FdFit, path) -> None:
         json.dump(fit.to_dict(), fh, indent=2)
         fh.write("\n")
 
-
-def load_fd_params(path) -> FdParams:
-    """Load fitted parameters from a calibration document."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return FdParams(v_max=float(doc["v_max"]), rho_cr=float(doc["rho_cr"]), a=float(doc["a"]))

@@ -91,7 +91,6 @@ class RoadNetwork:
         self.fd_defaults: FdParams = fd_defaults if fd_defaults is not None else FdParams()
 
         self.edge_order: tuple[str, ...] = tuple(sorted(self.edges))
-        self._edge_index = {eid: i for i, eid in enumerate(self.edge_order)}
 
         # cell layout: contiguous slice of the flat state arrays per edge
         self._slices: dict[str, slice] = {}
@@ -120,9 +119,6 @@ class RoadNetwork:
             and self.intersections == other.intersections
             and self.fd_defaults == other.fd_defaults
         )
-
-    def edge_index(self, edge_id: str) -> int:
-        return self._edge_index[edge_id]
 
     def cell_slice(self, edge_id: str) -> slice:
         return self._slices[edge_id]
@@ -248,12 +244,8 @@ def turn_angle(net: RoadNetwork, e_in: str, e_out: str) -> float:
     if e_in not in net.edges or e_out not in net.edges:
         raise NetworkError(f"unknown edge in turn ({e_in}, {e_out})")
     edge_in, edge_out = net.edges[e_in], net.edges[e_out]
-    junction = None
-    for ix in net.intersections.values():
-        if e_in in ix.incoming and e_out in ix.outgoing:
-            junction = ix
-            break
-    if junction is None:
+    junction = net.intersections.get(net.downstream_of.get(e_in))
+    if junction is None or e_out not in junction.outgoing:
         raise NetworkError(f"edges {e_in} and {e_out} do not meet at a common intersection")
 
     center = net.nodes[junction.node]

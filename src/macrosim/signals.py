@@ -50,22 +50,17 @@ class IntersectionSignal:
         return self.red + self.green
 
 
-# A configuration maps intersection id -> IntersectionSignal, covering
-# exactly the signalized intersections of a network.
-SignalConfiguration = dict
+def group_a_red(signal: IntersectionSignal, t):
+    """Whether group A is red at time t seconds; t may be a scalar or an array."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"time must be >= 0, got {t.min()}")
+    return (t < signal.offset) | ((t - signal.offset) % signal.cycle >= signal.green)
 
 
 def phase_at(signal: IntersectionSignal, t: float) -> tuple[Phase, Phase]:
     """(group A, group B) phases at time t seconds; B is always A's complement."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t < signal.offset:
-        a = Phase.RED
-    else:
-        into_cycle = (t - signal.offset) % signal.cycle
-        a = Phase.GREEN if into_cycle < signal.green else Phase.RED
-    b = Phase.RED if a is Phase.GREEN else Phase.GREEN
-    return a, b
+    return (Phase.RED, Phase.GREEN) if group_a_red(signal, t) else (Phase.GREEN, Phase.RED)
 
 
 def check_configuration(net, config: dict) -> None:
@@ -83,27 +78,35 @@ def check_configuration(net, config: dict) -> None:
         raise ValueError("signal configuration does not match network: " + ", ".join(parts))
 
 
-def edge_phases(net, config: dict | None, t: float) -> dict[str, Phase]:
-    """Phase of every signal-controlled incoming edge at time t.
+def signal_groups(net, config: dict | None) -> list[tuple[IntersectionSignal, tuple, tuple]]:
+    """(signal, group A edges, group B edges) per signalized intersection, in sorted-id order.
 
-    Edges not controlled by a signal are absent from the result (treat as
-    green). An unsignalized network accepts config None or {}.
+    Checks config against net first: an unsignalized network accepts config
+    None or {} (and yields nothing), a signalized one needs a configuration
+    covering exactly its signalized intersections.
     """
     if not net.signalized_ids():
         if config:
             raise ValueError("network has no signalized intersections but a configuration was given")
-        return {}
+        return []
     if config is None:
         raise ValueError("network has signalized intersections; a signal configuration is required")
     check_configuration(net, config)
+    ixs = [net.intersections[iid] for iid in net.signalized_ids()]
+    return [(config[ix.id], ix.group_a, ix.group_b) for ix in ixs]
+
+
+def edge_phases(net, config: dict | None, t: float) -> dict[str, Phase]:
+    """Phase of every signal-controlled incoming edge at time t.
+
+    Edges not controlled by a signal are absent from the result (treat as
+    green); config is checked as in signal_groups.
+    """
     phases: dict[str, Phase] = {}
-    for iid in net.signalized_ids():
-        ix = net.intersections[iid]
-        a, b = phase_at(config[iid], t)
-        for eid in ix.group_a:
-            phases[eid] = a
-        for eid in ix.group_b:
-            phases[eid] = b
+    for signal, group_a, group_b in signal_groups(net, config):
+        a, b = phase_at(signal, t)
+        phases.update(dict.fromkeys(group_a, a))
+        phases.update(dict.fromkeys(group_b, b))
     return phases
 
 

@@ -11,6 +11,12 @@ and uncoupled ends fall back to zero-gradient extrapolation.
 
 Stability requires v_max * dt / dx <= 1 on every edge; ``run`` refuses to
 start otherwise.
+
+``run`` compiles the network once per call into a private plan of flat
+per-cell, per-edge and per-movement arrays plus a per-step red-light mask,
+then advances each step with two whole-array kernels: the boundary kernel
+(junction sums by np.bincount) and the cell update. ``virtual_boundaries``
+and ``step`` are per-edge dict views of the same two kernels.
 """
 from __future__ import annotations
 
@@ -22,10 +28,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .fundamental import FdParams, ideal_speed, invert_speed
+from .fundamental import FdParams, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, QueueFnParams, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
-from .signals import Phase, edge_phases
+from .signals import Phase, edge_phases, group_a_red, signal_groups  # noqa: F401 (edge_phases: as above)
 
 
 class SimulationError(RuntimeError):
@@ -122,39 +128,141 @@ def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
     """Stability ratios v_max * dt / dx per edge; ok iff none exceeds 1."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    ratios = {}
-    violations = []
-    for eid in net.edge_order:
-        e = net.edges[eid]
-        ratio = e.free_flow_speed * dt / e.cell_length
-        ratios[eid] = ratio
-        if ratio > 1.0 + 1e-12:
-            violations.append((eid, ratio))
-    return CflReport(ok=not violations, ratios=ratios, violations=tuple(violations))
+    ratios = {eid: net.edges[eid].free_flow_speed * dt / net.edges[eid].cell_length for eid in net.edge_order}
+    violations = tuple((eid, ratio) for eid, ratio in ratios.items() if ratio > 1.0 + 1e-12)
+    return CflReport(ok=not violations, ratios=ratios, violations=violations)
 
 
-def _coupling(net: RoadNetwork):
-    """Per-intersection lookup tables, cached on the network instance."""
-    cache = getattr(net, "_coupling_cache", None)
-    if cache is not None:
-        return cache
-    tables = []
-    for ix in net.intersections.values():
-        rows: dict[str, dict[str, float]] = {}
-        row_sum: dict[str, float] = {}
-        for (e_in, e_out), w in ix.turn_weights.items():
-            if w <= 0:
-                continue
-            rows.setdefault(e_in, {})[e_out] = w
-            row_sum[e_in] = row_sum.get(e_in, 0.0) + w
-        factors = {
-            (e_in, e_out): turn_speed_factor(turn_angle(net, e_in, e_out))
-            for e_in, outs in rows.items()
-            for e_out in outs
-        }
-        tables.append((ix, rows, row_sum, factors))
-    net._coupling_cache = tables
-    return tables
+def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are no rows
+    return [np.array([row[j] for row in rows], dtype=dtype) for j, dtype in enumerate(dtypes)]
+
+
+class _Plan:
+    """A network compiled for one SimParams into flat per-edge, per-cell and per-movement arrays.
+
+    Cells are laid out as in SimState. Movements are the positive turn
+    weights, ordered by receiving edge and then by the feeding edge's place
+    in its intersection's ``incoming`` tuple; downstream-density rows follow
+    each intersection's turn-weight order. np.bincount adds in input order,
+    so every junction sum rounds exactly as a scalar loop in that order.
+    """
+
+    def __init__(self, net: RoadNetwork, params: SimParams):
+        self.edges = net.edge_order
+        self.index = {eid: i for i, eid in enumerate(self.edges)}
+        edges = [net.edges[eid] for eid in self.edges]
+        fds = [net.fd_for(eid) for eid in self.edges]
+        dt = params.dt_s
+
+        def per_cell(values):
+            return np.repeat(np.array(values, dtype=float), [e.cell_count for e in edges])
+
+        self.lanes = per_cell([e.lanes for e in edges])
+        self.dx = per_cell([e.cell_length for e in edges])
+        self.v_max, self.rho_cr, self.a = (per_cell([getattr(fd, k) for fd in fds]) for k in ("v_max", "rho_cr", "a"))
+        self.neg_inv_a = -(1.0 / self.a)
+        self.speed_cap = per_cell([e.free_flow_speed for e in edges])
+        self.flux_coef = per_cell([dt / (e.lanes * e.cell_length) for e in edges])
+        self.conv_coef = per_cell([dt / (2.0 * e.cell_length) for e in edges])
+
+        self.first = np.array([net.cell_slice(eid).start for eid in self.edges], dtype=np.intp)
+        self.last = np.array([net.cell_slice(eid).stop - 1 for eid in self.edges], dtype=np.intp)
+        self.edge_lanes, self.edge_speed = self.lanes[self.first], self.speed_cap[self.first]
+        self.is_entry = np.array([eid not in net.upstream_of for eid in self.edges], dtype=bool)
+        self.is_exit = np.array([eid not in net.downstream_of for eid in self.edges], dtype=bool)
+        inflow = params.entry_inflow or {}
+        self.inflow_edges = np.flatnonzero(self.is_entry & np.array([eid in inflow for eid in self.edges], dtype=bool))
+        self.inflow = np.array([float(inflow[self.edges[i]]) for i in self.inflow_edges])
+
+        movements, rows_dn = [], []
+        for ix in net.intersections.values():
+            rows, row_sum = {}, {}  # positive weights and their sum, per incoming edge
+            for (e_in, e_out), w in ix.turn_weights.items():
+                if w > 0:
+                    rows.setdefault(e_in, {})[e_out] = w
+                    row_sum[e_in] = row_sum.get(e_in, 0.0) + w
+                    rows_dn.append((self.index[e_in], self.index[e_out], w))
+            for e_out in ix.outgoing:
+                for e_in in ix.incoming:
+                    w = rows.get(e_in, {}).get(e_out)
+                    if w is not None:
+                        cap = net.edges[e_in].free_flow_speed * turn_speed_factor(turn_angle(net, e_in, e_out))
+                        movements.append((self.index[e_in], self.index[e_out], w / row_sum[e_in], cap))
+        self.mv_in, self.mv_out, self.mv_share, self.mv_cap = _columns(movements, np.intp, np.intp, float, float)
+        self.dn_in, self.dn_out, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
+
+
+def _red_mask(plan: _Plan, phases: dict) -> np.ndarray:
+    return np.array([phases.get(eid) is Phase.RED for eid in plan.edges], dtype=bool)
+
+
+def _red_schedule(net: RoadNetwork, plan: _Plan, config: dict | None, times: np.ndarray) -> np.ndarray:
+    """Red stop lines per step, shape (len(times), edges), from one check of the configuration."""
+    red = np.zeros((len(times), len(plan.edges)), dtype=bool)
+    for signal, group_a, group_b in signal_groups(net, config):
+        a_red = group_a_red(signal, times)[:, None]
+        red[:, [plan.index[eid] for eid in group_a]] = a_red
+        red[:, [plan.index[eid] for eid in group_b]] = ~a_red
+    return red
+
+
+def _boundaries(plan: _Plan, rho: np.ndarray, v: np.ndarray, red: np.ndarray, params: SimParams):
+    """Boundary kernel: (q_in, v_in, rho_out) per edge; see virtual_boundaries."""
+    n = len(plan.edges)
+    first_rho, first_v = rho[plan.first], v[plan.first]
+    last_rho, end_v = rho[plan.last], v[plan.last]
+    end_q = last_rho * end_v * plan.edge_lanes
+
+    go = ~red[plan.mv_in]
+    e_in, e_out = plan.mv_in[go], plan.mv_out[go]
+    part = end_q[e_in] * plan.mv_share[go]
+    q0 = np.bincount(e_out, part, n)
+    speed_flux = np.bincount(e_out, end_v[e_in] * part, n)
+    cap_flux = np.bincount(e_out, plan.mv_cap[go] * part, n)
+    v0 = np.divide(np.minimum(speed_flux, cap_flux), q0, out=first_v.copy(), where=q0 > 0.0)
+
+    q_in = np.where(plan.is_entry, first_rho * first_v * plan.edge_lanes, q0)
+    q_in[plan.inflow_edges] = plan.inflow
+    v_in = np.where(plan.is_entry, first_v, np.minimum(np.maximum(v0, 0.0), plan.edge_speed))
+
+    r = first_rho[plan.dn_out]
+    num = np.bincount(plan.dn_in, r * r * plan.dn_w, n)
+    den = np.bincount(plan.dn_in, r * plan.dn_w, n)
+    rho_out = np.divide(num, den, out=last_rho.copy(), where=den > 0.0)
+    red_out = red & ~plan.is_exit
+    rho_out[red_out] = params.jam_density if params.red_outflow_density == "jam" else last_rho[red_out]
+    return q_in, v_in, rho_out
+
+
+def _advance(plan: _Plan, state: SimState, q_in, v_in, rho_out, red: np.ndarray, params: SimParams) -> SimState:
+    """Cell-update kernel: one step of every cell; see step."""
+    rho, v = state.rho, state.v
+    dt = params.dt_s
+    q = rho * v * plan.lanes
+    q_up, v_up, rho_dn = np.empty(len(q)), np.empty(len(q)), np.empty(len(q))
+    q_up[1:], v_up[1:], rho_dn[:-1] = q[:-1], v[:-1], rho[1:]
+    q_up[plan.first], v_up[plan.first], rho_dn[plan.last] = q_in, v_in, rho_out
+
+    r_next = rho - plan.flux_coef * (q - q_up)
+    v_eq = plan.v_max * np.exp(plan.neg_inv_a * (rho_dn / plan.rho_cr) ** plan.a)
+    u_next = (
+        v
+        - plan.conv_coef * (v * v - v_up * v_up)
+        + (dt / params.relaxation_s) * (v_eq - v)
+        - (dt * params.anticipation / (rho + params.density_guard)) * (rho_dn - rho) / plan.dx
+    )
+    u_next[plan.last[red]] = 0.0
+
+    finite = np.isfinite(r_next) & np.isfinite(u_next)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        e = int(np.searchsorted(plan.first, bad, side="right")) - 1
+        raise SimulationError(
+            f"non-finite state on edge {plan.edges[e]} cell {bad - plan.first[e] + 1} "
+            f"at step {state.k + 1} (t={state.t + dt:g} s)"
+        )
+    rho_new, v_new = np.clip(r_next, params.density_floor, params.jam_density), np.clip(u_next, 0.0, plan.speed_cap)
+    return SimState(rho=rho_new, v=v_new, t=state.t + dt, k=state.k + 1)
 
 
 def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> VirtualBoundary:
@@ -168,76 +276,12 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: 
     is a flux-consistent quadratic mean over the receiving edges' first
     cells; a red incoming edge instead sees jam density (or its own last
     cell, per SimParams.red_outflow_density). Uncoupled ends use zero-gradient
-    values, with an optional constant inflow flux on entry edges.
+    values, with an optional constant inflow flux on entry edges. A dict view
+    of the boundary kernel that ``run`` executes.
     """
-    q_in: dict[str, float] = {}
-    v_in: dict[str, float] = {}
-    rho_out: dict[str, float] = {}
-
-    inflow = params.entry_inflow or {}
-    for eid in net.edge_order:
-        sl = net.cell_slice(eid)
-        e = net.edges[eid]
-        if eid not in net.upstream_of:
-            if eid in inflow:
-                q_in[eid] = float(inflow[eid])
-            else:
-                q_in[eid] = float(state.rho[sl.start] * state.v[sl.start] * e.lanes)
-            v_in[eid] = float(state.v[sl.start])
-        if eid not in net.downstream_of:
-            rho_out[eid] = float(state.rho[sl.stop - 1])
-
-    for ix, rows, row_sum, factors in _coupling(net):
-        end_flux: dict[str, float] = {}
-        end_speed: dict[str, float] = {}
-        for e_in in ix.incoming:
-            sl = net.cell_slice(e_in)
-            e = net.edges[e_in]
-            end_flux[e_in] = float(state.rho[sl.stop - 1] * state.v[sl.stop - 1] * e.lanes)
-            end_speed[e_in] = float(state.v[sl.stop - 1])
-
-        red = {e_in: phases.get(e_in) is Phase.RED for e_in in ix.incoming}
-
-        for e_out in ix.outgoing:
-            q0 = 0.0
-            speed_flux = 0.0
-            cap_flux = 0.0
-            for e_in in ix.incoming:
-                if red[e_in] or e_in not in rows:
-                    continue
-                weight = rows[e_in].get(e_out)
-                if weight is None:
-                    continue
-                share = weight / row_sum[e_in]
-                contribution = end_flux[e_in] * share
-                q0 += contribution
-                speed_flux += end_speed[e_in] * contribution
-                cap_flux += net.edges[e_in].free_flow_speed * factors[(e_in, e_out)] * contribution
-            sl_out = net.cell_slice(e_out)
-            if q0 > 0.0:
-                v0 = min(speed_flux, cap_flux) / q0
-            else:
-                v0 = float(state.v[sl_out.start])
-            q_in[e_out] = q0
-            v_in[e_out] = min(max(v0, 0.0), net.edges[e_out].free_flow_speed)
-
-        for e_in in ix.incoming:
-            sl = net.cell_slice(e_in)
-            if red[e_in]:
-                if params.red_outflow_density == "jam":
-                    rho_out[e_in] = params.jam_density
-                else:
-                    rho_out[e_in] = float(state.rho[sl.stop - 1])
-                continue
-            num = 0.0
-            den = 0.0
-            for e_out, w in rows.get(e_in, {}).items():
-                first = float(state.rho[net.cell_slice(e_out).start])
-                num += first * first * w
-                den += first * w
-            rho_out[e_in] = num / den if den > 0.0 else float(state.rho[sl.stop - 1])
-
-    return VirtualBoundary(q_in=q_in, v_in=v_in, rho_out=rho_out)
+    plan = _Plan(net, params)
+    ghosts = _boundaries(plan, state.rho, state.v, _red_mask(plan, phases), params)
+    return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
 def step(net: RoadNetwork, state: SimState, vb: VirtualBoundary, phases: dict, params: SimParams) -> SimState:
@@ -247,48 +291,12 @@ def step(net: RoadNetwork, state: SimState, vb: VirtualBoundary, phases: dict, p
     convection + relaxation + anticipation, then red stop lines are pinned to
     zero speed, then both fields are clamped (density into
     [density_floor, jam_density], speed into [0, v_max]). Non-finite values
-    abort with the offending edge and cell.
+    abort with the offending edge and cell. A dict view of the cell-update
+    kernel that ``run`` executes.
     """
-    dt = params.dt_s
-    rho_new = np.empty_like(state.rho)
-    v_new = np.empty_like(state.v)
-
-    for eid in net.edge_order:
-        e = net.edges[eid]
-        sl = net.cell_slice(eid)
-        rho = state.rho[sl]
-        v = state.v[sl]
-        dx = e.cell_length
-        fd = net.fd_for(eid)
-
-        q = rho * v * e.lanes
-        q_up = np.concatenate(([vb.q_in[eid]], q[:-1]))
-        r_next = rho - (dt / (e.lanes * dx)) * (q - q_up)
-
-        v_up = np.concatenate(([vb.v_in[eid]], v[:-1]))
-        rho_dn = np.concatenate((rho[1:], [vb.rho_out[eid]]))
-        v_eq = ideal_speed(fd, rho_dn)
-        u_next = (
-            v
-            - (dt / (2.0 * dx)) * (v * v - v_up * v_up)
-            + (dt / params.relaxation_s) * (v_eq - v)
-            - (dt * params.anticipation / (rho + params.density_guard)) * (rho_dn - rho) / dx
-        )
-
-        if phases.get(eid) is Phase.RED:
-            u_next[-1] = 0.0
-
-        finite = np.isfinite(r_next) & np.isfinite(u_next)
-        if not np.all(finite):
-            cell = int(np.argmin(finite)) + 1
-            raise SimulationError(
-                f"non-finite state on edge {eid} cell {cell} at step {state.k + 1} (t={state.t + dt:g} s)"
-            )
-
-        rho_new[sl] = np.clip(r_next, params.density_floor, params.jam_density)
-        v_new[sl] = np.clip(u_next, 0.0, e.free_flow_speed)
-
-    return SimState(rho=rho_new, v=v_new, t=state.t + dt, k=state.k + 1)
+    plan = _Plan(net, params)
+    ghosts = (np.array([g[eid] for eid in plan.edges], dtype=float) for g in (vb.q_in, vb.v_in, vb.rho_out))
+    return _advance(plan, state, *ghosts, _red_mask(plan, phases), params)
 
 
 def initialize(
@@ -372,24 +380,26 @@ def run(
     probe_times = sorted(float(p) for p in probes) if probes else []
     probe_idx = 0
     snapshots: list[Snapshot] = []
-    speeds: list[float] = []
-    queues: list[float] = []
+    speeds, queues = [], []
 
-    state = state0.copy()
-    for _ in range(n_steps):
+    plan = _Plan(net, params)
+    # the clock values state.t takes below: add.accumulate sums left to right, as the steps do
+    times = np.cumsum(np.r_[state0.t, np.full(n_steps - 1, params.dt_s)])
+    red = _red_schedule(net, plan, config, times)
+
+    state = state0
+    for k in range(n_steps + 1):
+        while probe_idx < len(probe_times) and state.t >= probe_times[probe_idx] - 1e-9:
+            snapshots.append(Snapshot(t=state.t, rho=state.rho.copy(), v=state.v.copy()))
+            probe_idx += 1
+        if k == n_steps:
+            break
         if state.t >= warmup - 1e-9:
             avg, queue = step_metrics(net, state, queue_params, density_weighted)
             speeds.append(avg)
             queues.append(queue)
-        while probe_idx < len(probe_times) and state.t >= probe_times[probe_idx] - 1e-9:
-            snapshots.append(Snapshot(t=state.t, rho=state.rho.copy(), v=state.v.copy()))
-            probe_idx += 1
-        phases = edge_phases(net, config, state.t)
-        state = step(net, state, virtual_boundaries(net, state, phases, params), phases, params)
-
-    while probe_idx < len(probe_times) and state.t >= probe_times[probe_idx] - 1e-9:
-        snapshots.append(Snapshot(t=state.t, rho=state.rho.copy(), v=state.v.copy()))
-        probe_idx += 1
+        ghosts = _boundaries(plan, state.rho, state.v, red[k], params)
+        state = _advance(plan, state, *ghosts, red[k], params)
 
     metrics = aggregate(speeds, queues)
     return RunResult(

@@ -481,6 +481,40 @@ def test_run_metrics_match_manual_stepping(cross_net):
     assert np.array_equal(result.final_state.rho, state.rho)
 
 
+# Metrics of each fixture under the paper's protocol (340 s, 100 s warm-up),
+# as computed by a scalar per-edge formulation of the same update rules.
+PINNED_METRICS = {
+    "ring": (6.022965641451009, 4.279295924829194),
+    "cross": (6.794794461441721, 47.931020975444625),
+    "twolights": (5.909105681532877, 116.49568653506876),
+    "roadcats": (7.888417193045212, 30.99792948619597),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_METRICS))
+def test_run_reproduces_pinned_metrics(request, fixtures_dir, name):
+    net = request.getfixturevalue(f"{name}_net")
+    speeds, default = read_speeds_csv(fixtures_dir / f"{name}_init.csv")
+    lights = fixtures_dir / f"{name}_lights.json"
+    config = load_config(lights) if lights.exists() else None
+    params = SimParams(seed=0)
+    state0 = initialize(net, speeds, params, default_speed=default)
+    metrics = run(net, state0, config, params, horizon=340.0, warmup=100.0).metrics
+    assert (metrics.avg_speed, metrics.queue_length) == pytest.approx(PINNED_METRICS[name], rel=1e-12)
+
+
+def test_run_reports_non_finite_initial_density(twolights_net, twolights_speeds, fixtures_dir):
+    speeds, default = twolights_speeds
+    params = SimParams(seed=0)
+    state0 = initialize(twolights_net, speeds, params, default_speed=default)
+    entry = twolights_net.entry_edges[0]
+    state0.rho[twolights_net.cell_slice(entry).start + 2] = np.nan
+    config = load_config(fixtures_dir / "twolights_lights.json")
+    # cell 2 reads cell 3's density as its downstream neighbour, so it goes non-finite first
+    with pytest.raises(SimulationError, match=f"edge {entry} cell 2 at step 1 "):
+        run(twolights_net, state0, config, params, horizon=10.0, warmup=0.0)
+
+
 def test_run_is_deterministic(cross_net):
     config = {"X": IntersectionSignal(red=20, green=20, offset=5)}
     params = SimParams(seed=13)
