@@ -216,6 +216,7 @@ def _cmd_optimize(args) -> int:
         "generations": result.de.generations,
         "evaluations": result.de.evaluations,
         "converged": result.de.converged,
+        "history": result.de.history,
     }
     if args.report:
         with open(args.report, "w") as fh:

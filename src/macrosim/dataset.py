@@ -16,7 +16,7 @@ import numpy as np
 
 from .metrics import QueueFnParams
 from .signals import IntersectionSignal, sample_config
-from .solver import SimParams, SimState, SimulationError, run
+from .solver import SimParams, SimState, run
 
 
 class DatasetError(Exception):
@@ -75,8 +75,8 @@ def _run_job(job) -> DatasetRow:
             queue_length=result.metrics.queue_length,
             status="ok",
         )
-    except SimulationError as exc:
-        diagnostic = " ".join(str(exc).split())
+    except Exception as exc:  # one bad row must not take the batch down with it
+        diagnostic = " ".join(f"{type(exc).__name__}: {exc}".split())
         return DatasetRow(
             run_id=run_id,
             seed=seed,
@@ -100,8 +100,9 @@ def generate(
 ) -> list[DatasetRow]:
     """Simulate ``n_runs`` random configurations from a shared initial state.
 
-    Rows are ordered by run_id. A run that aborts (non-finite state) becomes
-    a failed row with NaN metrics instead of stopping the batch. Worker
+    Rows are ordered by run_id. A run that raises (a non-finite state, or
+    any other exception) becomes a failed row with NaN metrics whose status
+    names the exception, instead of stopping the batch. Worker
     processes only change wall time, never results.
     """
     if n_runs < 1:

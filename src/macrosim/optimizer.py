@@ -48,6 +48,7 @@ class Objective:
     name: str
     direction: str  # "maximize" or "minimize"
     evaluate: Callable[[np.ndarray], float]
+    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (n, d) -> (n,), row by row as evaluate
 
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
@@ -56,6 +57,12 @@ class Objective:
     def internal(self, x: np.ndarray) -> float:
         value = float(self.evaluate(x))
         return -value if self.direction == "maximize" else value
+
+    def internal_batch(self, X: np.ndarray) -> np.ndarray:
+        """Internal values of every row of X; one call when there is a batch evaluator."""
+        batch = self.evaluate_batch or (lambda rows: [float(self.evaluate(x)) for x in rows])
+        values = np.asarray(batch(X), dtype=float)
+        return -values if self.direction == "maximize" else values
 
     def external(self, internal_value: float) -> float:
         return -internal_value if self.direction == "maximize" else internal_value
@@ -71,17 +78,28 @@ class DeResult:
     converged: bool
 
 
+def draw_donors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 3) donor indices: row i holds three distinct members other than i.
+
+    Drawn for all rows at once: pick j comes from the n - 1 - j slots left, shifted past earlier picks, then past i.
+    """
+    picks = rng.integers(0, [n - 1, n - 2, n - 3], size=(n, 3))
+    for j in (1, 2):
+        for earlier in np.sort(picks[:, :j], axis=1).T:
+            picks[:, j] += picks[:, j] >= earlier
+    return picks + (picks >= np.arange(n)[:, None])
+
+
 def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_point=None) -> DeResult:
     """Minimize (or maximize) over the unit box with rand/1/bin.
 
     One generation builds a trial for every member from three distinct other
-    members (donor + scaled difference), crosses it binomially with the
-    member (one forced coordinate), clips to the box, and keeps whichever of
-    member and trial scores better. Selection is synchronous: all trials are
-    judged against the pre-generation population, so evaluations within a
-    generation are order-independent. The best-so-far history is monotone by
-    construction. Stops early when the population's value spread falls below
-    ``tol`` relative to the best value.
+    members (donor + scaled difference), crosses it binomially with the member
+    (one forced coordinate) and clips it to the box, all as whole arrays, and
+    scores the trials in one ``internal_batch`` call. Selection is synchronous:
+    each trial replaces its pre-generation member if it scores no worse. The
+    best-so-far history is monotone by construction. Stops early when the
+    population's value spread falls below ``tol`` relative to the best value.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -95,7 +113,7 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
             raise ValueError(f"seed_point must have shape ({dim},)")
         pop[0] = np.clip(seed_point, 0.0, 1.0)
 
-    values = np.array([objective.internal(x) for x in pop])
+    values = objective.internal_batch(pop)
     evaluations = np_size
     best_idx = int(np.argmin(values))
     best = pop[best_idx].copy()
@@ -105,16 +123,13 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     converged = False
     generations = 0
     for generations in range(1, de.max_generations + 1):
-        trials = np.empty_like(pop)
-        for i in range(np_size):
-            candidates = [j for j in range(np_size) if j != i]
-            a, b, c = rng.choice(candidates, size=3, replace=False)
-            mutant = pop[a] + de.mutation * (pop[b] - pop[c])
-            cross = rng.random(dim) < de.crossover
-            cross[rng.integers(dim)] = True
-            trials[i] = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
+        a, b, c = draw_donors(rng, np_size).T
+        mutants = pop[a] + de.mutation * (pop[b] - pop[c])
+        cross = rng.random((np_size, dim)) < de.crossover
+        cross[np.arange(np_size), rng.integers(dim, size=np_size)] = True
+        trials = np.clip(np.where(cross, mutants, pop), 0.0, 1.0)
 
-        trial_values = np.array([objective.internal(x) for x in trials])
+        trial_values = objective.internal_batch(trials)
         evaluations += np_size
         better = trial_values <= values
         pop[better] = trials[better]
@@ -154,7 +169,8 @@ def surrogate_objective(model, target: str) -> Objective:
     def evaluate(x: np.ndarray) -> float:
         return float(np.atleast_1d(predict(model, x))[column])
 
-    return Objective(name=target, direction=DIRECTIONS[target], evaluate=evaluate)
+    return Objective(name=target, direction=DIRECTIONS[target], evaluate=evaluate,
+                     evaluate_batch=lambda X: predict(model, X)[:, column])
 
 
 def simulation_objective(

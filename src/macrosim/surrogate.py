@@ -115,19 +115,11 @@ def _forward(weights, biases, X, activation):
     return acts, pres
 
 
-def loss_and_gradients(weights, biases, X, Y, activation, alpha):
-    """Mean squared error plus L2 weight penalty, and its exact gradients.
-
-    loss = ||pred - Y||^2 / (2m) + alpha * sum(W^2) / (2m) with m = len(X).
-    Biases are not penalized. Shared by training and the finite-difference
-    gradient check.
-    """
+def _backprop(weights, biases, X, Y, activation, alpha):
+    """Returns (residual pred - Y, weight gradients, bias gradients) of the loss below."""
     m = X.shape[0]
     acts, pres = _forward(weights, biases, X, activation)
     resid = acts[-1] - Y
-    loss = float(np.sum(resid**2)) / (2 * m)
-    loss += alpha * sum(float(np.sum(W**2)) for W in weights) / (2 * m)
-
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
     delta = resid / m
@@ -136,6 +128,20 @@ def loss_and_gradients(weights, biases, X, Y, activation, alpha):
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ weights[i].T) * _activate_grad(pres[i - 1], activation)
+    return resid, grads_w, grads_b
+
+
+def loss_and_gradients(weights, biases, X, Y, activation, alpha):
+    """Mean squared error plus L2 weight penalty, and its exact gradients.
+
+    loss = ||pred - Y||^2 / (2m) + alpha * sum(W^2) / (2m) with m = len(X).
+    Biases are not penalized. Training uses the gradients only, through the
+    same ``_backprop``; the finite-difference gradient check uses both.
+    """
+    m = X.shape[0]
+    resid, grads_w, grads_b = _backprop(weights, biases, X, Y, activation, alpha)
+    loss = float(np.sum(resid**2)) / (2 * m)
+    loss += alpha * sum(float(np.sum(W**2)) for W in weights) / (2 * m)
     return loss, grads_w, grads_b
 
 
@@ -171,24 +177,23 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     X_train, Y_train = X[train_idx], Ys[train_idx]
     X_val, Y_val = X[val_idx], Ys[val_idx]
 
+    # weights and biases are views into one flat theta (W0, b0, W1, b1, ...): Adam and the snapshot act on it whole
     sizes = [X.shape[1], *hyper.hidden, Y.shape[1]]
-    weights = []
-    biases = []
+    theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
+    weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(theta[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights[-1][...] = rng.uniform(-limit, limit, (fan_in, fan_out))
+        biases.append(theta[at + fan_in * fan_out : at + (fan_in + 1) * fan_out])
+        at += (fan_in + 1) * fan_out
 
-    m_w = [np.zeros_like(W) for W in weights]
-    v_w = [np.zeros_like(W) for W in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    m, v = np.zeros((2, theta.size))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
 
     best_val = np.inf
-    best_weights = [W.copy() for W in weights]
-    best_biases = [b.copy() for b in biases]
+    best_theta = theta.copy()
     stall = 0
     epochs_done = 0
 
@@ -198,39 +203,28 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
         perm = rng.permutation(n_train)
         for start in range(0, n_train, hyper.batch_size):
             batch = perm[start : start + hyper.batch_size]
-            _, gw, gb = loss_and_gradients(
-                weights, biases, X_train[batch], Y_train[batch], hyper.activation, hyper.alpha
-            )
+            _, gw, gb = _backprop(weights, biases, X_train[batch], Y_train[batch], hyper.activation, hyper.alpha)
+            grad = np.concatenate([g.ravel() for pair in zip(gw, gb) for g in pair])
             adam_t += 1
-            correction1 = 1.0 - beta1**adam_t
-            correction2 = 1.0 - beta2**adam_t
-            for i in range(len(weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                weights[i] -= hyper.learning_rate * (m_w[i] / correction1) / (
-                    np.sqrt(v_w[i] / correction2) + eps
-                )
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                biases[i] -= hyper.learning_rate * (m_b[i] / correction1) / (
-                    np.sqrt(v_b[i] / correction2) + eps
-                )
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad**2
+            theta -= hyper.learning_rate * (m / (1.0 - beta1**adam_t)) / (np.sqrt(v / (1.0 - beta2**adam_t)) + eps)
 
         val_pred = _forward(weights, biases, X_val, hyper.activation)[0][-1]
         val_mse = float(np.mean((val_pred - Y_val) ** 2))
         if val_mse < best_val - hyper.tol:
             best_val = val_mse
-            best_weights = [W.copy() for W in weights]
-            best_biases = [b.copy() for b in biases]
+            best_theta = theta.copy()
             stall = 0
         else:
             stall += 1
             if stall >= hyper.patience:
                 break
 
+    theta[...] = best_theta
     return MlpModel(
-        weights=tuple(best_weights),
-        biases=tuple(best_biases),
+        weights=tuple(weights),
+        biases=tuple(biases),
         activation=hyper.activation,
         target_mean=mean,
         target_scale=scale,

@@ -1,9 +1,13 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import macrosim
 from macrosim.cli import main
 from macrosim.dataset import read_csv
 from macrosim.signals import load_config
@@ -168,6 +172,10 @@ def test_optimize_against_surrogate(cli_dataset, fixtures_dir, tmp_path):
     assert report["direction"] == "minimize"
     assert report["simulated"] is None
     assert report["evaluations"] > 0
+    # best-so-far value per generation, starting with the initial population
+    history = report["history"]
+    assert len(history) == report["generations"] + 1
+    assert all(b <= a for a, b in zip(history, history[1:]))  # queue is minimized
 
 
 def test_optimize_direct_with_validation(cli_dataset, fixtures_dir, tmp_path, capsys):
@@ -282,5 +290,15 @@ def test_console_entry_point_installed():
         pytest.skip("console script not on PATH")
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
+    for command in ("calibrate-fd", "simulate", "gen-dataset", "train-surrogate", "optimize", "validate"):
+        assert command in proc.stdout
+
+
+def test_module_entry_point_help():
+    # works without the console script on PATH, from the package being tested
+    src = str(pathlib.Path(macrosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "macrosim.cli", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     for command in ("calibrate-fd", "simulate", "gen-dataset", "train-surrogate", "optimize", "validate"):
         assert command in proc.stdout

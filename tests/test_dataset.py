@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from macrosim import dataset
 from macrosim.dataset import (
     DatasetError,
     DatasetRow,
@@ -147,6 +148,29 @@ def test_failed_rows_recorded_not_raised(cross_net):
         assert r.status.startswith("failed: ")
         assert "\n" not in r.status
         assert math.isnan(r.avg_speed) and math.isnan(r.queue_length)
+
+
+def test_one_bad_job_does_not_kill_the_batch(cross_net, monkeypatch):
+    """Any exception from one row becomes that row's failure; the rest are untouched."""
+    state0, params = _cross_state(cross_net)
+    clean = generate(cross_net, state0, params, n_runs=5, seed=5, horizon=20.0, warmup=5.0)
+    bad_config = clean[2].config
+    assert sum(r.config == bad_config for r in clean) == 1
+    real_run = dataset.run
+
+    def flaky_run(net, s0, config, *args, **kwargs):
+        if config == bad_config:
+            raise ZeroDivisionError("float division by zero\n  while averaging")
+        return real_run(net, s0, config, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "run", flaky_run)
+    rows = generate(cross_net, state0, params, n_runs=5, seed=5, workers=1, horizon=20.0, warmup=5.0)
+    assert [r.run_id for r in rows] == [0, 1, 2, 3, 4]
+    bad = rows[2]
+    assert bad.status == "failed: ZeroDivisionError: float division by zero while averaging"
+    assert (bad.run_id, bad.seed, bad.config) == (2, clean[2].seed, bad_config)
+    assert math.isnan(bad.avg_speed) and math.isnan(bad.queue_length)
+    assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
 
 
 def test_feature_matrix_filters_failed_rows():

@@ -7,6 +7,7 @@ from macrosim.optimizer import (
     Objective,
     best_training_row,
     differential_evolution,
+    draw_donors,
     optimize_config,
     simulation_objective,
     surrogate_objective,
@@ -14,7 +15,7 @@ from macrosim.optimizer import (
 )
 from macrosim.signals import IntersectionSignal, encode
 from macrosim.solver import SimParams, initialize
-from macrosim.surrogate import fit_linear
+from macrosim.surrogate import MlpHyper, fit_linear, fit_mlp
 
 
 def _quadratic(center):
@@ -207,3 +208,67 @@ def test_simulation_objective_and_validate_agree(cross_net):
 
     with pytest.raises(ValueError):
         simulation_objective(cross_net, state0, params, "delay")
+
+
+@pytest.mark.parametrize("n", [4, 5, 150])
+def test_draw_donors_gives_three_distinct_other_members(n):
+    rng = np.random.default_rng(0)
+    for _ in range(200 if n < 150 else 20):
+        donors = draw_donors(rng, n)
+        assert donors.shape == (n, 3)
+        assert donors.min() >= 0 and donors.max() < n
+        own = np.arange(n)[:, None]
+        assert np.all(donors != own)
+        assert np.all(donors[:, 0] != donors[:, 1])
+        assert np.all(donors[:, 0] != donors[:, 2])
+        assert np.all(donors[:, 1] != donors[:, 2])
+
+
+def test_draw_donors_covers_every_ordered_triple():
+    # at n = 4 each member has exactly 3 others, so 3! = 6 ordered draws per member
+    rng = np.random.default_rng(1)
+    seen = {(i, *row) for _ in range(300) for i, row in enumerate(draw_donors(rng, 4).tolist())}
+    assert len(seen) == 4 * 6
+    assert {s[1:] for s in seen if s[0] == 0} == {(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)}
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("target", ["speed", "queue"])
+def test_surrogate_batch_evaluator_matches_scalar_evaluate(kind, target):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, (40, 6))
+    Y = np.column_stack([X @ rng.normal(size=6) + 5.0, np.sin(3.0 * X[:, 0]) - X[:, 1]])
+    if kind == "linear":
+        model = fit_linear(X, Y)
+    else:
+        model = fit_mlp(X, Y, MlpHyper(hidden=(12, 6), max_epochs=20, patience=20), seed=0)
+    obj = surrogate_objective(model, target)
+    X = np.random.default_rng(4).uniform(0.0, 1.0, (90, 6))
+    batch = obj.evaluate_batch(X)
+    assert batch.shape == (90,)
+    np.testing.assert_allclose(batch, [obj.evaluate(x) for x in X], rtol=1e-12, atol=0.0)
+
+
+def test_batch_evaluator_gives_the_same_search_as_scalar_evaluate():
+    scalar = _quadratic(np.full(5, 0.35))
+    mapped = Objective(name=scalar.name, direction=scalar.direction, evaluate=scalar.evaluate,
+                       evaluate_batch=lambda X: np.array([scalar.evaluate(x) for x in X]))
+    de = DeConfig(seed=11, max_generations=60)
+    r1 = differential_evolution(scalar, dim=5, de=de, seed_point=np.full(5, 0.2))
+    r2 = differential_evolution(mapped, dim=5, de=de, seed_point=np.full(5, 0.2))
+    assert np.array_equal(r1.best, r2.best)
+    assert r1.best_value == r2.best_value
+    assert r1.history == r2.history
+    assert r1.evaluations == r2.evaluations
+    assert r1.generations == r2.generations
+
+
+def test_de_with_smallest_population_is_deterministic():
+    obj = _quadratic(np.full(3, 0.8))
+    de = DeConfig(pop_size=4, seed=2, max_generations=80)
+    r1 = differential_evolution(obj, dim=3, de=de)
+    r2 = differential_evolution(obj, dim=3, de=de)
+    assert np.array_equal(r1.best, r2.best)
+    assert r1.history == r2.history
+    assert r1.evaluations == r2.evaluations == 4 * (r1.generations + 1)
+    assert all(b <= a for a, b in zip(r1.history, r1.history[1:]))

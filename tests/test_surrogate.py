@@ -234,3 +234,41 @@ def test_load_model_rejects_unknown_kind(tmp_path):
 def test_predict_rejects_unknown_model():
     with pytest.raises(TypeError):
         predict(object(), np.zeros(3))
+
+
+# Predictions of ``fit_mlp`` on a fixed design, recorded before the trainer
+# moved to a flat parameter buffer. The trainer must reproduce them exactly,
+# so any change to its arithmetic or RNG use shows up here. Recorded with
+# numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+_PINNED_QUERY = np.array([[0.1, 0.2, 0.3], [0.9, 0.5, 0.1], [0.4, 0.8, 0.7]])
+_PINNED_MLP = {
+    ("relu", "early"): (115, [[0.3648790070530623, -0.17441489988790407],
+                              [0.5252986243793143, 0.06587197799877331],
+                              [1.4881516078241632, -0.7099676673915405]]),
+    ("relu", "fixed"): (12, [[0.7599670625840582, -0.3519478009498808],
+                             [0.7669966514200502, 0.08734392066122892],
+                             [1.033354803620838, -0.7247530715179975]]),
+    ("tanh", "early"): (51, [[0.616546336960089, -0.1956155832162938],
+                             [0.7205478691966802, 0.002300285433079974],
+                             [1.1209606731758917, -0.6925003286427327]]),
+    ("tanh", "fixed"): (12, [[0.6766834800438334, -0.20812787384902787],
+                             [0.7186681544893314, -0.001982296042796483],
+                             [1.0733250059646204, -0.6957108780832657]]),
+}
+
+
+@pytest.mark.parametrize("activation,stopping", sorted(_PINNED_MLP))
+def test_fit_mlp_reproduces_pinned_predictions(activation, stopping):
+    rng = np.random.default_rng(21)
+    X = rng.uniform(0.0, 1.0, (120, 3))
+    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2], (X[:, 0] - 0.5) ** 2 - X[:, 2]])
+    if stopping == "early":
+        hyper = MlpHyper(hidden=(8, 6), activation=activation, learning_rate=0.003,
+                         max_epochs=400, patience=6, tol=1e-5)
+    else:  # patience never runs out: exactly max_epochs epochs
+        hyper = MlpHyper(hidden=(8, 6), activation=activation, learning_rate=0.01,
+                         max_epochs=12, patience=1000)
+    model = fit_mlp(X, Y, hyper, seed=3)
+    epochs, expected = _PINNED_MLP[(activation, stopping)]
+    assert model.epochs_trained == epochs
+    np.testing.assert_array_equal(predict(model, _PINNED_QUERY), np.array(expected))
