@@ -184,10 +184,11 @@ def _cmd_optimize(args) -> int:
         speeds, default = solver.read_speeds_csv(args.init)
         state0 = solver.initialize(net, speeds, params, default_speed=default)
 
-    if args.direct:
-        if state0 is None:
-            print("error: --direct needs --init to build the shared initial state", file=sys.stderr)
+    for flag, wanted in (("--direct", args.direct), ("--validate", args.validate)):
+        if wanted and state0 is None:
+            print(f"error: {flag} needs --init to build the shared initial state", file=sys.stderr)
             return 1
+    if args.direct:
         objective = optimizer.simulation_objective(
             net, state0, params, args.objective, horizon=args.horizon, warmup=args.warmup
         )
@@ -200,9 +201,6 @@ def _cmd_optimize(args) -> int:
 
     simulated = None
     if args.validate:
-        if state0 is None:
-            print("error: --validate needs --init to build the shared initial state", file=sys.stderr)
-            return 1
         metrics = optimizer.validate_config(
             net, state0, params, result.config, horizon=args.horizon, warmup=args.warmup
         )

@@ -44,6 +44,7 @@ def child_seed(master_seed: int, run_id: int) -> int:
 
 
 _CTX: dict = {}
+CHUNK_ROWS = 64  # most rows one batched run simulates
 
 
 def _init_worker(net, state0, params, horizon, warmup, queue_params):
@@ -52,39 +53,32 @@ def _init_worker(net, state0, params, horizon, warmup, queue_params):
     )
 
 
-def _run_job(job) -> DatasetRow:
-    run_id, seed = job
+def _run_chunk(jobs) -> list[DatasetRow]:
+    """Rows of a contiguous chunk of jobs, simulated as one batched run.
+
+    If the batched run raises, the chunk is redone row by row, so only a
+    bad row fails.
+    """
     net = _CTX["net"]
-    rng = np.random.default_rng(seed)
-    config = sample_config(net, rng)
+    configs = [sample_config(net, np.random.default_rng(seed)) for _, seed in jobs]
     try:
-        result = run(
+        results = run(
             net,
             _CTX["state0"],
-            config,
+            configs,
             _CTX["params"],
             horizon=_CTX["horizon"],
             warmup=_CTX["warmup"],
             queue_params=_CTX["queue_params"],
         )
-        return DatasetRow(
-            run_id=run_id,
-            seed=seed,
-            config=config,
-            avg_speed=result.metrics.avg_speed,
-            queue_length=result.metrics.queue_length,
-            status="ok",
-        )
+        outcomes = [(r.metrics.avg_speed, r.metrics.queue_length, "ok") for r in results]
     except Exception as exc:  # one bad row must not take the batch down with it
+        if len(jobs) > 1:
+            return [row for job in jobs for row in _run_chunk([job])]
         diagnostic = " ".join(f"{type(exc).__name__}: {exc}".split())
-        return DatasetRow(
-            run_id=run_id,
-            seed=seed,
-            config=config,
-            avg_speed=float("nan"),
-            queue_length=float("nan"),
-            status=f"failed: {diagnostic}",
-        )
+        outcomes = [(float("nan"), float("nan"), f"failed: {diagnostic}")]
+    return [DatasetRow(run_id, seed, config, *outcome)
+            for (run_id, seed), config, outcome in zip(jobs, configs, outcomes)]
 
 
 def generate(
@@ -100,10 +94,12 @@ def generate(
 ) -> list[DatasetRow]:
     """Simulate ``n_runs`` random configurations from a shared initial state.
 
-    Rows are ordered by run_id. A run that raises (a non-finite state, or
-    any other exception) becomes a failed row with NaN metrics whose status
-    names the exception, instead of stopping the batch. Worker
-    processes only change wall time, never results.
+    Rows are ordered by run_id. The runs are split into contiguous chunks,
+    at least one per worker and at most CHUNK_ROWS rows each, and every
+    chunk is simulated as one batched run. A run that raises (a non-finite
+    state, or any other exception) becomes a failed row with NaN metrics
+    whose status names the exception, instead of stopping the batch. Worker
+    processes and chunking only change wall time, never results.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -113,15 +109,17 @@ def generate(
         raise ValueError("network has no signalized intersections; nothing to vary")
 
     jobs = [(i, child_seed(seed, i)) for i in range(n_runs)]
+    n_chunks = max(min(workers, n_runs), -(-n_runs // CHUNK_ROWS))
+    chunks = [jobs[c * n_runs // n_chunks:(c + 1) * n_runs // n_chunks] for c in range(n_chunks)]
     if workers == 1:
         _init_worker(net, state0, params, horizon, warmup, queue_params)
-        return [_run_job(job) for job in jobs]
+        return [row for chunk in chunks for row in _run_chunk(chunk)]
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(workers, n_chunks),
         initializer=_init_worker,
         initargs=(net, state0, params, horizon, warmup, queue_params),
     ) as pool:
-        return list(pool.map(_run_job, jobs, chunksize=max(1, n_runs // (4 * workers))))
+        return [row for rows in pool.map(_run_chunk, chunks) for row in rows]
 
 
 def _format_float(x: float) -> str:

@@ -43,19 +43,14 @@ def congestion_weight(params: QueueFnParams, v):
     return out
 
 
-def step_metrics(net, state, params: QueueFnParams = QueueFnParams(), density_weighted: bool = False):
+def step_metrics(net, state, params: QueueFnParams = QueueFnParams()):
     """(mean speed, queue length) of one state snapshot.
 
-    The mean is an unweighted average over all cells of all edges; passing
-    density_weighted=True weighs each cell's speed by its density instead.
+    The mean is an unweighted average over all cells of all edges. A
+    (rows, cells) state gives one mean and one queue length per row.
     """
-    v = state.v
-    if density_weighted:
-        total = float(np.sum(state.rho))
-        avg = float(np.sum(state.rho * v) / total) if total > 0 else 0.0
-    else:
-        avg = float(np.mean(v))
-    queue = float(np.sum(congestion_weight(params, v)))
+    avg = np.mean(state.v, axis=-1)
+    queue = np.sum(congestion_weight(params, state.v), axis=-1)
     return avg, queue
 
 

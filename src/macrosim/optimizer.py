@@ -182,16 +182,21 @@ def simulation_objective(
     warmup: float = 100.0,
     queue_params: QueueFnParams = QueueFnParams(),
 ) -> Objective:
-    """Objective that decodes a vector to integer timings and simulates them."""
+    """Objective that decodes vectors to integer timings and simulates them.
+
+    Its batch evaluator simulates every row of a population in one batched ``run``.
+    """
     if target not in TARGET_COLUMNS:
         raise ValueError(f"target must be one of {sorted(TARGET_COLUMNS)}")
+    metric = "avg_speed" if target == "speed" else "queue_length"
 
-    def evaluate(x: np.ndarray) -> float:
-        config = signals.decode(np.asarray(x, dtype=float), net)
-        result = run(net, state0, config, params, horizon=horizon, warmup=warmup, queue_params=queue_params)
-        return result.metrics.avg_speed if target == "speed" else result.metrics.queue_length
+    def evaluate_batch(X: np.ndarray) -> list[float]:
+        configs = [signals.decode(x, net) for x in np.asarray(X, dtype=float)]
+        results = run(net, state0, configs, params, horizon=horizon, warmup=warmup, queue_params=queue_params)
+        return [getattr(r.metrics, metric) for r in results]
 
-    return Objective(name=target, direction=DIRECTIONS[target], evaluate=evaluate)
+    return Objective(name=target, direction=DIRECTIONS[target], evaluate=lambda x: evaluate_batch([x])[0],
+                     evaluate_batch=evaluate_batch)
 
 
 def best_training_row(rows, target: str):

@@ -15,8 +15,10 @@ start otherwise.
 ``run`` compiles the network once per call into a private plan of flat
 per-cell, per-edge and per-movement arrays plus a per-step red-light mask,
 then advances each step with two whole-array kernels: the boundary kernel
-(junction sums by np.bincount) and the cell update. ``virtual_boundaries``
-and ``step`` are per-edge dict views of the same two kernels.
+(junction sums by np.bincount) and the cell update. A list of signal
+configurations runs as one plan of disjoint network copies, one per
+configuration. ``virtual_boundaries`` and ``step`` are per-edge dict views
+of the same two kernels.
 """
 from __future__ import annotations
 
@@ -145,9 +147,14 @@ class _Plan:
     in its intersection's ``incoming`` tuple; downstream-density rows follow
     each intersection's turn-weight order. np.bincount adds in input order,
     so every junction sum rounds exactly as a scalar loop in that order.
+
+    With ``batch`` > 1 the arrays hold that many disjoint copies of the
+    network back to back: copy b's cell indices are shifted by
+    b * total_cells and its edge indices by b * len(edges). No two copies
+    share a bincount bin, so each copy rounds exactly as a plan of its own.
     """
 
-    def __init__(self, net: RoadNetwork, params: SimParams):
+    def __init__(self, net: RoadNetwork, params: SimParams, batch: int = 1):
         self.edges = net.edge_order
         self.index = {eid: i for i, eid in enumerate(self.edges)}
         edges = [net.edges[eid] for eid in self.edges]
@@ -191,6 +198,14 @@ class _Plan:
         self.mv_in, self.mv_out, self.mv_share, self.mv_cap = _columns(movements, np.intp, np.intp, float, float)
         self.dn_in, self.dn_out, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
 
+        shift = dict.fromkeys(("first", "last"), net.total_cells)
+        shift.update(dict.fromkeys(("inflow_edges", "mv_in", "mv_out", "dn_in", "dn_out"), len(self.edges)))
+        for name, a in list(vars(self).items()):
+            if name in shift:
+                setattr(self, name, (a + shift[name] * np.arange(batch)[:, None]).ravel())
+            elif isinstance(a, np.ndarray):
+                setattr(self, name, np.tile(a, batch))
+
 
 def _red_mask(plan: _Plan, phases: dict) -> np.ndarray:
     return np.array([phases.get(eid) is Phase.RED for eid in plan.edges], dtype=bool)
@@ -208,7 +223,7 @@ def _red_schedule(net: RoadNetwork, plan: _Plan, config: dict | None, times: np.
 
 def _boundaries(plan: _Plan, rho: np.ndarray, v: np.ndarray, red: np.ndarray, params: SimParams):
     """Boundary kernel: (q_in, v_in, rho_out) per edge; see virtual_boundaries."""
-    n = len(plan.edges)
+    n = len(plan.first)
     first_rho, first_v = rho[plan.first], v[plan.first]
     last_rho, end_v = rho[plan.last], v[plan.last]
     end_q = last_rho * end_v * plan.edge_lanes
@@ -257,9 +272,11 @@ def _advance(plan: _Plan, state: SimState, q_in, v_in, rho_out, red: np.ndarray,
     if not finite.all():
         bad = int(np.argmin(finite))
         e = int(np.searchsorted(plan.first, bad, side="right")) - 1
+        row, edge = divmod(e, len(plan.edges))
+        in_row = f" in batch row {row}" if len(plan.first) > len(plan.edges) else ""
         raise SimulationError(
-            f"non-finite state on edge {plan.edges[e]} cell {bad - plan.first[e] + 1} "
-            f"at step {state.k + 1} (t={state.t + dt:g} s)"
+            f"non-finite state on edge {plan.edges[edge]} cell {bad - plan.first[e] + 1} "
+            f"at step {state.k + 1} (t={state.t + dt:g} s){in_row}"
         )
     rho_new, v_new = np.clip(r_next, params.density_floor, params.jam_density), np.clip(u_next, 0.0, plan.speed_cap)
     return SimState(rho=rho_new, v=v_new, t=state.t + dt, k=state.k + 1)
@@ -348,14 +365,13 @@ def total_cars(net: RoadNetwork, state: SimState) -> float:
 def run(
     net: RoadNetwork,
     state0: SimState,
-    config: dict | None,
+    config: dict | None | list,
     params: SimParams,
     horizon: float = 340.0,
     warmup: float = 100.0,
     probes=None,
     queue_params: QueueFnParams = QueueFnParams(),
-    density_weighted: bool = False,
-) -> RunResult:
+) -> RunResult | list[RunResult]:
     """Simulate for ``horizon`` seconds and time-average the congestion metrics.
 
     Metrics are sampled on the state before each step (t = 0, dt, ...) and
@@ -363,6 +379,11 @@ def run(
     times at which full (rho, v) snapshots are recorded, taken at the first
     state whose clock reaches each probe. Deterministic: no randomness is
     drawn here, so equal inputs give bit-identical results.
+
+    ``config`` may also be a list of configurations, all started from
+    ``state0``: they are simulated in one pass as disjoint copies of the
+    network, and the result is a list with one RunResult per entry, each
+    bit-identical to the run of that configuration alone.
     """
     report = check_cfl(net, params.dt_s)
     if not report.ok:
@@ -375,40 +396,50 @@ def run(
         raise ValueError("horizon must be > 0")
     if not (0 <= warmup < horizon):
         raise ValueError("warmup must be in [0, horizon)")
+    configs = config if isinstance(config, list) else [config]
+    if not configs:
+        raise ValueError("config list is empty")
 
     n_steps = math.ceil(horizon / params.dt_s)
+    batch = len(configs)
     probe_times = sorted(float(p) for p in probes) if probes else []
     probe_idx = 0
     snapshots: list[Snapshot] = []
     speeds, queues = [], []
 
-    plan = _Plan(net, params)
+    plan = _Plan(net, params, batch)
     # the clock values state.t takes below: add.accumulate sums left to right, as the steps do
     times = np.cumsum(np.r_[state0.t, np.full(n_steps - 1, params.dt_s)])
-    red = _red_schedule(net, plan, config, times)
+    red = np.concatenate([_red_schedule(net, plan, c, times) for c in configs], axis=1)
 
-    state = state0
+    state = SimState(rho=np.tile(state0.rho, batch), v=np.tile(state0.v, batch), t=state0.t, k=state0.k)
     for k in range(n_steps + 1):
+        rows = SimState(rho=state.rho.reshape(batch, -1), v=state.v.reshape(batch, -1), t=state.t, k=state.k)
         while probe_idx < len(probe_times) and state.t >= probe_times[probe_idx] - 1e-9:
-            snapshots.append(Snapshot(t=state.t, rho=state.rho.copy(), v=state.v.copy()))
+            snapshots.append(Snapshot(t=state.t, rho=rows.rho.copy(), v=rows.v.copy()))
             probe_idx += 1
         if k == n_steps:
             break
         if state.t >= warmup - 1e-9:
-            avg, queue = step_metrics(net, state, queue_params, density_weighted)
+            avg, queue = step_metrics(net, rows, queue_params)
             speeds.append(avg)
             queues.append(queue)
         ghosts = _boundaries(plan, state.rho, state.v, red[k], params)
         state = _advance(plan, state, *ghosts, red[k], params)
 
-    metrics = aggregate(speeds, queues)
-    return RunResult(
-        metrics=metrics,
-        final_state=state,
-        steps=n_steps,
-        warmup_steps=n_steps - len(speeds),
-        snapshots=snapshots,
-    )
+    # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
+    speeds, queues = (np.reshape(series, (-1, batch)).T.copy() for series in (speeds, queues))
+    results = [
+        RunResult(
+            metrics=aggregate(speeds[b], queues[b]),
+            final_state=SimState(rho=rows.rho[b], v=rows.v[b], t=state.t, k=state.k),
+            steps=n_steps,
+            warmup_steps=n_steps - speeds.shape[1],
+            snapshots=[Snapshot(t=s.t, rho=s.rho[b], v=s.v[b]) for s in snapshots],
+        )
+        for b in range(batch)
+    ]
+    return results if isinstance(config, list) else results[0]
 
 
 def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:

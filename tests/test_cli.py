@@ -206,6 +206,30 @@ def test_optimize_direct_with_validation(cli_dataset, fixtures_dir, tmp_path, ca
     assert "simulated avg_speed=" in capsys.readouterr().out
 
 
+def test_optimize_validate_without_init_fails_before_the_search(cli_dataset, fixtures_dir, tmp_path, capsys):
+    model_path = tmp_path / "lin.json"
+    assert main(
+        ["train-surrogate", "--data", str(cli_dataset), "--model", "linear", "--folds", "3", "--out", str(model_path)]
+    ) == 0
+    cfg_path = tmp_path / "best.json"
+    rc = main(
+        [
+            "optimize",
+            "--network", str(fixtures_dir / "cross.json"),
+            "--model", str(model_path),
+            "--objective", "speed",
+            "--data", str(cli_dataset),
+            "--generations", "2",
+            "--pop", "6",
+            "--validate",
+            "--out", str(cfg_path),
+        ]
+    )
+    assert rc == 1
+    assert "--validate needs --init" in capsys.readouterr().err
+    assert not cfg_path.exists()
+
+
 def test_validate_command(fixtures_dir, tmp_path):
     out = tmp_path / "val.json"
     rc = main(

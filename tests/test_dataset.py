@@ -14,7 +14,7 @@ from macrosim.dataset import (
     write_csv,
 )
 from macrosim.signals import IntersectionSignal, sample_config
-from macrosim.solver import SimParams, initialize
+from macrosim.solver import SimParams, initialize, run
 
 
 def _cross_state(cross_net):
@@ -158,10 +158,10 @@ def test_one_bad_job_does_not_kill_the_batch(cross_net, monkeypatch):
     assert sum(r.config == bad_config for r in clean) == 1
     real_run = dataset.run
 
-    def flaky_run(net, s0, config, *args, **kwargs):
-        if config == bad_config:
+    def flaky_run(net, s0, configs, *args, **kwargs):
+        if bad_config in configs:
             raise ZeroDivisionError("float division by zero\n  while averaging")
-        return real_run(net, s0, config, *args, **kwargs)
+        return real_run(net, s0, configs, *args, **kwargs)
 
     monkeypatch.setattr(dataset, "run", flaky_run)
     rows = generate(cross_net, state0, params, n_runs=5, seed=5, workers=1, horizon=20.0, warmup=5.0)
@@ -170,6 +170,53 @@ def test_one_bad_job_does_not_kill_the_batch(cross_net, monkeypatch):
     assert bad.status == "failed: ZeroDivisionError: float division by zero while averaging"
     assert (bad.run_id, bad.seed, bad.config) == (2, clean[2].seed, bad_config)
     assert math.isnan(bad.avg_speed) and math.isnan(bad.queue_length)
+    assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
+
+@pytest.mark.parametrize("chunk_rows", [dataset.CHUNK_ROWS, 4, 1])
+def test_rows_do_not_depend_on_chunks_or_workers(cross_net, monkeypatch, chunk_rows):
+    """Every row equals the unbatched run of its own configuration, for any chunking and worker count."""
+    state0, params = _cross_state(cross_net)
+    monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
+    n_runs = dataset.CHUNK_ROWS + 3 if chunk_rows > 4 else 7
+    tables = [generate(cross_net, state0, params, n_runs=n_runs, seed=9, workers=w, horizon=3.0, warmup=1.0)
+              for w in (1, 2, 3)]
+    assert tables[0] == tables[1] == tables[2]
+    for row in tables[0]:
+        metrics = run(cross_net, state0, row.config, params, horizon=3.0, warmup=1.0).metrics
+        assert (row.avg_speed, row.queue_length, row.status) == (metrics.avg_speed, metrics.queue_length, "ok")
+
+
+def test_pool_starts_no_more_workers_than_chunks(cross_net, monkeypatch):
+    started = []
+
+    class Pool(dataset.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(dataset, "ProcessPoolExecutor", Pool)
+    state0, params = _cross_state(cross_net)
+    rows = generate(cross_net, state0, params, n_runs=2, seed=3, workers=8, horizon=3.0, warmup=1.0)
+    assert started == [2]
+    assert [r.run_id for r in rows] == [0, 1] and all(r.ok for r in rows)
+
+
+def test_poisoned_configuration_fails_only_its_own_row(cross_net, monkeypatch):
+    """A configuration the solver rejects fails its own row; the rest of its chunk is untouched."""
+    state0, params = _cross_state(cross_net)
+    clean = generate(cross_net, state0, params, n_runs=5, seed=5, horizon=20.0, warmup=5.0)
+    real_sample = dataset.sample_config
+
+    def poisoned_sample(net, rng):
+        config = real_sample(net, rng)
+        return {} if config == clean[2].config else config
+
+    monkeypatch.setattr(dataset, "sample_config", poisoned_sample)
+    rows = generate(cross_net, state0, params, n_runs=5, seed=5, workers=1, horizon=20.0, warmup=5.0)
+    assert rows[2].status == "failed: ValueError: signal configuration does not match network: missing ['X']"
+    assert (rows[2].run_id, rows[2].seed, rows[2].config) == (2, clean[2].seed, {})
+    assert math.isnan(rows[2].avg_speed) and math.isnan(rows[2].queue_length)
     assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
 
 

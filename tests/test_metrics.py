@@ -54,18 +54,6 @@ def test_step_metrics_unweighted_mean_and_queue():
     assert queue == pytest.approx(expected_queue, abs=1e-12)
 
 
-def test_step_metrics_density_weighted_option():
-    state = _state([0.3, 0.1], [2.0, 10.0])
-    avg, _ = step_metrics(None, state, density_weighted=True)
-    assert avg == pytest.approx((0.3 * 2.0 + 0.1 * 10.0) / 0.4)
-
-
-def test_step_metrics_density_weighted_empty_network_is_zero():
-    state = _state([0.0, 0.0], [2.0, 10.0])
-    avg, _ = step_metrics(None, state, density_weighted=True)
-    assert avg == 0.0
-
-
 def test_jammed_cells_count_fully_toward_queue():
     state = _state([0.2] * 5, [0.0] * 5)
     _, queue = step_metrics(None, state)

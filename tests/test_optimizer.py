@@ -210,6 +210,28 @@ def test_simulation_objective_and_validate_agree(cross_net):
         simulation_objective(cross_net, state0, params, "delay")
 
 
+def test_simulation_batch_evaluator_matches_scalar_evaluate(cross_net):
+    params = SimParams(seed=4)
+    state0 = initialize(cross_net, {}, params, default_speed=8.0)
+    X = np.random.default_rng(6).uniform(0.0, 1.0, (7, 3))
+    for target in ("speed", "queue"):
+        obj = simulation_objective(cross_net, state0, params, target, horizon=30.0, warmup=10.0)
+        assert list(obj.evaluate_batch(X)) == [obj.evaluate(x) for x in X]
+
+
+def test_direct_search_is_the_same_with_and_without_batch_evaluator(cross_net):
+    params = SimParams(seed=4)
+    state0 = initialize(cross_net, {}, params, default_speed=8.0)
+    batched = simulation_objective(cross_net, state0, params, "queue", horizon=20.0, warmup=5.0)
+    scalar = Objective(name=batched.name, direction=batched.direction, evaluate=batched.evaluate)
+    de = DeConfig(pop_size=6, seed=2, max_generations=4)
+    r1 = differential_evolution(batched, dim=3, de=de)
+    r2 = differential_evolution(scalar, dim=3, de=de)
+    assert np.array_equal(r1.best, r2.best)
+    assert (r1.best_value, r1.history, r1.evaluations, r1.generations, r1.converged) == \
+        (r2.best_value, r2.history, r2.evaluations, r2.generations, r2.converged)
+
+
 @pytest.mark.parametrize("n", [4, 5, 150])
 def test_draw_donors_gives_three_distinct_other_members(n):
     rng = np.random.default_rng(0)

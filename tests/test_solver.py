@@ -16,7 +16,7 @@ import pytest
 from macrosim.fundamental import ideal_speed, invert_speed
 from macrosim.metrics import QueueFnParams, step_metrics
 from macrosim.network import turn_angle
-from macrosim.signals import IntersectionSignal, Phase, edge_phases, load_config
+from macrosim.signals import IntersectionSignal, Phase, edge_phases, load_config, sample_config
 from macrosim.solver import (
     CflError,
     SimParams,
@@ -515,6 +515,42 @@ def test_run_reports_non_finite_initial_density(twolights_net, twolights_speeds,
         run(twolights_net, state0, config, params, horizon=10.0, warmup=0.0)
 
 
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("name", sorted(PINNED_METRICS))
+def test_batched_run_equals_unbatched_runs(request, fixtures_dir, name, batch):
+    """Row b of a batched run is bit-identical to the run of configuration b alone."""
+    net = request.getfixturevalue(f"{name}_net")
+    speeds, default = read_speeds_csv(fixtures_dir / f"{name}_init.csv")
+    params = SimParams(seed=batch)
+    state0 = initialize(net, speeds, params, default_speed=default)
+    rng = np.random.default_rng([batch, 7])
+    configs = [sample_config(net, rng) if net.signalized_ids() else None for _ in range(batch)]
+    kwargs = dict(horizon=340.0, warmup=100.0, probes=[0.0, 150.5, 340.0])
+    results = run(net, state0, configs, params, **kwargs)
+    assert len(results) == batch
+    for config, got in zip(configs, results):
+        want = run(net, state0, config, params, **kwargs)
+        assert got.metrics == want.metrics
+        assert (got.steps, got.warmup_steps) == (want.steps, want.warmup_steps)
+        assert (got.final_state.t, got.final_state.k) == (want.final_state.t, want.final_state.k)
+        assert np.array_equal(got.final_state.rho, want.final_state.rho)
+        assert np.array_equal(got.final_state.v, want.final_state.v)
+        assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots] and len(want.snapshots) == 3
+        for a, b in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(a.rho, b.rho) and np.array_equal(a.v, b.v)
+
+
+def test_batched_run_names_the_batch_row_of_a_non_finite_state(cross_net):
+    params = SimParams(seed=1)
+    state0 = initialize(cross_net, {}, params, default_speed=8.0)
+    state0.rho[cross_net.cell_slice(cross_net.edge_order[0]).start + 2] = np.nan
+    config = {"X": IntersectionSignal(red=30, green=30, offset=0)}
+    with pytest.raises(SimulationError, match=r"at step 1 \(t=0.5 s\)$"):
+        run(cross_net, state0, [config], params, horizon=10.0, warmup=0.0)
+    with pytest.raises(SimulationError, match=r"at step 1 \(t=0.5 s\) in batch row 0$"):
+        run(cross_net, state0, [config, config], params, horizon=10.0, warmup=0.0)
+
+
 def test_run_is_deterministic(cross_net):
     config = {"X": IntersectionSignal(red=20, green=20, offset=5)}
     params = SimParams(seed=13)
@@ -541,6 +577,8 @@ def test_run_argument_validation(ring_net):
         run(ring_net, state, None, params, horizon=0.0)
     with pytest.raises(ValueError):
         run(ring_net, state, None, params, horizon=10.0, warmup=10.0)
+    with pytest.raises(ValueError, match="config list is empty"):
+        run(ring_net, state, [], params)
 
 
 # --------------------------------------------------------------------- I/O
