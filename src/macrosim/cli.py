@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-seed", type=int, default=0, help="seed of the shared initial state")
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--pop", type=int, default=None, help="population size (default 15 x dim, max 150)")
-    p.add_argument("--horizon", type=float, default=340.0)
-    p.add_argument("--warmup", type=float, default=100.0)
+    p.add_argument("--horizon", type=float, default=solver.HORIZON_S)
+    p.add_argument("--warmup", type=float, default=solver.WARMUP_S)
     p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--validate", action="store_true", help="re-simulate the optimized configuration")
     p.add_argument("--out", required=True, help="output JSON signal configuration")
@@ -82,8 +82,8 @@ def _add_sim_args(p: argparse.ArgumentParser, lights: bool = True) -> None:
     p.add_argument("--init", required=True, help="initial speeds CSV (edge_id,speed_mps; * = default)")
     if lights:
         p.add_argument("--lights", default=None, help="signal configuration JSON")
-    p.add_argument("--horizon", type=float, default=340.0)
-    p.add_argument("--warmup", type=float, default=100.0)
+    p.add_argument("--horizon", type=float, default=solver.HORIZON_S)
+    p.add_argument("--warmup", type=float, default=solver.WARMUP_S)
     p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0, help="seed of the initialization noise")
     p.add_argument("--init-noise", type=float, default=0.05)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import QueueFnParams
 from .signals import IntersectionSignal, sample_config
-from .solver import SimParams, SimState, run
+from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, run
 
 
 class DatasetError(Exception):
@@ -47,9 +46,9 @@ _CTX: dict = {}
 CHUNK_ROWS = 64  # most rows one batched run simulates
 
 
-def _init_worker(net, state0, params, horizon, warmup, queue_params):
+def _init_worker(net, state0, params, horizon, warmup):
     _CTX.update(
-        net=net, state0=state0, params=params, horizon=horizon, warmup=warmup, queue_params=queue_params
+        net=net, state0=state0, params=params, horizon=horizon, warmup=warmup
     )
 
 
@@ -69,7 +68,6 @@ def _run_chunk(jobs) -> list[DatasetRow]:
             _CTX["params"],
             horizon=_CTX["horizon"],
             warmup=_CTX["warmup"],
-            queue_params=_CTX["queue_params"],
         )
         outcomes = [(r.metrics.avg_speed, r.metrics.queue_length, "ok") for r in results]
     except Exception as exc:  # one bad row must not take the batch down with it
@@ -88,9 +86,8 @@ def generate(
     n_runs: int,
     seed: int,
     workers: int = 1,
-    horizon: float = 340.0,
-    warmup: float = 100.0,
-    queue_params: QueueFnParams = QueueFnParams(),
+    horizon: float = HORIZON_S,
+    warmup: float = WARMUP_S,
 ) -> list[DatasetRow]:
     """Simulate ``n_runs`` random configurations from a shared initial state.
 
@@ -112,12 +109,12 @@ def generate(
     n_chunks = max(min(workers, n_runs), -(-n_runs // CHUNK_ROWS))
     chunks = [jobs[c * n_runs // n_chunks:(c + 1) * n_runs // n_chunks] for c in range(n_chunks)]
     if workers == 1:
-        _init_worker(net, state0, params, horizon, warmup, queue_params)
+        _init_worker(net, state0, params, horizon, warmup)
         return [row for chunk in chunks for row in _run_chunk(chunk)]
     with ProcessPoolExecutor(
         max_workers=min(workers, n_chunks),
         initializer=_init_worker,
-        initargs=(net, state0, params, horizon, warmup, queue_params),
+        initargs=(net, state0, params, horizon, warmup),
     ) as pool:
         return [row for rows in pool.map(_run_chunk, chunks) for row in rows]
 

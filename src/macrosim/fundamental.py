@@ -21,6 +21,7 @@ import numpy as np
 DEFAULT_V_MAX = 13.68  # m/s
 DEFAULT_RHO_CR = 0.05  # cars/m per lane
 DEFAULT_A = 1.24
+FIT_REL_TOL = 1e-10  # relative simplex value spread at which a calibration stops
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,13 @@ def density_from_counter(sample: CounterSample) -> float:
     return sample.count / (sample.interval_s * sample.avg_speed)
 
 
-def _nelder_mead(func, x0, max_iter, rel_tol):
+def _nelder_mead(func, x0, max_iter):
     """Minimal Nelder-Mead simplex descent.
 
     Returns (best_x, best_f, converged, iterations). The starting point is a
     simplex vertex, so the final best value never exceeds func(x0).
     Convergence fires when the simplex value spread falls below
-    rel_tol * max(|best|, 1e-12); the absolute floor keeps the criterion
+    FIT_REL_TOL * max(|best|, 1e-12); the absolute floor keeps the criterion
     meaningful when the objective approaches zero.
     """
     alpha, gamma, beta, sigma = 1.0, 2.0, 0.5, 0.5
@@ -152,7 +153,7 @@ def _nelder_mead(func, x0, max_iter, rel_tol):
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         spread = values[-1] - values[0]
-        if spread <= rel_tol * max(abs(values[0]), 1e-12):
+        if spread <= FIT_REL_TOL * max(abs(values[0]), 1e-12):
             converged = True
             break
 
@@ -195,7 +196,6 @@ def fit_fd(
     init: FdParams | None = None,
     fixed_v_max: float | None = None,
     max_iter: int = 2000,
-    rel_tol: float = 1e-10,
 ) -> FdFit:
     """Calibrate the speed-density curve against (density, speed) samples.
 
@@ -237,7 +237,7 @@ def fit_fd(
         def objective(x):
             return sse_of(math.exp(x[0]), math.exp(x[1]), math.exp(x[2]))
 
-        x, sse, converged, iterations = _nelder_mead(objective, x0, max_iter, rel_tol)
+        x, sse, converged, iterations = _nelder_mead(objective, x0, max_iter)
         params = FdParams(math.exp(x[0]), math.exp(x[1]), math.exp(x[2]))
     else:
         x0 = np.log([init.rho_cr, init.a])
@@ -245,7 +245,7 @@ def fit_fd(
         def objective(x):
             return sse_of(fixed_v_max, math.exp(x[0]), math.exp(x[1]))
 
-        x, sse, converged, iterations = _nelder_mead(objective, x0, max_iter, rel_tol)
+        x, sse, converged, iterations = _nelder_mead(objective, x0, max_iter)
         params = FdParams(fixed_v_max, math.exp(x[0]), math.exp(x[1]))
 
     return FdFit(params=params, sse=sse, converged=converged, iterations=iterations)
@@ -259,12 +259,12 @@ def read_counters(path) -> list[CounterSample]:
         header = next(reader, None)
         expected = ["interval_s", "count", "avg_speed_mps"]
         if header is None or [h.strip() for h in header] != expected:
-            raise ValueError(f"counter CSV must have header {','.join(expected)}")
+            raise ValueError(f"{path}: counter CSV must have header {','.join(expected)}")
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 3:
-                raise ValueError(f"line {line_no}: expected 3 columns, got {len(row)}")
+                raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
             try:
                 samples.append(
                     CounterSample(
@@ -272,7 +272,7 @@ def read_counters(path) -> list[CounterSample]:
                     )
                 )
             except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return samples
 
 

@@ -43,7 +43,7 @@ def congestion_weight(params: QueueFnParams, v):
     return out
 
 
-def step_metrics(net, state, params: QueueFnParams = QueueFnParams()):
+def step_metrics(state, params: QueueFnParams = QueueFnParams()):
     """(mean speed, queue length) of one state snapshot.
 
     The mean is an unweighted average over all cells of all edges. A

@@ -14,12 +14,14 @@ from typing import Callable
 import numpy as np
 
 from . import signals
-from .metrics import QueueFnParams
-from .solver import SimParams, SimState, run
+from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, run
 from .surrogate import predict
 
 TARGET_COLUMNS = {"speed": 0, "queue": 1}
 DIRECTIONS = {"speed": "maximize", "queue": "minimize"}
+MUTATION = 0.7          # scale of the donor difference
+CROSSOVER = 0.9         # probability that a coordinate comes from the mutant
+CONVERGENCE_TOL = 1e-8  # relative population value spread at which a search stops
 
 
 @dataclass(frozen=True)
@@ -27,10 +29,7 @@ class DeConfig:
     """Differential evolution settings (rand/1/bin, synchronous selection)."""
 
     pop_size: int | None = None   # default: 15 * dim, capped at 150
-    mutation: float = 0.7
-    crossover: float = 0.9
     max_generations: int = 300
-    tol: float = 1e-8             # relative population value spread for convergence
     seed: int = 0
 
     def resolved_pop_size(self, dim: int) -> int:
@@ -99,7 +98,7 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     scores the trials in one ``internal_batch`` call. Selection is synchronous:
     each trial replaces its pre-generation member if it scores no worse. The
     best-so-far history is monotone by construction. Stops early when the
-    population's value spread falls below ``tol`` relative to the best value.
+    population's value spread falls below CONVERGENCE_TOL relative to the best value.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -124,8 +123,8 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     generations = 0
     for generations in range(1, de.max_generations + 1):
         a, b, c = draw_donors(rng, np_size).T
-        mutants = pop[a] + de.mutation * (pop[b] - pop[c])
-        cross = rng.random((np_size, dim)) < de.crossover
+        mutants = pop[a] + MUTATION * (pop[b] - pop[c])
+        cross = rng.random((np_size, dim)) < CROSSOVER
         cross[np.arange(np_size), rng.integers(dim, size=np_size)] = True
         trials = np.clip(np.where(cross, mutants, pop), 0.0, 1.0)
 
@@ -142,7 +141,7 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
         history.append(objective.external(best_value))
 
         spread = float(values.max() - values.min())
-        if spread <= de.tol * max(abs(best_value), 1e-12):
+        if spread <= CONVERGENCE_TOL * max(abs(best_value), 1e-12):
             converged = True
             break
 
@@ -178,9 +177,8 @@ def simulation_objective(
     state0: SimState,
     params: SimParams,
     target: str,
-    horizon: float = 340.0,
-    warmup: float = 100.0,
-    queue_params: QueueFnParams = QueueFnParams(),
+    horizon: float = HORIZON_S,
+    warmup: float = WARMUP_S,
 ) -> Objective:
     """Objective that decodes vectors to integer timings and simulates them.
 
@@ -192,7 +190,7 @@ def simulation_objective(
 
     def evaluate_batch(X: np.ndarray) -> list[float]:
         configs = [signals.decode(x, net) for x in np.asarray(X, dtype=float)]
-        results = run(net, state0, configs, params, horizon=horizon, warmup=warmup, queue_params=queue_params)
+        results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
         return [getattr(r.metrics, metric) for r in results]
 
     return Objective(name=target, direction=DIRECTIONS[target], evaluate=lambda x: evaluate_batch([x])[0],
@@ -266,10 +264,9 @@ def validate_config(
     state0: SimState,
     params: SimParams,
     config: dict,
-    horizon: float = 340.0,
-    warmup: float = 100.0,
-    queue_params: QueueFnParams = QueueFnParams(),
+    horizon: float = HORIZON_S,
+    warmup: float = WARMUP_S,
 ):
     """Full re-simulation of a configuration under the standard protocol."""
-    result = run(net, state0, config, params, horizon=horizon, warmup=warmup, queue_params=queue_params)
+    result = run(net, state0, config, params, horizon=horizon, warmup=warmup)
     return result.metrics

@@ -188,11 +188,23 @@ def save_config(config: dict, path) -> None:
 
 
 def load_config(path) -> dict:
+    """Read a configuration as written by save_config; timings must be integers (30.0 reads as 30).
+
+    A malformed document or entry raises ValueError naming the file and the intersection.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object mapping intersection ids to timings")
     config = {}
     for iid, timing in doc.items():
-        config[str(iid)] = IntersectionSignal(
-            red=int(timing["red"]), green=int(timing["green"]), offset=int(timing["offset"])
-        )
+        try:
+            if not isinstance(timing, dict) or not {"red", "green", "offset"} <= timing.keys():
+                raise ValueError("expected an object with red, green and offset")
+            config[str(iid)] = IntersectionSignal(**{
+                key: int(value) if isinstance(value, float) and value.is_integer() else value
+                for key, value in timing.items() if key in ("red", "green", "offset")
+            })
+        except ValueError as exc:
+            raise ValueError(f"{path}: intersection {iid}: {exc}") from None
     return config

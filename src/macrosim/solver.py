@@ -30,10 +30,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .fundamental import FdParams, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
-from .metrics import CongestionMetrics, QueueFnParams, aggregate, step_metrics
+from .fundamental import ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
+from .metrics import CongestionMetrics, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
 from .signals import Phase, edge_phases, group_a_red, signal_groups  # noqa: F401 (edge_phases: as above)
+
+HORIZON_S = 340.0  # the paper's protocol: simulated seconds per run
+WARMUP_S = 100.0   # and the seconds before metrics are sampled
 
 
 class SimulationError(RuntimeError):
@@ -51,10 +54,7 @@ class SimParams:
     relaxation_s pulls speeds toward the equilibrium curve, anticipation
     (m^2/s) scales the reaction to downstream density, and density_guard
     (cars/m) bounds that reaction in nearly empty cells. Densities live in
-    [density_floor, jam_density] per lane. red_outflow_density selects what a
-    red stop line shows downstream: "jam" (a full road) or "copy" (the
-    edge's own last cell). entry_inflow optionally fixes a constant inflow
-    flux (cars/s, all lanes) per entry edge.
+    [density_floor, jam_density] per lane.
     """
 
     relaxation_s: float = 1.0
@@ -65,8 +65,6 @@ class SimParams:
     density_floor: float = 1e-4
     init_noise: float = 0.05
     seed: int = 0
-    red_outflow_density: str = "jam"
-    entry_inflow: Mapping[str, float] | None = None
 
     def __post_init__(self):
         positive = ("relaxation_s", "anticipation", "density_guard", "dt_s", "jam_density")
@@ -77,8 +75,6 @@ class SimParams:
             raise ValueError("density_floor must be in (0, jam_density)")
         if not (0 <= self.init_noise < 1):
             raise ValueError("init_noise must be in [0, 1)")
-        if self.red_outflow_density not in ("jam", "copy"):
-            raise ValueError("red_outflow_density must be 'jam' or 'copy'")
 
 
 @dataclass
@@ -177,9 +173,6 @@ class _Plan:
         self.edge_lanes, self.edge_speed = self.lanes[self.first], self.speed_cap[self.first]
         self.is_entry = np.array([eid not in net.upstream_of for eid in self.edges], dtype=bool)
         self.is_exit = np.array([eid not in net.downstream_of for eid in self.edges], dtype=bool)
-        inflow = params.entry_inflow or {}
-        self.inflow_edges = np.flatnonzero(self.is_entry & np.array([eid in inflow for eid in self.edges], dtype=bool))
-        self.inflow = np.array([float(inflow[self.edges[i]]) for i in self.inflow_edges])
 
         movements, rows_dn = [], []
         for ix in net.intersections.values():
@@ -199,7 +192,7 @@ class _Plan:
         self.dn_in, self.dn_out, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
 
         shift = dict.fromkeys(("first", "last"), net.total_cells)
-        shift.update(dict.fromkeys(("inflow_edges", "mv_in", "mv_out", "dn_in", "dn_out"), len(self.edges)))
+        shift.update(dict.fromkeys(("mv_in", "mv_out", "dn_in", "dn_out"), len(self.edges)))
         for name, a in list(vars(self).items()):
             if name in shift:
                 setattr(self, name, (a + shift[name] * np.arange(batch)[:, None]).ravel())
@@ -237,15 +230,13 @@ def _boundaries(plan: _Plan, rho: np.ndarray, v: np.ndarray, red: np.ndarray, pa
     v0 = np.divide(np.minimum(speed_flux, cap_flux), q0, out=first_v.copy(), where=q0 > 0.0)
 
     q_in = np.where(plan.is_entry, first_rho * first_v * plan.edge_lanes, q0)
-    q_in[plan.inflow_edges] = plan.inflow
     v_in = np.where(plan.is_entry, first_v, np.minimum(np.maximum(v0, 0.0), plan.edge_speed))
 
     r = first_rho[plan.dn_out]
     num = np.bincount(plan.dn_in, r * r * plan.dn_w, n)
     den = np.bincount(plan.dn_in, r * plan.dn_w, n)
     rho_out = np.divide(num, den, out=last_rho.copy(), where=den > 0.0)
-    red_out = red & ~plan.is_exit
-    rho_out[red_out] = params.jam_density if params.red_outflow_density == "jam" else last_rho[red_out]
+    rho_out[red & ~plan.is_exit] = params.jam_density
     return q_in, v_in, rho_out
 
 
@@ -291,10 +282,9 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: 
     straight movement passes at most v_max, a 90 degree turn at most half of
     it, a U-turn nothing). For an incoming edge, the downstream ghost density
     is a flux-consistent quadratic mean over the receiving edges' first
-    cells; a red incoming edge instead sees jam density (or its own last
-    cell, per SimParams.red_outflow_density). Uncoupled ends use zero-gradient
-    values, with an optional constant inflow flux on entry edges. A dict view
-    of the boundary kernel that ``run`` executes.
+    cells; a red incoming edge instead sees jam density. Uncoupled ends use
+    zero-gradient values. A dict view of the boundary kernel that ``run``
+    executes.
     """
     plan = _Plan(net, params)
     ghosts = _boundaries(plan, state.rho, state.v, _red_mask(plan, phases), params)
@@ -321,7 +311,6 @@ def initialize(
     observed: Mapping[str, float],
     params: SimParams,
     default_speed: float | None = None,
-    fd: Mapping[str, FdParams] | None = None,
 ) -> SimState:
     """Initial state from per-edge observed speeds.
 
@@ -329,8 +318,12 @@ def initialize(
     noise of amplitude params.init_noise (seeded by params.seed, drawn in
     edge-id order, so equal seeds give bit-identical states). Densities are
     the fundamental-diagram inverse of the noisy speeds, clamped into the
-    admissible range. ``fd`` may override the per-edge curve.
+    admissible range. A speed for an edge the network does not have is an
+    error.
     """
+    unknown = sorted(set(observed) - set(net.edges))
+    if unknown:
+        raise ValueError(f"observed speeds for edges not in the network: {', '.join(unknown)}")
     rng = np.random.default_rng(params.seed)
     rho = np.empty(net.total_cells)
     v = np.empty(net.total_cells)
@@ -343,12 +336,11 @@ def initialize(
             raise ValueError(
                 f"observed speed for edge {eid} must be in (0, {e.free_flow_speed}], got {speed}"
             )
-        fd_e = net.fd_for(eid) if fd is None or eid not in fd else fd[eid]
         noise = rng.uniform(-params.init_noise, params.init_noise, e.cell_count)
         cells = np.clip(speed * (1.0 + noise), 1e-9, e.free_flow_speed)
         sl = net.cell_slice(eid)
         v[sl] = cells
-        rho[sl] = np.clip(invert_speed(fd_e, cells), params.density_floor, params.jam_density)
+        rho[sl] = np.clip(invert_speed(net.fd_for(eid), cells), params.density_floor, params.jam_density)
     return SimState(rho=rho, v=v, t=0.0, k=0)
 
 
@@ -367,10 +359,9 @@ def run(
     state0: SimState,
     config: dict | None | list,
     params: SimParams,
-    horizon: float = 340.0,
-    warmup: float = 100.0,
+    horizon: float = HORIZON_S,
+    warmup: float = WARMUP_S,
     probes=None,
-    queue_params: QueueFnParams = QueueFnParams(),
 ) -> RunResult | list[RunResult]:
     """Simulate for ``horizon`` seconds and time-average the congestion metrics.
 
@@ -421,7 +412,7 @@ def run(
         if k == n_steps:
             break
         if state.t >= warmup - 1e-9:
-            avg, queue = step_metrics(net, rows, queue_params)
+            avg, queue = step_metrics(rows)
             speeds.append(avg)
             queues.append(queue)
         ghosts = _boundaries(plan, state.rho, state.v, red[k], params)
@@ -453,16 +444,16 @@ def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["edge_id", "speed_mps"]:
-            raise ValueError("initial speeds CSV must have header edge_id,speed_mps")
+            raise ValueError(f"{path}: initial speeds CSV must have header edge_id,speed_mps")
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2:
-                raise ValueError(f"line {line_no}: expected 2 columns, got {len(row)}")
+                raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
             try:
                 value = float(row[1])
             except ValueError:
-                raise ValueError(f"line {line_no}: speed_mps is not a number: {row[1]!r}") from None
+                raise ValueError(f"{path}: line {line_no}: speed_mps is not a number: {row[1]!r}") from None
             if row[0].strip() == "*":
                 default = value
             else:

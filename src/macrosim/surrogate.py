@@ -14,6 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+RIDGE = 1e-8               # ridge term of the linear fit's normal equations
+BATCH_SIZE = 32            # MLP mini-batch rows
+VALIDATION_FRACTION = 0.1  # share of rows the MLP holds out for early stopping
+
 
 class SurrogateError(Exception):
     pass
@@ -34,11 +38,9 @@ class MlpHyper:
     hidden: tuple[int, ...] = (100, 50)
     activation: str = "relu"
     learning_rate: float = 0.001
-    batch_size: int = 32
     alpha: float = 0.0001       # L2 penalty on the weight matrices
     max_epochs: int = 500
     patience: int = 10          # epochs without validation improvement before stopping
-    validation_fraction: float = 0.1
     tol: float = 1e-4           # minimum improvement that resets patience
 
     def __post_init__(self):
@@ -46,8 +48,6 @@ class MlpHyper:
             raise ValueError("activation must be 'relu' or 'tanh'")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be positive")
-        if not (0 < self.validation_fraction < 1):
-            raise ValueError("validation_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ def _as_2d(Y) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
-def fit_linear(X, Y, ridge: float = 1e-8, targets=("avg_speed", "queue_length"), feature_ids=()) -> LinearModel:
+def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> LinearModel:
     """Least squares with intercept through the normal equations.
 
     Solving one system with a multi-column right-hand side decouples across
-    targets, so joint and per-target fits agree. The ridge term is small
+    targets, so joint and per-target fits agree. The RIDGE term is small
     enough to be invisible at any sane conditioning but keeps degenerate
     designs solvable.
     """
@@ -82,7 +82,7 @@ def fit_linear(X, Y, ridge: float = 1e-8, targets=("avg_speed", "queue_length"),
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty design matrix")
     A = np.hstack([X, np.ones((X.shape[0], 1))])
-    gram = A.T @ A + ridge * np.eye(A.shape[1])
+    gram = A.T @ A + RIDGE * np.eye(A.shape[1])
     theta = np.linalg.solve(gram, A.T @ Y)
     targets = tuple(targets)[: Y.shape[1]]
     return LinearModel(
@@ -150,7 +150,7 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     """Train the neural surrogate; deterministic for a fixed seed.
 
     Targets are standardized internally. A seeded shuffle sets aside
-    ``validation_fraction`` of the rows; training stops when the validation
+    VALIDATION_FRACTION of the rows; training stops when the validation
     MSE has not improved by more than ``tol`` for ``patience`` consecutive
     epochs (or at ``max_epochs``), and the weights of the best validation
     epoch are kept.
@@ -170,7 +170,7 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_val = max(1, int(round(hyper.validation_fraction * n)))
+    n_val = max(1, int(round(VALIDATION_FRACTION * n)))
     val_idx, train_idx = order[:n_val], order[n_val:]
     if train_idx.size == 0:
         raise ValueError("validation split leaves no training rows")
@@ -201,8 +201,8 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     for epoch in range(hyper.max_epochs):
         epochs_done = epoch + 1
         perm = rng.permutation(n_train)
-        for start in range(0, n_train, hyper.batch_size):
-            batch = perm[start : start + hyper.batch_size]
+        for start in range(0, n_train, BATCH_SIZE):
+            batch = perm[start : start + BATCH_SIZE]
             _, gw, gb = _backprop(weights, biases, X_train[batch], Y_train[batch], hyper.activation, hyper.alpha)
             grad = np.concatenate([g.ravel() for pair in zip(gw, gb) for g in pair])
             adam_t += 1

@@ -275,6 +275,45 @@ def test_errors_exit_nonzero(fixtures_dir, tmp_path, capsys):
     assert rc == 1
     assert "configuration" in capsys.readouterr().err
 
+    # malformed lights files: each error names the file and, for a bad entry, the intersection
+    malformed = [
+        ({"X": {"red": 30, "offset": 0}}, "intersection X"),
+        ([{"red": 30, "green": 30, "offset": 0}], "expected an object"),
+        ({"X": {"red": 30.7, "green": 30, "offset": 0}}, "intersection X"),
+    ]
+    for doc, wanted in malformed:
+        lights = tmp_path / "lights.json"
+        lights.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "simulate",
+                "--network", str(fixtures_dir / "cross.json"),
+                "--init", str(fixtures_dir / "cross_init.csv"),
+                "--lights", str(lights),
+                "--horizon", "5",
+                "--warmup", "0",
+                "--out", str(tmp_path / "x.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and str(lights) in err and wanted in err
+
+    # speeds CSV errors name the file
+    init = tmp_path / "init.csv"
+    init.write_text("edge_id,speed_mps\nn_in,fast\n")
+    rc = main(
+        [
+            "simulate",
+            "--network", str(fixtures_dir / "cross.json"),
+            "--init", str(init),
+            "--lights", str(fixtures_dir / "cross_lights.json"),
+            "--out", str(tmp_path / "x.json"),
+        ]
+    )
+    assert rc == 1
+    assert f"error: {init}: line 2" in capsys.readouterr().err
+
     # nothing to vary on an unsignalized network
     rc = main(
         [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,12 +183,16 @@ def test_counter_csv_round_trip(tmp_path):
 def test_counter_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("interval,count,speed\n300,1,2\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*header"):
         read_counters(path)
 
 
 def test_counter_csv_reports_bad_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("interval_s,count,avg_speed_mps\n300,x,2\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2"):
+        read_counters(path)
+
+    path.write_text("interval_s,count,avg_speed_mps\n300,2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: expected 3 columns"):
         read_counters(path)

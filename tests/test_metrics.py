@@ -48,7 +48,7 @@ def _state(rho, v):
 
 def test_step_metrics_unweighted_mean_and_queue():
     state = _state([0.01, 0.10, 0.02], [12.0, 1.0, 8.0])
-    avg, queue = step_metrics(None, state)
+    avg, queue = step_metrics(state)
     assert avg == pytest.approx((12.0 + 1.0 + 8.0) / 3)
     expected_queue = sum(congestion_weight(QueueFnParams(), v) for v in (12.0, 1.0, 8.0))
     assert queue == pytest.approx(expected_queue, abs=1e-12)
@@ -56,7 +56,7 @@ def test_step_metrics_unweighted_mean_and_queue():
 
 def test_jammed_cells_count_fully_toward_queue():
     state = _state([0.2] * 5, [0.0] * 5)
-    _, queue = step_metrics(None, state)
+    _, queue = step_metrics(state)
     assert queue == pytest.approx(5.0, abs=1e-5)
 
 

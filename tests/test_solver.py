@@ -9,6 +9,7 @@ equilibrium state, queue growth at a red light).
 """
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,16 +41,12 @@ from macrosim.solver import (
 def _reference_boundaries(net, state, phases, params):
     """Scalar re-derivation of the ghost values, kept independent of solver.py."""
     q_in, v_in, rho_out = {}, {}, {}
-    inflow = params.entry_inflow or {}
 
     for eid in net.edge_order:
         sl = net.cell_slice(eid)
         e = net.edges[eid]
         if eid not in net.upstream_of:
-            if eid in inflow:
-                q_in[eid] = float(inflow[eid])
-            else:
-                q_in[eid] = float(state.rho[sl.start]) * float(state.v[sl.start]) * e.lanes
+            q_in[eid] = float(state.rho[sl.start]) * float(state.v[sl.start]) * e.lanes
             v_in[eid] = float(state.v[sl.start])
         if eid not in net.downstream_of:
             rho_out[eid] = float(state.rho[sl.stop - 1])
@@ -84,10 +81,7 @@ def _reference_boundaries(net, state, phases, params):
         for e_in in ix.incoming:
             sl = net.cell_slice(e_in)
             if phases.get(e_in) is Phase.RED:
-                if params.red_outflow_density == "jam":
-                    rho_out[e_in] = params.jam_density
-                else:
-                    rho_out[e_in] = float(state.rho[sl.stop - 1])
+                rho_out[e_in] = params.jam_density
                 continue
             num = den = 0.0
             for e_out in ix.outgoing:
@@ -169,13 +163,12 @@ def test_boundaries_match_reference_on_twolights(twolights_net, fixtures_dir, se
     state = _random_state(twolights_net, seed)
     for t in (0.0, 31.0):
         phases = edge_phases(twolights_net, config, t)
-        for mode in ("jam", "copy"):
-            params = SimParams(red_outflow_density=mode)
-            vb = virtual_boundaries(twolights_net, state, phases, params)
-            q_ref, v_ref, r_ref = _reference_boundaries(twolights_net, state, phases, params)
-            assert vb.q_in == pytest.approx(q_ref, abs=1e-12)
-            assert vb.v_in == pytest.approx(v_ref, abs=1e-12)
-            assert vb.rho_out == pytest.approx(r_ref, abs=1e-12)
+        params = SimParams()
+        vb = virtual_boundaries(twolights_net, state, phases, params)
+        q_ref, v_ref, r_ref = _reference_boundaries(twolights_net, state, phases, params)
+        assert vb.q_in == pytest.approx(q_ref, abs=1e-12)
+        assert vb.v_in == pytest.approx(v_ref, abs=1e-12)
+        assert vb.rho_out == pytest.approx(r_ref, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -257,14 +250,6 @@ def test_all_red_outgoing_falls_back_to_first_cell_speed(cross_net):
         assert vb.rho_out[e_in] == params.jam_density
 
 
-def test_red_outflow_copy_mode(cross_net):
-    state = _random_state(cross_net, 4)
-    phases = {"n_in": Phase.RED}
-    vb = virtual_boundaries(cross_net, state, phases, SimParams(red_outflow_density="copy"))
-    sl = cross_net.cell_slice("n_in")
-    assert vb.rho_out["n_in"] == pytest.approx(float(state.rho[sl.stop - 1]))
-
-
 def test_downstream_ghost_density_quadratic_mean(cross_net):
     state = _random_state(cross_net, 5)
     firsts = {}
@@ -275,17 +260,6 @@ def test_downstream_ghost_density_quadratic_mean(cross_net):
     num = sum(firsts[e] ** 2 * w[e] for e in w)
     den = sum(firsts[e] * w[e] for e in w)
     assert vb.rho_out["n_in"] == pytest.approx(num / den, abs=1e-15)
-
-
-def test_entry_inflow_overrides_zero_gradient(twolights_net):
-    state = _random_state(twolights_net, 6)
-    entry = twolights_net.entry_edges[0]
-    params = SimParams(entry_inflow={entry: 0.31})
-    vb = virtual_boundaries(twolights_net, state, {}, params)
-    assert vb.q_in[entry] == 0.31
-    other = twolights_net.entry_edges[1]
-    sl = twolights_net.cell_slice(other)
-    assert vb.q_in[other] == pytest.approx(float(state.rho[sl.start] * state.v[sl.start]))
 
 
 # ---------------------------------------------------------------- stability
@@ -362,6 +336,8 @@ def test_initialize_per_edge_speeds_and_errors(twolights_net, twolights_speeds):
         initialize(twolights_net, {}, params)
     with pytest.raises(ValueError, match="must be in"):
         initialize(twolights_net, {}, params, default_speed=99.0)
+    with pytest.raises(ValueError, match="edges not in the network: n_inn$"):
+        initialize(twolights_net, {**speeds, "n_inn": 7.0}, params, default_speed=default)
 
 
 # -------------------------------------------------- conservation and rest
@@ -437,7 +413,7 @@ def test_red_light_pins_stop_line_and_grows_queue(cross_net):
     assert by_time[119.0][1] < by_time[59.0][1]
 
     # the queue metric sees the same story
-    q_red = step_metrics(None, SimState(rho=np.zeros(1), v=np.array([0.0])), QueueFnParams())[1]
+    q_red = step_metrics(SimState(rho=np.zeros(1), v=np.array([0.0])), QueueFnParams())[1]
     assert q_red == pytest.approx(1.0, abs=1e-6)
 
 
@@ -469,7 +445,7 @@ def test_run_metrics_match_manual_stepping(cross_net):
     speeds, queues = [], []
     for _ in range(60):
         if state.t >= 10.0 - 1e-9:
-            a, q = step_metrics(cross_net, state)
+            a, q = step_metrics(state)
             speeds.append(a)
             queues.append(q)
         phases = edge_phases(cross_net, config, state.t)
@@ -593,11 +569,15 @@ def test_read_speeds_csv(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("edge,speed\na,8\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*header"):
         read_speeds_csv(bad)
 
     bad.write_text("edge_id,speed_mps\na,fast\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2"):
+        read_speeds_csv(bad)
+
+    bad.write_text("edge_id,speed_mps\na,8,9\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2: expected 2 columns"):
         read_speeds_csv(bad)
 
 
@@ -640,5 +620,3 @@ def test_sim_params_validation():
         SimParams(init_noise=1.0)
     with pytest.raises(ValueError):
         SimParams(density_floor=0.5, jam_density=0.2)
-    with pytest.raises(ValueError):
-        SimParams(red_outflow_density="purple")
