@@ -316,11 +316,11 @@ def load_network(path) -> RoadNetwork:
         defaults = doc.get("fd_defaults")
         fd_defaults = None
         if defaults is not None:
-            fd_defaults = FdParams(
-                v_max=float(defaults.get("v_max", FdParams().v_max)),
-                rho_cr=float(defaults["rho_cr"]),
-                a=float(defaults["a"]),
-            )
+            if "v_max" in defaults:
+                raise NetworkError(
+                    f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max"
+                )
+            fd_defaults = FdParams(rho_cr=float(defaults["rho_cr"]), a=float(defaults["a"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed network document {path}: {exc!r}") from None
 
@@ -352,7 +352,6 @@ def save_network(net: RoadNetwork, path) -> None:
     }
     if net.fd_defaults != FdParams():
         doc["fd_defaults"] = {
-            "v_max": net.fd_defaults.v_max,
             "rho_cr": net.fd_defaults.rho_cr,
             "a": net.fd_defaults.a,
         }

@@ -193,7 +193,10 @@ def load_config(path) -> dict:
     A malformed document or entry raises ValueError naming the file and the intersection.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: cannot parse JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an object mapping intersection ids to timings")
     config = {}

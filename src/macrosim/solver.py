@@ -13,12 +13,16 @@ Stability requires v_max * dt / dx <= 1 on every edge; ``run`` refuses to
 start otherwise.
 
 ``run`` compiles the network once per call into a private plan of flat
-per-cell, per-edge and per-movement arrays plus a per-step red-light mask,
-then advances each step with two whole-array kernels: the boundary kernel
-(junction sums by np.bincount) and the cell update. A list of signal
-configurations runs as one plan of disjoint network copies, one per
-configuration. ``virtual_boundaries`` and ``step`` are per-edge dict views
-of the same two kernels.
+per-cell, per-edge and per-movement arrays, gather indices and shift
+buffers, plus a per-step red-light mask, then advances each step with two
+whole-array kernels that share one cell-flux array: the boundary kernel
+(every movement summed by np.bincount, red ones into a dropped bin) and
+the cell update (one dot product guards finiteness; only if it is not
+finite are the cells checked one by one). On small networks a step costs
+tens of numpy calls rather than arithmetic, so the kernels keep that count
+low. A list of signal configurations runs as one plan of disjoint network
+copies, one per configuration. ``virtual_boundaries`` and ``step`` are
+per-edge dict views of the same two kernels.
 """
 from __future__ import annotations
 
@@ -170,9 +174,9 @@ class _Plan:
 
         self.first = np.array([net.cell_slice(eid).start for eid in self.edges], dtype=np.intp)
         self.last = np.array([net.cell_slice(eid).stop - 1 for eid in self.edges], dtype=np.intp)
-        self.edge_lanes, self.edge_speed = self.lanes[self.first], self.speed_cap[self.first]
+        self.edge_speed = self.speed_cap[self.first]
         self.is_entry = np.array([eid not in net.upstream_of for eid in self.edges], dtype=bool)
-        self.is_exit = np.array([eid not in net.downstream_of for eid in self.edges], dtype=bool)
+        self.has_dn = np.array([eid in net.downstream_of for eid in self.edges], dtype=bool)
 
         movements, rows_dn = [], []
         for ix in net.intersections.values():
@@ -198,6 +202,9 @@ class _Plan:
                 setattr(self, name, (a + shift[name] * np.arange(batch)[:, None]).ravel())
             elif isinstance(a, np.ndarray):
                 setattr(self, name, np.tile(a, batch))
+        self.mv_last, self.dn_first = self.last[self.mv_in], self.first[self.dn_out]
+        # the upstream flux/speed and downstream density seen by each cell, refilled every step
+        self.q_up, self.v_up, self.rho_dn = (np.empty(len(self.lanes)) for _ in range(3))
 
 
 def _red_mask(plan: _Plan, phases: dict) -> np.ndarray:
@@ -214,38 +221,37 @@ def _red_schedule(net: RoadNetwork, plan: _Plan, config: dict | None, times: np.
     return red
 
 
-def _boundaries(plan: _Plan, rho: np.ndarray, v: np.ndarray, red: np.ndarray, params: SimParams):
-    """Boundary kernel: (q_in, v_in, rho_out) per edge; see virtual_boundaries."""
+def _boundaries(plan: _Plan, q: np.ndarray, rho: np.ndarray, v: np.ndarray, red: np.ndarray, params: SimParams):
+    """Boundary kernel: (q_in, v_in, rho_out) per edge from the cell fluxes q; see virtual_boundaries.
+
+    Every movement is summed, but a red one into a spare bin n that is dropped, so each edge
+    still sums exactly its green terms in order.
+    """
     n = len(plan.first)
-    first_rho, first_v = rho[plan.first], v[plan.first]
-    last_rho, end_v = rho[plan.last], v[plan.last]
-    end_q = last_rho * end_v * plan.edge_lanes
+    dest = np.where(red[plan.mv_in], n, plan.mv_out)
+    part = q[plan.mv_last] * plan.mv_share
+    q0 = np.bincount(dest, part, n + 1)[:n]
+    speed_flux = np.bincount(dest, v[plan.mv_last] * part, n + 1)[:n]
+    cap_flux = np.bincount(dest, plan.mv_cap * part, n + 1)[:n]
+    # an entry edge has no movements, so q0 is 0 there and v0 keeps its first-cell speed
+    v0 = np.divide(np.minimum(speed_flux, cap_flux), q0, out=v[plan.first], where=q0 > 0.0)
 
-    go = ~red[plan.mv_in]
-    e_in, e_out = plan.mv_in[go], plan.mv_out[go]
-    part = end_q[e_in] * plan.mv_share[go]
-    q0 = np.bincount(e_out, part, n)
-    speed_flux = np.bincount(e_out, end_v[e_in] * part, n)
-    cap_flux = np.bincount(e_out, plan.mv_cap[go] * part, n)
-    v0 = np.divide(np.minimum(speed_flux, cap_flux), q0, out=first_v.copy(), where=q0 > 0.0)
+    q_in = np.where(plan.is_entry, q[plan.first], q0)
+    v_in = np.where(plan.is_entry, v0, np.minimum(np.maximum(v0, 0.0), plan.edge_speed))
 
-    q_in = np.where(plan.is_entry, first_rho * first_v * plan.edge_lanes, q0)
-    v_in = np.where(plan.is_entry, first_v, np.minimum(np.maximum(v0, 0.0), plan.edge_speed))
-
-    r = first_rho[plan.dn_out]
+    r = rho[plan.dn_first]
     num = np.bincount(plan.dn_in, r * r * plan.dn_w, n)
     den = np.bincount(plan.dn_in, r * plan.dn_w, n)
-    rho_out = np.divide(num, den, out=last_rho.copy(), where=den > 0.0)
-    rho_out[red & ~plan.is_exit] = params.jam_density
+    rho_out = np.divide(num, den, out=rho[plan.last], where=den > 0.0)
+    rho_out[red & plan.has_dn] = params.jam_density
     return q_in, v_in, rho_out
 
 
-def _advance(plan: _Plan, state: SimState, q_in, v_in, rho_out, red: np.ndarray, params: SimParams) -> SimState:
-    """Cell-update kernel: one step of every cell; see step."""
+def _advance(plan: _Plan, state: SimState, q, q_in, v_in, rho_out, red: np.ndarray, params: SimParams) -> SimState:
+    """Cell-update kernel: one step of every cell from the cell fluxes q and the ghosts; see step."""
     rho, v = state.rho, state.v
     dt = params.dt_s
-    q = rho * v * plan.lanes
-    q_up, v_up, rho_dn = np.empty(len(q)), np.empty(len(q)), np.empty(len(q))
+    q_up, v_up, rho_dn = plan.q_up, plan.v_up, plan.rho_dn
     q_up[1:], v_up[1:], rho_dn[:-1] = q[:-1], v[:-1], rho[1:]
     q_up[plan.first], v_up[plan.first], rho_dn[plan.last] = q_in, v_in, rho_out
 
@@ -259,17 +265,21 @@ def _advance(plan: _Plan, state: SimState, q_in, v_in, rho_out, red: np.ndarray,
     )
     u_next[plan.last[red]] = 0.0
 
-    finite = np.isfinite(r_next) & np.isfinite(u_next)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        e = int(np.searchsorted(plan.first, bad, side="right")) - 1
-        row, edge = divmod(e, len(plan.edges))
-        in_row = f" in batch row {row}" if len(plan.first) > len(plan.edges) else ""
-        raise SimulationError(
-            f"non-finite state on edge {plan.edges[edge]} cell {bad - plan.first[e] + 1} "
-            f"at step {state.k + 1} (t={state.t + dt:g} s){in_row}"
-        )
-    rho_new, v_new = np.clip(r_next, params.density_floor, params.jam_density), np.clip(u_next, 0.0, plan.speed_cap)
+    # one reduction is non-finite whenever a cell is; if it only overflowed, the exact mask passes
+    if not math.isfinite(np.dot(r_next, u_next)):
+        finite = np.isfinite(r_next) & np.isfinite(u_next)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            e = int(np.searchsorted(plan.first, bad, side="right")) - 1
+            row, edge = divmod(e, len(plan.edges))
+            in_row = f" in batch row {row}" if len(plan.first) > len(plan.edges) else ""
+            raise SimulationError(
+                f"non-finite state on edge {plan.edges[edge]} cell {bad - plan.first[e] + 1} "
+                f"at step {state.k + 1} (t={state.t + dt:g} s){in_row}"
+            )
+    # cheaper than np.clip, and the same bits on finite values other than -0.0, which the update never makes
+    rho_new = np.minimum(np.maximum(r_next, params.density_floor, out=r_next), params.jam_density, out=r_next)
+    v_new = np.minimum(np.maximum(u_next, 0.0, out=u_next), plan.speed_cap, out=u_next)
     return SimState(rho=rho_new, v=v_new, t=state.t + dt, k=state.k + 1)
 
 
@@ -287,7 +297,7 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: 
     executes.
     """
     plan = _Plan(net, params)
-    ghosts = _boundaries(plan, state.rho, state.v, _red_mask(plan, phases), params)
+    ghosts = _boundaries(plan, state.rho * state.v * plan.lanes, state.rho, state.v, _red_mask(plan, phases), params)
     return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
@@ -303,7 +313,7 @@ def step(net: RoadNetwork, state: SimState, vb: VirtualBoundary, phases: dict, p
     """
     plan = _Plan(net, params)
     ghosts = (np.array([g[eid] for eid in plan.edges], dtype=float) for g in (vb.q_in, vb.v_in, vb.rho_out))
-    return _advance(plan, state, *ghosts, _red_mask(plan, phases), params)
+    return _advance(plan, state, state.rho * state.v * plan.lanes, *ghosts, _red_mask(plan, phases), params)
 
 
 def initialize(
@@ -415,8 +425,8 @@ def run(
             avg, queue = step_metrics(rows)
             speeds.append(avg)
             queues.append(queue)
-        ghosts = _boundaries(plan, state.rho, state.v, red[k], params)
-        state = _advance(plan, state, *ghosts, red[k], params)
+        q, red_k = state.rho * state.v * plan.lanes, red[k]
+        state = _advance(plan, state, q, *_boundaries(plan, q, state.rho, state.v, red_k, params), red_k, params)
 
     # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
     speeds, queues = (np.reshape(series, (-1, batch)).T.copy() for series in (speeds, queues))

@@ -325,26 +325,60 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def _numbers(value) -> np.ndarray:
+    array = np.array(value)
+    if array.ndim == 0 or array.dtype.kind not in "iuf":
+        raise TypeError("expected a list of numbers")
+    return array.astype(float)
+
+
+def _names(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
+
+
+def _activation(value) -> str:
+    if value not in ("relu", "tanh"):
+        raise ValueError(f"expected 'relu' or 'tanh', got {value!r}")
+    return value
+
+
 def load_model(path):
+    """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SurrogateError(f"{path}: cannot parse JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SurrogateError(f"{path}: expected a JSON object")
+
+    def get(key, convert):
+        if key not in doc:
+            raise SurrogateError(f"{path}: missing key {key!r}")
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise SurrogateError(f"{path}: key {key!r}: {exc}") from None
+
     kind = doc.get("kind")
     if kind == "linear":
         return LinearModel(
-            weights=np.array(doc["weights"], dtype=float),
-            intercept=np.array(doc["intercept"], dtype=float),
-            targets=tuple(doc["targets"]),
-            feature_ids=tuple(doc["feature_ids"]),
+            weights=get("weights", _numbers),
+            intercept=get("intercept", _numbers),
+            targets=get("targets", _names),
+            feature_ids=get("feature_ids", _names),
         )
     if kind == "mlp":
         return MlpModel(
-            weights=tuple(np.array(W, dtype=float) for W in doc["weights"]),
-            biases=tuple(np.array(b, dtype=float) for b in doc["biases"]),
-            activation=doc["activation"],
-            target_mean=np.array(doc["target_mean"], dtype=float),
-            target_scale=np.array(doc["target_scale"], dtype=float),
-            targets=tuple(doc["targets"]),
-            feature_ids=tuple(doc["feature_ids"]),
-            epochs_trained=int(doc.get("epochs_trained", 0)),
+            weights=get("weights", lambda ws: tuple(_numbers(W) for W in ws)),
+            biases=get("biases", lambda bs: tuple(_numbers(b) for b in bs)),
+            activation=get("activation", _activation),
+            target_mean=get("target_mean", _numbers),
+            target_scale=get("target_scale", _numbers),
+            targets=get("targets", _names),
+            feature_ids=get("feature_ids", _names),
+            epochs_trained=get("epochs_trained", int) if "epochs_trained" in doc else 0,
         )
     raise SurrogateError(f"{path}: unknown model kind {kind!r}")

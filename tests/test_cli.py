@@ -250,7 +250,7 @@ def test_validate_command(fixtures_dir, tmp_path):
     assert doc["queue_length"] >= 0
 
 
-def test_errors_exit_nonzero(fixtures_dir, tmp_path, capsys):
+def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     # unreadable network file
     rc = main(
         [
@@ -277,13 +277,14 @@ def test_errors_exit_nonzero(fixtures_dir, tmp_path, capsys):
 
     # malformed lights files: each error names the file and, for a bad entry, the intersection
     malformed = [
-        ({"X": {"red": 30, "offset": 0}}, "intersection X"),
-        ([{"red": 30, "green": 30, "offset": 0}], "expected an object"),
-        ({"X": {"red": 30.7, "green": 30, "offset": 0}}, "intersection X"),
+        (json.dumps({"X": {"red": 30, "offset": 0}}), "intersection X"),
+        (json.dumps([{"red": 30, "green": 30, "offset": 0}]), "expected an object"),
+        (json.dumps({"X": {"red": 30.7, "green": 30, "offset": 0}}), "intersection X"),
+        ('{"X": {"red": 30,\n', "cannot parse JSON"),
     ]
-    for doc, wanted in malformed:
+    for text, wanted in malformed:
         lights = tmp_path / "lights.json"
-        lights.write_text(json.dumps(doc))
+        lights.write_text(text)
         rc = main(
             [
                 "simulate",
@@ -325,6 +326,22 @@ def test_errors_exit_nonzero(fixtures_dir, tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+    # a model file missing a key names the file and the key
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "linear"}))
+    rc = main(
+        [
+            "optimize",
+            "--network", str(fixtures_dir / "cross.json"),
+            "--model", str(model),
+            "--objective", "speed",
+            "--data", str(cli_dataset),
+            "--out", str(tmp_path / "x.json"),
+        ]
+    )
+    assert rc == 1
+    assert f"error: {model}: missing key 'weights'" in capsys.readouterr().err
 
     # direct optimization requires an initial state
     rc = main(

@@ -42,6 +42,28 @@ def test_weight_array_matches_scalar():
         assert w == pytest.approx(congestion_weight(p, float(v)), abs=1e-15)
 
 
+def _split_weight(params, v):
+    """Reference: the boolean-mask split form that congestion_weight used to compute."""
+    x = params.steepness * (np.asarray(v, dtype=float) - params.threshold_mps)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = np.exp(-x[pos]) / (1.0 + np.exp(-x[pos]))
+    out[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
+    return out
+
+
+def test_weight_equals_split_form_exactly():
+    p = QueueFnParams()
+    t = p.threshold_mps
+    edges = [-1e6, 1e6, t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+    v = np.concatenate([edges, np.linspace(-30.0, 40.0, 701)])
+    np.testing.assert_array_equal(congestion_weight(p, v), _split_weight(p, v))
+    rows = v.reshape(2, -1)
+    np.testing.assert_array_equal(congestion_weight(p, rows), _split_weight(p, rows))
+    for x in edges:
+        assert congestion_weight(p, x) == float(_split_weight(p, x))
+
+
 def _state(rho, v):
     return SimState(rho=np.asarray(rho, float), v=np.asarray(v, float), t=0.0, k=0)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -187,6 +189,26 @@ def test_network_json_round_trip(tmp_path, twolights_net):
     save_network(twolights_net, path)
     again = load_network(path)
     assert again == twolights_net
+
+
+def test_fd_defaults_carry_no_v_max(tmp_path):
+    doc = {
+        "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 100, "y": 0}],
+        "edges": [{"id": "r", "from": "A", "to": "B", "length_m": 100, "lanes": 1, "free_flow_speed_mps": 10}],
+        "fd_defaults": {"rho_cr": 0.05, "a": 2.0},
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    net = load_network(path)
+    assert net.fd_for("r") == FdParams(v_max=10.0, rho_cr=0.05, a=2.0)
+    save_network(net, tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text())["fd_defaults"] == {"rho_cr": 0.05, "a": 2.0}
+    assert load_network(tmp_path / "again.json") == net
+
+    doc["fd_defaults"]["v_max"] = 12.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkError, match=rf"^{re.escape(str(path))}: fd_defaults.v_max .*free_flow_speed_mps"):
+        load_network(path)
 
 
 def test_load_network_rejects_duplicates(tmp_path):

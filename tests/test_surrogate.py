@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,30 @@ def test_load_model_rejects_unknown_kind(tmp_path):
     path.write_text('{"kind": "forest"}\n')
     with pytest.raises(SurrogateError):
         load_model(path)
+
+
+_LINEAR = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J"]}
+
+
+@pytest.mark.parametrize(
+    "text, wanted",
+    [
+        (json.dumps({"kind": "linear"}), "missing key 'weights'"),
+        (json.dumps({**_LINEAR, "weights": "abc"}), "key 'weights'"),
+        (json.dumps({**_LINEAR, "targets": "avg_speed"}), "key 'targets'"),
+        (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[None]]}), "key 'biases'"),
+        (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[0.0]], "activation": 3}), "key 'activation'"),
+        (json.dumps(["kind", "linear"]), "expected a JSON object"),
+        ('{"kind": "linear",', "cannot parse JSON"),
+    ],
+)
+def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SurrogateError, match=f"^{re.escape(str(path))}: {re.escape(wanted)}"):
+        load_model(path)
+    path.write_text(json.dumps(_LINEAR))
+    assert load_model(path).feature_ids == ("J",)
 
 
 def test_predict_rejects_unknown_model():
