@@ -120,7 +120,7 @@ def _cmd_simulate(args) -> int:
         for snap in result.snapshots:
             base = f"{args.heatmap}_t{snap.t:g}"
             solver.write_heatmap_csv(net, snap, base + ".csv")
-            solver.write_heatmap_pgm(net, snap, base + ".pgm", params.jam_density)
+            solver.write_heatmap_pgm(net, snap, base + ".pgm")
         if result.snapshots:
             print(f"wrote {len(result.snapshots)} heatmap snapshot(s) to {args.heatmap}_t*.csv/.pgm")
     print(
@@ -194,6 +194,12 @@ def _cmd_optimize(args) -> int:
         )
     else:
         model = surrogate.load_model(args.model)
+        ids = net.signalized_ids()
+        if model.feature_ids and model.feature_ids != ids:
+            raise ValueError(
+                f"{args.model}: model features are intersections {list(model.feature_ids)}, "
+                f"but {args.network} signalizes {list(ids)}"
+            )
         objective = optimizer.surrogate_objective(model, args.objective)
 
     result = optimizer.optimize_config(net, objective, de, training_rows=rows)

@@ -22,6 +22,7 @@ DEFAULT_V_MAX = 13.68  # m/s
 DEFAULT_RHO_CR = 0.05  # cars/m per lane
 DEFAULT_A = 1.24
 FIT_REL_TOL = 1e-10  # relative simplex value spread at which a calibration stops
+FIT_MAX_ITER = 2000  # simplex iterations after which a calibration gives up unconverged
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,6 @@ def fit_fd(
     samples,
     init: FdParams | None = None,
     fixed_v_max: float | None = None,
-    max_iter: int = 2000,
 ) -> FdFit:
     """Calibrate the speed-density curve against (density, speed) samples.
 
@@ -204,7 +204,7 @@ def fit_fd(
     keeps every candidate strictly positive by construction. When
     ``fixed_v_max`` is given only ``rho_cr`` and ``a`` are free.
 
-    Returns an :class:`FdFit`; if the iteration cap is hit first, the best
+    Returns an :class:`FdFit`; if FIT_MAX_ITER is hit first, the best
     parameters so far are returned with ``converged=False``. The final SSE
     never exceeds the SSE of ``init``.
     """
@@ -231,24 +231,14 @@ def fit_fd(
             err = float(np.sum((spd - pred) ** 2))
         return err if math.isfinite(err) else float("inf")
 
-    if fixed_v_max is None:
-        x0 = np.log([init.v_max, init.rho_cr, init.a])
+    fixed = [] if fixed_v_max is None else [fixed_v_max]
 
-        def objective(x):
-            return sse_of(math.exp(x[0]), math.exp(x[1]), math.exp(x[2]))
+    def params_of(x):  # the fixed v_max, if any, then the exponentiated free log-parameters
+        return (*fixed, *(math.exp(xi) for xi in x))
 
-        x, sse, converged, iterations = _nelder_mead(objective, x0, max_iter)
-        params = FdParams(math.exp(x[0]), math.exp(x[1]), math.exp(x[2]))
-    else:
-        x0 = np.log([init.rho_cr, init.a])
-
-        def objective(x):
-            return sse_of(fixed_v_max, math.exp(x[0]), math.exp(x[1]))
-
-        x, sse, converged, iterations = _nelder_mead(objective, x0, max_iter)
-        params = FdParams(fixed_v_max, math.exp(x[0]), math.exp(x[1]))
-
-    return FdFit(params=params, sse=sse, converged=converged, iterations=iterations)
+    x0 = np.log([init.v_max, init.rho_cr, init.a][len(fixed):])
+    x, sse, converged, iterations = _nelder_mead(lambda x: sse_of(*params_of(x)), x0, FIT_MAX_ITER)
+    return FdFit(params=FdParams(*params_of(x)), sse=sse, converged=converged, iterations=iterations)
 
 
 def read_counters(path) -> list[CounterSample]:

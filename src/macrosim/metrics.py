@@ -41,15 +41,18 @@ def congestion_weight(params: QueueFnParams, v):
     return out
 
 
-def step_metrics(state, params: QueueFnParams = QueueFnParams()):
-    """(mean speed, queue length) of one state snapshot.
+QUEUE_FN = QueueFnParams()  # the weight every simulation's queue length uses
+
+
+def step_metrics(state):
+    """(mean speed, queue length) of one state snapshot, the queue under QUEUE_FN.
 
     The mean is an unweighted average over all cells of all edges. A
     (rows, cells) state gives one mean and one queue length per row.
     """
     v = state.v
     avg = np.add.reduce(v, axis=-1) / v.shape[-1]  # np.mean's own arithmetic, without its wrapper
-    queue = np.add.reduce(congestion_weight(params, v), axis=-1)
+    queue = np.add.reduce(congestion_weight(QUEUE_FN, v), axis=-1)
     return avg, queue
 
 

@@ -42,25 +42,27 @@ class DeConfig:
 
 @dataclass(frozen=True)
 class Objective:
-    """What to optimize: an evaluator over encoded vectors and a direction."""
+    """What to optimize: a batch evaluator over encoded vectors, (n, d) -> (n,), and a direction."""
 
     name: str
     direction: str  # "maximize" or "minimize"
-    evaluate: Callable[[np.ndarray], float]
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None  # (n, d) -> (n,), row by row as evaluate
+    evaluate_batch: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError("direction must be 'maximize' or 'minimize'")
 
+    def evaluate(self, x: np.ndarray) -> float:
+        """Value of one encoded vector: the one-row case of evaluate_batch."""
+        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
+
     def internal(self, x: np.ndarray) -> float:
-        value = float(self.evaluate(x))
+        value = self.evaluate(x)
         return -value if self.direction == "maximize" else value
 
     def internal_batch(self, X: np.ndarray) -> np.ndarray:
-        """Internal values of every row of X; one call when there is a batch evaluator."""
-        batch = self.evaluate_batch or (lambda rows: [float(self.evaluate(x)) for x in rows])
-        values = np.asarray(batch(X), dtype=float)
+        """Internal values of every row of X in one evaluate_batch call."""
+        values = np.asarray(self.evaluate_batch(X), dtype=float)
         return -values if self.direction == "maximize" else values
 
     def external(self, internal_value: float) -> float:
@@ -164,12 +166,7 @@ def surrogate_objective(model, target: str) -> Objective:
     if wanted not in names:
         raise ValueError(f"model predicts {names}, not {wanted}; retrain with that target")
     column = names.index(wanted)
-
-    def evaluate(x: np.ndarray) -> float:
-        return float(np.atleast_1d(predict(model, x))[column])
-
-    return Objective(name=target, direction=DIRECTIONS[target], evaluate=evaluate,
-                     evaluate_batch=lambda X: predict(model, X)[:, column])
+    return Objective(name=target, direction=DIRECTIONS[target], evaluate_batch=lambda X: predict(model, X)[:, column])
 
 
 def simulation_objective(
@@ -193,8 +190,7 @@ def simulation_objective(
         results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
         return [getattr(r.metrics, metric) for r in results]
 
-    return Objective(name=target, direction=DIRECTIONS[target], evaluate=lambda x: evaluate_batch([x])[0],
-                     evaluate_batch=evaluate_batch)
+    return Objective(name=target, direction=DIRECTIONS[target], evaluate_batch=evaluate_batch)
 
 
 def best_training_row(rows, target: str):

@@ -58,53 +58,37 @@ def group_a_red(signal: IntersectionSignal, t):
     return (t < signal.offset) | ((t - signal.offset) % signal.cycle >= signal.green)
 
 
-def phase_at(signal: IntersectionSignal, t: float) -> tuple[Phase, Phase]:
-    """(group A, group B) phases at time t seconds; B is always A's complement."""
-    return (Phase.RED, Phase.GREEN) if group_a_red(signal, t) else (Phase.GREEN, Phase.RED)
-
-
-def check_configuration(net, config: dict) -> None:
-    """Require config to cover exactly the signalized intersections of net."""
-    expected = set(net.signalized_ids())
-    got = set(config)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if extra:
-            parts.append(f"unexpected {extra}")
-        raise ValueError("signal configuration does not match network: " + ", ".join(parts))
-
-
 def signal_groups(net, config: dict | None) -> list[tuple[IntersectionSignal, tuple, tuple]]:
     """(signal, group A edges, group B edges) per signalized intersection, in sorted-id order.
 
     Checks config against net first: an unsignalized network accepts config
     None or {} (and yields nothing), a signalized one needs a configuration
-    covering exactly its signalized intersections.
+    covering exactly its signalized intersections; a mismatch names the
+    missing and unexpected ids.
     """
-    if not net.signalized_ids():
+    ids = net.signalized_ids()
+    if not ids:
         if config:
             raise ValueError("network has no signalized intersections but a configuration was given")
         return []
     if config is None:
         raise ValueError("network has signalized intersections; a signal configuration is required")
-    check_configuration(net, config)
-    ixs = [net.intersections[iid] for iid in net.signalized_ids()]
-    return [(config[ix.id], ix.group_a, ix.group_b) for ix in ixs]
+    missing, extra = sorted(set(ids) - set(config)), sorted(set(config) - set(ids))
+    if missing or extra:
+        parts = [f"{word} {names}" for word, names in (("missing", missing), ("unexpected", extra)) if names]
+        raise ValueError("signal configuration does not match network: " + ", ".join(parts))
+    return [(config[iid], net.intersections[iid].group_a, net.intersections[iid].group_b) for iid in ids]
 
 
 def edge_phases(net, config: dict | None, t: float) -> dict[str, Phase]:
-    """Phase of every signal-controlled incoming edge at time t.
+    """Phase of every signal-controlled incoming edge at time t; group B is always group A's complement.
 
     Edges not controlled by a signal are absent from the result (treat as
     green); config is checked as in signal_groups.
     """
     phases: dict[str, Phase] = {}
     for signal, group_a, group_b in signal_groups(net, config):
-        a, b = phase_at(signal, t)
+        a, b = (Phase.RED, Phase.GREEN) if group_a_red(signal, t) else (Phase.GREEN, Phase.RED)
         phases.update(dict.fromkeys(group_a, a))
         phases.update(dict.fromkeys(group_b, b))
     return phases
@@ -167,8 +151,8 @@ def decode_values(vector: np.ndarray, ids) -> dict:
 
 
 def encode(config: dict, net) -> np.ndarray:
-    """Encode over the network's signalized intersections in sorted-id order."""
-    check_configuration(net, config)
+    """Encode over the network's signalized intersections in sorted-id order; config is checked as in signal_groups."""
+    signal_groups(net, config)
     return encode_values(config, net.signalized_ids())
 
 

@@ -344,8 +344,33 @@ def _activation(value) -> str:
     return value
 
 
+def _check_shapes(model, path) -> None:
+    """Require each layer to take the previous layer's outputs and the last to give one per target."""
+    linear = isinstance(model, LinearModel)
+    weights = [model.weights] if linear else list(model.weights)
+    biases = [model.intercept] if linear else list(model.biases)
+    if not weights or len(weights) != len(biases):
+        raise SurrogateError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
+    width = weights[0].shape[0]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        if W.ndim != 2 or W.shape[0] != width or b.shape != W.shape[1:]:
+            raise SurrogateError(
+                f"{path}: layer {i}: weights of shape {W.shape} and bias of shape {b.shape}, "
+                f"expected ({width}, n) and (n,)"
+            )
+        width = W.shape[1]
+    if width != len(model.targets):
+        raise SurrogateError(f"{path}: {width} model outputs for {len(model.targets)} targets {list(model.targets)}")
+    for key in () if linear else ("target_mean", "target_scale"):
+        if getattr(model, key).shape != (width,):
+            raise SurrogateError(f"{path}: key {key!r}: expected {width} values, got shape {getattr(model, key).shape}")
+
+
 def load_model(path):
-    """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key."""
+    """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key.
+
+    The arrays must also chain from layer to layer to one output per target (see _check_shapes).
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -364,14 +389,14 @@ def load_model(path):
 
     kind = doc.get("kind")
     if kind == "linear":
-        return LinearModel(
+        model = LinearModel(
             weights=get("weights", _numbers),
             intercept=get("intercept", _numbers),
             targets=get("targets", _names),
             feature_ids=get("feature_ids", _names),
         )
-    if kind == "mlp":
-        return MlpModel(
+    elif kind == "mlp":
+        model = MlpModel(
             weights=get("weights", lambda ws: tuple(_numbers(W) for W in ws)),
             biases=get("biases", lambda bs: tuple(_numbers(b) for b in bs)),
             activation=get("activation", _activation),
@@ -381,4 +406,7 @@ def load_model(path):
             feature_ids=get("feature_ids", _names),
             epochs_trained=get("epochs_trained", int) if "epochs_trained" in doc else 0,
         )
-    raise SurrogateError(f"{path}: unknown model kind {kind!r}")
+    else:
+        raise SurrogateError(f"{path}: unknown model kind {kind!r}")
+    _check_shapes(model, path)
+    return model

@@ -291,7 +291,7 @@ def test_c13_differential_evolution_guarantees():
         def quad(x):
             return float(np.sum((x - center) ** 2))
 
-        obj = Objective(name="queue", direction="minimize", evaluate=quad)
+        obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [quad(x) for x in X])
         result = differential_evolution(obj, dim=10, de=DeConfig(seed=3))
         assert result.generations <= 300
         assert result.best_value <= 1e-6
@@ -301,7 +301,7 @@ def test_c13_differential_evolution_guarantees():
         seeded = differential_evolution(obj, dim=10, de=DeConfig(seed=3, max_generations=2), seed_point=seed_point)
         assert seeded.best_value <= quad(seed_point)
 
-        flat = Objective(name="queue", direction="minimize", evaluate=lambda x: 7.0)
+        flat = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [7.0 for x in X])
         never_worse = differential_evolution(flat, dim=10, de=DeConfig(seed=0, max_generations=5), seed_point=seed_point)
         assert never_worse.best_value == 7.0
 

@@ -343,6 +343,24 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert rc == 1
     assert f"error: {model}: missing key 'weights'" in capsys.readouterr().err
 
+    # a model whose shapes do not chain, or whose features are other intersections, names the file
+    linear = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J1"]}
+    for doc, wanted in (({**linear, "intercept": [0.0, 0.0]}, "layer 0"), (linear, "intersections ['J1']")):
+        model.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "optimize",
+                "--network", str(fixtures_dir / "cross.json"),
+                "--model", str(model),
+                "--objective", "speed",
+                "--data", str(cli_dataset),
+                "--out", str(tmp_path / "x.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {model}: ") and wanted in err
+
     # direct optimization requires an initial state
     rc = main(
         [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from macrosim import fundamental
 from macrosim.fundamental import (
     CounterSample,
     FdParams,
@@ -152,8 +153,9 @@ def test_fit_with_fixed_v_max():
     assert fit.params.a == pytest.approx(1.24, rel=1e-6)
 
 
-def test_fit_flags_non_convergence_at_iteration_cap():
-    fit = fit_fd(_curve_samples(FdParams(), noise=0.05, seed=1), init=FdParams(1.0, 0.002, 0.3), max_iter=3)
+def test_fit_flags_non_convergence_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fundamental, "FIT_MAX_ITER", 3)
+    fit = fit_fd(_curve_samples(FdParams(), noise=0.05, seed=1), init=FdParams(1.0, 0.002, 0.3))
     assert not fit.converged
     assert fit.iterations == 3
 

@@ -73,8 +73,6 @@ def test_upstream_downstream_maps():
     net = _t_junction()
     assert net.downstream_of == {"w": "J", "s": "J"}
     assert net.upstream_of == {"e": "J"}
-    assert net.entry_edges == ("s", "w")
-    assert net.exit_edges == ("e",)
 
 
 def test_fd_for_uses_edge_speed_with_shared_curve_shape():
@@ -209,6 +207,15 @@ def test_fd_defaults_carry_no_v_max(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(NetworkError, match=rf"^{re.escape(str(path))}: fd_defaults.v_max .*free_flow_speed_mps"):
         load_network(path)
+
+
+def test_network_equality_ignores_the_unread_fd_defaults_v_max(tmp_path):
+    base = _t_junction()
+    parts = (base.nodes.values(), base.edges.values(), base.intersections.values())
+    net = RoadNetwork(*parts, fd_defaults=FdParams(v_max=20.0))
+    save_network(net, tmp_path / "net.json")
+    assert load_network(tmp_path / "net.json") == net == base
+    assert RoadNetwork(*parts, fd_defaults=FdParams(rho_cr=0.06)) != base
 
 
 def test_load_network_rejects_duplicates(tmp_path):

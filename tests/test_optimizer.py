@@ -24,7 +24,7 @@ def _quadratic(center):
     def evaluate(x):
         return float(np.sum((x - center) ** 2))
 
-    return Objective(name="queue", direction="minimize", evaluate=evaluate)
+    return Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [evaluate(x) for x in X])
 
 
 def test_de_finds_quadratic_minimum_in_ten_dims():
@@ -48,7 +48,7 @@ def test_de_maximization_flips_orientation():
     def evaluate(x):
         return -float(np.sum((x - center) ** 2))  # peak at the center
 
-    obj = Objective(name="speed", direction="maximize", evaluate=evaluate)
+    obj = Objective(name="speed", direction="maximize", evaluate_batch=lambda X: [evaluate(x) for x in X])
     result = differential_evolution(obj, dim=3, de=DeConfig(seed=1, max_generations=150))
     assert result.best_value == pytest.approx(0.0, abs=1e-6)
     hist = result.history
@@ -64,7 +64,7 @@ def test_de_respects_box_constraints():
 
 def test_de_seed_point_guarantees_floor():
     # a constant objective never improves; the planted member must survive
-    obj = Objective(name="queue", direction="minimize", evaluate=lambda x: 5.0)
+    obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [5.0 for x in X])
     seed_point = np.full(6, 0.25)
     result = differential_evolution(obj, dim=6, de=DeConfig(seed=0, max_generations=5), seed_point=seed_point)
     assert result.best_value == 5.0
@@ -103,7 +103,7 @@ def test_de_input_validation():
     with pytest.raises(ValueError):
         differential_evolution(_quadratic([0.5, 0.5]), dim=2, de=DeConfig(), seed_point=np.zeros(3))
     with pytest.raises(ValueError):
-        Objective(name="x", direction="sideways", evaluate=lambda x: 0.0)
+        Objective(name="x", direction="sideways", evaluate_batch=lambda X: [0.0 for x in X])
 
 
 def test_surrogate_objective_reads_named_target_column():
@@ -167,7 +167,7 @@ def test_optimize_config_never_worse_than_training_seed(cross_net):
     def evaluate(x):
         return 25.0 if np.allclose(x, seed_vec) else 50.0
 
-    obj = Objective(name="queue", direction="minimize", evaluate=evaluate)
+    obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [evaluate(x) for x in X])
     result = optimize_config(cross_net, obj, DeConfig(seed=0, max_generations=3), training_rows=rows)
     assert result.config == rows[1].config
     assert result.predicted == 25.0
@@ -192,7 +192,7 @@ def test_optimize_config_snaps_to_integer_lattice(cross_net):
 
 
 def test_optimize_config_requires_signals(ring_net):
-    obj = Objective(name="queue", direction="minimize", evaluate=lambda x: 0.0)
+    obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [0.0 for x in X])
     with pytest.raises(ValueError):
         optimize_config(ring_net, obj, DeConfig())
 
@@ -217,19 +217,6 @@ def test_simulation_batch_evaluator_matches_scalar_evaluate(cross_net):
     for target in ("speed", "queue"):
         obj = simulation_objective(cross_net, state0, params, target, horizon=30.0, warmup=10.0)
         assert list(obj.evaluate_batch(X)) == [obj.evaluate(x) for x in X]
-
-
-def test_direct_search_is_the_same_with_and_without_batch_evaluator(cross_net):
-    params = SimParams(seed=4)
-    state0 = initialize(cross_net, {}, params, default_speed=8.0)
-    batched = simulation_objective(cross_net, state0, params, "queue", horizon=20.0, warmup=5.0)
-    scalar = Objective(name=batched.name, direction=batched.direction, evaluate=batched.evaluate)
-    de = DeConfig(pop_size=6, seed=2, max_generations=4)
-    r1 = differential_evolution(batched, dim=3, de=de)
-    r2 = differential_evolution(scalar, dim=3, de=de)
-    assert np.array_equal(r1.best, r2.best)
-    assert (r1.best_value, r1.history, r1.evaluations, r1.generations, r1.converged) == \
-        (r2.best_value, r2.history, r2.evaluations, r2.generations, r2.converged)
 
 
 @pytest.mark.parametrize("n", [4, 5, 150])
@@ -269,20 +256,6 @@ def test_surrogate_batch_evaluator_matches_scalar_evaluate(kind, target):
     batch = obj.evaluate_batch(X)
     assert batch.shape == (90,)
     np.testing.assert_allclose(batch, [obj.evaluate(x) for x in X], rtol=1e-12, atol=0.0)
-
-
-def test_batch_evaluator_gives_the_same_search_as_scalar_evaluate():
-    scalar = _quadratic(np.full(5, 0.35))
-    mapped = Objective(name=scalar.name, direction=scalar.direction, evaluate=scalar.evaluate,
-                       evaluate_batch=lambda X: np.array([scalar.evaluate(x) for x in X]))
-    de = DeConfig(seed=11, max_generations=60)
-    r1 = differential_evolution(scalar, dim=5, de=de, seed_point=np.full(5, 0.2))
-    r2 = differential_evolution(mapped, dim=5, de=de, seed_point=np.full(5, 0.2))
-    assert np.array_equal(r1.best, r2.best)
-    assert r1.best_value == r2.best_value
-    assert r1.history == r2.history
-    assert r1.evaluations == r2.evaluations
-    assert r1.generations == r2.generations
 
 
 def test_de_with_smallest_population_is_deterministic():

@@ -8,16 +8,16 @@ from macrosim.signals import (
     RED_GREEN_MIN,
     IntersectionSignal,
     Phase,
-    check_configuration,
     decode,
     decode_values,
     edge_phases,
     encode,
     encode_values,
+    group_a_red,
     load_config,
-    phase_at,
     sample_config,
     save_config,
+    signal_groups,
 )
 
 signals = st.builds(
@@ -33,36 +33,39 @@ signals = st.builds(
 def test_phase_schedule_walkthrough():
     sig = IntersectionSignal(red=30, green=20, offset=10)
     # initial red until the offset elapses, then green/red alternation
-    assert phase_at(sig, 0.0)[0] is Phase.RED
-    assert phase_at(sig, 9.9)[0] is Phase.RED
-    assert phase_at(sig, 10.0)[0] is Phase.GREEN
-    assert phase_at(sig, 29.9)[0] is Phase.GREEN
-    assert phase_at(sig, 30.0)[0] is Phase.RED
-    assert phase_at(sig, 59.9)[0] is Phase.RED
-    assert phase_at(sig, 60.0)[0] is Phase.GREEN
+    times = [0.0, 9.9, 10.0, 29.9, 30.0, 59.9, 60.0]
+    expected = [True, True, False, False, True, True, False]
+    assert [bool(group_a_red(sig, t)) for t in times] == expected
+    assert group_a_red(sig, np.array(times)).tolist() == expected
 
 
 def test_zero_offset_starts_green():
     sig = IntersectionSignal(red=20, green=20, offset=0)
-    assert phase_at(sig, 0.0)[0] is Phase.GREEN
+    assert not group_a_red(sig, 0.0)
 
 
 @given(signals, st.floats(min_value=0, max_value=500))
-def test_groups_are_always_complementary(sig, t):
-    a, b = phase_at(sig, t)
-    assert {a, b} == {Phase.GREEN, Phase.RED}
+def test_groups_are_always_complementary(twolights_net, sig, t):
+    phases = edge_phases(twolights_net, {"J1": sig, "J2": sig}, t)
+    a_red = group_a_red(sig, t)
+    for iid in ("J1", "J2"):
+        ix = twolights_net.intersections[iid]
+        assert all((phases[e] is Phase.RED) == a_red for e in ix.group_a)
+        assert all((phases[e] is Phase.GREEN) == a_red for e in ix.group_b)
 
 
 @given(signals, st.floats(min_value=0, max_value=300))
 def test_schedule_is_cycle_periodic(sig, t):
     if t < sig.offset:
         return
-    assert phase_at(sig, t) == phase_at(sig, t + sig.cycle)
+    assert group_a_red(sig, t) == group_a_red(sig, t + sig.cycle)
 
 
 def test_phase_rejects_negative_time():
     with pytest.raises(ValueError):
-        phase_at(IntersectionSignal(20, 20, 0), -1.0)
+        group_a_red(IntersectionSignal(20, 20, 0), -1.0)
+    with pytest.raises(ValueError):
+        group_a_red(IntersectionSignal(20, 20, 0), np.array([0.0, -1.0]))
 
 
 def test_signal_validation():
@@ -77,13 +80,15 @@ def test_signal_validation():
     assert IntersectionSignal(red=20, green=20, offset=39).cycle == 40
 
 
-def test_check_configuration_names_mismatches(twolights_net):
+def test_signal_groups_names_mismatches(twolights_net):
     sig = IntersectionSignal(30, 30, 0)
     with pytest.raises(ValueError, match="missing"):
-        check_configuration(twolights_net, {"J1": sig})
+        signal_groups(twolights_net, {"J1": sig})
     with pytest.raises(ValueError, match="unexpected"):
-        check_configuration(twolights_net, {"J1": sig, "J2": sig, "J3": sig})
-    check_configuration(twolights_net, {"J1": sig, "J2": sig})
+        signal_groups(twolights_net, {"J1": sig, "J2": sig, "J3": sig})
+    with pytest.raises(ValueError, match=r"missing \['J2'\], unexpected \['J3'\]"):
+        encode({"J1": sig, "J3": sig}, twolights_net)
+    assert [g[0] for g in signal_groups(twolights_net, {"J1": sig, "J2": sig})] == [sig, sig]
 
 
 def test_edge_phases_covers_signal_groups(twolights_net):

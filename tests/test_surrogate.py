@@ -235,6 +235,8 @@ def test_load_model_rejects_unknown_kind(tmp_path):
 
 
 _LINEAR = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J"]}
+_MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.0, 0.0], [0.0]], "activation": "relu",
+        "target_mean": [0.0], "target_scale": [1.0], "targets": ["avg_speed"], "feature_ids": []}
 
 
 @pytest.mark.parametrize(
@@ -247,6 +249,11 @@ _LINEAR = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": 
         (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[0.0]], "activation": 3}), "key 'activation'"),
         (json.dumps(["kind", "linear"]), "expected a JSON object"),
         ('{"kind": "linear",', "cannot parse JSON"),
+        (json.dumps({**_LINEAR, "intercept": [0.0, 1.0]}), "layer 0: weights of shape (1, 1) and bias of shape (2,)"),
+        (json.dumps({**_LINEAR, "targets": ["avg_speed", "queue_length"]}), "1 model outputs for 2 targets"),
+        (json.dumps({**_MLP, "weights": [[[1.0, 2.0]], [[1.0]]]}), "layer 1: weights of shape (1, 1)"),
+        (json.dumps({**_MLP, "biases": [[0.0, 0.0]]}), "2 weight matrices for 1 bias vectors"),
+        (json.dumps({**_MLP, "target_scale": [1.0, 1.0]}), "key 'target_scale': expected 1 values"),
     ],
 )
 def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
@@ -256,6 +263,8 @@ def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
         load_model(path)
     path.write_text(json.dumps(_LINEAR))
     assert load_model(path).feature_ids == ("J",)
+    path.write_text(json.dumps(_MLP))
+    assert load_model(path).activation == "relu"
 
 
 def test_predict_rejects_unknown_model():
