@@ -200,6 +200,12 @@ def _cmd_optimize(args) -> int:
                 f"{args.model}: model features are intersections {list(model.feature_ids)}, "
                 f"but {args.network} signalizes {list(ids)}"
             )
+        width = (model.weights[0] if isinstance(model, surrogate.MlpModel) else model.weights).shape[0]
+        if width != 3 * len(ids):
+            raise ValueError(
+                f"{args.model}: model takes {width} inputs, but {args.network} needs {3 * len(ids)} "
+                f"(3 per signalized intersection)"
+            )
         objective = optimizer.surrogate_objective(model, args.objective)
 
     result = optimizer.optimize_config(net, objective, de, training_rows=rows)

@@ -48,6 +48,15 @@ class MlpHyper:
             raise ValueError("activation must be 'relu' or 'tanh'")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be positive")
+        for name, ok, rule in (
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("alpha", self.alpha >= 0, ">= 0"),
+            ("tol", self.tol >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -90,45 +99,40 @@ def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> L
     )
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(float)
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def _forward(weights, biases, X, activation):
-    """Returns (activations per layer incl. input, pre-activations per layer)."""
+    """Activations per layer, the input first; each hidden layer is activated in place."""
     acts = [X]
-    pres = []
-    h = X
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
-        z = h @ W + b
-        pres.append(z)
-        h = z if i == last else _activate(z, activation)
+        h = acts[-1] @ W
+        h += b
+        if i < last and activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif i < last:
+            np.tanh(h, out=h)
         acts.append(h)
-    return acts, pres
+    return acts
 
 
-def _backprop(weights, biases, X, Y, activation, alpha):
-    """Returns (residual pred - Y, weight gradients, bias gradients) of the loss below."""
+def _backprop(weights, biases, X, Y, activation, alpha, grads_w, grads_b):
+    """Writes the gradients of loss_and_gradients' loss into grads_w and grads_b; returns pred - Y.
+
+    The activation's derivative comes from the stored activation a: a > 0 for relu, 1 - a^2 for tanh.
+    """
     m = X.shape[0]
-    acts, pres = _forward(weights, biases, X, activation)
-    resid = acts[-1] - Y
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
+    acts = _forward(weights, biases, X, activation)
+    resid = acts[-1]
+    resid -= Y
     delta = resid / m
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta + (alpha / m) * weights[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        grads_w[i] += (alpha / m) * weights[i]
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ weights[i].T) * _activate_grad(pres[i - 1], activation)
-    return resid, grads_w, grads_b
+            a = acts[i]
+            delta = delta @ weights[i].T
+            delta *= (a > 0) if activation == "relu" else 1.0 - a * a
+    return resid
 
 
 def loss_and_gradients(weights, biases, X, Y, activation, alpha):
@@ -139,10 +143,22 @@ def loss_and_gradients(weights, biases, X, Y, activation, alpha):
     same ``_backprop``; the finite-difference gradient check uses both.
     """
     m = X.shape[0]
-    resid, grads_w, grads_b = _backprop(weights, biases, X, Y, activation, alpha)
+    grads_w = [np.empty_like(W) for W in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    resid = _backprop(weights, biases, X, Y, activation, alpha, grads_w, grads_b)
     loss = float(np.sum(resid**2)) / (2 * m)
     loss += alpha * sum(float(np.sum(W**2)) for W in weights) / (2 * m)
     return loss, grads_w, grads_b
+
+
+def _layer_views(flat, sizes):
+    """Weight and bias views of each layer into a flat buffer laid out W0, b0, W1, b1, ..."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        biases.append(flat[at + fan_in * fan_out : at + (fan_in + 1) * fan_out])
+        at += (fan_in + 1) * fan_out
+    return weights, biases
 
 
 def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
@@ -177,18 +193,18 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     X_train, Y_train = X[train_idx], Ys[train_idx]
     X_val, Y_val = X[val_idx], Ys[val_idx]
 
-    # weights and biases are views into one flat theta (W0, b0, W1, b1, ...): Adam and the snapshot act on it whole
+    # weights and biases are views into one flat theta, their gradients views into grad laid out alike:
+    # Adam and the snapshot act on whole preallocated buffers, so a step allocates only inside backprop
     sizes = [X.shape[1], *hyper.hidden, Y.shape[1]]
     theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(theta[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
-        weights[-1][...] = rng.uniform(-limit, limit, (fan_in, fan_out))
-        biases.append(theta[at + fan_in * fan_out : at + (fan_in + 1) * fan_out])
-        at += (fan_in + 1) * fan_out
+    weights, biases = _layer_views(theta, sizes)
+    for W in weights:
+        limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
+        W[...] = rng.uniform(-limit, limit, W.shape)
+    grad = np.empty_like(theta)
+    grads_w, grads_b = _layer_views(grad, sizes)
 
-    m, v = np.zeros((2, theta.size))
+    m, v, step, denom = np.zeros((4, theta.size))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
 
@@ -201,20 +217,28 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     for epoch in range(hyper.max_epochs):
         epochs_done = epoch + 1
         perm = rng.permutation(n_train)
+        X_perm, Y_perm = X_train[perm], Y_train[perm]
         for start in range(0, n_train, BATCH_SIZE):
-            batch = perm[start : start + BATCH_SIZE]
-            _, gw, gb = _backprop(weights, biases, X_train[batch], Y_train[batch], hyper.activation, hyper.alpha)
-            grad = np.concatenate([g.ravel() for pair in zip(gw, gb) for g in pair])
+            batch = slice(start, start + BATCH_SIZE)
+            _backprop(weights, biases, X_perm[batch], Y_perm[batch], hyper.activation, hyper.alpha, grads_w, grads_b)
             adam_t += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad**2
-            theta -= hyper.learning_rate * (m / (1.0 - beta1**adam_t)) / (np.sqrt(v / (1.0 - beta2**adam_t)) + eps)
+            # theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps), one operation at a time
+            m *= beta1
+            m += np.multiply(grad, 1 - beta1, out=step)
+            v *= beta2
+            v += np.multiply(np.square(grad, out=step), 1 - beta2, out=step)
+            np.sqrt(np.divide(v, 1.0 - beta2**adam_t, out=denom), out=denom)
+            denom += eps
+            np.divide(m, 1.0 - beta1**adam_t, out=step)
+            step *= hyper.learning_rate
+            step /= denom
+            theta -= step
 
-        val_pred = _forward(weights, biases, X_val, hyper.activation)[0][-1]
+        val_pred = _forward(weights, biases, X_val, hyper.activation)[-1]
         val_mse = float(np.mean((val_pred - Y_val) ** 2))
         if val_mse < best_val - hyper.tol:
             best_val = val_mse
-            best_theta = theta.copy()
+            best_theta[...] = theta
             stall = 0
         else:
             stall += 1
@@ -243,7 +267,7 @@ def predict(model, X) -> np.ndarray:
     if isinstance(model, LinearModel):
         out = X @ model.weights + model.intercept
     elif isinstance(model, MlpModel):
-        out = _forward(list(model.weights), list(model.biases), X, model.activation)[0][-1]
+        out = _forward(model.weights, model.biases, X, model.activation)[-1]
         out = out * model.target_scale + model.target_mean
     else:
         raise TypeError(f"unknown model type {type(model)!r}")
@@ -268,8 +292,8 @@ def kfold_rmse(fit, X, Y, k: int = 5, seed: int = 0):
     order = rng.permutation(n)
     folds = np.array_split(order, k)
     pooled = np.empty_like(Y)
-    for held_out in folds:
-        train = np.setdiff1d(order, held_out, assume_unique=True)
+    for j, held_out in enumerate(folds):
+        train = np.concatenate(folds[:j] + folds[j + 1 :])  # order without held_out, in order
         model = fit(X[train], Y[train])
         pooled[held_out] = np.atleast_2d(predict(model, X[held_out]))
     per_target = np.sqrt(np.mean((pooled - Y) ** 2, axis=0))

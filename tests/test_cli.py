@@ -343,9 +343,14 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert rc == 1
     assert f"error: {model}: missing key 'weights'" in capsys.readouterr().err
 
-    # a model whose shapes do not chain, or whose features are other intersections, names the file
+    # a model whose shapes do not chain, whose features are other intersections, or whose input width
+    # does not fit the network (3 per signalized intersection) names the file
     linear = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J1"]}
-    for doc, wanted in (({**linear, "intercept": [0.0, 0.0]}, "layer 0"), (linear, "intersections ['J1']")):
+    for doc, wanted in (
+        ({**linear, "intercept": [0.0, 0.0]}, "layer 0"),
+        (linear, "intersections ['J1']"),
+        ({**linear, "feature_ids": []}, f"model takes 1 inputs, but {fixtures_dir / 'cross.json'} needs 3 "),
+    ):
         model.write_text(json.dumps(doc))
         rc = main(
             [

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from macrosim import surrogate
 from macrosim.surrogate import (
     LinearModel,
     MlpHyper,
@@ -144,6 +145,22 @@ def test_mlp_is_deterministic_for_fixed_seed():
     assert any(not np.array_equal(a, b) for a, b in zip(m1.weights, m3.weights))
 
 
+def test_fit_mlp_trains_through_backprop_once_per_mini_batch(monkeypatch):
+    # the finite-difference check above runs the same _backprop that every training step runs
+    calls = []
+    backprop = surrogate._backprop
+
+    def spy(weights, biases, X, Y, *args):
+        calls.append(X.shape[0])
+        return backprop(weights, biases, X, Y, *args)
+
+    monkeypatch.setattr(surrogate, "_backprop", spy)
+    X, Y = _xor_clusters(seed=3, per_corner=20)  # 80 rows: 72 train in batches of 32, 32 and 8
+    model = fit_mlp(X, Y, MlpHyper(hidden=(8,), max_epochs=4, patience=4), seed=0)
+    assert model.epochs_trained == 4
+    assert calls == [32, 32, 8] * 4
+
+
 def test_mlp_early_stopping_and_best_weights():
     X, Y = _xor_clusters(seed=6, per_corner=15)
     hyper = MlpHyper(hidden=(8,), max_epochs=500, patience=3, learning_rate=0.01)
@@ -167,6 +184,13 @@ def test_mlp_input_validation():
         MlpHyper(hidden=())
     with pytest.raises(ValueError):
         fit_mlp(np.zeros((2, 2)), np.zeros(2))
+    # no epochs, no patience, a step that is not positive, a negative penalty or tolerance: refused by name
+    bad = [("max_epochs", 0), ("patience", 0), ("learning_rate", 0.0), ("learning_rate", -1.0),
+           ("alpha", -1e-4), ("tol", -1e-4), ("tol", float("nan"))]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            MlpHyper(**{field: value})
+    MlpHyper(max_epochs=1, patience=1, alpha=0.0, tol=0.0)  # the smallest accepted values
 
 
 def test_kfold_rmse_near_zero_on_noiseless_linear_data():
@@ -182,6 +206,26 @@ def test_kfold_rmse_reflects_noise_level():
     Y = Y + 0.2 * rng.standard_normal(Y.shape)
     _, mean = kfold_rmse(fit_linear, X, Y, k=5, seed=0)
     assert 0.1 < mean < 0.4
+
+
+def test_kfold_rmse_trains_each_fold_on_the_other_rows_in_shuffled_order():
+    # uneven folds (23 rows into 5); feature 0 is the row index, so each fit sees which rows it trains on
+    n, k, seed = 23, 5, 4
+    X = np.column_stack([np.arange(n, dtype=float), np.linspace(0.0, 1.0, n)])
+    Y = X @ np.array([0.5, -2.0]) + 1.0
+    seen = []
+
+    def fit(Xt, Yt):
+        seen.append(Xt[:, 0].astype(int))
+        return fit_linear(Xt, Yt)
+
+    kfold_rmse(fit, X, Y, k=k, seed=seed)
+    order = np.random.default_rng(seed).permutation(n)
+    folds = np.array_split(order, k)
+    assert sorted(len(f) for f in folds) == [4, 4, 5, 5, 5]
+    assert len(seen) == k
+    for rows, held_out in zip(seen, folds):
+        np.testing.assert_array_equal(rows, np.setdiff1d(order, held_out, assume_unique=True))
 
 
 def test_kfold_rmse_validates_k():
@@ -308,3 +352,30 @@ def test_fit_mlp_reproduces_pinned_predictions(activation, stopping):
     epochs, expected = _PINNED_MLP[(activation, stopping)]
     assert model.epochs_trained == epochs
     np.testing.assert_array_equal(predict(model, _PINNED_QUERY), np.array(expected))
+
+
+# Predictions of ``fit_mlp`` with the default architecture, hidden=(100, 50), recorded before the
+# trainer moved to in-place backprop and Adam. 80 rows leave 72 training rows, in mini-batches of
+# 32, 32 and 8 as in the benchmark's folds, so the matmuls run at the benchmark's BLAS shapes.
+# Recorded with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+_PINNED_QUERY_6 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.9, 0.5, 0.1, 0.7, 0.3, 0.2],
+                            [0.4, 0.8, 0.7, 0.0, 1.0, 0.5]])
+_PINNED_DEFAULT_MLP = {
+    "relu": [[0.0821115886303645, -0.5629422408228693],
+             [0.5325940842970392, -0.2914045758191728],
+             [0.6275260309664292, -0.7478480008567945]],
+    "tanh": [[-0.028568206740804125, -0.54234421493055],
+             [0.6758933602674044, -0.24791623440853078],
+             [0.6073944995795488, -0.9060534842327572]],
+}
+
+
+@pytest.mark.parametrize("activation", sorted(_PINNED_DEFAULT_MLP))
+def test_fit_mlp_default_architecture_reproduces_pinned_predictions(activation):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 1.0, (80, 6))
+    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2] - X[:, 5], (X[:, 3] - 0.5) ** 2 - X[:, 4]])
+    model = fit_mlp(X, Y, MlpHyper(activation=activation, max_epochs=30, patience=30), seed=5)
+    assert [W.shape for W in model.weights] == [(6, 100), (100, 50), (50, 2)]
+    assert model.epochs_trained == 30
+    np.testing.assert_array_equal(predict(model, _PINNED_QUERY_6), np.array(_PINNED_DEFAULT_MLP[activation]))
