@@ -18,7 +18,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from macrosim.dataset import feature_matrix, generate, write_csv
 from macrosim.network import load_network
-from macrosim.optimizer import DeConfig, best_training_row, optimize_config, surrogate_objective, validate_config
+from macrosim.optimizer import (
+    TARGETS, DeConfig, best_training_row, optimize_config, surrogate_objective, validate_config,
+)
 from macrosim.solver import SimParams, initialize, read_speeds_csv
 from macrosim.surrogate import fit_linear, kfold_rmse, save_model
 
@@ -54,13 +56,12 @@ def main() -> int:
           f"-> {args.out_dir / 'surrogate.json'}")
 
     report = {}
-    for target in ("speed", "queue"):
+    for target, (metric, direction) in TARGETS.items():
         opt = optimize_config(net, surrogate_objective(model, target), DeConfig(seed=0), training_rows=rows)
         metrics = validate_config(net, state0, params, opt.config)
-        train = best_training_row(rows, target)
-        got = metrics.avg_speed if target == "speed" else metrics.queue_length
-        ref = train.avg_speed if target == "speed" else train.queue_length
-        verdict = "beats" if (got >= ref if target == "speed" else got <= ref) else "misses"
+        got = getattr(metrics, metric)
+        ref = getattr(best_training_row(rows, target), metric)
+        verdict = "beats" if (got >= ref if direction == "maximize" else got <= ref) else "misses"
         print(f"[3/3] {target:>5}: optimized {got:.4f} {verdict} training best {ref:.4f}  "
               f"config {{{', '.join(f'{k}: {v.red}/{v.green}/{v.offset}' for k, v in sorted(opt.config.items()))}}}")
         report[target] = {

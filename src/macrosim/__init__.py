@@ -1,7 +1,7 @@
 """Macroscopic road-network traffic simulation with signal-timing optimization."""
 
 from .fundamental import FdParams, fit_fd, ideal_speed, invert_speed
-from .metrics import CongestionMetrics, QueueFnParams, congestion_weight
+from .metrics import CongestionMetrics, congestion_weight
 from .network import RoadNetwork, load_network, save_network, turn_angle, turn_speed_factor, validate
 from .signals import IntersectionSignal, Phase, decode, encode, sample_config
 from .solver import SimParams, SimState, check_cfl, initialize, run, step, virtual_boundaries
@@ -12,7 +12,6 @@ __all__ = [
     "ideal_speed",
     "invert_speed",
     "CongestionMetrics",
-    "QueueFnParams",
     "congestion_weight",
     "RoadNetwork",
     "load_network",

@@ -4,8 +4,8 @@ Subcommands cover the full workflow: calibrate-fd fits the speed-density
 curve to counter data, simulate runs one signal configuration, gen-dataset
 samples many random configurations into a CSV table, train-surrogate fits a
 predictive model on such a table, optimize searches for good timings against
-a surrogate (or the simulator directly), and validate re-simulates a
-configuration file under the standard protocol.
+a surrogate (or the simulator directly). validate is simulate under a
+second name, for re-simulating an optimized configuration file.
 """
 from __future__ import annotations
 
@@ -25,75 +25,81 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate-fd", help="fit the speed-density curve to counter data")
+    p.set_defaults(handler=_cmd_calibrate_fd)
     p.add_argument("--counters", required=True, help="CSV with header interval_s,count,avg_speed_mps")
     p.add_argument("--fix-vmax", type=float, default=None, help="hold the free-flow speed fixed")
     p.add_argument("--out", required=True, help="output JSON with the fitted parameters")
 
-    p = sub.add_parser("simulate", help="run one simulation and report congestion metrics")
+    p = sub.add_parser("simulate", aliases=["validate"], help="run one simulation and report congestion metrics")
+    p.set_defaults(handler=_cmd_simulate)
     _add_sim_args(p)
     p.add_argument("--heatmap", default=None, help="path prefix for per-probe density exports")
     p.add_argument("--probes", default=None, help="comma-separated snapshot times in seconds")
     p.add_argument("--out", required=True, help="output JSON with the aggregated metrics")
 
     p = sub.add_parser("gen-dataset", help="simulate many random signal configurations")
+    p.set_defaults(handler=_cmd_gen_dataset)
     _add_sim_args(p, lights=False)
     p.add_argument("--runs", type=int, required=True, help="number of configurations to sample")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (results are identical for any count)")
     p.add_argument("--out", required=True, help="output CSV table")
 
     p = sub.add_parser("train-surrogate", help="fit a surrogate model on a dataset table")
+    p.set_defaults(handler=_cmd_train_surrogate)
     p.add_argument("--data", required=True, help="dataset CSV from gen-dataset")
     p.add_argument("--model", choices=["linear", "mlp"], required=True)
-    p.add_argument("--target", choices=["speed", "queue", "both"], default="both")
+    p.add_argument("--target", choices=[*optimizer.TARGETS, "both"], default="both")
     p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", action="store_true", help="mlp only: search the small training grid first")
     p.add_argument("--out", required=True, help="output JSON model file")
 
     p = sub.add_parser("optimize", help="search for good signal timings")
+    p.set_defaults(handler=_cmd_optimize)
     p.add_argument("--network", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="surrogate model file to optimize against")
     group.add_argument("--direct", action="store_true", help="evaluate candidates by full simulation")
-    p.add_argument("--objective", choices=["speed", "queue"], required=True)
+    p.add_argument("--objective", choices=list(optimizer.TARGETS), required=True)
     p.add_argument("--data", required=True, help="training dataset CSV; best row seeds the search")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", default=None, help="initial speeds CSV (required for --direct or --validate)")
-    p.add_argument("--init-noise", type=float, default=0.05)
+    _add_protocol_args(p, init_required=False)
     p.add_argument("--state-seed", type=int, default=0, help="seed of the shared initial state")
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--pop", type=int, default=None, help="population size (default 15 x dim, max 150)")
-    p.add_argument("--horizon", type=float, default=solver.HORIZON_S)
-    p.add_argument("--warmup", type=float, default=solver.WARMUP_S)
-    p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--validate", action="store_true", help="re-simulate the optimized configuration")
     p.add_argument("--out", required=True, help="output JSON signal configuration")
     p.add_argument("--report", default=None, help="optional JSON run report")
 
-    p = sub.add_parser("validate", help="re-simulate a configuration under the standard protocol")
-    _add_sim_args(p)
-    p.add_argument("--out", required=True, help="output JSON with the simulated metrics")
-
     return parser
+
+
+def _add_protocol_args(p: argparse.ArgumentParser, init_required: bool = True) -> None:
+    """The initial state and the simulation protocol, with defaults from SimParams and the solver."""
+    needed = "" if init_required else "; required for --direct or --validate"
+    p.add_argument("--init", required=init_required,
+                   help=f"initial speeds CSV (edge_id,speed_mps; * = default{needed})")
+    p.add_argument("--horizon", type=float, default=solver.HORIZON_S)
+    p.add_argument("--warmup", type=float, default=solver.WARMUP_S)
+    p.add_argument("--dt", type=float, default=solver.SimParams.dt_s)
+    p.add_argument("--init-noise", type=float, default=solver.SimParams.init_noise)
 
 
 def _add_sim_args(p: argparse.ArgumentParser, lights: bool = True) -> None:
     p.add_argument("--network", required=True, help="road network JSON")
-    p.add_argument("--init", required=True, help="initial speeds CSV (edge_id,speed_mps; * = default)")
+    _add_protocol_args(p)
     if lights:
         p.add_argument("--lights", default=None, help="signal configuration JSON")
-    p.add_argument("--horizon", type=float, default=solver.HORIZON_S)
-    p.add_argument("--warmup", type=float, default=solver.WARMUP_S)
-    p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0, help="seed of the initialization noise")
-    p.add_argument("--init-noise", type=float, default=0.05)
 
 
-def _initial_state(args, net):
+def _initial_state(args, net, seed: int):
+    """(state0, params) from --init, --dt and --init-noise; state0 is None without --init."""
+    params = solver.SimParams(dt_s=args.dt, seed=seed, init_noise=args.init_noise)
+    if args.init is None:
+        return None, params
     speeds, default = solver.read_speeds_csv(args.init)
-    params = solver.SimParams(dt_s=args.dt, seed=args.seed, init_noise=args.init_noise)
-    state0 = solver.initialize(net, speeds, params, default_speed=default)
-    return state0, params
+    return solver.initialize(net, speeds, params, default_speed=default), params
 
 
 def _cmd_calibrate_fd(args) -> int:
@@ -111,7 +117,7 @@ def _cmd_calibrate_fd(args) -> int:
 
 def _cmd_simulate(args) -> int:
     net = load_network(args.network)
-    state0, params = _initial_state(args, net)
+    state0, params = _initial_state(args, net, args.seed)
     config = signals.load_config(args.lights) if args.lights else None
     probes = [float(t) for t in args.probes.split(",")] if args.probes else None
     result = solver.run(net, state0, config, params, horizon=args.horizon, warmup=args.warmup, probes=probes)
@@ -132,7 +138,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_gen_dataset(args) -> int:
     net = load_network(args.network)
-    state0, params = _initial_state(args, net)
+    state0, params = _initial_state(args, net, args.seed)
     rows = dataset.generate(
         net, state0, params, n_runs=args.runs, seed=args.seed, workers=args.jobs,
         horizon=args.horizon, warmup=args.warmup,
@@ -146,9 +152,9 @@ def _cmd_gen_dataset(args) -> int:
 def _cmd_train_surrogate(args) -> int:
     rows = dataset.read_csv(args.data)
     X, Y, ids = dataset.feature_matrix(rows)
-    targets = {"speed": ("avg_speed",), "queue": ("queue_length",), "both": ("avg_speed", "queue_length")}[args.target]
-    columns = {"speed": [0], "queue": [1], "both": [0, 1]}[args.target]
-    Yt = Y[:, columns]
+    names = list(optimizer.TARGETS) if args.target == "both" else [args.target]
+    targets = tuple(optimizer.TARGETS[name].metric for name in names)
+    Yt = Y[:, [optimizer.TARGET_COLUMNS[name] for name in names]]
 
     if args.model == "linear":
         def fit(Xt, Yf):
@@ -178,12 +184,7 @@ def _cmd_optimize(args) -> int:
     rows = dataset.read_csv(args.data)
     de = optimizer.DeConfig(pop_size=args.pop, max_generations=args.generations, seed=args.seed)
 
-    state0 = None
-    params = solver.SimParams(dt_s=args.dt, seed=args.state_seed, init_noise=args.init_noise)
-    if args.init:
-        speeds, default = solver.read_speeds_csv(args.init)
-        state0 = solver.initialize(net, speeds, params, default_speed=default)
-
+    state0, params = _initial_state(args, net, args.state_seed)
     for flag, wanted in (("--direct", args.direct), ("--validate", args.validate)):
         if wanted and state0 is None:
             print(f"error: {flag} needs --init to build the shared initial state", file=sys.stderr)
@@ -240,41 +241,12 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    net = load_network(args.network)
-    state0, params = _initial_state(args, net)
-    config = signals.load_config(args.lights) if args.lights else None
-    metrics = optimizer.validate_config(net, state0, params, config, horizon=args.horizon, warmup=args.warmup)
-    doc = {
-        "avg_speed_mps": metrics.avg_speed,
-        "queue_length": metrics.queue_length,
-        "samples": metrics.samples,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(f"avg_speed={metrics.avg_speed:.4f} m/s queue_length={metrics.queue_length:.4f} -> {args.out}")
-    return 0
-
-
-_HANDLERS = {
-    "calibrate-fd": _cmd_calibrate_fd,
-    "simulate": _cmd_simulate,
-    "gen-dataset": _cmd_gen_dataset,
-    "train-surrogate": _cmd_train_surrogate,
-    "optimize": _cmd_optimize,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (NetworkError, dataset.DatasetError, surrogate.SurrogateError, solver.SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return args.handler(args)
+    except (NetworkError, dataset.DatasetError, surrogate.SurrogateError, solver.SimulationError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

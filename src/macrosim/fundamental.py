@@ -242,7 +242,10 @@ def fit_fd(
 
 
 def read_counters(path) -> list[CounterSample]:
-    """Read counter samples from a CSV with header interval_s,count,avg_speed_mps."""
+    """Read counter samples from a CSV with header interval_s,count,avg_speed_mps.
+
+    Every value must be finite, counts non-negative and intervals positive.
+    """
     samples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -256,13 +259,17 @@ def read_counters(path) -> list[CounterSample]:
             if len(row) != 3:
                 raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
             try:
-                samples.append(
-                    CounterSample(
-                        interval_s=float(row[0]), count=float(row[1]), avg_speed=float(row[2])
-                    )
-                )
+                interval_s, count, avg_speed = (float(cell) for cell in row)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            for bad, rule in (
+                (not all(map(math.isfinite, (interval_s, count, avg_speed))), "values must be finite"),
+                (count < 0, "count must be >= 0"),
+                (interval_s <= 0, "interval_s must be > 0"),
+            ):
+                if bad:
+                    raise ValueError(f"{path}: line {line_no}: {rule}, got {','.join(row)}")
+            samples.append(CounterSample(interval_s=interval_s, count=count, avg_speed=avg_speed))
     return samples
 
 

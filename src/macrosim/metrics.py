@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class QueueFnParams:
-    """Logistic weight parameters: 0.5 at threshold_mps, sharper for larger steepness."""
-
-    steepness: float = 3.0
-    threshold_mps: float = 5.0
+QUEUE_STEEPNESS = 3.0      # 1/(m/s); a larger value makes the weight switch more sharply
+QUEUE_THRESHOLD_MPS = 5.0  # speed at which a cell's weight is 0.5
 
 
 @dataclass(frozen=True)
@@ -27,13 +22,15 @@ class CongestionMetrics:
     samples: int         # number of time samples aggregated
 
 
-def congestion_weight(params: QueueFnParams, v):
+def congestion_weight(v):
     """Logistic congestion weight of a speed; scalar or array.
+
+    The weight is 1 / (1 + exp(QUEUE_STEEPNESS * (v - QUEUE_THRESHOLD_MPS))).
 
     Computed from exp(-|x|), which never overflows, so large speed
     deviations in either direction stay exact 0/1.
     """
-    x = params.steepness * (np.asarray(v, dtype=float) - params.threshold_mps)
+    x = QUEUE_STEEPNESS * (np.asarray(v, dtype=float) - QUEUE_THRESHOLD_MPS)
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) where x < 0
     out = np.where(x >= 0, e, 1.0) / (1.0 + e)
     if x.ndim == 0:
@@ -41,18 +38,15 @@ def congestion_weight(params: QueueFnParams, v):
     return out
 
 
-QUEUE_FN = QueueFnParams()  # the weight every simulation's queue length uses
-
-
 def step_metrics(state):
-    """(mean speed, queue length) of one state snapshot, the queue under QUEUE_FN.
+    """(mean speed, queue length) of one state snapshot.
 
     The mean is an unweighted average over all cells of all edges. A
     (rows, cells) state gives one mean and one queue length per row.
     """
     v = state.v
     avg = np.add.reduce(v, axis=-1) / v.shape[-1]  # np.mean's own arithmetic, without its wrapper
-    queue = np.add.reduce(congestion_weight(QUEUE_FN, v), axis=-1)
+    queue = np.add.reduce(congestion_weight(v), axis=-1)
     return avg, queue
 
 

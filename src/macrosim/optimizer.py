@@ -9,7 +9,7 @@ worse than that seed under the same evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,15 @@ from . import signals
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, run
 from .surrogate import predict
 
-TARGET_COLUMNS = {"speed": 0, "queue": 1}
-DIRECTIONS = {"speed": "maximize", "queue": "minimize"}
+
+class Target(NamedTuple):
+    metric: str     # field of CongestionMetrics and DatasetRow, and the surrogate target name
+    direction: str  # "maximize" or "minimize"
+
+
+TARGETS = {"speed": Target("avg_speed", "maximize"), "queue": Target("queue_length", "minimize")}
+TARGET_COLUMNS = {name: col for col, name in enumerate(TARGETS)}  # column of each metric in feature_matrix's Y
+
 MUTATION = 0.7          # scale of the donor difference
 CROSSOVER = 0.9         # probability that a coordinate comes from the mutant
 CONVERGENCE_TOL = 1e-8  # relative population value spread at which a search stops
@@ -31,6 +38,10 @@ class DeConfig:
     pop_size: int | None = None   # default: 15 * dim, capped at 150
     max_generations: int = 300
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_generations < 0:
+            raise ValueError(f"max_generations must be >= 0, got {self.max_generations!r}")
 
     def resolved_pop_size(self, dim: int) -> int:
         if self.pop_size is not None:
@@ -157,16 +168,20 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     )
 
 
+def _lookup(target: str) -> Target:
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {sorted(TARGETS)}, got {target!r}")
+    return TARGETS[target]
+
+
 def surrogate_objective(model, target: str) -> Objective:
     """Objective that reads one target's prediction from a surrogate model."""
-    if target not in TARGET_COLUMNS:
-        raise ValueError(f"target must be one of {sorted(TARGET_COLUMNS)}")
-    wanted = {"speed": "avg_speed", "queue": "queue_length"}[target]
+    metric, direction = _lookup(target)
     names = list(model.targets)
-    if wanted not in names:
-        raise ValueError(f"model predicts {names}, not {wanted}; retrain with that target")
-    column = names.index(wanted)
-    return Objective(name=target, direction=DIRECTIONS[target], evaluate_batch=lambda X: predict(model, X)[:, column])
+    if metric not in names:
+        raise ValueError(f"model predicts {names}, not {metric}; retrain with that target")
+    column = names.index(metric)
+    return Objective(name=target, direction=direction, evaluate_batch=lambda X: predict(model, X)[:, column])
 
 
 def simulation_objective(
@@ -181,26 +196,24 @@ def simulation_objective(
 
     Its batch evaluator simulates every row of a population in one batched ``run``.
     """
-    if target not in TARGET_COLUMNS:
-        raise ValueError(f"target must be one of {sorted(TARGET_COLUMNS)}")
-    metric = "avg_speed" if target == "speed" else "queue_length"
+    metric, direction = _lookup(target)
 
     def evaluate_batch(X: np.ndarray) -> list[float]:
         configs = [signals.decode(x, net) for x in np.asarray(X, dtype=float)]
         results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
         return [getattr(r.metrics, metric) for r in results]
 
-    return Objective(name=target, direction=DIRECTIONS[target], evaluate_batch=evaluate_batch)
+    return Objective(name=target, direction=direction, evaluate_batch=evaluate_batch)
 
 
 def best_training_row(rows, target: str):
     """Best successful dataset row under a target's direction, or None."""
+    metric, direction = _lookup(target)
     ok = [r for r in rows if r.ok]
     if not ok:
         return None
-    if target == "speed":
-        return max(ok, key=lambda r: r.avg_speed)
-    return min(ok, key=lambda r: r.queue_length)
+    best = max if direction == "maximize" else min
+    return best(ok, key=lambda r: getattr(r, metric))
 
 
 @dataclass

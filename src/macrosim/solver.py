@@ -447,10 +447,11 @@ def run(
 def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:
     """Per-edge observed speeds from a CSV with header edge_id,speed_mps.
 
-    A row with edge_id ``*`` sets the default speed for unlisted edges.
+    A row with edge_id ``*`` sets the default speed for unlisted edges. Each
+    edge_id, ``*`` included, may appear once.
     """
     speeds: dict[str, float] = {}
-    default = None
+    first_line: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -465,11 +466,12 @@ def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:
                 value = float(row[1])
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: speed_mps is not a number: {row[1]!r}") from None
-            if row[0].strip() == "*":
-                default = value
-            else:
-                speeds[row[0].strip()] = value
-    return speeds, default
+            edge_id = row[0].strip()
+            first = first_line.setdefault(edge_id, line_no)
+            if first != line_no:
+                raise ValueError(f"{path}: line {line_no}: edge_id {edge_id!r} already given on line {first}")
+            speeds[edge_id] = value
+    return speeds, speeds.pop("*", None)
 
 
 def write_heatmap_csv(net: RoadNetwork, snapshot: Snapshot, path) -> None:
@@ -497,9 +499,11 @@ def write_heatmap_pgm(net: RoadNetwork, snapshot: Snapshot, path) -> None:
 
 
 def write_metrics_json(result: RunResult, path) -> None:
+    """The one metrics document of simulate and validate: the metrics, their sample count, the step counts."""
     doc = {
         "avg_speed_mps": result.metrics.avg_speed,
         "queue_length": result.metrics.queue_length,
+        "samples": result.metrics.samples,
         "steps": result.steps,
         "warmup_steps": result.warmup_steps,
     }

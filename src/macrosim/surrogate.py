@@ -23,6 +23,10 @@ class SurrogateError(Exception):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LinearModel:
     weights: np.ndarray    # (n_features, n_targets)
@@ -46,11 +50,11 @@ class MlpHyper:
     def __post_init__(self):
         if self.activation not in ("relu", "tanh"):
             raise ValueError("activation must be 'relu' or 'tanh'")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden layer sizes must be positive")
+        sizes = self.hidden if isinstance(self.hidden, tuple | list) else ()
         for name, ok, rule in (
-            ("max_epochs", self.max_epochs >= 1, ">= 1"),
-            ("patience", self.patience >= 1, ">= 1"),
+            ("hidden", sizes and all(_is_int(h) and h >= 1 for h in sizes), "a non-empty sequence of integers >= 1"),
+            ("max_epochs", _is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1"),
+            ("patience", _is_int(self.patience) and self.patience >= 1, "an integer >= 1"),
             ("learning_rate", self.learning_rate > 0, "> 0"),
             ("alpha", self.alpha >= 0, ">= 0"),
             ("tol", self.tol >= 0, ">= 0"),

@@ -12,7 +12,7 @@ import pytest
 
 from macrosim.dataset import feature_matrix, generate, write_csv
 from macrosim.fundamental import FdParams, fit_fd, ideal_speed, invert_speed
-from macrosim.metrics import QueueFnParams, congestion_weight
+from macrosim.metrics import congestion_weight
 from macrosim.optimizer import (
     DeConfig,
     Objective,
@@ -151,13 +151,12 @@ def test_c06_signal_queue_dynamics(cross_net):
         params = SimParams(seed=1)
         state = initialize(cross_net, {}, params, default_speed=8.0)
         sl = cross_net.cell_slice("n_in")
-        qp = QueueFnParams()
 
         series = []
         for _ in range(240):  # 120 s: red [0, 59), green [59, 89), red again
             phases = edge_phases(cross_net, config, state.t)
             state = step(cross_net, state, virtual_boundaries(cross_net, state, phases, params), phases, params)
-            qmass = float(np.sum(congestion_weight(qp, state.v[sl])))
+            qmass = float(np.sum(congestion_weight(state.v[sl])))
             series.append((state.t, float(state.v[sl.stop - 1]), qmass))
 
         for t, v_stop, _ in series:
@@ -228,7 +227,7 @@ def test_c09_fundamental_diagram_consistency(roadcats_net, fixtures_dir):
 
 def test_c10_metrics_and_correlation(training):
     with criterion(10, "F(5)=0.5 exactly; speed/queue correlation negative on 100 runs"):
-        assert congestion_weight(QueueFnParams(), 5.0) == 0.5
+        assert congestion_weight(5.0) == 0.5
         _, _, rows = training
         ok = [r for r in rows if r.ok]
         assert len(ok) >= 90

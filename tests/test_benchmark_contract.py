@@ -7,9 +7,11 @@ import pathlib
 
 import numpy as np
 
+from macrosim import optimizer
+from macrosim.dataset import generate
 from macrosim.optimizer import surrogate_objective
-from macrosim.solver import SimParams
-from macrosim.surrogate import fit_linear
+from macrosim.solver import SimParams, initialize, read_speeds_csv
+from macrosim.surrogate import MlpHyper, fit_linear, grid_search_mlp
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +34,23 @@ def test_values_the_benchmark_reads():
 
     params = SimParams(seed=3)
     assert (params.jam_density, params.density_floor) == (0.2, 1e-4)
+
+    # the surrogate workload's analytic corner reads one target's column of a two-target linear model
+    assert optimizer.TARGET_COLUMNS == {"speed": 0, "queue": 1}
+    col = optimizer.TARGET_COLUMNS["queue"]
+    np.testing.assert_allclose(model.weights[:, col], [-1.0, 0.0], atol=1e-6)  # up to the ridge term
+    assert abs(model.intercept[col] - 2.0) < 1e-6
+    assert abs(optimizer.predict(model, np.array([1.0, 0.0]))[col] - 1.0) < 1e-9
+
+
+def test_keywords_the_benchmark_passes(cross_net, fixtures_dir):
+    X = np.random.default_rng(0).random((8, 2))
+    base = MlpHyper(hidden=(2,), max_epochs=1, patience=1)
+    best, results = grid_search_mlp(X, X.sum(axis=1), seed=0, k=2, base=base)
+    assert all((h.hidden, h.max_epochs, h.patience) == ((2,), 1, 1) for h, _ in results)
+
+    speeds, default = read_speeds_csv(fixtures_dir / "cross_init.csv")
+    params = SimParams(seed=0)
+    state0 = initialize(cross_net, speeds, params, default_speed=default)
+    rows = generate(cross_net, state0, params, n_runs=2, seed=1, workers=1, horizon=2.0, warmup=0.0)
+    assert [r.ok for r in rows] == [True, True]

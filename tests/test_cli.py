@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import macrosim
-from macrosim.cli import main
+from macrosim.cli import _build_parser, main
 from macrosim.dataset import read_csv
 from macrosim.signals import load_config
+from macrosim.solver import HORIZON_S, WARMUP_S, SimParams
 from macrosim.surrogate import LinearModel, MlpModel, load_model
 
 
@@ -230,24 +231,44 @@ def test_optimize_validate_without_init_fails_before_the_search(cli_dataset, fix
     assert not cfg_path.exists()
 
 
-def test_validate_command(fixtures_dir, tmp_path):
-    out = tmp_path / "val.json"
-    rc = main(
-        [
-            "validate",
-            "--network", str(fixtures_dir / "cross.json"),
-            "--init", str(fixtures_dir / "cross_init.csv"),
-            "--lights", str(fixtures_dir / "cross_lights.json"),
-            "--horizon", "20",
-            "--warmup", "5",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    assert doc["samples"] == 30
+def test_validate_command(fixtures_dir, tmp_path, capsys):
+    # validate is simulate under a second name: same flags, same metrics document
+    docs = []
+    for command in ("simulate", "validate"):
+        out = tmp_path / f"{command}.json"
+        rc = main(
+            [
+                command,
+                "--network", str(fixtures_dir / "cross.json"),
+                "--init", str(fixtures_dir / "cross_init.csv"),
+                "--lights", str(fixtures_dir / "cross_lights.json"),
+                "--horizon", "20",
+                "--warmup", "5",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert "(30 samples)" in capsys.readouterr().out
+        docs.append(json.loads(out.read_text()))
+    assert docs[0] == docs[1]
+    doc = docs[1]
+    assert list(doc) == ["avg_speed_mps", "queue_length", "samples", "steps", "warmup_steps"]
+    assert (doc["samples"], doc["steps"], doc["warmup_steps"]) == (30, 40, 10)
     assert doc["avg_speed_mps"] > 0
     assert doc["queue_length"] >= 0
+
+
+def test_protocol_defaults_come_from_sim_params():
+    parser = _build_parser()
+    for argv in (
+        ["simulate", "--network", "n.json", "--init", "i.csv", "--out", "o.json"],
+        ["validate", "--network", "n.json", "--init", "i.csv", "--out", "o.json"],
+        ["gen-dataset", "--network", "n.json", "--init", "i.csv", "--runs", "1", "--out", "o.csv"],
+        ["optimize", "--network", "n.json", "--direct", "--objective", "speed", "--data", "d.csv", "--out", "o.json"],
+    ):
+        args = parser.parse_args(argv)
+        assert (args.dt, args.init_noise) == (SimParams.dt_s, SimParams.init_noise)
+        assert (args.horizon, args.warmup) == (HORIZON_S, WARMUP_S)
 
 
 def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
@@ -365,6 +386,23 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and wanted in err
+
+    # a negative generation count is refused by name before the search starts
+    rc = main(
+        [
+            "optimize",
+            "--network", str(fixtures_dir / "cross.json"),
+            "--direct",
+            "--objective", "speed",
+            "--data", str(cli_dataset),
+            "--init", str(fixtures_dir / "cross_init.csv"),
+            "--generations", "-3",
+            "--out", str(tmp_path / "best.json"),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: max_generations must be >= 0, got -3\n"
+    assert not (tmp_path / "best.json").exists()
 
     # direct optimization requires an initial state
     rc = main(

@@ -198,3 +198,12 @@ def test_counter_csv_reports_bad_line(tmp_path):
     path.write_text("interval_s,count,avg_speed_mps\n300,2\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: expected 3 columns"):
         read_counters(path)
+
+    # a negative count, a non-positive interval or a non-finite value names the line and the rule
+    good = "300,150,10\n"
+    for row, rule in [("300,-1,10", "count must be >= 0"), ("0,150,10", "interval_s must be > 0"),
+                      ("-300,150,10", "interval_s must be > 0"), ("300,nan,10", "values must be finite"),
+                      ("300,150,inf", "values must be finite"), ("inf,150,10", "values must be finite")]:
+        path.write_text(f"interval_s,count,avg_speed_mps\n{good}{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: {rule}, got {re.escape(row)}$"):
+            read_counters(path)

@@ -86,6 +86,9 @@ def test_de_default_population_sizing():
     assert DeConfig(pop_size=40).resolved_pop_size(6) == 40
     with pytest.raises(ValueError):
         DeConfig(pop_size=3).resolved_pop_size(6)
+    DeConfig(max_generations=0)  # score the initial population only
+    with pytest.raises(ValueError, match="^max_generations must be >= 0, got -3$"):
+        DeConfig(max_generations=-3)
 
 
 def test_de_is_deterministic():
@@ -156,6 +159,8 @@ def test_best_training_row_per_direction():
     assert best_training_row(rows, "speed").run_id == 1
     assert best_training_row(rows, "queue").run_id == 1
     assert best_training_row([rows[3]], "speed") is None
+    with pytest.raises(ValueError, match="target must be one of"):
+        best_training_row(rows, "throughput")
 
 
 def test_optimize_config_never_worse_than_training_seed(cross_net):

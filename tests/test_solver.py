@@ -606,6 +606,15 @@ def test_read_speeds_csv(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2: expected 2 columns"):
         read_speeds_csv(bad)
 
+    # a repeated edge or a second default row would silently override the first
+    bad.write_text("edge_id,speed_mps\nn_in,5\n*,6\nn_in,12\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 4: edge_id 'n_in' already given on line 2$"):
+        read_speeds_csv(bad)
+
+    bad.write_text("edge_id,speed_mps\n*,6\nn_in,5\n * ,7\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 4: edge_id '\\*' already given on line 2$"):
+        read_speeds_csv(bad)
+
 
 def test_heatmap_and_metrics_outputs(tmp_path, ring_net):
     params = SimParams(init_noise=0.0)
@@ -635,8 +644,8 @@ def test_heatmap_and_metrics_outputs(tmp_path, ring_net):
     json_path = tmp_path / "metrics.json"
     write_metrics_json(result, json_path)
     doc = json.loads(json_path.read_text())
-    assert doc["avg_speed_mps"] == result.metrics.avg_speed
-    assert doc["steps"] == 10
+    assert doc == {"avg_speed_mps": result.metrics.avg_speed, "queue_length": result.metrics.queue_length,
+                   "samples": 10, "steps": 10, "warmup_steps": 0}
 
 
 def test_sim_params_validation():

@@ -187,10 +187,14 @@ def test_mlp_input_validation():
     # no epochs, no patience, a step that is not positive, a negative penalty or tolerance: refused by name
     bad = [("max_epochs", 0), ("patience", 0), ("learning_rate", 0.0), ("learning_rate", -1.0),
            ("alpha", -1e-4), ("tol", -1e-4), ("tol", float("nan"))]
+    # sizes and epoch counts that are not integers (floats, bools, a bare size): refused by name too
+    bad += [("hidden", (2.5,)), ("hidden", (8, True)), ("hidden", 8), ("hidden", (0,)),
+            ("max_epochs", 2.5), ("max_epochs", True), ("patience", 1.5), ("patience", True)]
     for field, value in bad:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             MlpHyper(**{field: value})
     MlpHyper(max_epochs=1, patience=1, alpha=0.0, tol=0.0)  # the smallest accepted values
+    MlpHyper(hidden=[np.int64(3)], max_epochs=np.int64(2))  # numpy integers and a list of sizes are fine
 
 
 def test_kfold_rmse_near_zero_on_noiseless_linear_data():
