@@ -10,10 +10,10 @@ second name, for re-simulating an optimized configuration file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import dataset, fundamental, optimizer, signals, solver, surrogate
+from ._files import write_json
 from .network import NetworkError, load_network
 
 
@@ -103,9 +103,7 @@ def _initial_state(args, net, seed: int):
 
 
 def _cmd_calibrate_fd(args) -> int:
-    counters = fundamental.read_counters(args.counters)
-    samples = fundamental.samples_from_counters(counters)
-    fit = fundamental.fit_fd(samples, fixed_v_max=args.fix_vmax)
+    fit = fundamental.fit_fd(fundamental.read_counters(args.counters), fixed_v_max=args.fix_vmax)
     fundamental.save_fit(fit, args.out)
     status = "converged" if fit.converged else "NOT converged (iteration cap hit)"
     print(
@@ -189,6 +187,8 @@ def _cmd_optimize(args) -> int:
         if wanted and state0 is None:
             print(f"error: {flag} needs --init to build the shared initial state", file=sys.stderr)
             return 1
+    if state0 is not None:  # before the search, not after it
+        solver.check_protocol(net, params, args.horizon, args.warmup)
     if args.direct:
         objective = optimizer.simulation_objective(
             net, state0, params, args.objective, horizon=args.horizon, warmup=args.warmup
@@ -230,9 +230,7 @@ def _cmd_optimize(args) -> int:
         "history": result.de.history,
     }
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_json(report, args.report)
     verb = "max" if result.direction == "maximize" else "min"
     line = f"optimized {result.objective} ({verb}): predicted={result.predicted:.4f}"
     if simulated:

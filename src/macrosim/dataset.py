@@ -8,14 +8,14 @@ processes computed it.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import read_table, write_table
 from .signals import IntersectionSignal, sample_config
-from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, run
+from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
 
 
 class DatasetError(Exception):
@@ -93,10 +93,12 @@ def generate(
 
     Rows are ordered by run_id. The runs are split into contiguous chunks,
     at least one per worker and at most CHUNK_ROWS rows each, and every
-    chunk is simulated as one batched run. A run that raises (a non-finite
-    state, or any other exception) becomes a failed row with NaN metrics
-    whose status names the exception, instead of stopping the batch. Worker
-    processes and chunking only change wall time, never results.
+    chunk is simulated as one batched run. An error that would fail every
+    row (the checks of ``check_protocol``) raises before any run starts; a run
+    that raises otherwise (a non-finite state, or any other exception) becomes
+    a failed row with NaN metrics whose status names the exception, instead of
+    stopping the batch. Worker processes and chunking only change wall time,
+    never results.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -104,6 +106,7 @@ def generate(
         raise ValueError("workers must be >= 1")
     if not net.signalized_ids():
         raise ValueError("network has no signalized intersections; nothing to vary")
+    check_protocol(net, params, horizon, warmup)
 
     jobs = [(i, child_seed(seed, i)) for i in range(n_runs)]
     n_chunks = max(min(workers, n_runs), -(-n_runs // CHUNK_ROWS))
@@ -119,90 +122,42 @@ def generate(
         return [row for rows in pool.map(_run_chunk, chunks) for row in rows]
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _header(ids) -> list[str]:
+    """Columns of a dataset table: run_id, seed, one red/green/offset triple per intersection, both metrics, status."""
+    return ["run_id", "seed", *(f"{iid}_{part}" for iid in ids for part in ("red", "green", "offset")),
+            "avg_speed", "queue_length", "status"]
+
+
+def _ids(header) -> list[str]:
+    return [h[: -len("_red")] for h in header if h.endswith("_red")]
 
 
 def write_csv(rows: list[DatasetRow], path) -> None:
-    """Write a dataset table; columns are run_id, seed, one red/green/offset
-    triple per intersection in sorted-id order, both metrics, status."""
+    """Write a dataset table, intersections in sorted-id order; floats at full precision."""
     if not rows:
         raise DatasetError("refusing to write an empty dataset")
     ids = sorted(rows[0].config)
-    header = ["run_id", "seed"]
-    for iid in ids:
-        header += [f"{iid}_red", f"{iid}_green", f"{iid}_offset"]
-    header += ["avg_speed", "queue_length", "status"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            if sorted(row.config) != ids:
-                raise DatasetError(f"run {row.run_id}: configuration covers different intersections")
-            record = [row.run_id, row.seed]
-            for iid in ids:
-                sig = row.config[iid]
-                record += [sig.red, sig.green, sig.offset]
-            record += [_format_float(row.avg_speed), _format_float(row.queue_length), row.status]
-            writer.writerow(record)
+    records = []
+    for row in rows:
+        if sorted(row.config) != ids:
+            raise DatasetError(f"run {row.run_id}: configuration covers different intersections")
+        timings = [t for iid in ids for t in (row.config[iid].red, row.config[iid].green, row.config[iid].offset)]
+        records.append([row.run_id, row.seed, *timings, float(row.avg_speed), float(row.queue_length), row.status])
+    write_table(_header(ids), records, path)
 
 
 def read_csv(path) -> list[DatasetRow]:
-    """Read a dataset table back; full-precision floats round-trip exactly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-
-        for required in ("run_id", "seed", "avg_speed", "queue_length", "status"):
-            if required not in header:
-                raise DatasetError(f"{path}: missing column {required}")
-        timing_cols = [h for h in header if h not in ("run_id", "seed", "avg_speed", "queue_length", "status")]
-        ids = []
-        for col in timing_cols:
-            if col.endswith("_red"):
-                ids.append(col[: -len("_red")])
-        for iid in ids:
-            for suffix in ("_red", "_green", "_offset"):
-                if f"{iid}{suffix}" not in header:
-                    raise DatasetError(f"{path}: missing column {iid}{suffix}")
-        expected_timing = {f"{iid}{suffix}" for iid in ids for suffix in ("_red", "_green", "_offset")}
-        stray = [c for c in timing_cols if c not in expected_timing]
-        if stray:
-            raise DatasetError(f"{path}: unrecognized columns {stray}")
-        index = {name: i for i, name in enumerate(header)}
-
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) != len(header):
-                raise DatasetError(
-                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(record)}"
-                )
-            try:
-                config = {
-                    iid: IntersectionSignal(
-                        red=int(record[index[f"{iid}_red"]]),
-                        green=int(record[index[f"{iid}_green"]]),
-                        offset=int(record[index[f"{iid}_offset"]]),
-                    )
-                    for iid in ids
-                }
-                rows.append(
-                    DatasetRow(
-                        run_id=int(record[index["run_id"]]),
-                        seed=int(record[index["seed"]]),
-                        config=config,
-                        avg_speed=float(record[index["avg_speed"]]),
-                        queue_length=float(record[index["queue_length"]]),
-                        status=record[index["status"]],
-                    )
-                )
-            except ValueError as exc:
-                raise DatasetError(f"{path}: line {line_no}: {exc}") from None
+    """Read a table as write_csv writes it, its intersection ids taken from the _red columns; floats round-trip exactly."""
+    header, records = read_table(path, lambda found: _header(_ids(found)), DatasetError)
+    ids = _ids(header)
+    rows = []
+    for line_no, cells in records:
+        try:
+            timings = [int(cell) for cell in cells[2:-3]]
+            config = {iid: IntersectionSignal(*timings[3 * j:3 * j + 3]) for j, iid in enumerate(ids)}
+            rows.append(DatasetRow(int(cells[0]), int(cells[1]), config, float(cells[-3]), float(cells[-2]), cells[-1]))
+        except ValueError as exc:
+            raise DatasetError(f"{path}: line {line_no}: {exc}") from None
     return rows
 
 

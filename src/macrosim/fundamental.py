@@ -10,13 +10,13 @@ counter data aggregated over 5-minute intervals.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._files import read_table, write_json
 
 DEFAULT_V_MAX = 13.68  # m/s
 DEFAULT_RHO_CR = 0.05  # cars/m per lane
@@ -44,15 +44,6 @@ class FdParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"FdParams.{name} must be finite and > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class CounterSample:
-    """One aggregated reading from a stationary traffic counter."""
-
-    interval_s: float  # aggregation window length in seconds
-    count: float       # vehicles seen during the window
-    avg_speed: float   # mean speed during the window, m/s
 
 
 @dataclass(frozen=True)
@@ -112,21 +103,6 @@ def invert_speed(params: FdParams, v):
     if np.ndim(v) == 0:
         return float(rho)
     return rho
-
-
-def density_from_counter(sample: CounterSample) -> float:
-    """Density implied by a counter reading: count / (interval * speed).
-
-    Vehicles passing at speed v during T seconds cover v*T meters, so the
-    count divided by that distance is a density in cars/m.
-    """
-    if sample.interval_s <= 0:
-        raise ValueError("interval_s must be > 0")
-    if sample.avg_speed <= 0:
-        raise ValueError("avg_speed must be > 0")
-    if sample.count < 0:
-        raise ValueError("count must be >= 0")
-    return sample.count / (sample.interval_s * sample.avg_speed)
 
 
 def _nelder_mead(func, x0, max_iter):
@@ -241,45 +217,33 @@ def fit_fd(
     return FdFit(params=FdParams(*params_of(x)), sse=sse, converged=converged, iterations=iterations)
 
 
-def read_counters(path) -> list[CounterSample]:
-    """Read counter samples from a CSV with header interval_s,count,avg_speed_mps.
+def read_counters(path) -> list[tuple[float, float]]:
+    """(density, speed) samples from a counter CSV with header interval_s,count,avg_speed_mps.
 
-    Every value must be finite, counts non-negative and intervals positive.
+    Each row is one aggregated reading of a stationary counter. Vehicles
+    passing at speed v during T seconds cover v*T meters, so the row's density
+    is count / (interval_s * avg_speed_mps) in cars/m. Every value must be
+    finite, counts non-negative and intervals positive; a row whose speed is
+    not positive gives no sample.
     """
+    _, rows = read_table(path, ["interval_s", "count", "avg_speed_mps"])
     samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["interval_s", "count", "avg_speed_mps"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: counter CSV must have header {','.join(expected)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
-            try:
-                interval_s, count, avg_speed = (float(cell) for cell in row)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            for bad, rule in (
-                (not all(map(math.isfinite, (interval_s, count, avg_speed))), "values must be finite"),
-                (count < 0, "count must be >= 0"),
-                (interval_s <= 0, "interval_s must be > 0"),
-            ):
-                if bad:
-                    raise ValueError(f"{path}: line {line_no}: {rule}, got {','.join(row)}")
-            samples.append(CounterSample(interval_s=interval_s, count=count, avg_speed=avg_speed))
+    for line_no, cells in rows:
+        try:
+            interval_s, count, avg_speed = (float(cell) for cell in cells)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        for bad, rule in (
+            (not all(map(math.isfinite, (interval_s, count, avg_speed))), "values must be finite"),
+            (count < 0, "count must be >= 0"),
+            (interval_s <= 0, "interval_s must be > 0"),
+        ):
+            if bad:
+                raise ValueError(f"{path}: line {line_no}: {rule}, got {','.join(cells)}")
+        if avg_speed > 0:
+            samples.append((count / (interval_s * avg_speed), avg_speed))
     return samples
 
 
-def samples_from_counters(counters) -> list[tuple[float, float]]:
-    """Convert counter readings to (density, speed) pairs for fitting."""
-    return [(density_from_counter(c), c.avg_speed) for c in counters if c.avg_speed > 0]
-
-
 def save_fit(fit: FdFit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit.to_dict(), fh, indent=2)
-        fh.write("\n")
-
+    write_json(fit.to_dict(), path)

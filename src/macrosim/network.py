@@ -8,10 +8,10 @@ coordinates only provide geometry for turn angles.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from ._files import read_json, write_json
 from .fundamental import FdParams
 
 CELL_TARGET_M = 10.0
@@ -213,6 +213,19 @@ def validate(net: RoadNetwork) -> list[str]:
                     f"intersection {ix.id}: turn weights from {e_in} are declared but sum to 0"
                 )
 
+        center = net.nodes.get(ix.node)
+        for (e_in, e_out), w in ix.turn_weights.items():
+            # the solver caps every positive-weight movement's speed by its turn angle, which needs two rays
+            if not (w > 0 and center is not None and e_in in net.edges and e_out in net.edges):
+                continue
+            for end in (net.edges[e_in].from_node, net.edges[e_out].to_node):
+                node = net.nodes.get(end)
+                if node is not None and (node.x, node.y) == (center.x, center.y):
+                    problems.append(
+                        f"intersection {ix.id}: turn ({e_in}, {e_out}) has a zero-length ray: "
+                        f"node {end} sits on junction node {ix.node}"
+                    )
+
         if ix.signalized:
             set_a, set_b = set(ix.group_a), set(ix.group_b)
             if not set_a or not set_b:
@@ -265,12 +278,7 @@ def _fd_from_doc(doc: dict) -> FdParams:
 
 def load_network(path) -> RoadNetwork:
     """Load and validate a network document; raises NetworkError on problems."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise NetworkError(f"cannot parse {path}: {exc}") from None
-
+    doc = read_json(path, NetworkError)
     try:
         nodes = [Node(id=str(n["id"]), x=float(n["x"]), y=float(n["y"])) for n in doc["nodes"]]
         edges = []
@@ -375,6 +383,4 @@ def save_network(net: RoadNetwork, path) -> None:
                 "group_b": list(i.group_b),
             }
         )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, path)

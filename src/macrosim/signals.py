@@ -8,12 +8,13 @@ in [0, red + green - 1].
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._files import read_json, write_json
 
 RED_GREEN_MIN = 20
 RED_GREEN_MAX = 54
@@ -162,13 +163,8 @@ def decode(vector: np.ndarray, net) -> dict:
 
 
 def save_config(config: dict, path) -> None:
-    doc = {
-        iid: {"red": sig.red, "green": sig.green, "offset": sig.offset}
-        for iid, sig in sorted(config.items())
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    doc = {iid: {"red": sig.red, "green": sig.green, "offset": sig.offset} for iid, sig in sorted(config.items())}
+    write_json(doc, path)
 
 
 def load_config(path) -> dict:
@@ -176,15 +172,8 @@ def load_config(path) -> dict:
 
     A malformed document or entry raises ValueError naming the file and the intersection.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: cannot parse JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object mapping intersection ids to timings")
     config = {}
-    for iid, timing in doc.items():
+    for iid, timing in read_json(path).items():
         try:
             if not isinstance(timing, dict) or not {"red", "green", "offset"} <= timing.keys():
                 raise ValueError("expected an object with red, green and offset")

@@ -26,14 +26,13 @@ per-edge dict views of the same two kernels.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
 
 import numpy as np
 
+from ._files import read_table, write_json, write_table
 from .fundamental import ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
@@ -72,8 +71,8 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt_s <= 0:
-            raise ValueError("SimParams.dt_s must be > 0")
+        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
+            raise ValueError(f"SimParams.dt_s must be finite and > 0, got {self.dt_s!r}")
         if not (0 <= self.init_noise < 1):
             raise ValueError("init_noise must be in [0, 1)")
 
@@ -125,11 +124,26 @@ class RunResult:
 
 def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
     """Stability ratios v_max * dt / dx per edge; ok iff none exceeds 1."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     ratios = {eid: net.edges[eid].free_flow_speed * dt / net.edges[eid].cell_length for eid in net.edge_order}
     violations = tuple((eid, ratio) for eid, ratio in ratios.items() if ratio > 1.0 + 1e-12)
     return CflReport(ok=not violations, ratios=ratios, violations=violations)
+
+
+def check_protocol(net: RoadNetwork, params: SimParams, horizon: float, warmup: float) -> None:
+    """The checks ``run`` makes before it starts: the CFL condition, a finite horizon > 0, warmup in [0, horizon)."""
+    report = check_cfl(net, params.dt_s)
+    if not report.ok:
+        worst = ", ".join(f"{eid} (ratio {ratio:.3f})" for eid, ratio in report.violations)
+        raise CflError(
+            f"time step {params.dt_s}s violates the stability condition v_max*dt/dx <= 1 "
+            f"on: {worst}; reduce dt or use longer cells"
+        )
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if not (0 <= warmup < horizon):
+        raise ValueError(f"warmup must be in [0, horizon) = [0, {horizon!r}), got {warmup!r}")
 
 
 def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are no rows
@@ -384,17 +398,7 @@ def run(
     network, and the result is a list with one RunResult per entry, each
     bit-identical to the run of that configuration alone.
     """
-    report = check_cfl(net, params.dt_s)
-    if not report.ok:
-        worst = ", ".join(f"{eid} (ratio {ratio:.3f})" for eid, ratio in report.violations)
-        raise CflError(
-            f"time step {params.dt_s}s violates the stability condition v_max*dt/dx <= 1 "
-            f"on: {worst}; reduce dt or use longer cells"
-        )
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if not (0 <= warmup < horizon):
-        raise ValueError("warmup must be in [0, horizon)")
+    check_protocol(net, params, horizon, warmup)
     configs = config if isinstance(config, list) else [config]
     if not configs:
         raise ValueError("config list is empty")
@@ -452,37 +456,27 @@ def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:
     """
     speeds: dict[str, float] = {}
     first_line: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["edge_id", "speed_mps"]:
-            raise ValueError(f"{path}: initial speeds CSV must have header edge_id,speed_mps")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: speed_mps is not a number: {row[1]!r}") from None
-            edge_id = row[0].strip()
-            first = first_line.setdefault(edge_id, line_no)
-            if first != line_no:
-                raise ValueError(f"{path}: line {line_no}: edge_id {edge_id!r} already given on line {first}")
-            speeds[edge_id] = value
+    _, rows = read_table(path, ["edge_id", "speed_mps"])
+    for line_no, (edge_id, speed) in rows:
+        try:
+            value = float(speed)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: speed_mps is not a number: {speed!r}") from None
+        edge_id = edge_id.strip()
+        first = first_line.setdefault(edge_id, line_no)
+        if first != line_no:
+            raise ValueError(f"{path}: line {line_no}: edge_id {edge_id!r} already given on line {first}")
+        speeds[edge_id] = value
     return speeds, speeds.pop("*", None)
 
 
 def write_heatmap_csv(net: RoadNetwork, snapshot: Snapshot, path) -> None:
     """Per-cell density and speed of one snapshot as edge_id,cell_index,rho,v rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge_id", "cell_index", "rho", "v"])
-        for eid in net.edge_order:
-            sl = net.cell_slice(eid)
-            for i in range(sl.stop - sl.start):
-                writer.writerow([eid, i + 1, repr(float(snapshot.rho[sl.start + i])), repr(float(snapshot.v[sl.start + i]))])
+    records = []
+    for eid in net.edge_order:
+        sl = net.cell_slice(eid)  # tolist gives Python floats, which the CSV writer writes at full precision
+        records += ([eid, i, rho, v] for i, (rho, v) in enumerate(zip(snapshot.rho[sl].tolist(), snapshot.v[sl].tolist()), 1))
+    write_table(["edge_id", "cell_index", "rho", "v"], records, path)
 
 
 def write_heatmap_pgm(net: RoadNetwork, snapshot: Snapshot, path) -> None:
@@ -500,13 +494,10 @@ def write_heatmap_pgm(net: RoadNetwork, snapshot: Snapshot, path) -> None:
 
 def write_metrics_json(result: RunResult, path) -> None:
     """The one metrics document of simulate and validate: the metrics, their sample count, the step counts."""
-    doc = {
+    write_json({
         "avg_speed_mps": result.metrics.avg_speed,
         "queue_length": result.metrics.queue_length,
         "samples": result.metrics.samples,
         "steps": result.steps,
         "warmup_steps": result.warmup_steps,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    }, path)

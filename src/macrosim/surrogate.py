@@ -9,10 +9,11 @@ reported as the k-fold cross-validated RMSE pooled over all held-out rows.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._files import read_json, write_json
 
 RIDGE = 1e-8               # ridge term of the linear fit's normal equations
 BATCH_SIZE = 32            # MLP mini-batch rows
@@ -348,9 +349,7 @@ def save_model(model, path) -> None:
         }
     else:
         raise TypeError(f"unknown model type {type(model)!r}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def _numbers(value) -> np.ndarray:
@@ -399,13 +398,7 @@ def load_model(path):
 
     The arrays must also chain from layer to layer to one output per target (see _check_shapes).
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SurrogateError(f"{path}: cannot parse JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SurrogateError(f"{path}: expected a JSON object")
+    doc = read_json(path, SurrogateError)
 
     def get(key, convert):
         if key not in doc:

@@ -271,6 +271,27 @@ def test_protocol_defaults_come_from_sim_params():
         assert (args.horizon, args.warmup) == (HORIZON_S, WARMUP_S)
 
 
+@pytest.mark.parametrize("flags, wanted", [
+    (["--dt", "5"], "error: time step 5.0s violates the stability condition"),
+    (["--horizon", "-1"], "error: horizon must be finite and > 0, got -1.0"),
+    (["--horizon", "inf"], "error: horizon must be finite and > 0, got inf"),
+    (["--dt", "nan"], "error: SimParams.dt_s must be finite and > 0, got nan"),
+])
+def test_protocol_errors_exit_before_any_output(cli_dataset, fixtures_dir, tmp_path, capsys, flags, wanted):
+    # an error that every run would hit alike stops the command: no table of failed rows, no traceback
+    net, init = ["--network", str(fixtures_dir / "twolights.json")], ["--init", str(fixtures_dir / "twolights_init.csv")]
+    commands = {
+        "gen-dataset": ["gen-dataset", *net, *init, "--runs", "2"],
+        "simulate": ["simulate", *net, *init, "--lights", str(fixtures_dir / "twolights_lights.json")],
+        "optimize": ["optimize", *net, *init, "--direct", "--objective", "speed", "--data", str(cli_dataset)],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.out"
+        assert main([*argv, *flags, "--out", str(out)]) == 1, name
+        assert capsys.readouterr().err.startswith(wanted), name
+        assert not out.exists(), name
+
+
 def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     # unreadable network file
     rc = main(
@@ -299,7 +320,7 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     # malformed lights files: each error names the file and, for a bad entry, the intersection
     malformed = [
         (json.dumps({"X": {"red": 30, "offset": 0}}), "intersection X"),
-        (json.dumps([{"red": 30, "green": 30, "offset": 0}]), "expected an object"),
+        (json.dumps([{"red": 30, "green": 30, "offset": 0}]), "expected a JSON object"),
         (json.dumps({"X": {"red": 30.7, "green": 30, "offset": 0}}), "intersection X"),
         ('{"X": {"red": 30,\n', "cannot parse JSON"),
     ]

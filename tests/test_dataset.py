@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from macrosim.dataset import (
     write_csv,
 )
 from macrosim.signals import IntersectionSignal, sample_config
-from macrosim.solver import SimParams, initialize, run
+from macrosim.solver import CflError, SimParams, SimulationError, initialize, run
 
 
 def _cross_state(cross_net):
@@ -111,9 +112,18 @@ def test_write_csv_rejects_empty_and_mismatched(tmp_path):
 
 
 def test_read_csv_names_missing_columns(tmp_path):
+    # the header must be exactly the one write_csv writes for the intersections of its _red columns
     path = tmp_path / "bad.csv"
     path.write_text("run_id,seed,J1_red,J1_green,J1_offset,avg_speed,status\n")
-    with pytest.raises(DatasetError, match="queue_length"):
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: expected header .*queue_length"):
+        read_csv(path)
+
+    path.write_text("seed,run_id,J1_red,J1_green,J1_offset,avg_speed,queue_length,status\n")
+    with pytest.raises(DatasetError, match="expected header run_id,seed,J1_red,J1_green,J1_offset,avg_speed,"):
+        read_csv(path)
+
+    path.write_text("")
+    with pytest.raises(DatasetError, match="got an empty file$"):
         read_csv(path)
 
     path.write_text("run_id,seed,J1_red,J1_offset,avg_speed,queue_length,status\n")
@@ -136,11 +146,14 @@ def test_read_csv_reports_malformed_line(tmp_path):
         read_csv(path)
 
 
-def test_failed_rows_recorded_not_raised(cross_net):
+def test_failed_rows_recorded_not_raised(cross_net, monkeypatch):
     """A run that blows up becomes a failed row; the batch keeps going."""
-    state0, _ = _cross_state(cross_net)
-    # dt violating the stability bound aborts every run before it starts
-    params = SimParams(seed=2, dt_s=1.0)
+    state0, params = _cross_state(cross_net)
+
+    def blow_up(*args, **kwargs):
+        raise SimulationError("non-finite state on edge n_in cell 1\n  at step 3")
+
+    monkeypatch.setattr(dataset, "run", blow_up)
     rows = generate(cross_net, state0, params, n_runs=3, seed=1, horizon=20.0, warmup=5.0)
     assert len(rows) == 3
     assert all(not r.ok for r in rows)
@@ -148,6 +161,21 @@ def test_failed_rows_recorded_not_raised(cross_net):
         assert r.status.startswith("failed: ")
         assert "\n" not in r.status
         assert math.isnan(r.avg_speed) and math.isnan(r.queue_length)
+
+
+@pytest.mark.parametrize("dt, horizon, error, wanted", [
+    (1.0, 20.0, CflError, "stability condition"),
+    (0.5, -1.0, ValueError, "horizon must be finite and > 0"),
+    (0.5, float("inf"), ValueError, "horizon must be finite and > 0"),
+])
+def test_errors_of_every_row_raise_before_any_run(cross_net, monkeypatch, dt, horizon, error, wanted):
+    """A bad time step or horizon would fail every row alike, so it stops the batch up front."""
+    state0, _ = _cross_state(cross_net)
+    runs = []
+    monkeypatch.setattr(dataset, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(error, match=wanted):
+        generate(cross_net, state0, SimParams(seed=2, dt_s=dt), n_runs=3, seed=1, workers=2, horizon=horizon, warmup=5.0)
+    assert runs == []
 
 
 def test_one_bad_job_does_not_kill_the_batch(cross_net, monkeypatch):

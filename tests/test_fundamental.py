@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from macrosim import fundamental
 from macrosim.fundamental import (
-    CounterSample,
     FdParams,
-    density_from_counter,
     fit_fd,
     ideal_speed,
     invert_speed,
     read_counters,
-    samples_from_counters,
 )
 
 # frozen independently at 30 digits: 13.68 * exp(-(1/1.24) * 1**1.24)
@@ -94,20 +91,6 @@ def test_fd_params_must_be_positive():
         FdParams(a=float("nan"))
 
 
-def test_density_from_counter_example():
-    # 150 cars in 300 s at 10 m/s cover 3000 m of road
-    assert density_from_counter(CounterSample(300.0, 150.0, 10.0)) == pytest.approx(0.05)
-
-
-def test_density_from_counter_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        density_from_counter(CounterSample(0.0, 10.0, 5.0))
-    with pytest.raises(ValueError):
-        density_from_counter(CounterSample(300.0, 10.0, 0.0))
-    with pytest.raises(ValueError):
-        density_from_counter(CounterSample(300.0, -1.0, 5.0))
-
-
 def _curve_samples(params, noise=0.0, seed=0, n=50):
     rho = np.linspace(0.001, 0.15, n)
     v = ideal_speed(params, rho)
@@ -172,14 +155,12 @@ def test_fit_input_validation():
         fit_fd(bad)
 
 
-def test_counter_csv_round_trip(tmp_path):
+def test_counter_csv_gives_density_speed_samples(tmp_path):
+    # 150 cars in 300 s at 10 m/s cover 3000 m of road: 0.05 cars/m; a row without a positive speed gives no sample
     path = tmp_path / "counters.csv"
-    path.write_text("interval_s,count,avg_speed_mps\n300.0,150.0,10.0\n300.0,30.0,13.0\n")
-    counters = read_counters(path)
-    assert len(counters) == 2
-    pairs = samples_from_counters(counters)
-    assert pairs[0][0] == pytest.approx(0.05)
-    assert pairs[0][1] == 10.0
+    path.write_text("interval_s,count,avg_speed_mps\n300.0,150.0,10.0\n\n300.0,30.0,13.0\n300,4,0\n300,4,-2\n")
+    assert read_counters(path) == [(150.0 / (300.0 * 10.0), 10.0), (30.0 / (300.0 * 13.0), 13.0)]
+    assert read_counters(path)[0][0] == pytest.approx(0.05)
 
 
 def test_counter_csv_rejects_bad_header(tmp_path):

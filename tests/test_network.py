@@ -144,6 +144,35 @@ def test_validate_flags_zero_weight_row():
     assert any("sum to 0" in p for p in validate(net))
 
 
+def test_validate_flags_zero_length_turn_ray():
+    # W sits on the junction's coordinates, so the turn from w has no angle; a zero-weight turn is not compiled
+    net = _t_junction()
+    moved = RoadNetwork([Node("W", 0, 0), *list(net.nodes.values())[1:]], net.edges.values(), net.intersections.values())
+    assert validate(moved) == ["intersection J: turn (w, e) has a zero-length ray: node W sits on junction node C"]
+
+    nodes = [Node("W", -100, 0), Node("C", 0, 0), Node("E", 100, 0), Node("N", 0, 0)]
+    edges = [RoadEdge("w", "W", "C", 100.0, 1, 10.0), RoadEdge("e", "C", "E", 100.0, 1, 10.0),
+             RoadEdge("n", "C", "N", 100.0, 1, 10.0)]
+    unused = Intersection("J", "C", ("w",), ("e", "n"), {("w", "e"): 1.0, ("w", "n"): 0.0})
+    assert validate(RoadNetwork(nodes, edges, [unused])) == []
+
+
+@pytest.mark.parametrize("name, node, center, wanted", [
+    ("cross", "N", "C", "intersection X: turn (s_in, n_out) has a zero-length ray: node N sits on junction node C"),
+    ("twolights", "N1", "J1", "intersection J1: turn (j2_j1, j1_n1) has a zero-length ray: node N1 sits on junction node J1"),
+])
+def test_load_network_rejects_a_node_on_its_junction(fixtures_dir, tmp_path, name, node, center, wanted):
+    doc = json.loads((fixtures_dir / f"{name}.json").read_text())
+    xy = next((n["x"], n["y"]) for n in doc["nodes"] if n["id"] == center)
+    for n in doc["nodes"]:
+        if n["id"] == node:
+            n["x"], n["y"] = xy
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkError, match=re.escape(wanted)):
+        load_network(path)
+
+
 def test_turn_angle_straight_and_perpendicular():
     net = _t_junction()
     assert turn_angle(net, "w", "e") == pytest.approx(180.0)

@@ -25,6 +25,7 @@ from macrosim.solver import (
     SimState,
     SimulationError,
     check_cfl,
+    check_protocol,
     initialize,
     read_speeds_csv,
     run,
@@ -275,8 +276,9 @@ def test_cfl_ratio_of_ring(ring_net):
     assert not report.ok
     assert any(eid == "re0" and ratio == pytest.approx(1.368) for eid, ratio in report.violations)
 
-    with pytest.raises(ValueError):
-        check_cfl(ring_net, 0.0)
+    for dt in (0.0, math.nan):
+        with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt!r}$"):
+            check_cfl(ring_net, dt)
 
 
 def test_run_refuses_unstable_time_step(ring_net):
@@ -583,6 +585,22 @@ def test_run_argument_validation(ring_net):
         run(ring_net, state, [], params)
 
 
+@pytest.mark.parametrize("horizon, warmup, wanted", [
+    (math.inf, 0.0, "horizon must be finite and > 0, got inf"),
+    (math.nan, 0.0, "horizon must be finite and > 0, got nan"),
+    (-1.0, 0.0, "horizon must be finite and > 0, got -1.0"),
+    (10.0, math.nan, "warmup must be in [0, horizon) = [0, 10.0), got nan"),
+    (10.0, math.inf, "warmup must be in [0, horizon) = [0, 10.0), got inf"),
+])
+def test_protocol_values_are_refused_by_name(ring_net, horizon, warmup, wanted):
+    params = SimParams()
+    state = initialize(ring_net, {}, params, default_speed=6.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
+        check_protocol(ring_net, params, horizon, warmup)
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
+        run(ring_net, state, None, params, horizon=horizon, warmup=warmup)
+
+
 # --------------------------------------------------------------------- I/O
 
 
@@ -653,3 +671,6 @@ def test_sim_params_validation():
         SimParams(dt_s=0.0)
     with pytest.raises(ValueError):
         SimParams(init_noise=1.0)
+    for dt in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match=f"^SimParams.dt_s must be finite and > 0, got {dt!r}$"):
+            SimParams(dt_s=dt)
