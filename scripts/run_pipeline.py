@@ -2,25 +2,29 @@
 
 Runs the whole pipeline on the two-intersection arterial fixture and prints
 a comparison of the optimized configuration against the best training run.
-Everything is seeded; re-running reproduces the same numbers.
+Each optimized configuration is saved as optimized_<target>.json, a lights
+file for ``simulate --lights``; optimized.json summarizes the search and
+names those files. Everything is seeded; re-running reproduces the same
+numbers.
 
     python scripts/run_pipeline.py [--runs 60] [--jobs 4] [--out-dir out]
 """
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from macrosim._files import write_json
 from macrosim.dataset import feature_matrix, generate, write_csv
 from macrosim.network import load_network
 from macrosim.optimizer import (
     TARGETS, DeConfig, best_training_row, optimize_config, surrogate_objective, validate_config,
 )
+from macrosim.signals import save_config
 from macrosim.solver import SimParams, initialize, read_speeds_csv
 from macrosim.surrogate import fit_linear, kfold_rmse, save_model
 
@@ -62,15 +66,18 @@ def main() -> int:
         got = getattr(metrics, metric)
         ref = getattr(best_training_row(rows, target), metric)
         verdict = "beats" if (got >= ref if direction == "maximize" else got <= ref) else "misses"
+        config_file = f"optimized_{target}.json"
+        save_config(opt.config, args.out_dir / config_file)
         print(f"[3/3] {target:>5}: optimized {got:.4f} {verdict} training best {ref:.4f}  "
-              f"config {{{', '.join(f'{k}: {v.red}/{v.green}/{v.offset}' for k, v in sorted(opt.config.items()))}}}")
+              f"config {{{', '.join(f'{k}: {v.red}/{v.green}/{v.offset}' for k, v in sorted(opt.config.items()))}}} "
+              f"-> {args.out_dir / config_file}")
         report[target] = {
-            "config": {k: {"red": v.red, "green": v.green, "offset": v.offset} for k, v in opt.config.items()},
+            "config_file": config_file,
             "predicted": opt.predicted,
             "simulated": {"avg_speed": metrics.avg_speed, "queue_length": metrics.queue_length},
             "training_best": ref,
         }
-    (args.out_dir / "optimized.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(report, args.out_dir / "optimized.json")
     print(f"report -> {args.out_dir / 'optimized.json'}")
     return 0
 

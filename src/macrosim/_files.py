@@ -38,6 +38,9 @@ def write_table(header, records, path) -> None:
 def read_table(path, header=None, error=ValueError):
     """(header, rows) of a CSV table: its stripped header cells, and (line number, cells) per non-blank row.
 
+    A row's line number is the physical line it ends on, so a quoted field
+    that spans lines does not shift the numbers of the rows after it.
+
     ``header`` is the required header, or a function from the file's header to
     the required one; None accepts any. Every row must be as wide as the header.
     """
@@ -48,10 +51,10 @@ def read_table(path, header=None, error=ValueError):
         if expected is not None and found != list(expected):
             raise error(f"{path}: expected header {','.join(expected)}, got {','.join(found) or 'an empty file'}")
         rows = []
-        for line_no, cells in enumerate(reader, start=2):
+        for cells in reader:
             if not any(cell.strip() for cell in cells):
                 continue
             if len(cells) != len(found):
-                raise error(f"{path}: line {line_no}: expected {len(found)} columns, got {len(cells)}")
-            rows.append((line_no, cells))
+                raise error(f"{path}: line {reader.line_num}: expected {len(found)} columns, got {len(cells)}")
+            rows.append((reader.line_num, cells))
     return found, rows

@@ -148,6 +148,8 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_train_surrogate(args) -> int:
+    if args.grid and args.model != "mlp":
+        raise ValueError("--grid applies to --model mlp only")
     rows = dataset.read_csv(args.data)
     X, Y, ids = dataset.feature_matrix(rows)
     names = list(optimizer.TARGETS) if args.target == "both" else [args.target]

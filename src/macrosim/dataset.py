@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,37 +43,22 @@ def child_seed(master_seed: int, run_id: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-_CTX: dict = {}
 CHUNK_ROWS = 64  # most rows one batched run simulates
 
 
-def _init_worker(net, state0, params, horizon, warmup):
-    _CTX.update(
-        net=net, state0=state0, params=params, horizon=horizon, warmup=warmup
-    )
-
-
-def _run_chunk(jobs) -> list[DatasetRow]:
+def _run_chunk(net, state0, params, horizon, warmup, jobs) -> list[DatasetRow]:
     """Rows of a contiguous chunk of jobs, simulated as one batched run.
 
     If the batched run raises, the chunk is redone row by row, so only a
     bad row fails.
     """
-    net = _CTX["net"]
     configs = [sample_config(net, np.random.default_rng(seed)) for _, seed in jobs]
     try:
-        results = run(
-            net,
-            _CTX["state0"],
-            configs,
-            _CTX["params"],
-            horizon=_CTX["horizon"],
-            warmup=_CTX["warmup"],
-        )
+        results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
         outcomes = [(r.metrics.avg_speed, r.metrics.queue_length, "ok") for r in results]
     except Exception as exc:  # one bad row must not take the batch down with it
         if len(jobs) > 1:
-            return [row for job in jobs for row in _run_chunk([job])]
+            return [row for job in jobs for row in _run_chunk(net, state0, params, horizon, warmup, [job])]
         diagnostic = " ".join(f"{type(exc).__name__}: {exc}".split())
         outcomes = [(float("nan"), float("nan"), f"failed: {diagnostic}")]
     return [DatasetRow(run_id, seed, config, *outcome)
@@ -111,15 +97,11 @@ def generate(
     jobs = [(i, child_seed(seed, i)) for i in range(n_runs)]
     n_chunks = max(min(workers, n_runs), -(-n_runs // CHUNK_ROWS))
     chunks = [jobs[c * n_runs // n_chunks:(c + 1) * n_runs // n_chunks] for c in range(n_chunks)]
+    run_chunk = partial(_run_chunk, net, state0, params, horizon, warmup)
     if workers == 1:
-        _init_worker(net, state0, params, horizon, warmup)
-        return [row for chunk in chunks for row in _run_chunk(chunk)]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, n_chunks),
-        initializer=_init_worker,
-        initargs=(net, state0, params, horizon, warmup),
-    ) as pool:
-        return [row for rows in pool.map(_run_chunk, chunks) for row in rows]
+        return [row for chunk in chunks for row in run_chunk(chunk)]
+    with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+        return [row for rows in pool.map(run_chunk, chunks) for row in rows]
 
 
 def _header(ids) -> list[str]:

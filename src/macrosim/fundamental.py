@@ -65,6 +65,11 @@ class FdFit:
         }
 
 
+def _curve(v_max, rho_cr, a, rho):
+    """V(rho) elementwise, the one expression of the curve that every caller evaluates."""
+    return v_max * np.exp(-(1.0 / a) * (rho / rho_cr) ** a)
+
+
 def ideal_speed(params: FdParams, rho):
     """Equilibrium speed at density ``rho`` (cars/m per lane).
 
@@ -74,7 +79,7 @@ def ideal_speed(params: FdParams, rho):
     arr = np.asarray(rho, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("density must be finite and non-negative")
-    v = params.v_max * np.exp(-(1.0 / params.a) * (arr / params.rho_cr) ** params.a)
+    v = _curve(params.v_max, params.rho_cr, params.a, arr)
     if np.ndim(rho) == 0:
         return float(v)
     return v
@@ -203,8 +208,7 @@ def fit_fd(
 
     def sse_of(v_max, rho_cr, a):
         with np.errstate(over="ignore", invalid="ignore"):
-            pred = v_max * np.exp(-(1.0 / a) * (rho / rho_cr) ** a)
-            err = float(np.sum((spd - pred) ** 2))
+            err = float(np.sum((spd - _curve(v_max, rho_cr, a, rho)) ** 2))
         return err if math.isfinite(err) else float("inf")
 
     fixed = [] if fixed_v_max is None else [fixed_v_max]

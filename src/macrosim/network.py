@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._files import read_json, write_json
-from .fundamental import FdParams
+from .fundamental import DEFAULT_A, DEFAULT_RHO_CR, FdParams
 
 CELL_TARGET_M = 10.0
 CELL_MIN_M = 5.0
@@ -40,8 +40,8 @@ class RoadEdge:
     """One directed road segment.
 
     lanes multiplies per-lane density into a vehicle flux; free_flow_speed is
-    the speed of the empty road and doubles as the speed clamp. fd_override,
-    when set, replaces the derived fundamental diagram for this edge.
+    the speed of the empty road: the v_max of the edge's fundamental diagram
+    and the speed clamp.
     """
 
     id: str
@@ -50,7 +50,6 @@ class RoadEdge:
     length_m: float
     lanes: int
     free_flow_speed: float
-    fd_override: FdParams | None = None
 
     @property
     def cell_count(self) -> int:
@@ -82,13 +81,17 @@ class Intersection:
 
 
 class RoadNetwork:
-    """Immutable-after-load container for nodes, edges and intersections."""
+    """Immutable-after-load container for nodes, edges and intersections.
 
-    def __init__(self, nodes, edges, intersections, fd_defaults: FdParams | None = None):
+    rho_cr and a are the shape of the network's one speed-density curve; each
+    edge's fundamental diagram is that shape at the edge's free_flow_speed.
+    """
+
+    def __init__(self, nodes, edges, intersections, rho_cr: float = DEFAULT_RHO_CR, a: float = DEFAULT_A):
         self.nodes: dict[str, Node] = {n.id: n for n in nodes}
         self.edges: dict[str, RoadEdge] = {e.id: e for e in edges}
         self.intersections: dict[str, Intersection] = {i.id: i for i in intersections}
-        self.fd_defaults: FdParams = fd_defaults if fd_defaults is not None else FdParams()
+        self.rho_cr, self.a = rho_cr, a
 
         self.edge_order: tuple[str, ...] = tuple(sorted(self.edges))
 
@@ -117,28 +120,15 @@ class RoadNetwork:
             self.nodes == other.nodes
             and self.edges == other.edges
             and self.intersections == other.intersections
-            # fd_for reads only the curve shape of the defaults; each edge sets its own v_max
-            and (self.fd_defaults.rho_cr, self.fd_defaults.a) == (other.fd_defaults.rho_cr, other.fd_defaults.a)
+            and (self.rho_cr, self.a) == (other.rho_cr, other.a)
         )
 
     def cell_slice(self, edge_id: str) -> slice:
         return self._slices[edge_id]
 
     def fd_for(self, edge_id: str) -> FdParams:
-        """Effective fundamental diagram of an edge.
-
-        The free-flow speed always comes from the edge itself; the curve
-        shape comes from the network-level defaults unless the edge carries
-        an explicit override.
-        """
-        edge = self.edges[edge_id]
-        if edge.fd_override is not None:
-            return edge.fd_override
-        return FdParams(
-            v_max=edge.free_flow_speed,
-            rho_cr=self.fd_defaults.rho_cr,
-            a=self.fd_defaults.a,
-        )
+        """Fundamental diagram of an edge: the network's curve shape at the edge's free-flow speed."""
+        return FdParams(self.edges[edge_id].free_flow_speed, self.rho_cr, self.a)
 
     def signalized_ids(self) -> tuple[str, ...]:
         return tuple(sorted(i for i, ix in self.intersections.items() if ix.signalized))
@@ -150,6 +140,10 @@ def validate(net: RoadNetwork) -> list[str]:
 
     if not net.edges:
         problems.append("network has no edges")
+    for name in ("rho_cr", "a"):
+        value = getattr(net, name)
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            problems.append(f"fd_defaults.{name} must be finite and > 0, got {value!r}")
 
     for node in net.nodes.values():
         if not (math.isfinite(node.x) and math.isfinite(node.y)):
@@ -272,10 +266,6 @@ def turn_speed_factor(angle_deg: float) -> float:
     return (1.0 - math.cos(math.radians(angle_deg))) / 2.0
 
 
-def _fd_from_doc(doc: dict) -> FdParams:
-    return FdParams(v_max=float(doc["v_max"]), rho_cr=float(doc["rho_cr"]), a=float(doc["a"]))
-
-
 def load_network(path) -> RoadNetwork:
     """Load and validate a network document; raises NetworkError on problems."""
     doc = read_json(path, NetworkError)
@@ -283,7 +273,11 @@ def load_network(path) -> RoadNetwork:
         nodes = [Node(id=str(n["id"]), x=float(n["x"]), y=float(n["y"])) for n in doc["nodes"]]
         edges = []
         for e in doc["edges"]:
-            fd = _fd_from_doc(e["fd"]) if "fd" in e else None
+            if "fd" in e:
+                raise NetworkError(
+                    f"{path}: edge {e['id']}: a per-edge fd is refused: every edge's curve is "
+                    f"fd_defaults' shape at its free_flow_speed_mps"
+                )
             edges.append(
                 RoadEdge(
                     id=str(e["id"]),
@@ -292,7 +286,6 @@ def load_network(path) -> RoadNetwork:
                     length_m=float(e["length_m"]),
                     lanes=int(e["lanes"]),
                     free_flow_speed=float(e["free_flow_speed_mps"]),
-                    fd_override=fd,
                 )
             )
         intersections = []
@@ -312,14 +305,12 @@ def load_network(path) -> RoadNetwork:
                     group_b=tuple(str(x) for x in i.get("group_b", [])),
                 )
             )
-        defaults = doc.get("fd_defaults")
-        fd_defaults = None
-        if defaults is not None:
-            if "v_max" in defaults:
-                raise NetworkError(
-                    f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max"
-                )
-            fd_defaults = FdParams(rho_cr=float(defaults["rho_cr"]), a=float(defaults["a"]))
+        shape = doc.get("fd_defaults", {"rho_cr": DEFAULT_RHO_CR, "a": DEFAULT_A})
+        if "v_max" in shape:
+            raise NetworkError(
+                f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max"
+            )
+        rho_cr, a = float(shape["rho_cr"]), float(shape["a"])
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed network document {path}: {exc!r}") from None
 
@@ -335,10 +326,10 @@ def load_network(path) -> RoadNetwork:
                 raise NetworkError(f"duplicate {kind} id {i!r}")
             seen.add(i)
 
-    net = RoadNetwork(nodes, edges, intersections, fd_defaults)
+    net = RoadNetwork(nodes, edges, intersections, rho_cr, a)
     problems = validate(net)
     if problems:
-        raise NetworkError("invalid network:\n  " + "\n  ".join(problems))
+        raise NetworkError(f"invalid network {path}:\n  " + "\n  ".join(problems))
     return net
 
 
@@ -349,11 +340,8 @@ def save_network(net: RoadNetwork, path) -> None:
         "edges": [],
         "intersections": [],
     }
-    if net.fd_defaults != FdParams():
-        doc["fd_defaults"] = {
-            "rho_cr": net.fd_defaults.rho_cr,
-            "a": net.fd_defaults.a,
-        }
+    if (net.rho_cr, net.a) != (DEFAULT_RHO_CR, DEFAULT_A):
+        doc["fd_defaults"] = {"rho_cr": net.rho_cr, "a": net.a}
     for e in net.edges.values():
         entry = {
             "id": e.id,
@@ -363,12 +351,6 @@ def save_network(net: RoadNetwork, path) -> None:
             "lanes": e.lanes,
             "free_flow_speed_mps": e.free_flow_speed,
         }
-        if e.fd_override is not None:
-            entry["fd"] = {
-                "v_max": e.fd_override.v_max,
-                "rho_cr": e.fd_override.rho_cr,
-                "a": e.fd_override.a,
-            }
         doc["edges"].append(entry)
     for i in net.intersections.values():
         doc["intersections"].append(

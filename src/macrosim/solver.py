@@ -33,7 +33,7 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from ._files import read_table, write_json, write_table
-from .fundamental import ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
+from .fundamental import _curve, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
 from .signals import Phase, edge_phases, group_a_red, signal_groups  # noqa: F401 (edge_phases: as above)
@@ -169,7 +169,6 @@ class _Plan:
         self.edges = net.edge_order
         self.index = {eid: i for i, eid in enumerate(self.edges)}
         edges = [net.edges[eid] for eid in self.edges]
-        fds = [net.fd_for(eid) for eid in self.edges]
         dt = params.dt_s
 
         def per_cell(values):
@@ -177,9 +176,8 @@ class _Plan:
 
         self.lanes = per_cell([e.lanes for e in edges])
         self.dx = per_cell([e.cell_length for e in edges])
-        self.v_max, self.rho_cr, self.a = (per_cell([getattr(fd, k) for fd in fds]) for k in ("v_max", "rho_cr", "a"))
-        self.neg_inv_a = -(1.0 / self.a)
-        self.speed_cap = per_cell([e.free_flow_speed for e in edges])
+        self.speed_cap = per_cell([e.free_flow_speed for e in edges])  # also each cell's v_max
+        self.rho_cr, self.a = net.rho_cr, net.a
         self.flux_coef = per_cell([dt / (e.lanes * e.cell_length) for e in edges])
         self.conv_coef = per_cell([dt / (2.0 * e.cell_length) for e in edges])
 
@@ -267,7 +265,7 @@ def _advance(plan: _Plan, state: SimState, q, q_in, v_in, rho_out, red: np.ndarr
     q_up[plan.first], v_up[plan.first], rho_dn[plan.last] = q_in, v_in, rho_out
 
     r_next = rho - plan.flux_coef * (q - q_up)
-    v_eq = plan.v_max * np.exp(plan.neg_inv_a * (rho_dn / plan.rho_cr) ** plan.a)
+    v_eq = _curve(plan.speed_cap, plan.rho_cr, plan.a, rho_dn)
     u_next = (
         v
         - plan.conv_coef * (v * v - v_up * v_up)

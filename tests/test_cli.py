@@ -425,6 +425,20 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert capsys.readouterr().err == "error: max_generations must be >= 0, got -3\n"
     assert not (tmp_path / "best.json").exists()
 
+    # --grid searches MLP hyperparameters; a linear model has none, so the flag is refused, not ignored
+    rc = main(
+        [
+            "train-surrogate",
+            "--data", str(cli_dataset),
+            "--model", "linear",
+            "--grid",
+            "--out", str(tmp_path / "lin.json"),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --grid applies to --model mlp only\n"
+    assert not (tmp_path / "lin.json").exists()
+
     # direct optimization requires an initial state
     rc = main(
         [

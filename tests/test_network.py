@@ -83,14 +83,6 @@ def test_fd_for_uses_edge_speed_with_shared_curve_shape():
     assert fd.a == FdParams().a
 
 
-def test_fd_override_wins():
-    nodes = [Node("A", 0, 0), Node("B", 100, 0)]
-    override = FdParams(8.0, 0.03, 2.0)
-    edges = [RoadEdge("r", "A", "B", 100.0, 1, 13.68, fd_override=override)]
-    net = RoadNetwork(nodes, edges, [])
-    assert net.fd_for("r") == override
-
-
 def test_validate_accepts_fixture_networks(ring_net, cross_net, twolights_net, roadcats_net):
     for net in (ring_net, cross_net, twolights_net, roadcats_net):
         assert validate(net) == []
@@ -238,13 +230,48 @@ def test_fd_defaults_carry_no_v_max(tmp_path):
         load_network(path)
 
 
-def test_network_equality_ignores_the_unread_fd_defaults_v_max(tmp_path):
+def test_network_equality_compares_the_curve_shape():
     base = _t_junction()
     parts = (base.nodes.values(), base.edges.values(), base.intersections.values())
-    net = RoadNetwork(*parts, fd_defaults=FdParams(v_max=20.0))
-    save_network(net, tmp_path / "net.json")
-    assert load_network(tmp_path / "net.json") == net == base
-    assert RoadNetwork(*parts, fd_defaults=FdParams(rho_cr=0.06)) != base
+    assert RoadNetwork(*parts, rho_cr=FdParams().rho_cr, a=FdParams().a) == base
+    assert RoadNetwork(*parts, rho_cr=0.06) != base
+    assert RoadNetwork(*parts, a=2.0) != base
+
+
+def _one_edge_doc(**extra):
+    return {
+        "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 100, "y": 0}],
+        "edges": [{"id": "r", "from": "A", "to": "B", "length_m": 100, "lanes": 1, "free_flow_speed_mps": 10}],
+        **extra,
+    }
+
+
+def test_load_network_refuses_a_per_edge_fd(tmp_path):
+    doc = _one_edge_doc()
+    doc["edges"][0]["fd"] = {"v_max": 8.0, "rho_cr": 0.03, "a": 2.0}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkError, match=rf"^{re.escape(str(path))}: edge r: a per-edge fd is refused"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("key", ["rho_cr", "a"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_load_network_rejects_a_bad_curve_shape(tmp_path, key, value):
+    shape = {"rho_cr": 0.05, "a": 1.24, key: value}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_one_edge_doc(fd_defaults=shape)))
+    with pytest.raises(NetworkError, match=rf"^invalid network {re.escape(str(path))}:\n  fd_defaults.{key} must be"):
+        load_network(path)
+
+
+def test_validate_flags_a_bad_curve_shape():
+    base = _t_junction()
+    parts = (base.nodes.values(), base.edges.values(), base.intersections.values())
+    assert validate(RoadNetwork(*parts, rho_cr=-0.05, a=float("nan"))) == [
+        "fd_defaults.rho_cr must be finite and > 0, got -0.05",
+        "fd_defaults.a must be finite and > 0, got nan",
+    ]
 
 
 def test_load_network_rejects_duplicates(tmp_path):

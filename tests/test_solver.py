@@ -17,7 +17,7 @@ import pytest
 
 from macrosim.fundamental import ideal_speed, invert_speed
 from macrosim.metrics import aggregate, step_metrics
-from macrosim.network import turn_angle
+from macrosim.network import RoadNetwork, turn_angle
 from macrosim.signals import IntersectionSignal, Phase, edge_phases, load_config, sample_config
 from macrosim.solver import (
     CflError,
@@ -176,7 +176,9 @@ def test_boundaries_match_reference_on_twolights(twolights_net, fixtures_dir, se
 @pytest.mark.parametrize("seed", [0, 5])
 def test_step_matches_reference(cross_net, ring_net, seed):
     config = {"X": IntersectionSignal(red=30, green=30, offset=10)}
-    for net, cfg in ((cross_net, config), (ring_net, None)):
+    # with a = 2.0 numpy squares rather than calls pow, so the scalar-exponent kernel is checked on that path too
+    steep = RoadNetwork(cross_net.nodes.values(), cross_net.edges.values(), cross_net.intersections.values(), a=2.0)
+    for net, cfg in ((cross_net, config), (ring_net, None), (steep, config)):
         state = _random_state(net, seed)
         phases = edge_phases(net, cfg, 0.0)
         params = SimParams()
@@ -611,7 +613,12 @@ def test_read_speeds_csv(tmp_path):
     assert speeds == {"a": 8.5, "b": 7.25}
     assert default == 6.0
 
+    # errors name the physical line, also after a quoted field that spans two lines
     bad = tmp_path / "bad.csv"
+    bad.write_text('edge_id,speed_mps\n"a\nb",5\nc,fast\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 4: speed_mps is not a number"):
+        read_speeds_csv(bad)
+
     bad.write_text("edge,speed\na,8\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*header"):
         read_speeds_csv(bad)
