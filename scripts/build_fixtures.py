@@ -5,7 +5,6 @@ All outputs are deterministic, so re-running never changes committed files.
 """
 from __future__ import annotations
 
-import csv
 import math
 import pathlib
 import sys
@@ -14,6 +13,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from macrosim._files import write_table
 from macrosim.fundamental import FdParams, ideal_speed
 from macrosim.network import Intersection, Node, RoadEdge, RoadNetwork, save_network, validate
 from macrosim.signals import IntersectionSignal, save_config
@@ -174,13 +174,8 @@ def build_roadcats() -> RoadNetwork:
 
 
 def write_speeds(path, rows, default=None):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge_id", "speed_mps"])
-        for eid, speed in rows:
-            writer.writerow([eid, speed])
-        if default is not None:
-            writer.writerow(["*", default])
+    records = list(rows) + ([("*", default)] if default is not None else [])
+    write_table(["edge_id", "speed_mps"], records, path)
 
 
 def write_counters(path):
@@ -188,13 +183,12 @@ def write_counters(path):
     params = FdParams()
     rng = np.random.default_rng(42)
     rhos = np.linspace(0.004, 0.16, 40)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval_s", "count", "avg_speed_mps"])
-        for rho in rhos:
-            v = ideal_speed(params, float(rho)) * (1.0 + rng.normal(0.0, 0.01))
-            count = rho * 300.0 * v
-            writer.writerow([300.0, round(count, 4), round(v, 4)])
+    records = []
+    for rho in rhos:
+        v = ideal_speed(params, float(rho)) * (1.0 + rng.normal(0.0, 0.01))
+        count = rho * 300.0 * v
+        records.append([300.0, round(count, 4), round(v, 4)])
+    write_table(["interval_s", "count", "avg_speed_mps"], records, path)
 
 
 def main() -> None:

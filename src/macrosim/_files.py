@@ -35,20 +35,20 @@ def write_table(header, records, path) -> None:
         writer.writerows(records)
 
 
-def read_table(path, header=None, error=ValueError):
+def read_table(path, header, error=ValueError):
     """(header, rows) of a CSV table: its stripped header cells, and (line number, cells) per non-blank row.
 
     A row's line number is the physical line it ends on, so a quoted field
     that spans lines does not shift the numbers of the rows after it.
 
     ``header`` is the required header, or a function from the file's header to
-    the required one; None accepts any. Every row must be as wide as the header.
+    the required one. Every row must be as wide as the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = [cell.strip() for cell in next(reader, [])]
         expected = header(found) if callable(header) else header
-        if expected is not None and found != list(expected):
+        if found != list(expected):
             raise error(f"{path}: expected header {','.join(expected)}, got {','.join(found) or 'an empty file'}")
         rows = []
         for cells in reader:

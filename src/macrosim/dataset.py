@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from ._files import read_table, write_table
-from .signals import IntersectionSignal, sample_config
+from .signals import IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
 
 
@@ -149,8 +149,6 @@ def feature_matrix(rows: list[DatasetRow]):
     Returns (X, Y, ids): features, the (n, 2) [avg_speed, queue_length]
     targets, and the intersection-id order defining the columns.
     """
-    from .signals import encode_values
-
     ok_rows = [r for r in rows if r.ok]
     if not ok_rows:
         raise DatasetError("no successful rows in dataset")

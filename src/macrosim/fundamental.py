@@ -55,15 +55,6 @@ class FdFit:
     converged: bool
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "v_max": self.params.v_max,
-            "rho_cr": self.params.rho_cr,
-            "a": self.params.a,
-            "sse": self.sse,
-            "converged": self.converged,
-        }
-
 
 def _curve(v_max, rho_cr, a, rho):
     """V(rho) elementwise, the one expression of the curve that every caller evaluates."""
@@ -250,4 +241,5 @@ def read_counters(path) -> list[tuple[float, float]]:
 
 
 def save_fit(fit: FdFit, path) -> None:
-    write_json(fit.to_dict(), path)
+    p = fit.params
+    write_json({"v_max": p.v_max, "rho_cr": p.rho_cr, "a": p.a, "sse": fit.sse, "converged": fit.converged}, path)

@@ -80,17 +80,27 @@ class Intersection:
     group_b: tuple[str, ...] = ()
 
 
+def _by_id(kind: str, items) -> dict:
+    by_id = {}
+    for item in items:
+        if item.id in by_id:
+            raise NetworkError(f"duplicate {kind} id {item.id!r}")
+        by_id[item.id] = item
+    return by_id
+
+
 class RoadNetwork:
     """Immutable-after-load container for nodes, edges and intersections.
 
     rho_cr and a are the shape of the network's one speed-density curve; each
     edge's fundamental diagram is that shape at the edge's free_flow_speed.
+    A repeated node, edge or intersection id raises NetworkError.
     """
 
     def __init__(self, nodes, edges, intersections, rho_cr: float = DEFAULT_RHO_CR, a: float = DEFAULT_A):
-        self.nodes: dict[str, Node] = {n.id: n for n in nodes}
-        self.edges: dict[str, RoadEdge] = {e.id: e for e in edges}
-        self.intersections: dict[str, Intersection] = {i.id: i for i in intersections}
+        self.nodes: dict[str, Node] = _by_id("node", nodes)
+        self.edges: dict[str, RoadEdge] = _by_id("edge", edges)
+        self.intersections: dict[str, Intersection] = _by_id("intersection", intersections)
         self.rho_cr, self.a = rho_cr, a
 
         self.edge_order: tuple[str, ...] = tuple(sorted(self.edges))
@@ -314,19 +324,10 @@ def load_network(path) -> RoadNetwork:
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed network document {path}: {exc!r}") from None
 
-    duplicate_checks = [
-        ("node", [n.id for n in nodes]),
-        ("edge", [e.id for e in edges]),
-        ("intersection", [i.id for i in intersections]),
-    ]
-    for kind, ids in duplicate_checks:
-        seen = set()
-        for i in ids:
-            if i in seen:
-                raise NetworkError(f"duplicate {kind} id {i!r}")
-            seen.add(i)
-
-    net = RoadNetwork(nodes, edges, intersections, rho_cr, a)
+    try:
+        net = RoadNetwork(nodes, edges, intersections, rho_cr, a)
+    except NetworkError as exc:
+        raise NetworkError(f"{path}: {exc}") from None
     problems = validate(net)
     if problems:
         raise NetworkError(f"invalid network {path}:\n  " + "\n  ".join(problems))

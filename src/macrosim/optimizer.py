@@ -68,8 +68,8 @@ class Objective:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
 
     def internal(self, x: np.ndarray) -> float:
-        value = self.evaluate(x)
-        return -value if self.direction == "maximize" else value
+        """Internal value of one encoded vector: the one-row case of internal_batch."""
+        return float(self.internal_batch(np.asarray(x, dtype=float)[None])[0])
 
     def internal_batch(self, X: np.ndarray) -> np.ndarray:
         """Internal values of every row of X in one evaluate_batch call."""

@@ -37,10 +37,9 @@ class IntersectionSignal:
         for name in ("red", "green", "offset"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"IntersectionSignal.{name} must be an integer")
-        if not (RED_GREEN_MIN <= self.red <= RED_GREEN_MAX):
-            raise ValueError(f"red must be in [{RED_GREEN_MIN}, {RED_GREEN_MAX}], got {self.red}")
-        if not (RED_GREEN_MIN <= self.green <= RED_GREEN_MAX):
-            raise ValueError(f"green must be in [{RED_GREEN_MIN}, {RED_GREEN_MAX}], got {self.green}")
+        for name in ("red", "green"):
+            if not (RED_GREEN_MIN <= getattr(self, name) <= RED_GREEN_MAX):
+                raise ValueError(f"{name} must be in [{RED_GREEN_MIN}, {RED_GREEN_MAX}], got {getattr(self, name)}")
         if not (0 <= self.offset <= self.red + self.green - 1):
             raise ValueError(
                 f"offset must be in [0, {self.red + self.green - 1}], got {self.offset}"
@@ -143,10 +142,7 @@ def decode_values(vector: np.ndarray, ids) -> dict:
     for j, iid in enumerate(ids):
         red = int(round(RED_GREEN_MIN + vector[3 * j] * span))
         green = int(round(RED_GREEN_MIN + vector[3 * j + 1] * span))
-        red = min(max(red, RED_GREEN_MIN), RED_GREEN_MAX)
-        green = min(max(green, RED_GREEN_MIN), RED_GREEN_MAX)
         offset = int(round(vector[3 * j + 2] * (red + green - 1)))
-        offset = min(max(offset, 0), red + green - 1)
         config[iid] = IntersectionSignal(red=red, green=green, offset=offset)
     return config
 

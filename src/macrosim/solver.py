@@ -106,20 +106,13 @@ class CflReport:
     violations: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    t: float
-    rho: np.ndarray
-    v: np.ndarray
-
-
 @dataclass
 class RunResult:
     metrics: CongestionMetrics
     final_state: SimState
     steps: int
     warmup_steps: int
-    snapshots: list[Snapshot] = field(default_factory=list)
+    snapshots: list[SimState] = field(default_factory=list)
 
 
 def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
@@ -132,7 +125,7 @@ def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
 
 
 def check_protocol(net: RoadNetwork, params: SimParams, horizon: float, warmup: float) -> None:
-    """The checks ``run`` makes before it starts: the CFL condition, a finite horizon > 0, warmup in [0, horizon)."""
+    """The checks ``run`` makes before it starts: the CFL condition, a finite horizon > 0, a warmup that some step samples."""
     report = check_cfl(net, params.dt_s)
     if not report.ok:
         worst = ", ".join(f"{eid} (ratio {ratio:.3f})" for eid, ratio in report.violations)
@@ -144,6 +137,10 @@ def check_protocol(net: RoadNetwork, params: SimParams, horizon: float, warmup: 
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     if not (0 <= warmup < horizon):
         raise ValueError(f"warmup must be in [0, horizon) = [0, {horizon!r}), got {warmup!r}")
+    last_start = (math.ceil(horizon / params.dt_s) - 1) * params.dt_s
+    if warmup > last_start + 1e-9:
+        raise ValueError(
+            f"warmup {warmup!r} s is later than the last step's start at {last_start!r} s; no metric would be sampled")
 
 
 def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are no rows
@@ -387,9 +384,9 @@ def run(
 
     Metrics are sampled on the state before each step (t = 0, dt, ...) and
     accumulated once t reaches ``warmup``. ``probes`` is an optional list of
-    times at which full (rho, v) snapshots are recorded, taken at the first
-    state whose clock reaches each probe. Deterministic: no randomness is
-    drawn here, so equal inputs give bit-identical results.
+    times at which the full state is recorded as a SimState, taken at the
+    first state whose clock reaches each probe. Deterministic: no randomness
+    is drawn here, so equal inputs give bit-identical results.
 
     ``config`` may also be a list of configurations, all started from
     ``state0``: they are simulated in one pass as disjoint copies of the
@@ -405,7 +402,7 @@ def run(
     batch = len(configs)
     probe_times = sorted(float(p) for p in probes) if probes else []
     probe_idx = 0
-    snapshots: list[Snapshot] = []
+    snapshots: list[SimState] = []
     speeds, queues = [], []
 
     plan = _Plan(net, params, batch)
@@ -420,7 +417,7 @@ def run(
         for k in range(n_steps + 1):
             rows = SimState(rho=state.rho.reshape(batch, -1), v=state.v.reshape(batch, -1), t=state.t, k=state.k)
             while probe_idx < len(probe_times) and state.t >= probe_times[probe_idx] - 1e-9:
-                snapshots.append(Snapshot(t=state.t, rho=rows.rho.copy(), v=rows.v.copy()))
+                snapshots.append(rows.copy())
                 probe_idx += 1
             if k == n_steps:
                 break
@@ -439,7 +436,7 @@ def run(
             final_state=SimState(rho=rows.rho[b], v=rows.v[b], t=state.t, k=state.k),
             steps=n_steps,
             warmup_steps=n_steps - speeds.shape[1],
-            snapshots=[Snapshot(t=s.t, rho=s.rho[b], v=s.v[b]) for s in snapshots],
+            snapshots=[SimState(rho=s.rho[b], v=s.v[b], t=s.t, k=s.k) for s in snapshots],
         )
         for b in range(batch)
     ]
@@ -468,7 +465,7 @@ def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:
     return speeds, speeds.pop("*", None)
 
 
-def write_heatmap_csv(net: RoadNetwork, snapshot: Snapshot, path) -> None:
+def write_heatmap_csv(net: RoadNetwork, snapshot: SimState, path) -> None:
     """Per-cell density and speed of one snapshot as edge_id,cell_index,rho,v rows."""
     records = []
     for eid in net.edge_order:
@@ -477,7 +474,7 @@ def write_heatmap_csv(net: RoadNetwork, snapshot: Snapshot, path) -> None:
     write_table(["edge_id", "cell_index", "rho", "v"], records, path)
 
 
-def write_heatmap_pgm(net: RoadNetwork, snapshot: Snapshot, path) -> None:
+def write_heatmap_pgm(net: RoadNetwork, snapshot: SimState, path) -> None:
     """Density snapshot as an ASCII graymap: one row per edge, 255 = jam density."""
     width = max(net.edges[eid].cell_count for eid in net.edge_order)
     lines = [f"P2", f"{width} {len(net.edge_order)}", "255"]

@@ -326,20 +326,9 @@ def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()
 def save_model(model, path) -> None:
     """Persist a surrogate as a structured text document."""
     if isinstance(model, LinearModel):
-        doc = {
-            "kind": "linear",
-            "targets": list(model.targets),
-            "feature_ids": list(model.feature_ids),
-            "feature_bounds": [0.0, 1.0],
-            "weights": model.weights.tolist(),
-            "intercept": model.intercept.tolist(),
-        }
+        kind, body = "linear", {"weights": model.weights.tolist(), "intercept": model.intercept.tolist()}
     elif isinstance(model, MlpModel):
-        doc = {
-            "kind": "mlp",
-            "targets": list(model.targets),
-            "feature_ids": list(model.feature_ids),
-            "feature_bounds": [0.0, 1.0],
+        kind, body = "mlp", {
             "activation": model.activation,
             "weights": [W.tolist() for W in model.weights],
             "biases": [b.tolist() for b in model.biases],
@@ -349,7 +338,8 @@ def save_model(model, path) -> None:
         }
     else:
         raise TypeError(f"unknown model type {type(model)!r}")
-    write_json(doc, path)
+    write_json({"kind": kind, "targets": list(model.targets), "feature_ids": list(model.feature_ids),
+                "feature_bounds": [0.0, 1.0], **body}, path)
 
 
 def _numbers(value) -> np.ndarray:

@@ -276,6 +276,7 @@ def test_protocol_defaults_come_from_sim_params():
     (["--horizon", "-1"], "error: horizon must be finite and > 0, got -1.0"),
     (["--horizon", "inf"], "error: horizon must be finite and > 0, got inf"),
     (["--dt", "nan"], "error: SimParams.dt_s must be finite and > 0, got nan"),
+    (["--horizon", "10", "--warmup", "9.8"], "error: warmup 9.8 s is later than the last step's start at 9.5 s"),
 ])
 def test_protocol_errors_exit_before_any_output(cli_dataset, fixtures_dir, tmp_path, capsys, flags, wanted):
     # an error that every run would hit alike stops the command: no table of failed rows, no traceback

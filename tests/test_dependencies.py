@@ -6,6 +6,7 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "macrosim"
+SCRIPTS = SRC.parent.parent / "scripts"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "macrosim"}
 
 
@@ -26,7 +27,7 @@ def test_module_imports_only_stdlib_numpy_or_macrosim(module):
 def test_only_the_file_module_reads_and_writes_json_and_csv():
     users = {
         path.name
-        for path in SRC.glob("*.py")
+        for path in [*SRC.glob("*.py"), *SCRIPTS.glob("*.py")]
         if {"json", "csv"} & set(_imported_roots(ast.parse(path.read_text())))
     }
     assert users == {"_files.py"}

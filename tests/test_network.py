@@ -285,8 +285,19 @@ def test_load_network_rejects_duplicates(tmp_path):
          ]}
         """
     )
-    with pytest.raises(NetworkError, match="duplicate edge"):
+    with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}: duplicate edge id 'r'$"):
         load_network(path)
+
+
+@pytest.mark.parametrize("kind", ["node", "edge", "intersection"])
+def test_network_rejects_a_repeated_id(kind):
+    nodes = [Node("A", 0.0, 0.0), Node("B", 100.0, 0.0)]
+    edges = [RoadEdge("r", "A", "B", 100.0, 1, 10.0)]
+    intersections = [Intersection("X", "B", ("r",), ())]
+    parts = {"node": nodes, "edge": edges, "intersection": intersections}
+    parts[kind] = parts[kind] + [parts[kind][0]]
+    with pytest.raises(NetworkError, match=f"^duplicate {kind} id '{parts[kind][0].id}'$"):
+        RoadNetwork(*parts.values())
 
 
 def test_load_network_rejects_invalid_json(tmp_path):

@@ -572,6 +572,8 @@ def test_run_probe_snapshots(ring_net):
     state = initialize(ring_net, {}, params, default_speed=6.0)
     result = run(ring_net, state, None, params, horizon=20.0, warmup=0.0, probes=[0.0, 10.0, 20.0])
     assert [s.t for s in result.snapshots] == [0.0, 10.0, 20.0]
+    assert all(isinstance(s, SimState) for s in result.snapshots)
+    assert [s.k for s in result.snapshots] == [0, 20, 40]
     np.testing.assert_array_equal(result.snapshots[0].v, state.v)
     np.testing.assert_array_equal(result.snapshots[-1].v, result.final_state.v)
 
@@ -583,6 +585,7 @@ def test_run_argument_validation(ring_net):
         run(ring_net, state, None, params, horizon=0.0)
     with pytest.raises(ValueError):
         run(ring_net, state, None, params, horizon=10.0, warmup=10.0)
+    assert run(ring_net, state, None, params, horizon=10.0, warmup=9.5).metrics.samples == 1  # the last step's start
     with pytest.raises(ValueError, match="config list is empty"):
         run(ring_net, state, [], params)
 
@@ -593,6 +596,7 @@ def test_run_argument_validation(ring_net):
     (-1.0, 0.0, "horizon must be finite and > 0, got -1.0"),
     (10.0, math.nan, "warmup must be in [0, horizon) = [0, 10.0), got nan"),
     (10.0, math.inf, "warmup must be in [0, horizon) = [0, 10.0), got inf"),
+    (10.0, 9.8, "warmup 9.8 s is later than the last step's start at 9.5 s; no metric would be sampled"),
 ])
 def test_protocol_values_are_refused_by_name(ring_net, horizon, warmup, wanted):
     params = SimParams()
