@@ -32,14 +32,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", aliases=["validate"], help="run one simulation and report congestion metrics")
     p.set_defaults(handler=_cmd_simulate)
-    _add_sim_args(p)
+    _add_protocol_args(p)
+    p.add_argument("--lights", default=None, help="signal configuration JSON")
     p.add_argument("--heatmap", default=None, help="path prefix for per-probe density exports")
     p.add_argument("--probes", default=None, help="comma-separated snapshot times in seconds")
     p.add_argument("--out", required=True, help="output JSON with the aggregated metrics")
 
     p = sub.add_parser("gen-dataset", help="simulate many random signal configurations")
     p.set_defaults(handler=_cmd_gen_dataset)
-    _add_sim_args(p, lights=False)
+    _add_protocol_args(p)
     p.add_argument("--runs", type=int, required=True, help="number of configurations to sample")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (results are identical for any count)")
     p.add_argument("--out", required=True, help="output CSV table")
@@ -56,15 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="search for good signal timings")
     p.set_defaults(handler=_cmd_optimize)
-    p.add_argument("--network", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="surrogate model file to optimize against")
     group.add_argument("--direct", action="store_true", help="evaluate candidates by full simulation")
     p.add_argument("--objective", choices=list(optimizer.TARGETS), required=True)
     p.add_argument("--data", required=True, help="training dataset CSV; best row seeds the search")
-    p.add_argument("--seed", type=int, default=0)
     _add_protocol_args(p, init_required=False)
-    p.add_argument("--state-seed", type=int, default=0, help="seed of the shared initial state")
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--pop", type=int, default=None, help="population size (default 15 x dim, max 150)")
     p.add_argument("--validate", action="store_true", help="re-simulate the optimized configuration")
@@ -75,27 +73,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_protocol_args(p: argparse.ArgumentParser, init_required: bool = True) -> None:
-    """The initial state and the simulation protocol, with defaults from SimParams and the solver."""
+    """The network, initial state and protocol of every simulating command; defaults from SimParams and the solver."""
     needed = "" if init_required else "; required for --direct or --validate"
+    p.add_argument("--network", required=True, help="road network JSON")
     p.add_argument("--init", required=init_required,
                    help=f"initial speeds CSV (edge_id,speed_mps; * = default{needed})")
     p.add_argument("--horizon", type=float, default=solver.HORIZON_S)
     p.add_argument("--warmup", type=float, default=solver.WARMUP_S)
     p.add_argument("--dt", type=float, default=solver.SimParams.dt_s)
     p.add_argument("--init-noise", type=float, default=solver.SimParams.init_noise)
+    p.add_argument("--seed", type=int, default=0, help="seed of the initial-state noise and the command's draws")
 
 
-def _add_sim_args(p: argparse.ArgumentParser, lights: bool = True) -> None:
-    p.add_argument("--network", required=True, help="road network JSON")
-    _add_protocol_args(p)
-    if lights:
-        p.add_argument("--lights", default=None, help="signal configuration JSON")
-    p.add_argument("--seed", type=int, default=0, help="seed of the initialization noise")
-
-
-def _initial_state(args, net, seed: int):
-    """(state0, params) from --init, --dt and --init-noise; state0 is None without --init."""
-    params = solver.SimParams(dt_s=args.dt, seed=seed, init_noise=args.init_noise)
+def _initial_state(args, net):
+    """(state0, params) from --init, --dt, --init-noise and --seed; state0 is None without --init."""
+    params = solver.SimParams(dt_s=args.dt, seed=args.seed, init_noise=args.init_noise)
     if args.init is None:
         return None, params
     speeds, default = solver.read_speeds_csv(args.init)
@@ -115,7 +107,7 @@ def _cmd_calibrate_fd(args) -> int:
 
 def _cmd_simulate(args) -> int:
     net = load_network(args.network)
-    state0, params = _initial_state(args, net, args.seed)
+    state0, params = _initial_state(args, net)
     config = signals.load_config(args.lights) if args.lights else None
     probes = [float(t) for t in args.probes.split(",")] if args.probes else None
     result = solver.run(net, state0, config, params, horizon=args.horizon, warmup=args.warmup, probes=probes)
@@ -136,7 +128,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_gen_dataset(args) -> int:
     net = load_network(args.network)
-    state0, params = _initial_state(args, net, args.seed)
+    state0, params = _initial_state(args, net)
     rows = dataset.generate(
         net, state0, params, n_runs=args.runs, seed=args.seed, workers=args.jobs,
         horizon=args.horizon, warmup=args.warmup,
@@ -184,11 +176,10 @@ def _cmd_optimize(args) -> int:
     rows = dataset.read_csv(args.data)
     de = optimizer.DeConfig(pop_size=args.pop, max_generations=args.generations, seed=args.seed)
 
-    state0, params = _initial_state(args, net, args.state_seed)
+    state0, params = _initial_state(args, net)
     for flag, wanted in (("--direct", args.direct), ("--validate", args.validate)):
         if wanted and state0 is None:
-            print(f"error: {flag} needs --init to build the shared initial state", file=sys.stderr)
-            return 1
+            raise ValueError(f"{flag} needs --init to build the shared initial state")
     if state0 is not None:  # before the search, not after it
         solver.check_protocol(net, params, args.horizon, args.warmup)
     if args.direct:

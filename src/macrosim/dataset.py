@@ -43,7 +43,7 @@ def child_seed(master_seed: int, run_id: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-CHUNK_ROWS = 64  # most rows one batched run simulates
+CHUNK_CELLS = 8000  # cells one batched run simulates at most, unless one row alone is larger
 
 
 def _run_chunk(net, state0, params, horizon, warmup, jobs) -> list[DatasetRow]:
@@ -78,13 +78,13 @@ def generate(
     """Simulate ``n_runs`` random configurations from a shared initial state.
 
     Rows are ordered by run_id. The runs are split into contiguous chunks,
-    at least one per worker and at most CHUNK_ROWS rows each, and every
-    chunk is simulated as one batched run. An error that would fail every
-    row (the checks of ``check_protocol``) raises before any run starts; a run
-    that raises otherwise (a non-finite state, or any other exception) becomes
-    a failed row with NaN metrics whose status names the exception, instead of
-    stopping the batch. Worker processes and chunking only change wall time,
-    never results.
+    at least one per worker and at most max(1, CHUNK_CELLS // net.total_cells)
+    rows each, and every chunk is simulated as one batched run. An error
+    that would fail every row (the checks of ``check_protocol``) raises before
+    any run starts; a run that raises otherwise (a non-finite state, or any
+    other exception) becomes a failed row with NaN metrics whose status names
+    the exception, instead of stopping the batch. Worker processes and
+    chunking only change wall time, never results.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -95,7 +95,7 @@ def generate(
     check_protocol(net, params, horizon, warmup)
 
     jobs = [(i, child_seed(seed, i)) for i in range(n_runs)]
-    n_chunks = max(min(workers, n_runs), -(-n_runs // CHUNK_ROWS))
+    n_chunks = max(min(workers, n_runs), -(-n_runs // max(1, CHUNK_CELLS // net.total_cells)))
     chunks = [jobs[c * n_runs // n_chunks:(c + 1) * n_runs // n_chunks] for c in range(n_chunks)]
     run_chunk = partial(_run_chunk, net, state0, params, horizon, warmup)
     if workers == 1:

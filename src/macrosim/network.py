@@ -94,7 +94,8 @@ class RoadNetwork:
 
     rho_cr and a are the shape of the network's one speed-density curve; each
     edge's fundamental diagram is that shape at the edge's free_flow_speed.
-    A repeated node, edge or intersection id raises NetworkError.
+    A repeated node, edge or intersection id, or an edge length that is not
+    finite and > 0 (the cell layout needs it), raises NetworkError.
     """
 
     def __init__(self, nodes, edges, intersections, rho_cr: float = DEFAULT_RHO_CR, a: float = DEFAULT_A):
@@ -109,6 +110,9 @@ class RoadNetwork:
         self._slices: dict[str, slice] = {}
         offset = 0
         for eid in self.edge_order:
+            length = self.edges[eid].length_m
+            if not (math.isfinite(length) and length > 0):
+                raise NetworkError(f"edge {eid}: length must be finite and > 0, got {length!r}")
             n = self.edges[eid].cell_count
             self._slices[eid] = slice(offset, offset + n)
             offset += n
@@ -166,9 +170,6 @@ def validate(net: RoadNetwork) -> list[str]:
             problems.append(f"edge {edge.id}: unknown to node {edge.to_node}")
         if edge.from_node == edge.to_node:
             problems.append(f"edge {edge.id}: from and to node coincide")
-        if not (math.isfinite(edge.length_m) and edge.length_m > 0):
-            problems.append(f"edge {edge.id}: length must be finite and > 0")
-            continue
         if edge.lanes < 1:
             problems.append(f"edge {edge.id}: lanes must be >= 1")
         if not (math.isfinite(edge.free_flow_speed) and edge.free_flow_speed > 0):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import pytest
 import macrosim
 from macrosim.cli import _build_parser, main
 from macrosim.dataset import read_csv
-from macrosim.signals import load_config
+from macrosim.signals import load_config, save_config
 from macrosim.solver import HORIZON_S, WARMUP_S, SimParams
 from macrosim.surrogate import LinearModel, MlpModel, load_model
 
@@ -271,6 +272,62 @@ def test_protocol_defaults_come_from_sim_params():
         assert (args.horizon, args.warmup) == (HORIZON_S, WARMUP_S)
 
 
+PROTOCOL = ("--network", "--init", "--horizon", "--warmup", "--dt", "--init-noise", "--seed")
+SIMULATING = ("simulate", "validate", "gen-dataset", "optimize")
+
+
+def test_simulating_commands_share_one_protocol():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    declared = []
+    for name in SIMULATING:
+        defaults = {option: a.default for a in commands[name]._actions for option in a.option_strings}
+        assert set(PROTOCOL) <= set(defaults), name
+        declared.append({option: defaults[option] for option in PROTOCOL})
+    assert all(d == declared[0] for d in declared)
+    assert declared[0]["--seed"] == 0
+
+
+def test_one_seed_gives_the_dataset_and_validation_one_initial_state(fixtures_dir, tmp_path):
+    protocol = ["--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv"),
+                "--horizon", "20", "--warmup", "5"]
+    data = tmp_path / "data.csv"
+    assert main(["gen-dataset", *protocol, "--runs", "2", "--seed", "7", "--out", str(data)]) == 0
+    row = read_csv(data)[0]
+    save_config(row.config, tmp_path / "row0.json")
+    metrics = {}
+    for seed in ("7", "0"):
+        out = tmp_path / f"validate_{seed}.json"
+        assert main(["validate", *protocol, "--lights", str(tmp_path / "row0.json"), "--seed", seed,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        metrics[seed] = (doc["avg_speed_mps"], doc["queue_length"])
+    assert metrics["7"] == (row.avg_speed, row.queue_length)
+    assert metrics["0"] != metrics["7"]  # the seed reaches the initial state, so the match above is not luck
+
+
+def test_optimize_validates_from_the_state_of_its_seed(cli_dataset, fixtures_dir, tmp_path):
+    protocol = ["--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv"),
+                "--horizon", "15", "--warmup", "5", "--seed", "7"]
+    cfg_path, report_path, out = tmp_path / "best.json", tmp_path / "report.json", tmp_path / "metrics.json"
+    assert main(["optimize", *protocol, "--direct", "--objective", "speed", "--data", str(cli_dataset),
+                 "--generations", "2", "--pop", "6", "--validate", "--out", str(cfg_path),
+                 "--report", str(report_path)]) == 0
+    assert main(["simulate", *protocol, "--lights", str(cfg_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert json.loads(report_path.read_text())["simulated"] == {
+        "avg_speed_mps": doc["avg_speed_mps"], "queue_length": doc["queue_length"],
+    }
+
+
+def test_state_seed_is_refused(fixtures_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--network", str(fixtures_dir / "cross.json"), "--direct", "--objective", "speed",
+              "--data", "d.csv", "--state-seed", "0", "--out", "o.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --state-seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, wanted", [
     (["--dt", "5"], "error: time step 5.0s violates the stability condition"),
     (["--horizon", "-1"], "error: horizon must be finite and > 0, got -1.0"),
@@ -452,6 +509,18 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("length", ["NaN", "Infinity", "0", "-5"])
+def test_a_bad_edge_length_is_an_error_naming_the_file_and_edge(fixtures_dir, tmp_path, capsys, length):
+    path = tmp_path / "net.json"
+    path.write_text('{"nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 100, "y": 0}], "edges": '
+                    f'[{{"id": "r", "from": "A", "to": "B", "length_m": {length}, "lanes": 1, "free_flow_speed_mps": 10}}]}}')
+    rc = main(["simulate", "--network", str(path), "--init", str(fixtures_dir / "ring_init.csv"),
+               "--out", str(tmp_path / "x.json")])
+    got = {"NaN": "nan", "Infinity": "inf", "0": "0.0", "-5": "-5.0"}[length]
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: edge r: length must be finite and > 0, got {got}\n"
 
 
 def test_argparse_usage_errors():

@@ -201,17 +201,28 @@ def test_one_bad_job_does_not_kill_the_batch(cross_net, monkeypatch):
     assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
 
 
-@pytest.mark.parametrize("chunk_rows", [dataset.CHUNK_ROWS, 4, 1])
+@pytest.mark.parametrize("chunk_rows", [64, 4, 1])
 def test_rows_do_not_depend_on_chunks_or_workers(cross_net, monkeypatch, chunk_rows):
-    """Every row equals the unbatched run of its own configuration, for any chunking and worker count."""
+    """Every row equals the unbatched run of its own configuration, for any cell budget and worker count."""
     state0, params = _cross_state(cross_net)
-    monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
-    n_runs = dataset.CHUNK_ROWS + 3 if chunk_rows > 4 else 7
-    tables = [generate(cross_net, state0, params, n_runs=n_runs, seed=9, workers=w, horizon=3.0, warmup=1.0)
-              for w in (1, 2, 3)]
-    assert tables[0] == tables[1] == tables[2]
+    cells, n_runs = cross_net.total_cells, chunk_rows + 3 if chunk_rows > 4 else 7
+    real_run, batches = dataset.run, []
+    monkeypatch.setattr(dataset, "run", lambda net, s0, configs, *a, **kw: batches.append(len(configs))
+                        or real_run(net, s0, configs, *a, **kw))
+    # the least and the most cells that give chunk_rows rows per chunk; a budget below one row gives one
+    budgets = [chunk_rows * cells, (chunk_rows + 1) * cells - 1] + ([cells // 2] if chunk_rows == 1 else [])
+    tables = []
+    for budget in budgets:
+        monkeypatch.setattr(dataset, "CHUNK_CELLS", budget)
+        batches.clear()
+        for workers in (1, 2, 3):
+            tables.append(generate(cross_net, state0, params, n_runs=n_runs, seed=9, workers=workers,
+                                   horizon=3.0, warmup=1.0))
+            if workers == 1:  # the batches a pool runs are not seen here
+                assert len(batches) == -(-n_runs // chunk_rows) and max(batches) <= chunk_rows
+    assert all(table == tables[0] for table in tables)
     for row in tables[0]:
-        metrics = run(cross_net, state0, row.config, params, horizon=3.0, warmup=1.0).metrics
+        metrics = real_run(cross_net, state0, row.config, params, horizon=3.0, warmup=1.0).metrics
         assert (row.avg_speed, row.queue_length, row.status) == (metrics.avg_speed, metrics.queue_length, "ok")
 
 

@@ -300,6 +300,19 @@ def test_network_rejects_a_repeated_id(kind):
         RoadNetwork(*parts.values())
 
 
+@pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0, -5.0])
+def test_network_rejects_a_length_the_cell_layout_cannot_use(tmp_path, length):
+    wanted = f"edge r: length must be finite and > 0, got {length!r}"
+    with pytest.raises(NetworkError, match=f"^{re.escape(wanted)}$"):
+        RoadNetwork([Node("A", 0.0, 0.0), Node("B", 100.0, 0.0)], [RoadEdge("r", "A", "B", length, 1, 10.0)], [])
+    doc = _one_edge_doc()
+    doc["edges"][0]["length_m"] = length
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes and reads them
+    with pytest.raises(NetworkError, match=f"^{re.escape(f'{path}: {wanted}')}$"):
+        load_network(path)
+
+
 def test_load_network_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

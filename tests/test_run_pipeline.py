@@ -24,11 +24,12 @@ def test_saved_configurations_simulate_to_the_summary(tmp_path, fixtures_dir, mo
             "--network", str(fixtures_dir / "twolights.json"),
             "--init", str(fixtures_dir / "twolights_init.csv"),
             "--lights", str(tmp_path / entry["config_file"]),
+            "--seed", "2024",
             "--out", str(tmp_path / f"metrics_{target}.json"),
         ])
         assert rc == 0
         metrics = json.loads((tmp_path / f"metrics_{target}.json").read_text())
         assert (metrics["avg_speed_mps"], metrics["queue_length"]) == (
-            entry["simulated"]["avg_speed"],
+            entry["simulated"]["avg_speed_mps"],
             entry["simulated"]["queue_length"],
         )
