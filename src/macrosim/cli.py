@@ -180,8 +180,7 @@ def _cmd_optimize(args) -> int:
     for flag, wanted in (("--direct", args.direct), ("--validate", args.validate)):
         if wanted and state0 is None:
             raise ValueError(f"{flag} needs --init to build the shared initial state")
-    if state0 is not None:  # before the search, not after it
-        solver.check_protocol(net, params, args.horizon, args.warmup)
+    solver.check_protocol(net, params, args.horizon, args.warmup)  # before the search, not after it
     if args.direct:
         objective = optimizer.simulation_objective(
             net, state0, params, args.objective, horizon=args.horizon, warmup=args.warmup
@@ -194,7 +193,7 @@ def _cmd_optimize(args) -> int:
                 f"{args.model}: model features are intersections {list(model.feature_ids)}, "
                 f"but {args.network} signalizes {list(ids)}"
             )
-        width = (model.weights[0] if isinstance(model, surrogate.MlpModel) else model.weights).shape[0]
+        width = model.layers[0][0].shape[0]
         if width != 3 * len(ids):
             raise ValueError(
                 f"{args.model}: model takes {width} inputs, but {args.network} needs {3 * len(ids)} "

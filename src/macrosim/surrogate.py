@@ -1,11 +1,11 @@
 """Surrogate models predicting congestion metrics from encoded signal timings.
 
-Two model families: ordinary least squares via the normal equations (with a
-tiny ridge term for rank safety), and a fully-connected two-hidden-layer
-network trained by mini-batch gradient descent with adaptive moment
-estimation. Features are the [0, 1] configuration encoding; targets are
-standardized internally and de-standardized on prediction. Model quality is
-reported as the k-fold cross-validated RMSE pooled over all held-out rows.
+One model type, two trainers. A ``Model`` is hidden layers, then a linear
+read-out, then de-standardized targets. ``fit_linear`` solves least squares
+through the normal equations (with a tiny ridge term for rank safety) and
+returns the read-out alone; ``fit_mlp`` trains two hidden layers by default, by
+mini-batch Adam on standardized targets. Features are the [0, 1] configuration
+encoding. Model quality is the k-fold CV RMSE pooled over all held-out rows.
 """
 from __future__ import annotations
 
@@ -26,14 +26,6 @@ class SurrogateError(Exception):
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    weights: np.ndarray    # (n_features, n_targets)
-    intercept: np.ndarray  # (n_targets,)
-    targets: tuple[str, ...] = ("avg_speed", "queue_length")
-    feature_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -65,15 +57,23 @@ class MlpHyper:
 
 
 @dataclass(frozen=True)
-class MlpModel:
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    activation: str
-    target_mean: np.ndarray
-    target_scale: np.ndarray
+class Model:
+    """Hidden layers, a linear read-out, then ``* target_scale + target_mean``; a linear model has no hidden layers."""
+
+    weights: np.ndarray       # read-out matrix (inputs, n_targets)
+    intercept: np.ndarray     # read-out bias (n_targets,)
+    target_mean: np.ndarray   # (n_targets,)
+    target_scale: np.ndarray  # (n_targets,)
+    hidden: tuple[tuple[np.ndarray, np.ndarray], ...] = ()  # (W, b) of each hidden layer
+    activation: str = "relu"
     targets: tuple[str, ...] = ("avg_speed", "queue_length")
     feature_ids: tuple[str, ...] = ()
     epochs_trained: int = 0
+
+    @property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(W, b) of every layer, the read-out last."""
+        return (*self.hidden, (self.weights, self.intercept))
 
 
 def _as_2d(Y) -> np.ndarray:
@@ -81,7 +81,7 @@ def _as_2d(Y) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
-def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> LinearModel:
+def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
     """Least squares with intercept through the normal equations.
 
     Solving one system with a multi-column right-hand side decouples across
@@ -98,9 +98,9 @@ def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> L
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     gram = A.T @ A + RIDGE * np.eye(A.shape[1])
     theta = np.linalg.solve(gram, A.T @ Y)
-    targets = tuple(targets)[: Y.shape[1]]
-    return LinearModel(
-        weights=theta[:-1, :], intercept=theta[-1, :], targets=targets, feature_ids=tuple(feature_ids)
+    return Model(
+        weights=theta[:-1, :], intercept=theta[-1, :], target_mean=np.zeros(Y.shape[1]),
+        target_scale=np.ones(Y.shape[1]), targets=tuple(targets)[: Y.shape[1]], feature_ids=tuple(feature_ids),
     )
 
 
@@ -167,7 +167,7 @@ def _layer_views(flat, sizes):
 
 
 def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
-            targets=("avg_speed", "queue_length"), feature_ids=()) -> MlpModel:
+            targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
     """Train the neural surrogate; deterministic for a fixed seed.
 
     Targets are standardized internally. A seeded shuffle sets aside
@@ -251,31 +251,27 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
                 break
 
     theta[...] = best_theta
-    return MlpModel(
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=hyper.activation,
+    return Model(
+        weights=weights[-1],
+        intercept=biases[-1],
         target_mean=mean,
         target_scale=scale,
+        hidden=tuple(zip(weights[:-1], biases[:-1])),
+        activation=hyper.activation,
         targets=tuple(targets)[: Y.shape[1]],
         feature_ids=tuple(feature_ids),
         epochs_trained=epochs_done,
     )
 
 
-def predict(model, X) -> np.ndarray:
+def predict(model: Model, X) -> np.ndarray:
     """Per-target predictions; accepts a single feature vector or a matrix."""
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    if isinstance(model, LinearModel):
-        out = X @ model.weights + model.intercept
-    elif isinstance(model, MlpModel):
-        out = _forward(model.weights, model.biases, X, model.activation)[-1]
-        out = out * model.target_scale + model.target_mean
-    else:
-        raise TypeError(f"unknown model type {type(model)!r}")
+    weights, biases = zip(*model.layers)
+    out = _forward(weights, biases, X, model.activation)[-1] * model.target_scale + model.target_mean
     return out[0] if single else out
 
 
@@ -323,29 +319,26 @@ def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()
     return best[0], results
 
 
-def save_model(model, path) -> None:
-    """Persist a surrogate as a structured text document."""
-    if isinstance(model, LinearModel):
-        kind, body = "linear", {"weights": model.weights.tolist(), "intercept": model.intercept.tolist()}
-    elif isinstance(model, MlpModel):
-        kind, body = "mlp", {
-            "activation": model.activation,
-            "weights": [W.tolist() for W in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-            "target_mean": model.target_mean.tolist(),
-            "target_scale": model.target_scale.tolist(),
-            "epochs_trained": model.epochs_trained,
-        }
-    else:
-        raise TypeError(f"unknown model type {type(model)!r}")
-    write_json({"kind": kind, "targets": list(model.targets), "feature_ids": list(model.feature_ids),
-                "feature_bounds": [0.0, 1.0], **body}, path)
+def save_model(model: Model, path) -> None:
+    """Persist a surrogate as a structured text document; ``weights`` and ``biases`` list every layer."""
+    write_json({
+        "targets": list(model.targets),
+        "feature_ids": list(model.feature_ids),
+        "activation": model.activation,
+        "weights": [W.tolist() for W, _ in model.layers],
+        "biases": [b.tolist() for _, b in model.layers],
+        "target_mean": model.target_mean.tolist(),
+        "target_scale": model.target_scale.tolist(),
+        "epochs_trained": model.epochs_trained,
+    }, path)
 
 
 def _numbers(value) -> np.ndarray:
     array = np.array(value)
     if array.ndim == 0 or array.dtype.kind not in "iuf":
         raise TypeError("expected a list of numbers")
+    if not np.isfinite(array).all():
+        raise ValueError("expected finite numbers")
     return array.astype(float)
 
 
@@ -361,15 +354,10 @@ def _activation(value) -> str:
     return value
 
 
-def _check_shapes(model, path) -> None:
+def _check_shapes(model: Model, path) -> None:
     """Require each layer to take the previous layer's outputs and the last to give one per target."""
-    linear = isinstance(model, LinearModel)
-    weights = [model.weights] if linear else list(model.weights)
-    biases = [model.intercept] if linear else list(model.biases)
-    if not weights or len(weights) != len(biases):
-        raise SurrogateError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
-    width = weights[0].shape[0]
-    for i, (W, b) in enumerate(zip(weights, biases)):
+    width = model.layers[0][0].shape[0]
+    for i, (W, b) in enumerate(model.layers):
         if W.ndim != 2 or W.shape[0] != width or b.shape != W.shape[1:]:
             raise SurrogateError(
                 f"{path}: layer {i}: weights of shape {W.shape} and bias of shape {b.shape}, "
@@ -378,12 +366,12 @@ def _check_shapes(model, path) -> None:
         width = W.shape[1]
     if width != len(model.targets):
         raise SurrogateError(f"{path}: {width} model outputs for {len(model.targets)} targets {list(model.targets)}")
-    for key in () if linear else ("target_mean", "target_scale"):
+    for key in ("target_mean", "target_scale"):
         if getattr(model, key).shape != (width,):
             raise SurrogateError(f"{path}: key {key!r}: expected {width} values, got shape {getattr(model, key).shape}")
 
 
-def load_model(path):
+def load_model(path) -> Model:
     """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key.
 
     The arrays must also chain from layer to layer to one output per target (see _check_shapes).
@@ -398,26 +386,20 @@ def load_model(path):
         except (TypeError, ValueError) as exc:
             raise SurrogateError(f"{path}: key {key!r}: {exc}") from None
 
-    kind = doc.get("kind")
-    if kind == "linear":
-        model = LinearModel(
-            weights=get("weights", _numbers),
-            intercept=get("intercept", _numbers),
-            targets=get("targets", _names),
-            feature_ids=get("feature_ids", _names),
-        )
-    elif kind == "mlp":
-        model = MlpModel(
-            weights=get("weights", lambda ws: tuple(_numbers(W) for W in ws)),
-            biases=get("biases", lambda bs: tuple(_numbers(b) for b in bs)),
-            activation=get("activation", _activation),
-            target_mean=get("target_mean", _numbers),
-            target_scale=get("target_scale", _numbers),
-            targets=get("targets", _names),
-            feature_ids=get("feature_ids", _names),
-            epochs_trained=get("epochs_trained", int) if "epochs_trained" in doc else 0,
-        )
-    else:
-        raise SurrogateError(f"{path}: unknown model kind {kind!r}")
+    weights = get("weights", lambda ws: [_numbers(W) for W in ws])
+    biases = get("biases", lambda bs: [_numbers(b) for b in bs])
+    if not weights or len(weights) != len(biases):
+        raise SurrogateError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
+    model = Model(
+        weights=weights[-1],
+        intercept=biases[-1],
+        activation=get("activation", _activation),
+        target_mean=get("target_mean", _numbers),
+        target_scale=get("target_scale", _numbers),
+        hidden=tuple(zip(weights[:-1], biases[:-1])),
+        targets=get("targets", _names),
+        feature_ids=get("feature_ids", _names),
+        epochs_trained=get("epochs_trained", int) if "epochs_trained" in doc else 0,
+    )
     _check_shapes(model, path)
     return model

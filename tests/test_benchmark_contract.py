@@ -26,6 +26,18 @@ def test_trace_targets_are_attributes_of_their_owners(monkeypatch):
     assert missing == []
 
 
+def test_surrogate_workload_checks_pass(monkeypatch, tmp_path):
+    # one cycle of the benchmark's surrogate workload with its own checks: the linear searches land on the
+    # analytic corner read from the read-out layer, and every search beats its seed row
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.TwolightsSurrogate(PERFBENCH.parent, seed=1, out_dir=tmp_path)
+    workload.setup()
+    workload.op(0)
+    assert workload.check(0) == []
+
+
 def test_values_the_benchmark_reads():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     model = fit_linear(X, np.column_stack([X.sum(axis=1), 2.0 - X[:, 0]]))

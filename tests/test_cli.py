@@ -13,7 +13,7 @@ from macrosim.cli import _build_parser, main
 from macrosim.dataset import read_csv
 from macrosim.signals import load_config, save_config
 from macrosim.solver import HORIZON_S, WARMUP_S, SimParams
-from macrosim.surrogate import LinearModel, MlpModel, load_model
+from macrosim.surrogate import load_model
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ def test_train_surrogate_linear(cli_dataset, tmp_path, capsys):
     assert rc == 0
     assert "3-fold RMSE" in capsys.readouterr().out
     model = load_model(model_path)
-    assert isinstance(model, LinearModel)
+    assert model.hidden == ()
     assert model.targets == ("avg_speed", "queue_length")
     assert model.feature_ids == ("X",)
     assert model.weights.shape == (3, 2)
@@ -141,7 +141,7 @@ def test_train_surrogate_single_target_mlp(cli_dataset, tmp_path):
     )
     assert rc == 0
     model = load_model(model_path)
-    assert isinstance(model, MlpModel)
+    assert [W.shape for W, _ in model.hidden] == [(3, 100), (100, 50)]
     assert model.targets == ("queue_length",)
 
 
@@ -338,10 +338,15 @@ def test_state_seed_is_refused(fixtures_dir, capsys):
 def test_protocol_errors_exit_before_any_output(cli_dataset, fixtures_dir, tmp_path, capsys, flags, wanted):
     # an error that every run would hit alike stops the command: no table of failed rows, no traceback
     net, init = ["--network", str(fixtures_dir / "twolights.json")], ["--init", str(fixtures_dir / "twolights_init.csv")]
+    model = tmp_path / "model.json"  # six inputs: three per signalized intersection of twolights
+    model.write_text(json.dumps({"weights": [[[0.0]] * 6], "biases": [[0.0]], "activation": "relu", "target_mean": [0.0],
+                                 "target_scale": [1.0], "targets": ["avg_speed"], "feature_ids": []}))
     commands = {
         "gen-dataset": ["gen-dataset", *net, *init, "--runs", "2"],
         "simulate": ["simulate", *net, *init, "--lights", str(fixtures_dir / "twolights_lights.json")],
         "optimize": ["optimize", *net, *init, "--direct", "--objective", "speed", "--data", str(cli_dataset)],
+        # no --init: the search needs no initial state, but the protocol flags are still checked
+        "optimize --model": ["optimize", *net, "--model", str(model), "--objective", "speed", "--data", str(cli_dataset)],
     }
     for name, argv in commands.items():
         out = tmp_path / f"{name}.out"
@@ -443,11 +448,15 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert rc == 1
     assert f"error: {model}: missing key 'weights'" in capsys.readouterr().err
 
-    # a model whose shapes do not chain, whose features are other intersections, or whose input width
-    # does not fit the network (3 per signalized intersection) names the file
-    linear = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J1"]}
+    # a model whose shapes do not chain, that holds a number that is not finite, whose features are other
+    # intersections, or whose input width does not fit the network (3 per signalized intersection) names the file
+    linear = {"weights": [[[1.0]]], "biases": [[0.0]], "activation": "relu", "target_mean": [0.0],
+              "target_scale": [1.0], "targets": ["avg_speed"], "feature_ids": ["J1"]}
+    fits = {**linear, "weights": [[[1.0]] * 3], "feature_ids": ["X"]}  # a model cross can be optimized against
     for doc, wanted in (
-        ({**linear, "intercept": [0.0, 0.0]}, "layer 0"),
+        ({**linear, "biases": [[0.0, 0.0]]}, "layer 0"),
+        ({**fits, "weights": [[[float("nan")]] * 3]}, "key 'weights': expected finite numbers"),
+        ({**fits, "target_scale": [float("inf")]}, "key 'target_scale': expected finite numbers"),
         (linear, "intersections ['J1']"),
         ({**linear, "feature_ids": []}, f"model takes 1 inputs, but {fixtures_dir / 'cross.json'} needs 3 "),
     ):
@@ -465,6 +474,7 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and wanted in err
+        assert not (tmp_path / "x.json").exists()
 
     # a negative generation count is refused by name before the search starts
     rc = main(

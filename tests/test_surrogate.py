@@ -6,9 +6,7 @@ import pytest
 
 from macrosim import surrogate
 from macrosim.surrogate import (
-    LinearModel,
     MlpHyper,
-    MlpModel,
     SurrogateError,
     fit_linear,
     fit_mlp,
@@ -55,6 +53,14 @@ def test_linear_handles_degenerate_design():
     Y = np.full((10, 1), 4.0)
     model = fit_linear(X, Y)
     assert predict(model, X)[0, 0] == pytest.approx(4.0, abs=1e-6)
+
+
+def test_a_model_without_hidden_layers_predicts_its_read_out_bit_for_bit():
+    X, Y, _, _ = _planted_linear(seed=4)
+    model = fit_linear(X, Y)
+    assert model.hidden == ()
+    np.testing.assert_array_equal(predict(model, X), X @ model.weights + model.intercept)
+    np.testing.assert_array_equal(predict(model, X[7]), X[7] @ model.weights + model.intercept)
 
 
 def test_linear_single_target_predict_shape():
@@ -139,10 +145,11 @@ def test_mlp_is_deterministic_for_fixed_seed():
     hyper = MlpHyper(hidden=(8,), max_epochs=30, patience=5)
     m1 = fit_mlp(X, Y, hyper, seed=9)
     m2 = fit_mlp(X, Y, hyper, seed=9)
-    for a, b in zip(m1.weights, m2.weights):
-        assert np.array_equal(a, b)
+    assert len(m1.layers) == len(m2.layers) == 2
+    for (W1, b1), (W2, b2) in zip(m1.layers, m2.layers):
+        assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
     m3 = fit_mlp(X, Y, hyper, seed=10)
-    assert any(not np.array_equal(a, b) for a, b in zip(m1.weights, m3.weights))
+    assert any(not np.array_equal(W1, W3) for (W1, _), (W3, _) in zip(m1.layers, m3.layers))
 
 
 def test_fit_mlp_trains_through_backprop_once_per_mini_batch(monkeypatch):
@@ -258,7 +265,7 @@ def test_model_json_round_trip(tmp_path):
     lin_path = tmp_path / "lin.json"
     save_model(lin, lin_path)
     lin2 = load_model(lin_path)
-    assert isinstance(lin2, LinearModel)
+    assert lin2.hidden == ()
     assert lin2.targets == lin.targets
     assert lin2.feature_ids == ("J1", "J2")
     np.testing.assert_array_equal(lin2.weights, lin.weights)
@@ -269,7 +276,7 @@ def test_model_json_round_trip(tmp_path):
     mlp_path = tmp_path / "mlp.json"
     save_model(mlp, mlp_path)
     mlp2 = load_model(mlp_path)
-    assert isinstance(mlp2, MlpModel)
+    assert len(mlp2.hidden) == 1
     assert mlp2.activation == mlp.activation
     assert mlp2.epochs_trained == mlp.epochs_trained
     np.testing.assert_array_equal(predict(mlp2, Xc), predict(mlp, Xc))
@@ -282,7 +289,10 @@ def test_load_model_rejects_unknown_kind(tmp_path):
         load_model(path)
 
 
-_LINEAR = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J"]}
+_LINEAR = {"weights": [[[1.0]]], "biases": [[0.0]], "activation": "relu", "target_mean": [0.0], "target_scale": [1.0],
+           "targets": ["avg_speed"], "feature_ids": ["J"]}
+# files of earlier versions: a linear one is refused, an MLP one loads ("kind" is unread)
+_OLD_LINEAR = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J"]}
 _MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.0, 0.0], [0.0]], "activation": "relu",
         "target_mean": [0.0], "target_scale": [1.0], "targets": ["avg_speed"], "feature_ids": []}
 
@@ -291,17 +301,22 @@ _MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.
     "text, wanted",
     [
         (json.dumps({"kind": "linear"}), "missing key 'weights'"),
-        (json.dumps({**_LINEAR, "weights": "abc"}), "key 'weights'"),
+        (json.dumps({**_OLD_LINEAR, "weights": "abc"}), "key 'weights'"),
+        (json.dumps(_OLD_LINEAR), "missing key 'biases'"),
         (json.dumps({**_LINEAR, "targets": "avg_speed"}), "key 'targets'"),
         (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[None]]}), "key 'biases'"),
         (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[0.0]], "activation": 3}), "key 'activation'"),
         (json.dumps(["kind", "linear"]), "expected a JSON object"),
         ('{"kind": "linear",', "cannot parse JSON"),
-        (json.dumps({**_LINEAR, "intercept": [0.0, 1.0]}), "layer 0: weights of shape (1, 1) and bias of shape (2,)"),
+        (json.dumps({**_LINEAR, "biases": [[0.0, 1.0]]}), "layer 0: weights of shape (1, 1) and bias of shape (2,)"),
         (json.dumps({**_LINEAR, "targets": ["avg_speed", "queue_length"]}), "1 model outputs for 2 targets"),
         (json.dumps({**_MLP, "weights": [[[1.0, 2.0]], [[1.0]]]}), "layer 1: weights of shape (1, 1)"),
         (json.dumps({**_MLP, "biases": [[0.0, 0.0]]}), "2 weight matrices for 1 bias vectors"),
         (json.dumps({**_MLP, "target_scale": [1.0, 1.0]}), "key 'target_scale': expected 1 values"),
+        (json.dumps({**_LINEAR, "weights": [[[float("nan")]]]}), "key 'weights': expected finite numbers"),
+        (json.dumps({**_MLP, "biases": [[0.0, float("inf")], [0.0]]}), "key 'biases': expected finite numbers"),
+        (json.dumps({**_MLP, "target_mean": [-float("inf")]}), "key 'target_mean': expected finite numbers"),
+        (json.dumps({**_MLP, "target_scale": [float("inf")]}), "key 'target_scale': expected finite numbers"),
     ],
 )
 def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
@@ -313,11 +328,6 @@ def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
     assert load_model(path).feature_ids == ("J",)
     path.write_text(json.dumps(_MLP))
     assert load_model(path).activation == "relu"
-
-
-def test_predict_rejects_unknown_model():
-    with pytest.raises(TypeError):
-        predict(object(), np.zeros(3))
 
 
 # Predictions of ``fit_mlp`` on a fixed design, recorded before the trainer
@@ -380,6 +390,6 @@ def test_fit_mlp_default_architecture_reproduces_pinned_predictions(activation):
     X = rng.uniform(0.0, 1.0, (80, 6))
     Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2] - X[:, 5], (X[:, 3] - 0.5) ** 2 - X[:, 4]])
     model = fit_mlp(X, Y, MlpHyper(activation=activation, max_epochs=30, patience=30), seed=5)
-    assert [W.shape for W in model.weights] == [(6, 100), (100, 50), (50, 2)]
+    assert [W.shape for W, _ in model.layers] == [(6, 100), (100, 50), (50, 2)]
     assert model.epochs_trained == 30
     np.testing.assert_array_equal(predict(model, _PINNED_QUERY_6), np.array(_PINNED_DEFAULT_MLP[activation]))
