@@ -1,13 +1,80 @@
 """The one file dialect of the pipeline: JSON documents and CSV tables.
 
 A JSON document is an object, written with an indent of 2 and a trailing
-newline. A CSV table has one header row; blank lines are skipped. Every read
-error starts with the file's path, and a table error also names the line.
+newline. A CSV table has one header row; blank lines are skipped. Every field
+and cell is read through ``Fields``; every read error starts with the file's path.
 """
 from __future__ import annotations
 
 import csv
 import json
+import reprlib
+import sys
+from contextlib import contextmanager
+
+
+@contextmanager
+def naming(prefix, error=ValueError):
+    """Re-raise a ValueError or ``error`` raised inside as ``error``, its message prefixed with ``prefix: ``."""
+    try:
+        yield
+    except (ValueError, error) as exc:
+        raise error(f"{prefix}: {exc}") from None
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, type):
+        return kind.__name__
+    return f"list of {_kind_name(kind[0])}" if isinstance(kind, list) else f"[{', '.join(map(_kind_name, kind))}]"
+
+
+class Fields:
+    """Typed reads of one file's fields, raising ``error`` as ``<path>: <key path>: expected <kind>, got <value>``.
+
+    A kind is ``str``, ``int``, ``float``, ``bool``, ``list`` or ``dict``; ``[kind]`` is a list of that kind,
+    a tuple of kinds a list of exactly those. An ``int`` refuses a bool, a fraction and a non-finite number
+    (``30.0`` reads as 30); a ``float`` refuses a bool and a string, but not NaN or ±Infinity: range and
+    finiteness are the domain checks' business. A key path looks like ``edges[3].lanes``.
+    """
+
+    def __init__(self, path, error=ValueError):
+        self.path, self.error = path, error
+
+    def __call__(self, obj: dict, key: str, kind, at: str = "", default=None):
+        """The field ``key`` of the object ``obj`` at key path ``at``; ``default`` if absent, required if None."""
+        name = f"{at}.{key}" if at else key
+        if key not in obj:
+            if default is None:
+                raise self.error(f"{self.path}: missing key '{name}'")
+            return default
+        return self.value(obj[key], kind, name)
+
+    def items(self, doc: dict, key: str, kind, default=None) -> list:
+        """(key path, item) of each item of the document's list ``key``; each item is of ``kind``."""
+        return [(f"{key}[{i}]", item) for i, item in enumerate(self(doc, key, [kind], default=default))]
+
+    def cell(self, text: str, kind, line_no: int, column: str):
+        """A CSV cell of kind ``int``, ``float`` or ``str``, its key path ``line <n>: <column>``."""
+        try:
+            value = kind(text)
+        except ValueError:
+            value = text
+        return self.value(value, kind, f"line {line_no}: {column}")
+
+    def value(self, value, kind, at: str):
+        """``value`` read as ``kind``; ``at`` is its key path."""
+        if isinstance(kind, list) and isinstance(value, list):
+            return [self.value(item, kind[0], f"{at}[{i}]") for i, item in enumerate(value)]
+        if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
+            return tuple(self.value(item, k, f"{at}[{i}]") for i, (item, k) in enumerate(zip(value, kind)))
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind is int and number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind is float and number and not (isinstance(value, int) and abs(value) > sys.float_info.max):
+            return float(value)
+        if kind in (str, bool, list, dict) and isinstance(value, kind):
+            return value
+        raise self.error(f"{self.path}: {at}: expected {_kind_name(kind)}, got {reprlib.repr(value)}")
 
 
 def write_json(doc: dict, path) -> None:

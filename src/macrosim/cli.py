@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import dataset, fundamental, optimizer, signals, solver, surrogate
-from ._files import write_json
+from ._files import naming, write_json
 from .network import NetworkError, load_network
 
 
@@ -91,7 +91,8 @@ def _initial_state(args, net):
     if args.init is None:
         return None, params
     speeds, default = solver.read_speeds_csv(args.init)
-    return solver.initialize(net, speeds, params, default_speed=default), params
+    with naming(args.init):
+        return solver.initialize(net, speeds, params, default_speed=default), params
 
 
 def _cmd_calibrate_fd(args) -> int:
@@ -109,7 +110,11 @@ def _cmd_simulate(args) -> int:
     net = load_network(args.network)
     state0, params = _initial_state(args, net)
     config = signals.load_config(args.lights) if args.lights else None
-    probes = [float(t) for t in args.probes.split(",")] if args.probes else None
+    if args.lights:
+        with naming(args.lights):
+            signals.signal_groups(net, config)
+    with naming("--probes"):
+        probes = [float(t) for t in args.probes.split(",")] if args.probes else None
     result = solver.run(net, state0, config, params, horizon=args.horizon, warmup=args.warmup, probes=probes)
     solver.write_metrics_json(result, args.out)
     if args.heatmap:
@@ -143,7 +148,8 @@ def _cmd_train_surrogate(args) -> int:
     if args.grid and args.model != "mlp":
         raise ValueError("--grid applies to --model mlp only")
     rows = dataset.read_csv(args.data)
-    X, Y, ids = dataset.feature_matrix(rows)
+    with naming(args.data, dataset.DatasetError):
+        X, Y, ids = dataset.feature_matrix(rows)
     names = list(optimizer.TARGETS) if args.target == "both" else [args.target]
     targets = tuple(optimizer.TARGETS[name].metric for name in names)
     Yt = Y[:, [optimizer.TARGET_COLUMNS[name] for name in names]]

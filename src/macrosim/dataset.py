@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from ._files import read_table, write_table
+from ._files import Fields, naming, read_table, write_table
 from .signals import IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
 
@@ -132,14 +132,15 @@ def read_csv(path) -> list[DatasetRow]:
     """Read a table as write_csv writes it, its intersection ids taken from the _red columns; floats round-trip exactly."""
     header, records = read_table(path, lambda found: _header(_ids(found)), DatasetError)
     ids = _ids(header)
+    fields = Fields(path, DatasetError)
+    kinds = [int] * (len(header) - 3) + [float, float, str]
     rows = []
     for line_no, cells in records:
-        try:
-            timings = [int(cell) for cell in cells[2:-3]]
+        run_id, seed, *timings, avg_speed, queue, status = (
+            fields.cell(cell, kind, line_no, column) for cell, kind, column in zip(cells, kinds, header))
+        with naming(f"{path}: line {line_no}", DatasetError):
             config = {iid: IntersectionSignal(*timings[3 * j:3 * j + 3]) for j, iid in enumerate(ids)}
-            rows.append(DatasetRow(int(cells[0]), int(cells[1]), config, float(cells[-3]), float(cells[-2]), cells[-1]))
-        except ValueError as exc:
-            raise DatasetError(f"{path}: line {line_no}: {exc}") from None
+        rows.append(DatasetRow(run_id, seed, config, avg_speed, queue, status))
     return rows
 
 

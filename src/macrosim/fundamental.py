@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import read_table, write_json
+from ._files import Fields, read_table, write_json
 
 DEFAULT_V_MAX = 13.68  # m/s
 DEFAULT_RHO_CR = 0.05  # cars/m per lane
@@ -221,13 +221,11 @@ def read_counters(path) -> list[tuple[float, float]]:
     finite, counts non-negative and intervals positive; a row whose speed is
     not positive gives no sample.
     """
-    _, rows = read_table(path, ["interval_s", "count", "avg_speed_mps"])
+    header, rows = read_table(path, ["interval_s", "count", "avg_speed_mps"])
+    fields = Fields(path)
     samples = []
     for line_no, cells in rows:
-        try:
-            interval_s, count, avg_speed = (float(cell) for cell in cells)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        interval_s, count, avg_speed = (fields.cell(c, float, line_no, column) for c, column in zip(cells, header))
         for bad, rule in (
             (not all(map(math.isfinite, (interval_s, count, avg_speed))), "values must be finite"),
             (count < 0, "count must be >= 0"),

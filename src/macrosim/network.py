@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._files import read_json, write_json
+from ._files import Fields, naming, read_json, write_json
 from .fundamental import DEFAULT_A, DEFAULT_RHO_CR, FdParams
 
 CELL_TARGET_M = 10.0
 CELL_MIN_M = 5.0
 CELL_MAX_M = 20.0
+MAX_CELLS = 1_000_000  # cells of a network's layout at most, so a huge length is refused before any allocation
 
 
 class NetworkError(Exception):
@@ -94,8 +95,8 @@ class RoadNetwork:
 
     rho_cr and a are the shape of the network's one speed-density curve; each
     edge's fundamental diagram is that shape at the edge's free_flow_speed.
-    A repeated node, edge or intersection id, or an edge length that is not
-    finite and > 0 (the cell layout needs it), raises NetworkError.
+    A repeated id, an edge length that is not finite and > 0 (the cell layout
+    needs it), or a layout of more than MAX_CELLS cells raises NetworkError.
     """
 
     def __init__(self, nodes, edges, intersections, rho_cr: float = DEFAULT_RHO_CR, a: float = DEFAULT_A):
@@ -116,6 +117,8 @@ class RoadNetwork:
             n = self.edges[eid].cell_count
             self._slices[eid] = slice(offset, offset + n)
             offset += n
+            if offset > MAX_CELLS:
+                raise NetworkError(f"edge {eid}: the cell layout reaches {offset} cells, more than {MAX_CELLS}")
         self.total_cells: int = offset
 
         # which intersection feeds / drains each edge end
@@ -277,58 +280,41 @@ def turn_speed_factor(angle_deg: float) -> float:
     return (1.0 - math.cos(math.radians(angle_deg))) / 2.0
 
 
+# (file key, attribute, kind) of each field of a node and of an edge record, in file order
+NODE_FIELDS = (("id", "id", str), ("x", "x", float), ("y", "y", float))
+EDGE_FIELDS = (("id", "id", str), ("from", "from_node", str), ("to", "to_node", str), ("length_m", "length_m", float),
+               ("lanes", "lanes", int), ("free_flow_speed_mps", "free_flow_speed", float))
+
+
 def load_network(path) -> RoadNetwork:
     """Load and validate a network document; raises NetworkError on problems."""
     doc = read_json(path, NetworkError)
-    try:
-        nodes = [Node(id=str(n["id"]), x=float(n["x"]), y=float(n["y"])) for n in doc["nodes"]]
-        edges = []
-        for e in doc["edges"]:
-            if "fd" in e:
-                raise NetworkError(
-                    f"{path}: edge {e['id']}: a per-edge fd is refused: every edge's curve is "
-                    f"fd_defaults' shape at its free_flow_speed_mps"
-                )
-            edges.append(
-                RoadEdge(
-                    id=str(e["id"]),
-                    from_node=str(e["from"]),
-                    to_node=str(e["to"]),
-                    length_m=float(e["length_m"]),
-                    lanes=int(e["lanes"]),
-                    free_flow_speed=float(e["free_flow_speed_mps"]),
-                )
-            )
-        intersections = []
-        for i in doc.get("intersections", []):
-            weights = {
-                (str(e_in), str(e_out)): float(w) for e_in, e_out, w in i.get("turn_weights", [])
-            }
-            intersections.append(
-                Intersection(
-                    id=str(i["id"]),
-                    node=str(i["node"]),
-                    incoming=tuple(str(x) for x in i.get("incoming", [])),
-                    outgoing=tuple(str(x) for x in i.get("outgoing", [])),
-                    turn_weights=weights,
-                    signalized=bool(i.get("signalized", False)),
-                    group_a=tuple(str(x) for x in i.get("group_a", [])),
-                    group_b=tuple(str(x) for x in i.get("group_b", [])),
-                )
-            )
-        shape = doc.get("fd_defaults", {"rho_cr": DEFAULT_RHO_CR, "a": DEFAULT_A})
-        if "v_max" in shape:
-            raise NetworkError(
-                f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max"
-            )
-        rho_cr, a = float(shape["rho_cr"]), float(shape["a"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkError(f"malformed network document {path}: {exc!r}") from None
+    fields = Fields(path, NetworkError)
+    nodes = [Node(**{attr: fields(n, key, kind, at) for key, attr, kind in NODE_FIELDS})
+             for at, n in fields.items(doc, "nodes", dict)]
+    edges = []
+    for at, e in fields.items(doc, "edges", dict):
+        edges.append(RoadEdge(**{attr: fields(e, key, kind, at) for key, attr, kind in EDGE_FIELDS}))
+        if "fd" in e:
+            raise NetworkError(f"{path}: edge {edges[-1].id}: a per-edge fd is refused: every edge's curve is "
+                               f"fd_defaults' shape at its free_flow_speed_mps")
+    intersections = []
+    for at, i in fields.items(doc, "intersections", dict, default=[]):
+        names = {key: tuple(fields(i, key, [str], at, default=[]))
+                 for key in ("incoming", "outgoing", "group_a", "group_b")}
+        weights = fields(i, "turn_weights", [(str, str, float)], at, default=[])
+        intersections.append(Intersection(
+            id=fields(i, "id", str, at), node=fields(i, "node", str, at), **names,
+            turn_weights={(e_in, e_out): w for e_in, e_out, w in weights},
+            signalized=fields(i, "signalized", bool, at, default=False),
+        ))
+    shape = fields(doc, "fd_defaults", dict, default={"rho_cr": DEFAULT_RHO_CR, "a": DEFAULT_A})
+    if "v_max" in shape:
+        raise NetworkError(f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max")
+    rho_cr, a = (fields(shape, key, float, "fd_defaults") for key in ("rho_cr", "a"))
 
-    try:
+    with naming(path, NetworkError):
         net = RoadNetwork(nodes, edges, intersections, rho_cr, a)
-    except NetworkError as exc:
-        raise NetworkError(f"{path}: {exc}") from None
     problems = validate(net)
     if problems:
         raise NetworkError(f"invalid network {path}:\n  " + "\n  ".join(problems))
@@ -338,33 +324,15 @@ def load_network(path) -> RoadNetwork:
 def save_network(net: RoadNetwork, path) -> None:
     """Serialize a network to the same document format load_network reads."""
     doc = {
-        "nodes": [{"id": n.id, "x": n.x, "y": n.y} for n in net.nodes.values()],
-        "edges": [],
-        "intersections": [],
+        "nodes": [{key: getattr(n, attr) for key, attr, _ in NODE_FIELDS} for n in net.nodes.values()],
+        "edges": [{key: getattr(e, attr) for key, attr, _ in EDGE_FIELDS} for e in net.edges.values()],
+        "intersections": [
+            {"id": i.id, "node": i.node, "incoming": list(i.incoming), "outgoing": list(i.outgoing),
+             "turn_weights": [[e_in, e_out, w] for (e_in, e_out), w in sorted(i.turn_weights.items())],
+             "signalized": i.signalized, "group_a": list(i.group_a), "group_b": list(i.group_b)}
+            for i in net.intersections.values()
+        ],
     }
     if (net.rho_cr, net.a) != (DEFAULT_RHO_CR, DEFAULT_A):
         doc["fd_defaults"] = {"rho_cr": net.rho_cr, "a": net.a}
-    for e in net.edges.values():
-        entry = {
-            "id": e.id,
-            "from": e.from_node,
-            "to": e.to_node,
-            "length_m": e.length_m,
-            "lanes": e.lanes,
-            "free_flow_speed_mps": e.free_flow_speed,
-        }
-        doc["edges"].append(entry)
-    for i in net.intersections.values():
-        doc["intersections"].append(
-            {
-                "id": i.id,
-                "node": i.node,
-                "incoming": list(i.incoming),
-                "outgoing": list(i.outgoing),
-                "turn_weights": [[e_in, e_out, w] for (e_in, e_out), w in sorted(i.turn_weights.items())],
-                "signalized": i.signalized,
-                "group_a": list(i.group_a),
-                "group_b": list(i.group_b),
-            }
-        )
     write_json(doc, path)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import Fields, naming, read_json, write_json
 
 RED_GREEN_MIN = 20
 RED_GREEN_MAX = 54
@@ -168,15 +168,11 @@ def load_config(path) -> dict:
 
     A malformed document or entry raises ValueError naming the file and the intersection.
     """
+    doc = read_json(path)
+    fields = Fields(path)
     config = {}
-    for iid, timing in read_json(path).items():
-        try:
-            if not isinstance(timing, dict) or not {"red", "green", "offset"} <= timing.keys():
-                raise ValueError("expected an object with red, green and offset")
-            config[str(iid)] = IntersectionSignal(**{
-                key: int(value) if isinstance(value, float) and value.is_integer() else value
-                for key, value in timing.items() if key in ("red", "green", "offset")
-            })
-        except ValueError as exc:
-            raise ValueError(f"{path}: intersection {iid}: {exc}") from None
+    for iid in doc:
+        values = [fields(fields(doc, iid, dict), key, int, iid) for key in ("red", "green", "offset")]
+        with naming(f"{path}: intersection {iid}"):
+            config[iid] = IntersectionSignal(*values)
     return config

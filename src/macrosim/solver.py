@@ -32,7 +32,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from ._files import read_table, write_json, write_table
+from ._files import Fields, read_table, write_json, write_table
 from .fundamental import _curve, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
@@ -128,10 +128,10 @@ def check_protocol(net: RoadNetwork, params: SimParams, horizon: float, warmup: 
     """The checks ``run`` makes before it starts: the CFL condition, a finite horizon > 0, a warmup that some step samples."""
     report = check_cfl(net, params.dt_s)
     if not report.ok:
-        worst = ", ".join(f"{eid} (ratio {ratio:.3f})" for eid, ratio in report.violations)
+        worst = ", ".join(f"edge {eid} (ratio {ratio:.3f})" for eid, ratio in report.violations)
         raise CflError(
             f"time step {params.dt_s}s violates the stability condition v_max*dt/dx <= 1 "
-            f"on: {worst}; reduce dt or use longer cells"
+            f"on {worst}; reduce dt or use longer cells"
         )
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -452,16 +452,13 @@ def read_speeds_csv(path) -> tuple[dict[str, float], float | None]:
     speeds: dict[str, float] = {}
     first_line: dict[str, int] = {}
     _, rows = read_table(path, ["edge_id", "speed_mps"])
+    fields = Fields(path)
     for line_no, (edge_id, speed) in rows:
-        try:
-            value = float(speed)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: speed_mps is not a number: {speed!r}") from None
         edge_id = edge_id.strip()
         first = first_line.setdefault(edge_id, line_no)
         if first != line_no:
             raise ValueError(f"{path}: line {line_no}: edge_id {edge_id!r} already given on line {first}")
-        speeds[edge_id] = value
+        speeds[edge_id] = fields.cell(speed, float, line_no, "speed_mps")
     return speeds, speeds.pop("*", None)
 
 

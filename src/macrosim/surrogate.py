@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import Fields, read_json, write_json
 
 RIDGE = 1e-8               # ridge term of the linear fit's normal equations
 BATCH_SIZE = 32            # MLP mini-batch rows
@@ -333,73 +333,40 @@ def save_model(model: Model, path) -> None:
     }, path)
 
 
-def _numbers(value) -> np.ndarray:
-    array = np.array(value)
-    if array.ndim == 0 or array.dtype.kind not in "iuf":
-        raise TypeError("expected a list of numbers")
-    if not np.isfinite(array).all():
-        raise ValueError("expected finite numbers")
-    return array.astype(float)
-
-
-def _names(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise TypeError("expected a list of strings")
-    return tuple(value)
-
-
-def _activation(value) -> str:
-    if value not in ("relu", "tanh"):
-        raise ValueError(f"expected 'relu' or 'tanh', got {value!r}")
-    return value
-
-
-def _check_shapes(model: Model, path) -> None:
-    """Require each layer to take the previous layer's outputs and the last to give one per target."""
-    width = model.layers[0][0].shape[0]
-    for i, (W, b) in enumerate(model.layers):
-        if W.ndim != 2 or W.shape[0] != width or b.shape != W.shape[1:]:
-            raise SurrogateError(
-                f"{path}: layer {i}: weights of shape {W.shape} and bias of shape {b.shape}, "
-                f"expected ({width}, n) and (n,)"
-            )
-        width = W.shape[1]
-    if width != len(model.targets):
-        raise SurrogateError(f"{path}: {width} model outputs for {len(model.targets)} targets {list(model.targets)}")
-    for key in ("target_mean", "target_scale"):
-        if getattr(model, key).shape != (width,):
-            raise SurrogateError(f"{path}: key {key!r}: expected {width} values, got shape {getattr(model, key).shape}")
-
-
 def load_model(path) -> Model:
     """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key.
 
-    The arrays must also chain from layer to layer to one output per target (see _check_shapes).
+    Every number must be finite, and the layers must chain from the inputs to one output per target.
     """
     doc = read_json(path, SurrogateError)
-
-    def get(key, convert):
-        if key not in doc:
-            raise SurrogateError(f"{path}: missing key {key!r}")
-        try:
-            return convert(doc[key])
-        except (TypeError, ValueError) as exc:
-            raise SurrogateError(f"{path}: key {key!r}: {exc}") from None
-
-    weights = get("weights", lambda ws: [_numbers(W) for W in ws])
-    biases = get("biases", lambda bs: [_numbers(b) for b in bs])
+    fields = Fields(path, SurrogateError)
+    weights, biases = fields(doc, "weights", [[[float]]]), fields(doc, "biases", [[float]])
+    for i, W in enumerate(weights):
+        if len(set(map(len, W))) > 1:
+            raise SurrogateError(f"{path}: weights[{i}]: expected rows of one length")
     if not weights or len(weights) != len(biases):
         raise SurrogateError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
-    model = Model(
-        weights=weights[-1],
-        intercept=biases[-1],
-        activation=get("activation", _activation),
-        target_mean=get("target_mean", _numbers),
-        target_scale=get("target_scale", _numbers),
-        hidden=tuple(zip(weights[:-1], biases[:-1])),
-        targets=get("targets", _names),
-        feature_ids=get("feature_ids", _names),
-        epochs_trained=get("epochs_trained", int) if "epochs_trained" in doc else 0,
-    )
-    _check_shapes(model, path)
-    return model
+    activation = fields(doc, "activation", str)
+    if activation not in ("relu", "tanh"):
+        raise SurrogateError(f"{path}: activation: expected 'relu' or 'tanh', got {activation!r}")
+    layers = [(np.array(W), np.array(b)) for W, b in zip(weights, biases)]
+    mean, scale = np.array(fields(doc, "target_mean", [float])), np.array(fields(doc, "target_scale", [float]))
+    for key, arrays in zip(("weights", "biases", "target_mean", "target_scale"), (*zip(*layers), [mean], [scale])):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise SurrogateError(f"{path}: {key}: expected finite numbers")
+    targets = tuple(fields(doc, "targets", [str]))
+    width = layers[0][0].shape[0]
+    for i, (W, b) in enumerate(layers):
+        if W.ndim != 2 or W.shape[0] != width or b.shape != W.shape[1:]:
+            raise SurrogateError(f"{path}: layer {i}: weights of shape {W.shape} and bias of shape {b.shape}, "
+                                 f"expected ({width}, n) and (n,)")
+        width = W.shape[1]
+    if width != len(targets):
+        raise SurrogateError(f"{path}: {width} model outputs for {len(targets)} targets {list(targets)}")
+    for key, value in (("target_mean", mean), ("target_scale", scale)):
+        if value.shape != (width,):
+            raise SurrogateError(f"{path}: {key}: expected {width} values, got shape {value.shape}")
+    return Model(weights=layers[-1][0], intercept=layers[-1][1], target_mean=mean, target_scale=scale,
+                 hidden=tuple(layers[:-1]), activation=activation, targets=targets,
+                 feature_ids=tuple(fields(doc, "feature_ids", [str])),
+                 epochs_trained=fields(doc, "epochs_trained", int, default=0))

@@ -382,9 +382,10 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
 
     # malformed lights files: each error names the file and, for a bad entry, the intersection
     malformed = [
-        (json.dumps({"X": {"red": 30, "offset": 0}}), "intersection X"),
+        (json.dumps({"X": {"red": 30, "offset": 0}}), "missing key 'X.green'"),
         (json.dumps([{"red": 30, "green": 30, "offset": 0}]), "expected a JSON object"),
-        (json.dumps({"X": {"red": 30.7, "green": 30, "offset": 0}}), "intersection X"),
+        (json.dumps({"X": {"red": 30.7, "green": 30, "offset": 0}}), "X.red: expected int, got 30.7"),
+        (json.dumps({"X": {"red": 60, "green": 30, "offset": 0}}), "intersection X: red must be in [20, 54], got 60"),
         ('{"X": {"red": 30,\n', "cannot parse JSON"),
     ]
     for text, wanted in malformed:
@@ -455,8 +456,8 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     fits = {**linear, "weights": [[[1.0]] * 3], "feature_ids": ["X"]}  # a model cross can be optimized against
     for doc, wanted in (
         ({**linear, "biases": [[0.0, 0.0]]}, "layer 0"),
-        ({**fits, "weights": [[[float("nan")]] * 3]}, "key 'weights': expected finite numbers"),
-        ({**fits, "target_scale": [float("inf")]}, "key 'target_scale': expected finite numbers"),
+        ({**fits, "weights": [[[float("nan")]] * 3]}, "weights: expected finite numbers"),
+        ({**fits, "target_scale": [float("inf")]}, "target_scale: expected finite numbers"),
         (linear, "intersections ['J1']"),
         ({**linear, "feature_ids": []}, f"model takes 1 inputs, but {fixtures_dir / 'cross.json'} needs 3 "),
     ):
@@ -519,6 +520,31 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+def test_cross_file_errors_name_the_file_or_flag(fixtures_dir, tmp_path, capsys):
+    # a lights file that does not fit the network, or an initial speed the network refuses, names that file
+    lights = tmp_path / "lights.json"
+    lights.write_text(json.dumps({"J2": {"red": 30, "green": 30, "offset": 0}}))
+    init = tmp_path / "init.csv"
+    init.write_text((fixtures_dir / "twolights_init.csv").read_text().replace("e_j2,8.0", "e_j2,nan"))
+    twolights = ["--network", str(fixtures_dir / "twolights.json"), "--init", str(fixtures_dir / "twolights_init.csv")]
+    for argv, wanted in (
+        ([*twolights, "--lights", str(lights)],
+         f"{lights}: signal configuration does not match network: missing ['J1']"),
+        (["--network", str(fixtures_dir / "ring.json"), "--init", str(fixtures_dir / "ring_init.csv"),
+          "--lights", str(fixtures_dir / "cross_lights.json")],
+         f"{fixtures_dir / 'cross_lights.json'}: network has no signalized intersections "
+         "but a configuration was given"),
+        ([*twolights[:3], str(init), "--lights", str(fixtures_dir / "twolights_lights.json")],
+         f"{init}: observed speed for edge e_j2 must be in (0, 13.68], got nan"),
+        ([*twolights, "--lights", str(fixtures_dir / "twolights_lights.json"), "--probes", "1,a"],
+         "--probes: could not convert string to float: 'a'"),
+    ):
+        rc = main(["simulate", *argv, "--horizon", "5", "--warmup", "0", "--out", str(tmp_path / "x.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {wanted}\n"
+        assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("length", ["NaN", "Infinity", "0", "-5"])

@@ -1,0 +1,130 @@
+"""Every field of every input file, set to a bad value or deleted, either runs or fails with a named error.
+
+Each mutant is run through ``cli.main``: the outcome must be exit 0, or exit 1
+with an ``error:`` line naming the file, an edge or an intersection. A
+traceback fails the test. The list of values is fixed, so the sweep is
+deterministic and costs a few seconds.
+"""
+import copy
+import json
+import math
+import os
+
+from macrosim.cli import main
+
+BAD = [None, True, "x", 1.5, -1, 0, math.nan, math.inf, -math.inf, 1e308, 10**30, [], {}]
+DELETE = object()
+# the same values as cell text; the empty cell stands for a deleted one
+BAD_CELLS = ["null", "true", "x", "1.5", "-1", "0", "nan", "inf", "-inf", "1e308", str(10**30), "[]", "{}", ""]
+
+# a model that fits cross.json (3 inputs for its one signalized intersection X), with one hidden layer
+MODEL = {"targets": ["avg_speed", "queue_length"], "feature_ids": ["X"], "activation": "relu",
+         "weights": [[[0.5, -0.5], [0.25, 0.5], [-0.25, 0.5]], [[1.0, 0.5], [0.5, 1.0]]],
+         "biases": [[0.0, 0.1], [6.0, 0.3]], "target_mean": [0.0, 0.0], "target_scale": [1.0, 1.0],
+         "epochs_trained": 3}
+DATASET = ["run_id,seed,X_red,X_green,X_offset,avg_speed,queue_length,status",
+           "0,11,30,20,10,6.5,0.4,ok", "1,12,40,25,3,6.1,0.45,ok", "2,13,22,50,60,7.0,0.3,ok",
+           "3,14,54,54,100,5.5,0.5,ok", "4,15,20,33,0,6.8,0.35,ok"]
+
+
+def _json_mutants(doc):
+    """(label, document) per key of the top level and of each first record, set to each bad value or deleted.
+
+    A record is the first object of a top-level list, or an object at the top level.
+    """
+    records = [((), doc)]
+    for key, value in doc.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            records.append(((key, 0), value[0]))
+        elif isinstance(value, dict):
+            records.append(((key,), value))
+    for where, record in records:
+        for key in record:
+            for bad in [*BAD, DELETE]:
+                mutant = copy.deepcopy(doc)
+                target = mutant
+                for step in where:
+                    target = target[step]
+                if bad is DELETE:
+                    del target[key]
+                else:
+                    target[key] = bad
+                yield f"{where}{key}={'deleted' if bad is DELETE else repr(bad)}", json.dumps(mutant)
+
+
+def _table_mutants(lines):
+    """(label, table) per cell of the first data row, set to each bad cell text."""
+    cells = lines[1].split(",")
+    for j in range(len(cells)):
+        for bad in BAD_CELLS:
+            row = ",".join(bad if i == j else cell for i, cell in enumerate(cells))
+            yield f"column {j}={bad!r}", "\n".join([lines[0], row, *lines[2:]]) + "\n"
+
+
+def _sweep(tmp_path, capsys, mutants, name, argv):
+    """Run argv ({path} is the mutant's file) on every mutant; return the outcomes that break the rule.
+
+    An error must name one of the command's files, an edge or an intersection.
+    """
+    path = tmp_path / name
+    out = tmp_path / "out.json"
+    broken = []
+    for label, text in mutants:
+        path.write_text(text)
+        args = [arg.format(path=path, out=out) for arg in argv]
+        rc = main(args)
+        err = capsys.readouterr().err
+        named = any(arg in err for arg in args if os.sep in arg) or "edge " in err or "intersection " in err
+        if not (rc == 0 or (rc == 1 and err.startswith("error:") and named)):
+            broken.append((label, rc, err))
+    return broken
+
+
+def _simulate(fixtures_dir, mutated):
+    """simulate on cross.json with its initial speeds and lights, the flag ``mutated`` reading the mutant instead."""
+    files = {"--network": "cross.json", "--init": "cross_init.csv", "--lights": "cross_lights.json"}
+    argv = [arg for flag, name in files.items()
+            for arg in (flag, "{path}" if flag == mutated else str(fixtures_dir / name))]
+    return ["simulate", *argv, "--horizon", "2", "--warmup", "0", "--out", "{out}"]
+
+
+def test_every_network_field(fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "cross.json").read_text())
+    mutants = list(_json_mutants(doc))
+    assert len(mutants) == 14 * (3 + 3 + 6 + 8)  # top level, first node, first edge, first intersection
+    assert _sweep(tmp_path, capsys, mutants, "net.json", _simulate(fixtures_dir, "--network")) == []
+
+
+def test_every_lights_field(fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "cross_lights.json").read_text())
+    mutants = list(_json_mutants(doc))
+    assert len(mutants) == 14 * (1 + 3)
+    argv = _simulate(fixtures_dir, "--lights")
+    assert _sweep(tmp_path, capsys, mutants, "lights.json", argv) == []
+
+
+def test_every_model_field(fixtures_dir, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(DATASET) + "\n")
+    mutants = list(_json_mutants(MODEL))
+    assert len(mutants) == 14 * 8
+    argv = ["optimize", "--network", str(fixtures_dir / "cross.json"), "--model", "{path}", "--objective", "speed",
+            "--data", str(data), "--generations", "1", "--pop", "4", "--out", "{out}"]
+    assert _sweep(tmp_path, capsys, mutants, "model.json", argv) == []
+
+
+def test_every_initial_speeds_cell(fixtures_dir, tmp_path, capsys):
+    lines = (fixtures_dir / "cross_init.csv").read_text().splitlines()
+    argv = _simulate(fixtures_dir, "--init")
+    assert _sweep(tmp_path, capsys, _table_mutants(lines), "init.csv", argv) == []
+
+
+def test_every_counters_cell(fixtures_dir, tmp_path, capsys):
+    lines = (fixtures_dir / "counters.csv").read_text().splitlines()[:8]
+    argv = ["calibrate-fd", "--counters", "{path}", "--out", "{out}"]
+    assert _sweep(tmp_path, capsys, _table_mutants(lines), "counters.csv", argv) == []
+
+
+def test_every_dataset_cell(tmp_path, capsys):
+    argv = ["train-surrogate", "--data", "{path}", "--model", "linear", "--folds", "2", "--out", "{out}"]
+    assert _sweep(tmp_path, capsys, _table_mutants(DATASET), "data.csv", argv) == []

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from macrosim.fundamental import FdParams
+from macrosim.signals import load_config, save_config
 from macrosim.network import (
+    MAX_CELLS,
     Intersection,
     NetworkError,
     Node,
@@ -313,6 +315,76 @@ def test_network_rejects_a_length_the_cell_layout_cannot_use(tmp_path, length):
         load_network(path)
 
 
+def test_network_refuses_a_cell_layout_above_the_cap(tmp_path):
+    # only the layout's slices are built, never an array, so these sizes cost nothing to refuse
+    nodes = [Node("A", 0.0, 0.0), Node("B", 100.0, 0.0)]
+    assert RoadNetwork(nodes, [RoadEdge("r", "A", "B", 10.0 * MAX_CELLS, 1, 10.0)], []).total_cells == MAX_CELLS
+    wanted = f"edge r: the cell layout reaches {MAX_CELLS + 1} cells, more than {MAX_CELLS}"
+    with pytest.raises(NetworkError, match=f"^{re.escape(wanted)}$"):
+        RoadNetwork(nodes, [RoadEdge("r", "A", "B", 10.0 * (MAX_CELLS + 1), 1, 10.0)], [])
+    path = tmp_path / "net.json"
+    for length in (10.0 * (MAX_CELLS + 1), 1e11, 1e308):
+        doc = _one_edge_doc()
+        doc["edges"][0]["length_m"] = length
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}: edge r: the cell layout reaches "):
+            load_network(path)
+
+
+_ONE_JUNCTION = {
+    "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 100, "y": 0}, {"id": "C", "x": 200, "y": 0}],
+    "edges": [{"id": "r", "from": "A", "to": "B", "length_m": 100, "lanes": 1, "free_flow_speed_mps": 10},
+              {"id": "s", "from": "B", "to": "C", "length_m": 100, "lanes": 1, "free_flow_speed_mps": 10}],
+    "intersections": [{"id": "X", "node": "B", "incoming": ["r"], "outgoing": ["s"],
+                       "turn_weights": [["r", "s", 1.0]]}],
+}
+
+
+@pytest.mark.parametrize("where, key, value, wanted", [
+    ("edges", "lanes", 1.5, "edges[0].lanes: expected int, got 1.5"),
+    ("edges", "lanes", True, "edges[0].lanes: expected int, got True"),
+    ("edges", "lanes", float("inf"), "edges[0].lanes: expected int, got inf"),
+    ("edges", "free_flow_speed_mps", True, "edges[0].free_flow_speed_mps: expected float, got True"),
+    ("edges", "id", 7, "edges[0].id: expected str, got 7"),
+    ("nodes", "x", "100", "nodes[0].x: expected float, got '100'"),
+    ("nodes", "y", 10**400, "nodes[0].y: expected float, got 1000"),
+    ("intersections", "signalized", "yes", "intersections[0].signalized: expected bool, got 'yes'"),
+    ("intersections", "incoming", "r", "intersections[0].incoming: expected list of str, got 'r'"),
+    ("intersections", "turn_weights", [["r", "s"]], "intersections[0].turn_weights[0]: expected [str, str, float]"),
+    ("intersections", "turn_weights", [["r", "s", "1"]],
+     "intersections[0].turn_weights[0][2]: expected float, got '1'"),
+    ("intersections", "node", None, "intersections[0].node: expected str, got None"),
+    ("intersections", "id", "deleted", "missing key 'intersections[0].id'"),
+])
+def test_load_network_names_the_key_path_of_a_bad_field(tmp_path, where, key, value, wanted):
+    doc = json.loads(json.dumps(_ONE_JUNCTION))
+    if value == "deleted":
+        del doc[where][0][key]
+    else:
+        doc[where][0][key] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkError, match=f"^{re.escape(f'{path}: {wanted}')}"):
+        load_network(path)
+    path.write_text(json.dumps({**_ONE_JUNCTION, where: [None]}))
+    with pytest.raises(NetworkError, match=f"^{re.escape(f'{path}: {where}[0]: expected dict, got None')}$"):
+        load_network(path)
+    path.write_text(json.dumps(_ONE_JUNCTION))
+    assert load_network(path).edges["r"].lanes == 1
+
+
+def test_fixtures_round_trip_byte_for_byte(fixtures_dir, tmp_path):
+    # every committed network and lights file is written by save_network or save_config (scripts/build_fixtures.py),
+    # so reading it back and writing it again must reproduce it exactly, key order included
+    out = tmp_path / "again.json"
+    for path in sorted(fixtures_dir.glob("*.json")):
+        if path.stem.endswith("_lights"):
+            save_config(load_config(path), out)
+        else:
+            save_network(load_network(path), out)
+        assert out.read_bytes() == path.read_bytes(), path.name
+
+
 def test_load_network_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -323,7 +395,7 @@ def test_load_network_rejects_invalid_json(tmp_path):
 def test_load_network_rejects_missing_field(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text('{"nodes": [], "edges": [{"id": "r"}]}')
-    with pytest.raises(NetworkError, match="malformed"):
+    with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}: missing key 'edges\\[0\\].from'$"):
         load_network(path)
 
 

@@ -301,22 +301,31 @@ _MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.
     "text, wanted",
     [
         (json.dumps({"kind": "linear"}), "missing key 'weights'"),
-        (json.dumps({**_OLD_LINEAR, "weights": "abc"}), "key 'weights'"),
-        (json.dumps(_OLD_LINEAR), "missing key 'biases'"),
-        (json.dumps({**_LINEAR, "targets": "avg_speed"}), "key 'targets'"),
-        (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[None]]}), "key 'biases'"),
-        (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[0.0]], "activation": 3}), "key 'activation'"),
+        (json.dumps({**_OLD_LINEAR, "weights": "abc"}), "weights: expected list of list of list of float, got 'abc'"),
+        (json.dumps(_OLD_LINEAR), "weights[0][0]: expected list of float, got 1.0"),
+        (json.dumps({**_LINEAR, "targets": "avg_speed"}), "targets: expected list of str, got 'avg_speed'"),
+        (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[None]]}),
+         "biases[0][0]: expected float, got None"),
+        (json.dumps({"kind": "mlp", "weights": [[[1.0]]], "biases": [[0.0]], "activation": 3}),
+         "activation: expected str, got 3"),
+        (json.dumps({**_LINEAR, "activation": "sigmoid"}), "activation: expected 'relu' or 'tanh', got 'sigmoid'"),
+        (json.dumps({**_MLP, "weights": [[[1.0, 2.0], [1.0]], [[1.0], [1.0]]]}),
+         "weights[0]: expected rows of one length"),
+        (json.dumps({**_LINEAR, "epochs_trained": 1.5}), "epochs_trained: expected int, got 1.5"),
+        (json.dumps({**_LINEAR, "epochs_trained": "5"}), "epochs_trained: expected int, got '5'"),
+        (json.dumps({**_LINEAR, "epochs_trained": True}), "epochs_trained: expected int, got True"),
+        (json.dumps({**_LINEAR, "epochs_trained": float("inf")}), "epochs_trained: expected int, got inf"),
         (json.dumps(["kind", "linear"]), "expected a JSON object"),
         ('{"kind": "linear",', "cannot parse JSON"),
         (json.dumps({**_LINEAR, "biases": [[0.0, 1.0]]}), "layer 0: weights of shape (1, 1) and bias of shape (2,)"),
         (json.dumps({**_LINEAR, "targets": ["avg_speed", "queue_length"]}), "1 model outputs for 2 targets"),
         (json.dumps({**_MLP, "weights": [[[1.0, 2.0]], [[1.0]]]}), "layer 1: weights of shape (1, 1)"),
         (json.dumps({**_MLP, "biases": [[0.0, 0.0]]}), "2 weight matrices for 1 bias vectors"),
-        (json.dumps({**_MLP, "target_scale": [1.0, 1.0]}), "key 'target_scale': expected 1 values"),
-        (json.dumps({**_LINEAR, "weights": [[[float("nan")]]]}), "key 'weights': expected finite numbers"),
-        (json.dumps({**_MLP, "biases": [[0.0, float("inf")], [0.0]]}), "key 'biases': expected finite numbers"),
-        (json.dumps({**_MLP, "target_mean": [-float("inf")]}), "key 'target_mean': expected finite numbers"),
-        (json.dumps({**_MLP, "target_scale": [float("inf")]}), "key 'target_scale': expected finite numbers"),
+        (json.dumps({**_MLP, "target_scale": [1.0, 1.0]}), "target_scale: expected 1 values"),
+        (json.dumps({**_LINEAR, "weights": [[[float("nan")]]]}), "weights: expected finite numbers"),
+        (json.dumps({**_MLP, "biases": [[0.0, float("inf")], [0.0]]}), "biases: expected finite numbers"),
+        (json.dumps({**_MLP, "target_mean": [-float("inf")]}), "target_mean: expected finite numbers"),
+        (json.dumps({**_MLP, "target_scale": [float("inf")]}), "target_scale: expected finite numbers"),
     ],
 )
 def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
