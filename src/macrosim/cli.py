@@ -10,6 +10,7 @@ second name, for re-simulating an optimized configuration file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import dataset, fundamental, optimizer, signals, solver, surrogate
@@ -208,6 +209,9 @@ def _cmd_optimize(args) -> int:
         objective = optimizer.surrogate_objective(model, args.objective)
 
     result = optimizer.optimize_config(net, objective, de, training_rows=rows)
+    if not math.isfinite(result.predicted):
+        raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
+                         f"at the optimized configuration")
     signals.save_config(result.config, args.out)
 
     simulated = None

@@ -140,6 +140,9 @@ def read_csv(path) -> list[DatasetRow]:
             fields.cell(cell, kind, line_no, column) for cell, kind, column in zip(cells, kinds, header))
         with naming(f"{path}: line {line_no}", DatasetError):
             config = {iid: IntersectionSignal(*timings[3 * j:3 * j + 3]) for j, iid in enumerate(ids)}
+            if status == "ok" and not np.isfinite([avg_speed, queue]).all():
+                raise DatasetError(f"a row marked ok needs finite metrics, got avg_speed={avg_speed}, "
+                                   f"queue_length={queue}")
         rows.append(DatasetRow(run_id, seed, config, avg_speed, queue, status))
     return rows
 
@@ -156,6 +159,4 @@ def feature_matrix(rows: list[DatasetRow]):
     ids = sorted(ok_rows[0].config)
     X = np.stack([encode_values(r.config, ids) for r in ok_rows])
     Y = np.array([[r.avg_speed, r.queue_length] for r in ok_rows])
-    if not np.all(np.isfinite(Y)):
-        raise DatasetError("non-finite metrics in rows marked ok")
     return X, Y, ids

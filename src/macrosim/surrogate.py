@@ -6,9 +6,16 @@ through the normal equations (with a tiny ridge term for rank safety) and
 returns the read-out alone; ``fit_mlp`` trains two hidden layers by default, by
 mini-batch Adam on standardized targets. Features are the [0, 1] configuration
 encoding. Model quality is the k-fold CV RMSE pooled over all held-out rows.
+
+The MLP trainer trains a stack of models that differ only in ``alpha`` and
+``learning_rate`` at once, each bit for bit as it would train alone; ``fit_mlp``
+is the stack of one. ``grid_search_mlp`` walks the k folds once and, on each,
+trains the four (alpha, learning rate) candidates of an activation as one
+stack, so the grid costs 10 trainings of 4 models rather than 40 of one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,7 +112,10 @@ def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> M
 
 
 def _forward(weights, biases, X, activation):
-    """Activations per layer, the input first; each hidden layer is activated in place."""
+    """Activations per layer, the input first; each hidden layer is activated in place.
+
+    Layers may be stacked: (S, fan_in, fan_out) weights and (S, 1, fan_out) biases run S models on one X.
+    """
     acts = [X]
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -123,19 +133,22 @@ def _backprop(weights, biases, X, Y, activation, alpha, grads_w, grads_b):
     """Writes the gradients of loss_and_gradients' loss into grads_w and grads_b; returns pred - Y.
 
     The activation's derivative comes from the stored activation a: a > 0 for relu, 1 - a^2 for tanh.
+    A bias gradient keeps the summed row axis: (1, fan_out), or (S, 1, fan_out) for stacked layers (see
+    ``_forward``), whose ``alpha`` may hold one value per model, shaped (S, 1, 1).
     """
     m = X.shape[0]
     acts = _forward(weights, biases, X, activation)
     resid = acts[-1]
     resid -= Y
     delta = resid / m
+    penalty = alpha / m
     for i in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads_w[i])
-        grads_w[i] += (alpha / m) * weights[i]
-        np.add.reduce(delta, axis=0, out=grads_b[i])
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads_w[i])
+        grads_w[i] += penalty * weights[i]
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grads_b[i])
         if i > 0:
             a = acts[i]
-            delta = delta @ weights[i].T
+            delta = delta @ weights[i].swapaxes(-1, -2)
             delta *= (a > 0) if activation == "relu" else 1.0 - a * a
     return resid
 
@@ -149,20 +162,24 @@ def loss_and_gradients(weights, biases, X, Y, activation, alpha):
     """
     m = X.shape[0]
     grads_w = [np.empty_like(W) for W in weights]
-    grads_b = [np.empty_like(b) for b in biases]
+    grads_b = [np.empty((1, *b.shape)) for b in biases]
     resid = _backprop(weights, biases, X, Y, activation, alpha, grads_w, grads_b)
     loss = float(np.sum(resid**2)) / (2 * m)
     loss += alpha * sum(float(np.sum(W**2)) for W in weights) / (2 * m)
-    return loss, grads_w, grads_b
+    return loss, grads_w, [g[0] for g in grads_b]
 
 
-def _layer_views(flat, sizes):
-    """Weight and bias views of each layer into a flat buffer laid out W0, b0, W1, b1, ..."""
+def _layer_views(buffer, sizes, stack: int):
+    """(stack, fan_in, fan_out) weight and (stack, 1, fan_out) bias views of each layer into a flat buffer.
+
+    The buffer holds each layer's ``stack`` weight matrices, then their bias rows, then the next layer's,
+    so a stack of one is laid out W0, b0, W1, b1, ... and every stacked view is contiguous.
+    """
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
-        biases.append(flat[at + fan_in * fan_out : at + (fan_in + 1) * fan_out])
-        at += (fan_in + 1) * fan_out
+        for views, shape in ((weights, (stack, fan_in, fan_out)), (biases, (stack, 1, fan_out))):
+            views.append(buffer[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
     return weights, biases
 
 
@@ -176,6 +193,21 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     epochs (or at ``max_epochs``), and the weights of the best validation
     epoch are kept.
     """
+    return _fit_stack(X, Y, [hyper], seed, targets, feature_ids)[0]
+
+
+def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"), feature_ids=()) -> list[Model]:
+    """One model per hyperparameter set, each bit for bit the model ``fit_mlp`` trains with that set alone.
+
+    The sets may differ in ``alpha`` and ``learning_rate`` only. Nothing the
+    seeded generator draws depends on those two (the validation split, the
+    initial weights, every epoch's shuffle), so the S models train in
+    lockstep: parameters, gradients and Adam moments are buffers of S models,
+    each layer is a contiguous (S, fan_in, fan_out) view, and its matmul is one
+    stacked call whose slices are the 2-D products of a lone fit. Early
+    stopping and the best-epoch snapshot are per model; a model that has
+    stopped keeps stepping until all have, its snapshot final.
+    """
     X = np.asarray(X, dtype=float)
     Y = _as_2d(Y)
     if X.shape[0] != Y.shape[0] or X.ndim != 2:
@@ -183,6 +215,9 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     n = X.shape[0]
     if n < 3:
         raise ValueError("need at least 3 rows to train with a validation split")
+    hyper = hypers[0]
+    if any(replace(h, alpha=hyper.alpha, learning_rate=hyper.learning_rate) != hyper for h in hypers):
+        raise ValueError("stacked fits may differ in alpha and learning_rate only")
 
     mean = Y.mean(axis=0)
     scale = Y.std(axis=0)
@@ -198,34 +233,43 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     X_train, Y_train = X[train_idx], Ys[train_idx]
     X_val, Y_val = X[val_idx], Ys[val_idx]
 
-    # weights and biases are views into one flat theta, their gradients views into grad laid out alike:
-    # Adam and the snapshot act on whole preallocated buffers, so a step allocates only inside backprop
+    # weights and biases are views into theta, their gradients views into grad laid out alike: Adam and the
+    # snapshot act on whole preallocated buffers, so a step allocates only inside backprop
+    stack = len(hypers)
     sizes = [X.shape[1], *hyper.hidden, Y.shape[1]]
-    theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
-    weights, biases = _layer_views(theta, sizes)
-    for W in weights:
-        limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
-        W[...] = rng.uniform(-limit, limit, W.shape)
+    theta = np.zeros(stack * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
     grad = np.empty_like(theta)
-    grads_w, grads_b = _layer_views(grad, sizes)
+    views = _layer_views(theta, sizes, stack)
+    for W in views[0]:
+        limit = np.sqrt(6.0 / (W.shape[1] + W.shape[2]))
+        W[...] = rng.uniform(-limit, limit, W.shape[1:])
+    best_theta = theta.copy()
+    (weights, biases), (grads_w, grads_b) = views, _layer_views(grad, sizes, stack)
+    alpha = np.array([h.alpha for h in hypers])[:, None, None]
+    rates = np.array([h.learning_rate for h in hypers])[:, None, None]
+    learning_rate = np.empty_like(theta)  # each parameter's own model's rate
+    for view in sum(_layer_views(learning_rate, sizes, stack), []):
+        view[...] = rates
+    # (snapshot, current) pairs of every layer's arrays, indexed by model
+    snapshot = list(zip(sum(_layer_views(best_theta, sizes, stack), []), sum(views, [])))
 
-    m, v, step, denom = np.zeros((4, theta.size))
+    m, v, step = np.zeros((3, *theta.shape))
+    denom = grad  # backprop rewrites grad before it is read again, so it can hold Adam's denominator
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
 
-    best_val = np.inf
-    best_theta = theta.copy()
-    stall = 0
-    epochs_done = 0
+    best_val = [np.inf] * stack
+    stall = [0] * stack
+    epochs_done = [hyper.max_epochs] * stack  # unless a model stops early
+    training = list(range(stack))
 
     n_train = X_train.shape[0]
     for epoch in range(hyper.max_epochs):
-        epochs_done = epoch + 1
         perm = rng.permutation(n_train)
         X_perm, Y_perm = X_train[perm], Y_train[perm]
         for start in range(0, n_train, BATCH_SIZE):
             batch = slice(start, start + BATCH_SIZE)
-            _backprop(weights, biases, X_perm[batch], Y_perm[batch], hyper.activation, hyper.alpha, grads_w, grads_b)
+            _backprop(weights, biases, X_perm[batch], Y_perm[batch], hyper.activation, alpha, grads_w, grads_b)
             adam_t += 1
             # theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps), one operation at a time
             m *= beta1
@@ -235,33 +279,42 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
             np.sqrt(np.divide(v, 1.0 - beta2**adam_t, out=denom), out=denom)
             denom += eps
             np.divide(m, 1.0 - beta1**adam_t, out=step)
-            step *= hyper.learning_rate
+            step *= learning_rate
             step /= denom
             theta -= step
 
-        val_pred = _forward(weights, biases, X_val, hyper.activation)[-1]
-        val_mse = float(np.mean((val_pred - Y_val) ** 2))
-        if val_mse < best_val - hyper.tol:
-            best_val = val_mse
-            best_theta[...] = theta
-            stall = 0
-        else:
-            stall += 1
-            if stall >= hyper.patience:
-                break
+        squared = ((_forward(weights, biases, X_val, hyper.activation)[-1] - Y_val) ** 2).reshape(stack, -1)
+        for s in list(training):
+            val_mse = float(np.mean(squared[s]))
+            if val_mse < best_val[s] - hyper.tol:
+                best_val[s] = val_mse
+                for best, now in snapshot:
+                    best[s] = now[s]
+                stall[s] = 0
+            else:
+                stall[s] += 1
+                if stall[s] >= hyper.patience:
+                    epochs_done[s] = epoch + 1
+                    training.remove(s)
+        if not training:
+            break
 
     theta[...] = best_theta
-    return Model(
-        weights=weights[-1],
-        intercept=biases[-1],
-        target_mean=mean,
-        target_scale=scale,
-        hidden=tuple(zip(weights[:-1], biases[:-1])),
-        activation=hyper.activation,
-        targets=tuple(targets)[: Y.shape[1]],
-        feature_ids=tuple(feature_ids),
-        epochs_trained=epochs_done,
-    )
+    weights, biases = views
+    return [
+        Model(
+            weights=weights[-1][s],
+            intercept=biases[-1][s, 0],
+            target_mean=mean,
+            target_scale=scale,
+            hidden=tuple((W[s], b[s, 0]) for W, b in zip(weights[:-1], biases[:-1])),
+            activation=hyper.activation,
+            targets=tuple(targets)[: Y.shape[1]],
+            feature_ids=tuple(feature_ids),
+            epochs_trained=epochs_done[s],
+        )
+        for s in range(stack)
+    ]
 
 
 def predict(model: Model, X) -> np.ndarray:
@@ -275,6 +328,20 @@ def predict(model: Model, X) -> np.ndarray:
     return out[0] if single else out
 
 
+def _folds(n: int, k: int, seed: int):
+    """(train, held_out) rows of each of k folds of one seeded shuffle; a fold trains on the others in order."""
+    if not (2 <= k <= n):
+        raise ValueError(f"k must be in [2, {n}]")
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.concatenate(folds[:j] + folds[j + 1 :]), held_out) for j, held_out in enumerate(folds)]
+
+
+def _pooled_rmse(pooled, Y):
+    """(per_target_rmse, mean_over_targets) of the pooled held-out predictions."""
+    per_target = np.sqrt(np.mean((pooled - Y) ** 2, axis=0))
+    return per_target, float(np.mean(per_target))
+
+
 def kfold_rmse(fit, X, Y, k: int = 5, seed: int = 0):
     """Cross-validated RMSE pooled over all held-out rows.
 
@@ -286,19 +353,10 @@ def kfold_rmse(fit, X, Y, k: int = 5, seed: int = 0):
     """
     X = np.asarray(X, dtype=float)
     Y = _as_2d(Y)
-    n = X.shape[0]
-    if not (2 <= k <= n):
-        raise ValueError(f"k must be in [2, {n}]")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    folds = np.array_split(order, k)
     pooled = np.empty_like(Y)
-    for j, held_out in enumerate(folds):
-        train = np.concatenate(folds[:j] + folds[j + 1 :])  # order without held_out, in order
-        model = fit(X[train], Y[train])
-        pooled[held_out] = np.atleast_2d(predict(model, X[held_out]))
-    per_target = np.sqrt(np.mean((pooled - Y) ** 2, axis=0))
-    return per_target, float(np.mean(per_target))
+    for train, held_out in _folds(X.shape[0], k, seed):
+        pooled[held_out] = np.atleast_2d(predict(fit(X[train], Y[train]), X[held_out]))
+    return _pooled_rmse(pooled, Y)
 
 
 def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()):
@@ -306,15 +364,20 @@ def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()
 
     Tries activation {relu, tanh} x alpha {1e-4, 1e-3} x learning rate
     {1e-3, 1e-2}, scores each by k-fold pooled RMSE (mean over targets), and
-    returns (best_hyper, results) with results as (hyper, score) pairs.
+    returns (best_hyper, results) with results as (hyper, score) pairs. Each
+    score is ``kfold_rmse`` over ``fit_mlp`` with that candidate; on each
+    fold, the four candidates of an activation train together as one stack.
     """
-    results = []
-    for activation in ("relu", "tanh"):
-        for alpha in (0.0001, 0.001):
-            for lr in (0.001, 0.01):
-                hyper = replace(base, activation=activation, alpha=alpha, learning_rate=lr)
-                _, score = kfold_rmse(lambda Xt, Yt: fit_mlp(Xt, Yt, hyper, seed=seed), X, Y, k=k, seed=seed)
-                results.append((hyper, score))
+    X = np.asarray(X, dtype=float)
+    Y = _as_2d(Y)
+    grid = [[replace(base, activation=activation, alpha=alpha, learning_rate=lr)
+             for alpha in (0.0001, 0.001) for lr in (0.001, 0.01)] for activation in ("relu", "tanh")]
+    pooled = np.empty((len(grid), len(grid[0]), *Y.shape))
+    for train, held_out in _folds(X.shape[0], k, seed):
+        for stack, stack_pooled in zip(grid, pooled):
+            for model, model_pooled in zip(_fit_stack(X[train], Y[train], stack, seed=seed), stack_pooled):
+                model_pooled[held_out] = np.atleast_2d(predict(model, X[held_out]))
+    results = [(hyper, _pooled_rmse(p, Y)[1]) for stack, ps in zip(grid, pooled) for hyper, p in zip(stack, ps)]
     best = min(results, key=lambda item: item[1])
     return best[0], results
 

@@ -460,6 +460,8 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ({**fits, "target_scale": [float("inf")]}, "target_scale: expected finite numbers"),
         (linear, "intersections ['J1']"),
         ({**linear, "feature_ids": []}, f"model takes 1 inputs, but {fixtures_dir / 'cross.json'} needs 3 "),
+        # finite numbers whose prediction overflows: the search ends, but its answer means nothing
+        ({**fits, "target_scale": [1e308]}, "speed evaluates to inf at the optimized configuration"),
     ):
         model.write_text(json.dumps(doc))
         rc = main(

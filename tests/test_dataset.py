@@ -146,6 +146,18 @@ def test_read_csv_reports_malformed_line(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("speed,queue", [("nan", "40.5"), ("inf", "40.5"), ("6.25", "-inf"), ("6.25", "nan")])
+def test_read_csv_refuses_non_finite_metrics_in_ok_rows(tmp_path, speed, queue):
+    # a failed row keeps its NaN metrics; an ok row must carry finite ones, or the best row is arbitrary
+    path = tmp_path / "bad.csv"
+    header = "run_id,seed,J1_red,J1_green,J1_offset,avg_speed,queue_length,status\n"
+    path.write_text(header + f"0,1,30,25,12,{speed},{queue},ok\n1,2,30,25,12,nan,nan,failed: boom\n")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: line 2: a row marked ok needs finite metrics"):
+        read_csv(path)
+    path.write_text(header + f"0,1,30,25,12,{speed},{queue},failed: boom\n")
+    assert not read_csv(path)[0].ok
+
+
 def test_failed_rows_recorded_not_raised(cross_net, monkeypatch):
     """A run that blows up becomes a failed row; the batch keeps going."""
     state0, params = _cross_state(cross_net)

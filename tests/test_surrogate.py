@@ -339,6 +339,34 @@ def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
     assert load_model(path).activation == "relu"
 
 
+def test_stacked_training_equals_each_lone_fit():
+    # patience 3 stops the members at different epochs; a stopped member's snapshot must stay its own
+    rng = np.random.default_rng(21)
+    X = rng.uniform(0.0, 1.0, (40, 3))
+    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2], (X[:, 0] - 0.5) ** 2 - X[:, 2]])
+    base = MlpHyper(hidden=(8, 6), max_epochs=100, patience=3)
+    _, results = grid_search_mlp(X, Y, seed=1, k=3, base=base)
+    epochs = []
+    for activation in ("relu", "tanh"):
+        stack = [h for h, _ in results if h.activation == activation]
+        assert len(stack) == 4
+        for hyper, stacked in zip(stack, surrogate._fit_stack(X, Y, stack, seed=1)):
+            alone = fit_mlp(X, Y, hyper, seed=1)
+            assert stacked.epochs_trained == alone.epochs_trained
+            epochs.append(stacked.epochs_trained)
+            for (W, b), (W1, b1) in zip(stacked.layers, alone.layers):
+                assert np.array_equal(W, W1) and np.array_equal(b, b1)
+    assert epochs == [4, 4, 4, 27, 100, 26, 100, 26]
+    for hyper, score in results:
+        assert score == kfold_rmse(lambda Xt, Yt: fit_mlp(Xt, Yt, hyper, seed=1), X, Y, k=3, seed=1)[1]
+
+
+def test_a_stack_may_differ_in_alpha_and_learning_rate_only():
+    X, Y = _xor_clusters(seed=13, per_corner=5)
+    with pytest.raises(ValueError, match="alpha and learning_rate only$"):
+        surrogate._fit_stack(X, Y, [MlpHyper(hidden=(4,)), MlpHyper(hidden=(4,), patience=4)])
+
+
 # Predictions of ``fit_mlp`` on a fixed design, recorded before the trainer
 # moved to a flat parameter buffer. The trainer must reproduce them exactly,
 # so any change to its arithmetic or RNG use shows up here. Recorded with
