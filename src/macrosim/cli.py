@@ -155,23 +155,24 @@ def _cmd_train_surrogate(args) -> int:
     targets = tuple(optimizer.TARGETS[name].metric for name in names)
     Yt = Y[:, [optimizer.TARGET_COLUMNS[name] for name in names]]
 
-    if args.model == "linear":
-        def fit(Xt, Yf):
-            return surrogate.fit_linear(Xt, Yf, targets=targets, feature_ids=ids)
-    else:
-        hyper = surrogate.MlpHyper()
-        if args.grid:
-            hyper, _ = surrogate.grid_search_mlp(X, Yt, seed=args.seed, k=args.folds)
-            print(
-                f"grid best: activation={hyper.activation} alpha={hyper.alpha} "
-                f"learning_rate={hyper.learning_rate}"
-            )
+    with naming(args.data):  # a table too small for its folds, or with targets too large to fit, is at fault
+        if args.model == "linear":
+            def fit(Xt, Yf):
+                return surrogate.fit_linear(Xt, Yf, targets=targets, feature_ids=ids)
+        else:
+            hyper = surrogate.MlpHyper()
+            if args.grid:
+                hyper, _ = surrogate.grid_search_mlp(X, Yt, seed=args.seed, k=args.folds)
+                print(
+                    f"grid best: activation={hyper.activation} alpha={hyper.alpha} "
+                    f"learning_rate={hyper.learning_rate}"
+                )
 
-        def fit(Xt, Yf):
-            return surrogate.fit_mlp(Xt, Yf, hyper, seed=args.seed, targets=targets, feature_ids=ids)
+            def fit(Xt, Yf):
+                return surrogate.fit_mlp(Xt, Yf, hyper, seed=args.seed, targets=targets, feature_ids=ids)
 
-    per_target, mean_rmse = surrogate.kfold_rmse(fit, X, Yt, k=args.folds, seed=args.seed)
-    model = fit(X, Yt)
+        per_target, mean_rmse = surrogate.kfold_rmse(fit, X, Yt, k=args.folds, seed=args.seed)
+        model = fit(X, Yt)
     surrogate.save_model(model, args.out)
     named = ", ".join(f"{t}={r:.6g}" for t, r in zip(targets, per_target))
     print(f"{args.folds}-fold RMSE: {named} (mean {mean_rmse:.6g}) -> {args.out}")

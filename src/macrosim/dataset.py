@@ -8,12 +8,11 @@ processes computed it.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
+from . import _pool
 from ._files import Fields, naming, read_table, write_table
 from .signals import IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
@@ -46,19 +45,20 @@ def child_seed(master_seed: int, run_id: int) -> int:
 CHUNK_CELLS = 8000  # cells one batched run simulates at most, unless one row alone is larger
 
 
-def _run_chunk(net, state0, params, horizon, warmup, jobs) -> list[DatasetRow]:
+def _run_chunk(context, jobs) -> list[DatasetRow]:
     """Rows of a contiguous chunk of jobs, simulated as one batched run.
 
-    If the batched run raises, the chunk is redone row by row, so only a
-    bad row fails.
+    ``context`` is (net, state0, params, horizon, warmup). If the batched run
+    raises, the chunk is redone row by row, so only a bad row fails.
     """
+    net, state0, params, horizon, warmup = context
     configs = [sample_config(net, np.random.default_rng(seed)) for _, seed in jobs]
     try:
         results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
         outcomes = [(r.metrics.avg_speed, r.metrics.queue_length, "ok") for r in results]
     except Exception as exc:  # one bad row must not take the batch down with it
         if len(jobs) > 1:
-            return [row for job in jobs for row in _run_chunk(net, state0, params, horizon, warmup, [job])]
+            return [row for job in jobs for row in _run_chunk(context, [job])]
         diagnostic = " ".join(f"{type(exc).__name__}: {exc}".split())
         outcomes = [(float("nan"), float("nan"), f"failed: {diagnostic}")]
     return [DatasetRow(run_id, seed, config, *outcome)
@@ -88,8 +88,6 @@ def generate(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if not net.signalized_ids():
         raise ValueError("network has no signalized intersections; nothing to vary")
     check_protocol(net, params, horizon, warmup)
@@ -97,11 +95,8 @@ def generate(
     jobs = [(i, child_seed(seed, i)) for i in range(n_runs)]
     n_chunks = max(min(workers, n_runs), -(-n_runs // max(1, CHUNK_CELLS // net.total_cells)))
     chunks = [jobs[c * n_runs // n_chunks:(c + 1) * n_runs // n_chunks] for c in range(n_chunks)]
-    run_chunk = partial(_run_chunk, net, state0, params, horizon, warmup)
-    if workers == 1:
-        return [row for chunk in chunks for row in run_chunk(chunk)]
-    with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-        return [row for rows in pool.map(run_chunk, chunks) for row in rows]
+    context = (net, state0, params, horizon, warmup)
+    return [row for rows in _pool.run(_run_chunk, context, chunks, workers) for row in rows]
 
 
 def _header(ids) -> list[str]:

@@ -18,6 +18,7 @@ CELL_TARGET_M = 10.0
 CELL_MIN_M = 5.0
 CELL_MAX_M = 20.0
 MAX_CELLS = 1_000_000  # cells of a network's layout at most, so a huge length is refused before any allocation
+MAX_LANES = 16  # lanes of an edge at most: lanes multiply its flux into a junction, so a huge count is meaningless
 
 
 class NetworkError(Exception):
@@ -173,8 +174,8 @@ def validate(net: RoadNetwork) -> list[str]:
             problems.append(f"edge {edge.id}: unknown to node {edge.to_node}")
         if edge.from_node == edge.to_node:
             problems.append(f"edge {edge.id}: from and to node coincide")
-        if edge.lanes < 1:
-            problems.append(f"edge {edge.id}: lanes must be >= 1")
+        if not 1 <= edge.lanes <= MAX_LANES:
+            problems.append(f"edge {edge.id}: lanes must be in [1, {MAX_LANES}], got {edge.lanes}")
         if not (math.isfinite(edge.free_flow_speed) and edge.free_flow_speed > 0):
             problems.append(f"edge {edge.id}: free_flow_speed must be finite and > 0")
         dx = edge.cell_length

@@ -11,7 +11,13 @@ The MLP trainer trains a stack of models that differ only in ``alpha`` and
 ``learning_rate`` at once, each bit for bit as it would train alone; ``fit_mlp``
 is the stack of one. ``grid_search_mlp`` walks the k folds once and, on each,
 trains the four (alpha, learning rate) candidates of an activation as one
-stack, so the grid costs 10 trainings of 4 models rather than 40 of one.
+stack, so the grid costs 2k trainings of 4 models rather than 8k of one. Those
+2k stacks are independent and deterministic, so they run on every usable CPU
+(``workers``) and score the same for any worker count.
+
+Both trainers refuse, with a ValueError, targets above ``TARGET_MAX`` in
+magnitude: squared, finite but huge targets overflow into a model that is not
+finite.
 """
 from __future__ import annotations
 
@@ -20,11 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _pool
 from ._files import Fields, read_json, write_json
 
 RIDGE = 1e-8               # ridge term of the linear fit's normal equations
 BATCH_SIZE = 32            # MLP mini-batch rows
 VALIDATION_FRACTION = 0.1  # share of rows the MLP holds out for early stopping
+TARGET_MAX = 1e150         # largest target magnitude a fit takes: fits and scores square errors of that size
 
 
 class SurrogateError(Exception):
@@ -88,6 +96,13 @@ def _as_2d(Y) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
+def _check_targets(Y) -> None:
+    """Raise ValueError unless every target is within TARGET_MAX in magnitude; both trainers check it first."""
+    largest = np.abs(Y).max()
+    if not largest <= TARGET_MAX:
+        raise ValueError(f"targets must be at most {TARGET_MAX:g} in magnitude, got {largest:.6g}")
+
+
 def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
     """Least squares with intercept through the normal equations.
 
@@ -102,6 +117,7 @@ def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> M
         raise ValueError("X must be 2-d with one row per target row")
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty design matrix")
+    _check_targets(Y)
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     gram = A.T @ A + RIDGE * np.eye(A.shape[1])
     theta = np.linalg.solve(gram, A.T @ Y)
@@ -218,6 +234,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
     hyper = hypers[0]
     if any(replace(h, alpha=hyper.alpha, learning_rate=hyper.learning_rate) != hyper for h in hypers):
         raise ValueError("stacked fits may differ in alpha and learning_rate only")
+    _check_targets(Y)
 
     mean = Y.mean(axis=0)
     scale = Y.std(axis=0)
@@ -359,7 +376,14 @@ def kfold_rmse(fit, X, Y, k: int = 5, seed: int = 0):
     return _pooled_rmse(pooled, Y)
 
 
-def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()):
+def _held_out_predictions(context, task) -> np.ndarray:
+    """(models, held-out rows, targets) predictions of one grid stack trained on one fold's other rows."""
+    X, Y, seed, grid = context
+    train, held_out, stack = task
+    return np.stack([predict(model, X[held_out]) for model in _fit_stack(X[train], Y[train], grid[stack], seed=seed)])
+
+
+def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper(), workers: int | None = None):
     """Small exhaustive search over the neural surrogate's training grid.
 
     Tries activation {relu, tanh} x alpha {1e-4, 1e-3} x learning rate
@@ -367,16 +391,19 @@ def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()
     returns (best_hyper, results) with results as (hyper, score) pairs. Each
     score is ``kfold_rmse`` over ``fit_mlp`` with that candidate; on each
     fold, the four candidates of an activation train together as one stack.
+    The 2k (fold, activation) stacks run on ``workers`` processes (None: every
+    usable CPU); the results are the same for any count.
     """
     X = np.asarray(X, dtype=float)
     Y = _as_2d(Y)
     grid = [[replace(base, activation=activation, alpha=alpha, learning_rate=lr)
              for alpha in (0.0001, 0.001) for lr in (0.001, 0.01)] for activation in ("relu", "tanh")]
+    tasks = [(train, held_out, stack) for train, held_out in _folds(X.shape[0], k, seed) for stack in range(len(grid))]
+    workers = _pool.usable_cpus() if workers is None else workers
+    predictions = _pool.run(_held_out_predictions, (X, Y, seed, grid), tasks, workers)
     pooled = np.empty((len(grid), len(grid[0]), *Y.shape))
-    for train, held_out in _folds(X.shape[0], k, seed):
-        for stack, stack_pooled in zip(grid, pooled):
-            for model, model_pooled in zip(_fit_stack(X[train], Y[train], stack, seed=seed), stack_pooled):
-                model_pooled[held_out] = np.atleast_2d(predict(model, X[held_out]))
+    for (_, held_out, stack), stack_predictions in zip(tasks, predictions):
+        pooled[stack][:, held_out] = stack_predictions
     results = [(hyper, _pooled_rmse(p, Y)[1]) for stack, ps in zip(grid, pooled) for hyper, p in zip(stack, ps)]
     best = min(results, key=lambda item: item[1])
     return best[0], results

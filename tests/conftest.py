@@ -1,3 +1,4 @@
+import multiprocessing
 import pathlib
 
 import hypothesis
@@ -10,6 +11,17 @@ hypothesis.settings.register_profile("fast", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("fast")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    """Fail a test after which a worker process still runs; the leftover is stopped so later tests start clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"worker processes still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from macrosim import dataset
+from macrosim import _pool, dataset
 from macrosim.dataset import (
     DatasetError,
     DatasetRow,
@@ -241,12 +241,12 @@ def test_rows_do_not_depend_on_chunks_or_workers(cross_net, monkeypatch, chunk_r
 def test_pool_starts_no_more_workers_than_chunks(cross_net, monkeypatch):
     started = []
 
-    class Pool(dataset.ProcessPoolExecutor):
+    class Pool(_pool.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(dataset, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", Pool)
     state0, params = _cross_state(cross_net)
     rows = generate(cross_net, state0, params, n_runs=2, seed=3, workers=8, horizon=3.0, warmup=1.0)
     assert started == [2]

@@ -9,8 +9,12 @@ import copy
 import json
 import math
 import os
+import warnings
+
+import pytest
 
 from macrosim.cli import main
+from macrosim.network import MAX_LANES
 
 BAD = [None, True, "x", 1.5, -1, 0, math.nan, math.inf, -math.inf, 1e308, 10**30, [], {}]
 DELETE = object()
@@ -95,6 +99,21 @@ def test_every_network_field(fixtures_dir, tmp_path, capsys):
     assert _sweep(tmp_path, capsys, mutants, "net.json", _simulate(fixtures_dir, "--network")) == []
 
 
+@pytest.mark.parametrize("lanes, rc", [(MAX_LANES, 0), (MAX_LANES + 1, 1), (10**30, 1), (1e308, 1)])
+def test_lanes_above_the_cap_are_refused(fixtures_dir, tmp_path, capsys, lanes, rc):
+    """A huge lane count multiplies an edge's flux into its junction; it used to exit 0 with meaningless metrics."""
+    doc = json.loads((fixtures_dir / "cross.json").read_text())
+    doc["edges"][0]["lanes"] = lanes
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    argv = [arg.format(path=path, out=tmp_path / "out.json") for arg in _simulate(fixtures_dir, "--network")]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == (f"error: invalid network {path}:\n  edge {doc['edges'][0]['id']}: "
+                       f"lanes must be in [1, {MAX_LANES}], got {int(lanes)}\n")
+
+
 def test_every_lights_field(fixtures_dir, tmp_path, capsys):
     doc = json.loads((fixtures_dir / "cross_lights.json").read_text())
     mutants = list(_json_mutants(doc))
@@ -128,3 +147,18 @@ def test_every_counters_cell(fixtures_dir, tmp_path, capsys):
 def test_every_dataset_cell(tmp_path, capsys):
     argv = ["train-surrogate", "--data", "{path}", "--model", "linear", "--folds", "2", "--out", "{out}"]
     assert _sweep(tmp_path, capsys, _table_mutants(DATASET), "data.csv", argv) == []
+
+
+@pytest.mark.parametrize("model", [["linear"], ["mlp"], ["mlp", "--grid"]])
+def test_a_huge_metric_is_refused_before_any_model_is_written(tmp_path, capsys, model):
+    """An ok row with avg_speed 1e308 used to give a model of NaN and -Infinity, after an overflow warning."""
+    path, out = tmp_path / "data.csv", tmp_path / "model.json"
+    rows = [DATASET[1].replace(",6.5,", ",1e308,"), *DATASET[2:],  # 8 rows, so every fold has 3 to train on
+            "5,16,35,30,12,6.3,0.42,ok", "6,17,25,45,50,6.6,0.38,ok", "7,18,50,22,70,5.9,0.47,ok"]
+    path.write_text("\n".join([DATASET[0], *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train-surrogate", "--data", str(path), "--model", *model, "--folds", "2", "--out", str(out)])
+    wanted = f"error: {path}: targets must be at most 1e+150 in magnitude, got 1e+308\n"
+    assert (rc, capsys.readouterr()) == (1, ("", wanted))
+    assert not out.exists()

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -339,11 +341,15 @@ def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
     assert load_model(path).activation == "relu"
 
 
+def _smooth_design(n, d, seed=21):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (n, d))
+    return X, np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2], (X[:, 0] - 0.5) ** 2 - X[:, 2]])
+
+
 def test_stacked_training_equals_each_lone_fit():
     # patience 3 stops the members at different epochs; a stopped member's snapshot must stay its own
-    rng = np.random.default_rng(21)
-    X = rng.uniform(0.0, 1.0, (40, 3))
-    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2], (X[:, 0] - 0.5) ** 2 - X[:, 2]])
+    X, Y = _smooth_design(40, 3)
     base = MlpHyper(hidden=(8, 6), max_epochs=100, patience=3)
     _, results = grid_search_mlp(X, Y, seed=1, k=3, base=base)
     epochs = []
@@ -359,6 +365,42 @@ def test_stacked_training_equals_each_lone_fit():
     assert epochs == [4, 4, 4, 27, 100, 26, 100, 26]
     for hyper, score in results:
         assert score == kfold_rmse(lambda Xt, Yt: fit_mlp(Xt, Yt, hyper, seed=1), X, Y, k=3, seed=1)[1]
+
+
+@pytest.mark.parametrize("n, d, k, base", [
+    (100, 6, 5, MlpHyper(max_epochs=10, patience=10)),  # the benchmark's table and model: five folds of 20 rows
+    (40, 3, 3, MlpHyper(hidden=(8, 6), max_epochs=100, patience=3)),  # folds of 14, 13 and 13; members stop apart
+])
+def test_grid_results_do_not_depend_on_workers(n, d, k, base):
+    X, Y = _smooth_design(n, d)
+    serial = grid_search_mlp(X, Y, seed=1, k=k, base=base, workers=1)
+    for workers in (2, 3):
+        assert grid_search_mlp(X, Y, seed=1, k=k, base=base, workers=workers) == serial
+
+
+def test_a_worker_raises_the_error_the_serial_grid_raises():
+    X, Y = _smooth_design(4, 3)  # k = 2 leaves each fold 2 training rows, fewer than a validation split needs
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as raised:
+            grid_search_mlp(X, Y, k=2, base=MlpHyper(hidden=(4,)), workers=workers)
+        errors.append((type(raised.value), str(raised.value)))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] == (ValueError, "need at least 3 rows to train with a validation split")
+
+
+@pytest.mark.parametrize("fit", [fit_linear, fit_mlp])
+def test_targets_too_large_to_square_are_refused(fit):
+    X, Y = _smooth_design(12, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes either
+        for huge in (1e308, -1e160, np.nan):
+            Y[0, 0] = huge
+            wanted = f"targets must be at most 1e+150 in magnitude, got {abs(huge):g}"
+            with pytest.raises(ValueError, match=re.escape(wanted)):
+                fit(X, Y)
+        Y[0, 0] = -surrogate.TARGET_MAX
+        assert all(np.isfinite(a).all() for layer in fit(X, Y).layers for a in layer)
 
 
 def test_a_stack_may_differ_in_alpha_and_learning_rate_only():
