@@ -3,13 +3,14 @@
 ``run(fn, context, tasks, workers)`` is ``[fn(context, task) for task in
 tasks]``. The context (the data every task reads) reaches each worker once,
 through the pool's initializer, rather than pickled into every task. Workers
-use the platform's default start method: fork on Linux, where the pool forks
-all its workers before it starts its own manager thread. Never run a pool
+use the platform's default start method (fork on Linux up to Python 3.13);
+a fork pool forks all its workers before it starts its manager thread. Never run a pool
 while a module is being imported (a forked worker would wait on the import
 lock), and pass a module-level ``fn``, never a closure.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -29,6 +30,16 @@ def _call(task):
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the platform has one)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def forked_cpus() -> int:
+    """Workers worth starting for tasks of tens of milliseconds: the usable CPUs where workers fork, else 1.
+
+    A worker that does not fork (spawn, or forkserver, the Linux default from
+    Python 3.14) imports numpy and macrosim again, at 0.1-0.2 s each, which is
+    about what a pool of such short tasks saves.
+    """
+    return usable_cpus() if multiprocessing.get_start_method() == "fork" else 1
 
 
 def run(fn, context, tasks: list, workers: int) -> list:

@@ -12,8 +12,8 @@ The MLP trainer trains a stack of models that differ only in ``alpha`` and
 is the stack of one. ``grid_search_mlp`` walks the k folds once and, on each,
 trains the four (alpha, learning rate) candidates of an activation as one
 stack, so the grid costs 2k trainings of 4 models rather than 8k of one. Those
-2k stacks are independent and deterministic, so they run on every usable CPU
-(``workers``) and score the same for any worker count.
+2k stacks are independent and deterministic, so where worker processes fork
+they run on every usable CPU, and they score the same for any worker count.
 
 Both trainers refuse, with a ValueError, targets above ``TARGET_MAX`` in
 magnitude: squared, finite but huge targets overflow into a model that is not
@@ -383,7 +383,7 @@ def _held_out_predictions(context, task) -> np.ndarray:
     return np.stack([predict(model, X[held_out]) for model in _fit_stack(X[train], Y[train], grid[stack], seed=seed)])
 
 
-def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper(), workers: int | None = None):
+def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()):
     """Small exhaustive search over the neural surrogate's training grid.
 
     Tries activation {relu, tanh} x alpha {1e-4, 1e-3} x learning rate
@@ -391,16 +391,15 @@ def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()
     returns (best_hyper, results) with results as (hyper, score) pairs. Each
     score is ``kfold_rmse`` over ``fit_mlp`` with that candidate; on each
     fold, the four candidates of an activation train together as one stack.
-    The 2k (fold, activation) stacks run on ``workers`` processes (None: every
-    usable CPU); the results are the same for any count.
+    The 2k (fold, activation) stacks run on every usable CPU where worker
+    processes fork, else in this process; the results are the same either way.
     """
     X = np.asarray(X, dtype=float)
     Y = _as_2d(Y)
     grid = [[replace(base, activation=activation, alpha=alpha, learning_rate=lr)
              for alpha in (0.0001, 0.001) for lr in (0.001, 0.01)] for activation in ("relu", "tanh")]
     tasks = [(train, held_out, stack) for train, held_out in _folds(X.shape[0], k, seed) for stack in range(len(grid))]
-    workers = _pool.usable_cpus() if workers is None else workers
-    predictions = _pool.run(_held_out_predictions, (X, Y, seed, grid), tasks, workers)
+    predictions = _pool.run(_held_out_predictions, (X, Y, seed, grid), tasks, _pool.forked_cpus())
     pooled = np.empty((len(grid), len(grid[0]), *Y.shape))
     for (_, held_out, stack), stack_predictions in zip(tasks, predictions):
         pooled[stack][:, held_out] = stack_predictions

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from macrosim import surrogate
+from macrosim import _pool, surrogate
 from macrosim.surrogate import (
     MlpHyper,
     SurrogateError,
@@ -371,22 +371,42 @@ def test_stacked_training_equals_each_lone_fit():
     (100, 6, 5, MlpHyper(max_epochs=10, patience=10)),  # the benchmark's table and model: five folds of 20 rows
     (40, 3, 3, MlpHyper(hidden=(8, 6), max_epochs=100, patience=3)),  # folds of 14, 13 and 13; members stop apart
 ])
-def test_grid_results_do_not_depend_on_workers(n, d, k, base):
+def test_grid_results_do_not_depend_on_workers(n, d, k, base, monkeypatch):
     X, Y = _smooth_design(n, d)
-    serial = grid_search_mlp(X, Y, seed=1, k=k, base=base, workers=1)
-    for workers in (2, 3):
-        assert grid_search_mlp(X, Y, seed=1, k=k, base=base, workers=workers) == serial
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_pool, "forked_cpus", lambda: workers)
+        results.append(grid_search_mlp(X, Y, seed=1, k=k, base=base))
+    assert results[0] == results[1] == results[2]
 
 
-def test_a_worker_raises_the_error_the_serial_grid_raises():
+def test_a_worker_raises_the_error_the_serial_grid_raises(monkeypatch):
     X, Y = _smooth_design(4, 3)  # k = 2 leaves each fold 2 training rows, fewer than a validation split needs
     errors = []
     for workers in (1, 2):
+        monkeypatch.setattr(_pool, "forked_cpus", lambda: workers)
         with pytest.raises(ValueError) as raised:
-            grid_search_mlp(X, Y, k=2, base=MlpHyper(hidden=(4,)), workers=workers)
+            grid_search_mlp(X, Y, k=2, base=MlpHyper(hidden=(4,)))
         errors.append((type(raised.value), str(raised.value)))
         assert multiprocessing.active_children() == []
     assert errors[0] == errors[1] == (ValueError, "need at least 3 rows to train with a validation split")
+
+
+@pytest.mark.parametrize("method, workers", [("fork", 3), ("forkserver", 1), ("spawn", 1)])
+def test_the_grid_starts_workers_only_where_they_fork(method, workers, monkeypatch):
+    started = []
+
+    class Pool(_pool.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(_pool.multiprocessing, "get_start_method", lambda: method)
+    X, Y = _smooth_design(40, 3)
+    grid_search_mlp(X, Y, seed=1, k=2, base=MlpHyper(hidden=(4,), max_epochs=3))
+    assert started == ([workers] if workers > 1 else [])
 
 
 @pytest.mark.parametrize("fit", [fit_linear, fit_mlp])
