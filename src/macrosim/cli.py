@@ -161,8 +161,9 @@ def _cmd_train_surrogate(args) -> int:
                 return surrogate.fit_linear(Xt, Yf, targets=targets, feature_ids=ids)
         else:
             hyper = surrogate.MlpHyper()
-            if args.grid:
-                hyper, _ = surrogate.grid_search_mlp(X, Yt, seed=args.seed, k=args.folds)
+            if args.grid:  # the grid has cross-validated its choice already
+                hyper, results = surrogate.grid_search_mlp(X, Yt, seed=args.seed, k=args.folds)
+                per_target, mean_rmse = {h: scores for h, *scores in results}[hyper]
                 print(
                     f"grid best: activation={hyper.activation} alpha={hyper.alpha} "
                     f"learning_rate={hyper.learning_rate}"
@@ -171,7 +172,8 @@ def _cmd_train_surrogate(args) -> int:
             def fit(Xt, Yf):
                 return surrogate.fit_mlp(Xt, Yf, hyper, seed=args.seed, targets=targets, feature_ids=ids)
 
-        per_target, mean_rmse = surrogate.kfold_rmse(fit, X, Yt, k=args.folds, seed=args.seed)
+        if not args.grid:
+            per_target, mean_rmse = surrogate.kfold_rmse(fit, X, Yt, k=args.folds, seed=args.seed)
         model = fit(X, Yt)
     surrogate.save_model(model, args.out)
     named = ", ".join(f"{t}={r:.6g}" for t, r in zip(targets, per_target))
@@ -207,7 +209,8 @@ def _cmd_optimize(args) -> int:
                 f"{args.model}: model takes {width} inputs, but {args.network} needs {3 * len(ids)} "
                 f"(3 per signalized intersection)"
             )
-        objective = optimizer.surrogate_objective(model, args.objective)
+        with naming(args.model):  # a model trained for other targets
+            objective = optimizer.surrogate_objective(model, args.objective)
 
     result = optimizer.optimize_config(net, objective, de, training_rows=rows)
     if not math.isfinite(result.predicted):

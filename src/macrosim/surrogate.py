@@ -9,11 +9,12 @@ encoding. Model quality is the k-fold CV RMSE pooled over all held-out rows.
 
 The MLP trainer trains a stack of models that differ only in ``alpha`` and
 ``learning_rate`` at once, each bit for bit as it would train alone; ``fit_mlp``
-is the stack of one. ``grid_search_mlp`` walks the k folds once and, on each,
-trains the four (alpha, learning rate) candidates of an activation as one
-stack, so the grid costs 2k trainings of 4 models rather than 8k of one. Those
-2k stacks are independent and deterministic, so where worker processes fork
-they run on every usable CPU, and they score the same for any worker count.
+is the stack of one. One fold loop, ``_cross_validate``, serves ``kfold_rmse``
+(one model, in this process) and ``grid_search_mlp``, which on each fold trains
+the four (alpha, learning rate) candidates of an activation as one stack, so
+the grid costs 2k trainings of 4 models rather than 8k of one. Those 2k stacks
+are independent and deterministic, so where worker processes fork they run on
+every usable CPU, and they score the same for any worker count.
 
 Both trainers refuse, with a ValueError, targets above ``TARGET_MAX`` in
 magnitude: squared, finite but huge targets overflow into a model that is not
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -359,6 +361,27 @@ def _pooled_rmse(pooled, Y):
     return per_target, float(np.mean(per_target))
 
 
+def _held_out_predictions(context, task) -> np.ndarray:
+    """(models, held-out rows, targets) predictions of the models one fit trains on one fold's other rows."""
+    X, Y, fits = context
+    train, held_out, j = task
+    return np.stack([predict(model, X[held_out]) for model in fits[j](X[train], Y[train])])
+
+
+def _cross_validate(fits, X, Y, k: int, seed: int, workers: int):
+    """(per_target_rmse, mean_over_targets) of every model the fits train, pooled over all held-out rows.
+
+    ``fits[j](X_train, Y_train)`` returns a list of models; the scores follow the fits, then each fit's models.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = _as_2d(Y)
+    tasks = [(train, held_out, j) for train, held_out in _folds(X.shape[0], k, seed) for j in range(len(fits))]
+    pooled = {}
+    for (_, held_out, j), predictions in zip(tasks, _pool.run(_held_out_predictions, (X, Y, fits), tasks, workers)):
+        pooled.setdefault(j, np.empty((len(predictions), *Y.shape)))[:, held_out] = predictions
+    return [_pooled_rmse(p, Y) for j in range(len(fits)) for p in pooled[j]]
+
+
 def kfold_rmse(fit, X, Y, k: int = 5, seed: int = 0):
     """Cross-validated RMSE pooled over all held-out rows.
 
@@ -366,45 +389,30 @@ def kfold_rmse(fit, X, Y, k: int = 5, seed: int = 0):
     :func:`predict`. Rows are shuffled once with the given seed and split
     into k folds; each row is predicted by the model trained without it, and
     the RMSE is computed per target over the pooled predictions. Returns
-    (per_target_rmse, mean_over_targets).
+    (per_target_rmse, mean_over_targets). The folds train in this process:
+    a linear fit takes microseconds, far less than starting a worker.
     """
-    X = np.asarray(X, dtype=float)
-    Y = _as_2d(Y)
-    pooled = np.empty_like(Y)
-    for train, held_out in _folds(X.shape[0], k, seed):
-        pooled[held_out] = np.atleast_2d(predict(fit(X[train], Y[train]), X[held_out]))
-    return _pooled_rmse(pooled, Y)
-
-
-def _held_out_predictions(context, task) -> np.ndarray:
-    """(models, held-out rows, targets) predictions of one grid stack trained on one fold's other rows."""
-    X, Y, seed, grid = context
-    train, held_out, stack = task
-    return np.stack([predict(model, X[held_out]) for model in _fit_stack(X[train], Y[train], grid[stack], seed=seed)])
+    return _cross_validate([lambda Xt, Yt: [fit(Xt, Yt)]], X, Y, k, seed, workers=1)[0]
 
 
 def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()):
     """Small exhaustive search over the neural surrogate's training grid.
 
     Tries activation {relu, tanh} x alpha {1e-4, 1e-3} x learning rate
-    {1e-3, 1e-2}, scores each by k-fold pooled RMSE (mean over targets), and
-    returns (best_hyper, results) with results as (hyper, score) pairs. Each
-    score is ``kfold_rmse`` over ``fit_mlp`` with that candidate; on each
-    fold, the four candidates of an activation train together as one stack.
-    The 2k (fold, activation) stacks run on every usable CPU where worker
-    processes fork, else in this process; the results are the same either way.
+    {1e-3, 1e-2}, scores each by k-fold pooled RMSE, and returns
+    (best_hyper, results) with results as (hyper, per_target_rmse, mean)
+    triples; the best has the first lowest mean. Each score is ``kfold_rmse``
+    over ``fit_mlp`` with that candidate; on each fold, the four candidates
+    of an activation train together as one stack. The 2k (fold, activation)
+    stacks run on every usable CPU where worker processes fork, else in this
+    process; the results are the same either way.
     """
-    X = np.asarray(X, dtype=float)
-    Y = _as_2d(Y)
     grid = [[replace(base, activation=activation, alpha=alpha, learning_rate=lr)
              for alpha in (0.0001, 0.001) for lr in (0.001, 0.01)] for activation in ("relu", "tanh")]
-    tasks = [(train, held_out, stack) for train, held_out in _folds(X.shape[0], k, seed) for stack in range(len(grid))]
-    predictions = _pool.run(_held_out_predictions, (X, Y, seed, grid), tasks, _pool.forked_cpus())
-    pooled = np.empty((len(grid), len(grid[0]), *Y.shape))
-    for (_, held_out, stack), stack_predictions in zip(tasks, predictions):
-        pooled[stack][:, held_out] = stack_predictions
-    results = [(hyper, _pooled_rmse(p, Y)[1]) for stack, ps in zip(grid, pooled) for hyper, p in zip(stack, ps)]
-    best = min(results, key=lambda item: item[1])
+    fits = [partial(_fit_stack, hypers=stack, seed=seed) for stack in grid]
+    scores = _cross_validate(fits, X, Y, k, seed, _pool.forked_cpus())
+    results = [(hyper, *score) for hyper, score in zip(sum(grid, []), scores)]
+    best = min(results, key=lambda item: item[2])
     return best[0], results
 
 
@@ -425,7 +433,8 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key.
 
-    Every number must be finite, and the layers must chain from the inputs to one output per target.
+    Every number must be finite, the layers must chain from the inputs to one output per target, and the
+    target scaling must be what a trainer writes: means at most TARGET_MAX in magnitude, scales in (0, TARGET_MAX].
     """
     doc = read_json(path, SurrogateError)
     fields = Fields(path, SurrogateError)
@@ -443,6 +452,12 @@ def load_model(path) -> Model:
     for key, arrays in zip(("weights", "biases", "target_mean", "target_scale"), (*zip(*layers), [mean], [scale])):
         if not all(np.isfinite(a).all() for a in arrays):
             raise SurrogateError(f"{path}: {key}: expected finite numbers")
+    for key, value, ok, rule in (
+        ("target_mean", mean, np.abs(mean) <= TARGET_MAX, f"at most {TARGET_MAX:g} in magnitude"),
+        ("target_scale", scale, (scale > 0) & (scale <= TARGET_MAX), f"in (0, {TARGET_MAX:g}]"),
+    ):
+        if not ok.all():
+            raise SurrogateError(f"{path}: {key}: expected values {rule}, got {value[~ok][0]:g}")
     targets = tuple(fields(doc, "targets", [str]))
     width = layers[0][0].shape[0]
     for i, (W, b) in enumerate(layers):

@@ -59,7 +59,7 @@ def test_keywords_the_benchmark_passes(cross_net, fixtures_dir):
     X = np.random.default_rng(0).random((8, 2))
     base = MlpHyper(hidden=(2,), max_epochs=1, patience=1)
     best, results = grid_search_mlp(X, X.sum(axis=1), seed=0, k=2, base=base)
-    assert all((h.hidden, h.max_epochs, h.patience) == ((2,), 1, 1) for h, _ in results)
+    assert all((h.hidden, h.max_epochs, h.patience) == ((2,), 1, 1) for h, _, _ in results)
 
     speeds, default = read_speeds_csv(fixtures_dir / "cross_init.csv")
     params = SimParams(seed=0)

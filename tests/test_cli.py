@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import macrosim
+from macrosim import _pool, surrogate
 from macrosim.cli import _build_parser, main
-from macrosim.dataset import read_csv
+from macrosim.dataset import feature_matrix, read_csv
 from macrosim.signals import load_config, save_config
 from macrosim.solver import HORIZON_S, WARMUP_S, SimParams
 from macrosim.surrogate import load_model
@@ -143,6 +144,33 @@ def test_train_surrogate_single_target_mlp(cli_dataset, tmp_path):
     model = load_model(model_path)
     assert [W.shape for W, _ in model.hidden] == [(3, 100), (100, 50)]
     assert model.targets == ("queue_length",)
+
+
+def test_train_surrogate_grid_reports_the_grid_score_of_its_choice(cli_dataset, tmp_path, capsys, monkeypatch):
+    # the grid trains k folds x 2 activation stacks and has scored its choice; only the final model is left
+    calls = []
+    fit_stack = surrogate._fit_stack
+
+    def counted(X, Y, hypers, *args, **kwargs):
+        calls.append(len(hypers))
+        return fit_stack(X, Y, hypers, *args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "_fit_stack", counted)
+    monkeypatch.setattr(_pool, "forked_cpus", lambda: 1)  # every stack trains in this process, where it is counted
+    model_path = tmp_path / "mlp.json"
+    rc = main(["train-surrogate", "--data", str(cli_dataset), "--model", "mlp", "--grid", "--folds", "3", "--seed", "1",
+               "--out", str(model_path)])
+    assert rc == 0
+    assert calls == [4] * (2 * 3) + [1]
+
+    out = capsys.readouterr().out.splitlines()
+    chosen = dict(field.split("=") for field in out[0].removeprefix("grid best: ").split())
+    hyper = surrogate.MlpHyper(activation=chosen["activation"], alpha=float(chosen["alpha"]),
+                               learning_rate=float(chosen["learning_rate"]))
+    X, Y, _ = feature_matrix(read_csv(cli_dataset))
+    per_target, mean = surrogate.kfold_rmse(lambda Xt, Yt: surrogate.fit_mlp(Xt, Yt, hyper, seed=1), X, Y, k=3, seed=1)
+    assert out[1] == (f"3-fold RMSE: avg_speed={per_target[0]:.6g}, queue_length={per_target[1]:.6g} "
+                      f"(mean {mean:.6g}) -> {model_path}")
 
 
 def test_optimize_against_surrogate(cli_dataset, fixtures_dir, tmp_path):
@@ -450,7 +478,8 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert f"error: {model}: missing key 'weights'" in capsys.readouterr().err
 
     # a model whose shapes do not chain, that holds a number that is not finite, whose features are other
-    # intersections, or whose input width does not fit the network (3 per signalized intersection) names the file
+    # intersections, whose input width does not fit the network (3 per signalized intersection), or whose targets
+    # lack the objective names the file
     linear = {"weights": [[[1.0]]], "biases": [[0.0]], "activation": "relu", "target_mean": [0.0],
               "target_scale": [1.0], "targets": ["avg_speed"], "feature_ids": ["J1"]}
     fits = {**linear, "weights": [[[1.0]] * 3], "feature_ids": ["X"]}  # a model cross can be optimized against
@@ -460,8 +489,12 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ({**fits, "target_scale": [float("inf")]}, "target_scale: expected finite numbers"),
         (linear, "intersections ['J1']"),
         ({**linear, "feature_ids": []}, f"model takes 1 inputs, but {fixtures_dir / 'cross.json'} needs 3 "),
-        # finite numbers whose prediction overflows: the search ends, but its answer means nothing
-        ({**fits, "target_scale": [1e308]}, "speed evaluates to inf at the optimized configuration"),
+        ({**fits, "targets": ["queue_length"]}, "model predicts ['queue_length'], not avg_speed; retrain with that target"),
+        # target scaling no trainer writes, whose predictions would overflow or mean nothing, is refused on load
+        ({**fits, "target_scale": [1e308]}, "target_scale: expected values in (0, 1e+150], got 1e+308"),
+        ({**fits, "target_scale": [0.0]}, "target_scale: expected values in (0, 1e+150], got 0"),
+        ({**fits, "target_scale": [-1.0]}, "target_scale: expected values in (0, 1e+150], got -1"),
+        ({**fits, "target_mean": [1e300]}, "target_mean: expected values at most 1e+150 in magnitude, got 1e+300"),
     ):
         model.write_text(json.dumps(doc))
         rc = main(

@@ -254,11 +254,13 @@ def test_grid_search_returns_best_scored_candidate():
     base = MlpHyper(hidden=(6,), max_epochs=15, patience=3)
     best, results = grid_search_mlp(X, Y, seed=0, k=3, base=base)
     assert len(results) == 8
-    scores = [s for _, s in results]
-    assert min(scores) == dict((h, s) for h, s in results)[best]
-    assert {h.activation for h, _ in results} == {"relu", "tanh"}
-    assert {h.alpha for h, _ in results} == {0.0001, 0.001}
-    assert {h.learning_rate for h, _ in results} == {0.001, 0.01}
+    scores = [s for _, _, s in results]
+    assert min(scores) == dict((h, s) for h, _, s in results)[best]
+    for _, per_target, mean in results:
+        assert per_target.shape == (1,) and mean == float(np.mean(per_target))  # one target
+    assert {h.activation for h, _, _ in results} == {"relu", "tanh"}
+    assert {h.alpha for h, _, _ in results} == {0.0001, 0.001}
+    assert {h.learning_rate for h, _, _ in results} == {0.001, 0.01}
 
 
 def test_model_json_round_trip(tmp_path):
@@ -328,6 +330,9 @@ _MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.
         (json.dumps({**_MLP, "biases": [[0.0, float("inf")], [0.0]]}), "biases: expected finite numbers"),
         (json.dumps({**_MLP, "target_mean": [-float("inf")]}), "target_mean: expected finite numbers"),
         (json.dumps({**_MLP, "target_scale": [float("inf")]}), "target_scale: expected finite numbers"),
+        (json.dumps({**_MLP, "target_mean": [-2e150]}), "target_mean: expected values at most 1e+150 in magnitude"),
+        (json.dumps({**_MLP, "target_scale": [2e150]}), "target_scale: expected values in (0, 1e+150], got 2e+150"),
+        (json.dumps({**_MLP, "target_scale": [-0.0]}), "target_scale: expected values in (0, 1e+150], got -0"),
     ],
 )
 def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
@@ -354,7 +359,7 @@ def test_stacked_training_equals_each_lone_fit():
     _, results = grid_search_mlp(X, Y, seed=1, k=3, base=base)
     epochs = []
     for activation in ("relu", "tanh"):
-        stack = [h for h, _ in results if h.activation == activation]
+        stack = [h for h, _, _ in results if h.activation == activation]
         assert len(stack) == 4
         for hyper, stacked in zip(stack, surrogate._fit_stack(X, Y, stack, seed=1)):
             alone = fit_mlp(X, Y, hyper, seed=1)
@@ -363,8 +368,9 @@ def test_stacked_training_equals_each_lone_fit():
             for (W, b), (W1, b1) in zip(stacked.layers, alone.layers):
                 assert np.array_equal(W, W1) and np.array_equal(b, b1)
     assert epochs == [4, 4, 4, 27, 100, 26, 100, 26]
-    for hyper, score in results:
-        assert score == kfold_rmse(lambda Xt, Yt: fit_mlp(Xt, Yt, hyper, seed=1), X, Y, k=3, seed=1)[1]
+    for hyper, per_target, mean in results:
+        alone, alone_mean = kfold_rmse(lambda Xt, Yt: fit_mlp(Xt, Yt, hyper, seed=1), X, Y, k=3, seed=1)
+        assert np.array_equal(per_target, alone) and mean == alone_mean
 
 
 @pytest.mark.parametrize("n, d, k, base", [
@@ -376,7 +382,8 @@ def test_grid_results_do_not_depend_on_workers(n, d, k, base, monkeypatch):
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(_pool, "forked_cpus", lambda: workers)
-        results.append(grid_search_mlp(X, Y, seed=1, k=k, base=base))
+        best, scores = grid_search_mlp(X, Y, seed=1, k=k, base=base)
+        results.append((best, [(hyper, per_target.tolist(), mean) for hyper, per_target, mean in scores]))
     assert results[0] == results[1] == results[2]
 
 
