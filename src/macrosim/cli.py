@@ -10,7 +10,6 @@ second name, for re-simulating an optimized configuration file.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import dataset, fundamental, optimizer, signals, solver, surrogate
@@ -213,7 +212,7 @@ def _cmd_optimize(args) -> int:
             objective = optimizer.surrogate_objective(model, args.objective)
 
     result = optimizer.optimize_config(net, objective, de, training_rows=rows)
-    if not math.isfinite(result.predicted):
+    if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
         raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
                          f"at the optimized configuration")
     signals.save_config(result.config, args.out)

@@ -56,9 +56,18 @@ class FdFit:
     iterations: int
 
 
-def _curve(v_max, rho_cr, a, rho):
-    """V(rho) elementwise, the one expression of the curve that every caller evaluates."""
-    return v_max * np.exp(-(1.0 / a) * (rho / rho_cr) ** a)
+def _curve(v_max, rho_cr, a, rho, out=None):
+    """V(rho) elementwise, the one expression of the curve that every caller evaluates.
+
+    v_max * exp(-(1/a) * (rho/rho_cr)**a), one operation at a time in the array of the first, which is
+    ``out`` if given: the same operations in the same order, so a preallocated result has the same bits.
+    """
+    x = np.divide(rho, rho_cr, out=out)
+    x **= a
+    x *= -(1.0 / a)
+    x = np.exp(x, out=out)
+    x *= v_max
+    return x
 
 
 def ideal_speed(params: FdParams, rho):

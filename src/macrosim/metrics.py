@@ -42,7 +42,9 @@ def step_metrics(state):
     """(mean speed, queue length) of one state snapshot.
 
     The mean is an unweighted average over all cells of all edges. A
-    (rows, cells) state gives one mean and one queue length per row.
+    (rows, cells) state gives one mean and one queue length per row, and a
+    (samples, rows, cells) block of speeds one per sample and row, each
+    summed exactly as that row alone. Only ``state.v`` is read.
     """
     v = state.v
     avg = np.add.reduce(v, axis=-1) / v.shape[-1]  # np.mean's own arithmetic, without its wrapper

@@ -153,7 +153,7 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
             best = pop[gen_best].copy()
         history.append(objective.external(best_value))
 
-        spread = float(values.max() - values.min())
+        spread = float(values.max()) - float(values.min())  # Python floats: inf - inf is nan without a warning
         if spread <= CONVERGENCE_TOL * max(abs(best_value), 1e-12):
             converged = True
             break
@@ -181,7 +181,13 @@ def surrogate_objective(model, target: str) -> Objective:
     if metric not in names:
         raise ValueError(f"model predicts {names}, not {metric}; retrain with that target")
     column = names.index(metric)
-    return Objective(name=target, direction=direction, evaluate_batch=lambda X: predict(model, X)[:, column])
+
+    def evaluate_batch(X: np.ndarray) -> np.ndarray:
+        # a model whose numbers overflow predicts inf or nan, which DE ranks as it does any value and optimize refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return predict(model, X)[:, column]
+
+    return Objective(name=target, direction=direction, evaluate_batch=evaluate_batch)
 
 
 def simulation_objective(

@@ -13,16 +13,24 @@ Stability requires v_max * dt / dx <= 1 on every edge; ``run`` refuses to
 start otherwise.
 
 ``run`` compiles the network once per call into a private plan of flat
-per-cell, per-edge and per-movement arrays, gather indices and shift
-buffers, plus a per-step red-light mask, then advances each step with two
-whole-array kernels that share one cell-flux array: the boundary kernel
-(every movement summed by np.bincount, red ones into a dropped bin) and
-the cell update (one dot product guards finiteness; only if it is not
-finite are the cells checked one by one). On small networks a step costs
-tens of numpy calls rather than arithmetic, so the kernels keep that count
-low. A list of signal configurations runs as one plan of disjoint network
+per-cell, per-edge and per-movement arrays and gather indices, plus a
+per-step red-light mask whose consequences it recomputes only at the steps
+where the mask changes, then advances each step with two whole-array
+kernels that share one cell-flux array: the boundary kernel (every movement
+summed by np.bincount, red ones into a dropped bin) and the cell update (one
+dot product guards finiteness; only if it is not finite are the cells
+checked one by one). On small networks a step costs tens of numpy calls
+rather than arithmetic, so the kernels keep that count low, and they write
+their per-cell results into work arrays the plan owns rather than into new
+temporaries, one ufunc at a time in the order the update's expressions
+evaluate, so every value rounds as they would. The state is double-buffered:
+each step writes the plan's spare pair of arrays and hands back the pair it
+read. From the first sampled step on, every step is sampled; ``run`` copies
+the speeds into a block of a few steps and computes their metrics in one
+call. A list of signal configurations runs as one plan of disjoint network
 copies, one per configuration. ``virtual_boundaries`` and ``step`` are
-per-edge dict views of the same two kernels.
+per-edge dict views of the same two kernels; each builds its own plan, so the
+state ``step`` returns belongs to its caller.
 """
 from __future__ import annotations
 
@@ -40,6 +48,9 @@ from .signals import Phase, edge_phases, group_a_red, signal_groups  # noqa: F40
 
 HORIZON_S = 340.0  # the paper's protocol: simulated seconds per run
 WARMUP_S = 100.0   # and the seconds before metrics are sampled
+# speeds per step_metrics call in run: 64 KB, so no temporary of the call reaches malloc's 128 KB mmap threshold,
+# above which every call maps and faults in fresh pages
+_BLOCK_VALUES = 1 << 13
 
 
 class SimulationError(RuntimeError):
@@ -160,6 +171,14 @@ class _Plan:
     network back to back: copy b's cell indices are shifted by
     b * total_cells and its edge indices by b * len(edges). No two copies
     share a bincount bin, so each copy rounds exactly as a plan of its own.
+
+    The kernels hold a state as one (2, cells) pair (rho, v), so an operation
+    that both fields take is one numpy call. The plan owns the work arrays a
+    step refills: ``x`` = (q, v*v), ``d`` = (rho_dn, V(rho_dn)), a per-cell
+    and a per-movement temporary, and the ``spare`` state pair that the next
+    step writes; ``set_red`` keeps what the red flags decide until they
+    change. A plan is private to one call of ``run``, ``step`` or
+    ``virtual_boundaries``.
     """
 
     def __init__(self, net: RoadNetwork, params: SimParams, batch: int = 1):
@@ -175,8 +194,9 @@ class _Plan:
         self.dx = per_cell([e.cell_length for e in edges])
         self.speed_cap = per_cell([e.free_flow_speed for e in edges])  # also each cell's v_max
         self.rho_cr, self.a = net.rho_cr, net.a
-        self.flux_coef = per_cell([dt / (e.lanes * e.cell_length) for e in edges])
-        self.conv_coef = per_cell([dt / (2.0 * e.cell_length) for e in edges])
+        # the upstream-difference coefficients of density and of speed: flux and convection
+        self.coef = np.stack([per_cell([dt / (e.lanes * e.cell_length) for e in edges]),
+                              per_cell([dt / (2.0 * e.cell_length) for e in edges])])
 
         self.first = np.array([net.cell_slice(eid).start for eid in self.edges], dtype=np.intp)
         self.last = np.array([net.cell_slice(eid).stop - 1 for eid in self.edges], dtype=np.intp)
@@ -209,8 +229,24 @@ class _Plan:
             elif isinstance(a, np.ndarray):
                 setattr(self, name, np.tile(a, batch))
         self.mv_last, self.dn_first = self.last[self.mv_in], self.first[self.dn_out]
-        # the upstream flux/speed and downstream density seen by each cell, refilled every step
-        self.q_up, self.v_up, self.rho_dn = (np.empty(len(self.lanes)) for _ in range(3))
+        cells = len(self.lanes)
+        # the bounds a state pair (rho, v) is clamped into
+        self.lower = np.stack([np.full(cells, params.density_floor), np.zeros(cells)])
+        self.upper = np.stack([np.full(cells, params.jam_density), self.speed_cap])
+        # work arrays that every step refills: the pairs (q, v*v) and (rho_dn, V(rho_dn)), a temporary, the spare
+        # state pair that _advance writes its result into, and the downstream-density weights
+        self.x, self.d, self.spare = (np.empty((2, cells)) for _ in range(3))
+        self.tmp, self.dn_tmp = np.empty(cells), np.empty(len(self.dn_in))
+
+    def set_red(self, red: np.ndarray) -> None:
+        """Take one red flag per edge for the steps to come, until the next call.
+
+        Kept: the bin each movement adds into (a red movement's is the dropped bin n), the edges whose
+        downstream ghost is jam density, and the stop-line cells pinned to zero speed.
+        """
+        self.dest = np.where(red[self.mv_in], len(self.first), self.mv_out)
+        self.jammed = red & self.has_dn
+        self.pinned = self.last[red]
 
 
 def _red_mask(plan: _Plan, phases: dict) -> np.ndarray:
@@ -227,49 +263,75 @@ def _red_schedule(net: RoadNetwork, plan: _Plan, config: dict | None, times: np.
     return red
 
 
-def _boundaries(plan: _Plan, q: np.ndarray, rho: np.ndarray, v: np.ndarray, red: np.ndarray, params: SimParams):
+def _fluxes(plan: _Plan, s: np.ndarray) -> np.ndarray:
+    """(q, v*v) of the state pair s = (rho, v) into plan.x, q being the cell flux rho * v * lanes; returns q."""
+    x = np.multiply(s, s[1], out=plan.x)
+    x[0] *= plan.lanes
+    return x[0]
+
+
+def _boundaries(plan: _Plan, q: np.ndarray, rho: np.ndarray, v: np.ndarray, params: SimParams):
     """Boundary kernel: (q_in, v_in, rho_out) per edge from the cell fluxes q; see virtual_boundaries.
 
     Every movement is summed, but a red one into a spare bin n that is dropped, so each edge
     still sums exactly its green terms in order.
     """
-    n = len(plan.first)
-    dest = np.where(red[plan.mv_in], n, plan.mv_out)
-    part = q[plan.mv_last] * plan.mv_share
+    n, dest = len(plan.first), plan.dest
+    part = q[plan.mv_last]  # each gather makes a new array, which is cheaper than np.take into a kept one
+    part *= plan.mv_share
     q0 = np.bincount(dest, part, n + 1)[:n]
-    speed_flux = np.bincount(dest, v[plan.mv_last] * part, n + 1)[:n]
-    cap_flux = np.bincount(dest, plan.mv_cap * part, n + 1)[:n]
+    terms = v[plan.mv_last]
+    terms *= part
+    speed_flux = np.bincount(dest, terms, n + 1)[:n]
+    cap_flux = np.bincount(dest, np.multiply(plan.mv_cap, part, out=terms), n + 1)[:n]
     # an entry edge has no movements, so q0 is 0 there and v0 keeps its first-cell speed
-    v0 = np.divide(np.minimum(speed_flux, cap_flux), q0, out=v[plan.first], where=q0 > 0.0)
+    v0 = np.divide(np.minimum(speed_flux, cap_flux, out=speed_flux), q0, out=v[plan.first], where=q0 > 0.0)
 
     q_in = np.where(plan.is_entry, q[plan.first], q0)
     v_in = np.where(plan.is_entry, v0, np.minimum(np.maximum(v0, 0.0), plan.edge_speed))
 
     r = rho[plan.dn_first]
-    num = np.bincount(plan.dn_in, r * r * plan.dn_w, n)
-    den = np.bincount(plan.dn_in, r * plan.dn_w, n)
+    den = np.bincount(plan.dn_in, np.multiply(r, plan.dn_w, out=plan.dn_tmp), n)
+    r *= r
+    r *= plan.dn_w
+    num = np.bincount(plan.dn_in, r, n)
     rho_out = np.divide(num, den, out=rho[plan.last], where=den > 0.0)
-    rho_out[red & plan.has_dn] = params.jam_density
+    rho_out[plan.jammed] = params.jam_density
     return q_in, v_in, rho_out
 
 
-def _advance(plan: _Plan, state: SimState, q, q_in, v_in, rho_out, red: np.ndarray, params: SimParams) -> SimState:
-    """Cell-update kernel: one step of every cell from the cell fluxes q and the ghosts; see step."""
-    rho, v = state.rho, state.v
-    dt = params.dt_s
-    q_up, v_up, rho_dn = plan.q_up, plan.v_up, plan.rho_dn
-    q_up[1:], v_up[1:], rho_dn[:-1] = q[:-1], v[:-1], rho[1:]
-    q_up[plan.first], v_up[plan.first], rho_dn[plan.last] = q_in, v_in, rho_out
+def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, params: SimParams, k: int, t: float) -> np.ndarray:
+    """Cell-update kernel: step k of every cell, at clock t, from the state pair s = (rho, v), its (q, v*v) in
+    plan.x, and the ghosts; see step.
 
-    r_next = rho - plan.flux_coef * (q - q_up)
-    v_eq = _curve(plan.speed_cap, plan.rho_cr, plan.a, rho_dn)
-    u_next = (
-        v
-        - plan.conv_coef * (v * v - v_up * v_up)
-        + (dt / params.relaxation_s) * (v_eq - v)
-        - (dt * params.anticipation / (rho + params.density_guard)) * (rho_dn - rho) / plan.dx
-    )
-    u_next[plan.last[red]] = 0.0
+    The new pair is written into plan.spare, and s becomes the next spare: s itself is never written, but
+    a caller that steps on must not keep it.
+    """
+    x, d, tmp, new, first = plan.x, plan.d, plan.tmp, plan.spare, plan.first
+    rho, r_next, u_next, dt = s[0], new[0], new[1], params.dt_s  # rows by index: unpacking an array is slower
+
+    # new = (rho - flux_coef * (q - q_up), v - conv_coef * (v*v - v_up*v_up)), then
+    # new[1] += (dt/relaxation) * (V(rho_dn) - v) and new[1] -= (dt*anticipation / (rho + guard)) * (rho_dn - rho) / dx,
+    # one operation at a time in that order, so each value rounds as the expressions would. A cell's upstream
+    # q_up and v_up are the previous cell's, or at an edge's first cell the ghosts; its downstream rho_dn is the
+    # next cell's density, or at an edge's last cell the ghost.
+    np.subtract(x[:, 1:], x[:, :-1], out=new[:, 1:])
+    r_next[first] = x[0][first] - q_in
+    u_next[first] = x[1][first] - v_in * v_in
+    new *= plan.coef
+    np.subtract(s, new, out=new)
+    rho_dn = d[0]
+    rho_dn[:-1], rho_dn[plan.last] = rho[1:], rho_out
+    _curve(plan.speed_cap, plan.rho_cr, plan.a, rho_dn, d[1])
+    d -= s
+    d[1] *= dt / params.relaxation_s
+    u_next += d[1]
+    np.add(rho, params.density_guard, out=tmp)
+    np.divide(dt * params.anticipation, tmp, out=tmp)
+    tmp *= d[0]
+    tmp /= plan.dx
+    u_next -= tmp
+    u_next[plan.pinned] = 0.0
 
     # one reduction is non-finite whenever a cell is; if it only overflowed, the exact mask passes
     if not math.isfinite(np.dot(r_next, u_next)):
@@ -281,12 +343,12 @@ def _advance(plan: _Plan, state: SimState, q, q_in, v_in, rho_out, red: np.ndarr
             in_row = f" in batch row {row}" if len(plan.first) > len(plan.edges) else ""
             raise SimulationError(
                 f"non-finite state on edge {plan.edges[edge]} cell {bad - plan.first[e] + 1} "
-                f"at step {state.k + 1} (t={state.t + dt:g} s){in_row}"
+                f"at step {k + 1} (t={t + dt:g} s){in_row}"
             )
     # cheaper than np.clip, and the same bits on finite values other than -0.0, which the update never makes
-    rho_new = np.minimum(np.maximum(r_next, params.density_floor, out=r_next), params.jam_density, out=r_next)
-    v_new = np.minimum(np.maximum(u_next, 0.0, out=u_next), plan.speed_cap, out=u_next)
-    return SimState(rho=rho_new, v=v_new, t=state.t + dt, k=state.k + 1)
+    np.minimum(np.maximum(new, plan.lower, out=new), plan.upper, out=new)
+    plan.spare = s
+    return new
 
 
 def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> VirtualBoundary:
@@ -303,7 +365,8 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: 
     executes.
     """
     plan = _Plan(net, params)
-    ghosts = _boundaries(plan, state.rho * state.v * plan.lanes, state.rho, state.v, _red_mask(plan, phases), params)
+    plan.set_red(_red_mask(plan, phases))
+    ghosts = _boundaries(plan, _fluxes(plan, np.stack([state.rho, state.v])), state.rho, state.v, params)
     return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
@@ -318,9 +381,13 @@ def step(net: RoadNetwork, state: SimState, vb: VirtualBoundary, phases: dict, p
     kernel that ``run`` executes.
     """
     plan = _Plan(net, params)
+    plan.set_red(_red_mask(plan, phases))
+    s = np.stack([state.rho, state.v])
+    _fluxes(plan, s)
     ghosts = (np.array([g[eid] for eid in plan.edges], dtype=float) for g in (vb.q_in, vb.v_in, vb.rho_out))
     with np.errstate(over="ignore", invalid="ignore"):  # as in run
-        return _advance(plan, state, state.rho * state.v * plan.lanes, *ghosts, _red_mask(plan, phases), params)
+        rho, v = _advance(plan, s, *ghosts, params, state.k, state.t)
+    return SimState(rho=rho, v=v, t=state.t + params.dt_s, k=state.k + 1)
 
 
 def initialize(
@@ -403,40 +470,50 @@ def run(
     probe_times = sorted(float(p) for p in probes) if probes else []
     probe_idx = 0
     snapshots: list[SimState] = []
-    speeds, queues = [], []
 
     plan = _Plan(net, params, batch)
-    # the clock values state.t takes below: add.accumulate sums left to right, as the steps do
+    # the clock values t takes below: add.accumulate sums left to right, as the steps do
     times = np.cumsum(np.r_[state0.t, np.full(n_steps - 1, params.dt_s)])
     red = np.concatenate([_red_schedule(net, plan, c, times) for c in configs], axis=1)
+    switches = np.r_[True, (red[1:] != red[:-1]).any(axis=1)].tolist()  # steps whose red flags differ from the last
+    # the clock only grows, so every step from the first at the warm-up on is sampled; the speeds of up to
+    # len(block) samples are gathered and measured by one step_metrics call, whose per-row sums are as alone
+    first = int(np.count_nonzero(times < warmup - 1e-9))
+    series = np.empty((2, n_steps - first, batch))  # mean speed and queue length per sample and row
+    block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // plan.tmp.size)), batch, net.total_cells))
 
-    state = SimState(rho=np.tile(state0.rho, batch), v=np.tile(state0.v, batch), t=state0.t, k=state0.k)
+    s, t = np.stack([np.tile(state0.rho, batch), np.tile(state0.v, batch)]), state0.t  # the pair (rho, v), the clock
     # overflows only reach _advance's finiteness guard, which raises on a non-finite cell; its one dot
     # product can also overflow on finite cells, so the warnings say nothing the guard does not
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            rows = SimState(rho=state.rho.reshape(batch, -1), v=state.v.reshape(batch, -1), t=state.t, k=state.k)
-            while probe_idx < len(probe_times) and state.t >= probe_times[probe_idx] - 1e-9:
-                snapshots.append(rows.copy())
+            while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - 1e-9:
+                snapshots.append(SimState(*s.reshape(2, batch, -1).copy(), t=t, k=state0.k + k))
                 probe_idx += 1
             if k == n_steps:
                 break
-            if state.t >= warmup - 1e-9:
-                avg, queue = step_metrics(rows)
-                speeds.append(avg)
-                queues.append(queue)
-            q, red_k = state.rho * state.v * plan.lanes, red[k]
-            state = _advance(plan, state, q, *_boundaries(plan, q, state.rho, state.v, red_k, params), red_k, params)
+            if k >= first:
+                i = (k - first) % len(block)
+                block[i] = s[1].reshape(batch, -1)
+                if i == len(block) - 1 or k == n_steps - 1:
+                    lo = k - first - i
+                    series[:, lo:lo + i + 1] = step_metrics(SimState(rho=None, v=block[:i + 1]))  # reads speeds only
+            if switches[k]:
+                plan.set_red(red[k])
+            q = _fluxes(plan, s)
+            s = _advance(plan, s, *_boundaries(plan, q, s[0], s[1], params), params, state0.k + k, t)
+            t += params.dt_s
 
     # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
-    speeds, queues = (np.reshape(series, (-1, batch)).T.copy() for series in (speeds, queues))
+    speeds, queues = series.transpose(0, 2, 1).copy()
+    rho, v = s.reshape(2, batch, -1)
     results = [
         RunResult(
             metrics=aggregate(speeds[b], queues[b]),
-            final_state=SimState(rho=rows.rho[b], v=rows.v[b], t=state.t, k=state.k),
+            final_state=SimState(rho=rho[b], v=v[b], t=t, k=state0.k + n_steps),
             steps=n_steps,
-            warmup_steps=n_steps - speeds.shape[1],
-            snapshots=[SimState(rho=s.rho[b], v=s.v[b], t=s.t, k=s.k) for s in snapshots],
+            warmup_steps=first,
+            snapshots=[SimState(rho=p.rho[b], v=p.v[b], t=p.t, k=p.k) for p in snapshots],
         )
         for b in range(batch)
     ]

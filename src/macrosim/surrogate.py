@@ -433,8 +433,8 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key.
 
-    Every number must be finite, the layers must chain from the inputs to one output per target, and the
-    target scaling must be what a trainer writes: means at most TARGET_MAX in magnitude, scales in (0, TARGET_MAX].
+    Every number must be finite, the layers must chain from the inputs to one output per target, weights,
+    biases and target means must be at most TARGET_MAX in magnitude, and target scales in (0, TARGET_MAX].
     """
     doc = read_json(path, SurrogateError)
     fields = Fields(path, SurrogateError)
@@ -449,15 +449,18 @@ def load_model(path) -> Model:
         raise SurrogateError(f"{path}: activation: expected 'relu' or 'tanh', got {activation!r}")
     layers = [(np.array(W), np.array(b)) for W, b in zip(weights, biases)]
     mean, scale = np.array(fields(doc, "target_mean", [float])), np.array(fields(doc, "target_scale", [float]))
-    for key, arrays in zip(("weights", "biases", "target_mean", "target_scale"), (*zip(*layers), [mean], [scale])):
-        if not all(np.isfinite(a).all() for a in arrays):
+    numbers = dict(zip(("weights", "biases", "target_mean", "target_scale"),
+                       (np.concatenate([np.ravel(a) for a in arrays]) for arrays in (*zip(*layers), [mean], [scale]))))
+    for key, value in numbers.items():
+        if not np.isfinite(value).all():
             raise SurrogateError(f"{path}: {key}: expected finite numbers")
-    for key, value, ok, rule in (
-        ("target_mean", mean, np.abs(mean) <= TARGET_MAX, f"at most {TARGET_MAX:g} in magnitude"),
-        ("target_scale", scale, (scale > 0) & (scale <= TARGET_MAX), f"in (0, {TARGET_MAX:g}]"),
+    for key, ok, rule in (
+        *((key, np.abs(numbers[key]) <= TARGET_MAX, f"at most {TARGET_MAX:g} in magnitude")
+          for key in ("weights", "biases", "target_mean")),
+        ("target_scale", (scale > 0) & (scale <= TARGET_MAX), f"in (0, {TARGET_MAX:g}]"),
     ):
         if not ok.all():
-            raise SurrogateError(f"{path}: {key}: expected values {rule}, got {value[~ok][0]:g}")
+            raise SurrogateError(f"{path}: {key}: expected values {rule}, got {numbers[key][~ok][0]:g}")
     targets = tuple(fields(doc, "targets", [str]))
     width = layers[0][0].shape[0]
     for i, (W, b) in enumerate(layers):

@@ -495,6 +495,17 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ({**fits, "target_scale": [0.0]}, "target_scale: expected values in (0, 1e+150], got 0"),
         ({**fits, "target_scale": [-1.0]}, "target_scale: expected values in (0, 1e+150], got -1"),
         ({**fits, "target_mean": [1e300]}, "target_mean: expected values at most 1e+150 in magnitude, got 1e+300"),
+        # so are weights and biases above TARGET_MAX, whose predictions overflow or mean nothing
+        ({**fits, "weights": [[[1e308], [0.0], [0.0]]]},
+         "weights: expected values at most 1e+150 in magnitude, got 1e+308"),
+        ({**fits, "weights": [[[1e308]] * 3]}, "weights: expected values at most 1e+150 in magnitude, got 1e+308"),
+        ({**fits, "biases": [[-1e200]]}, "biases: expected values at most 1e+150 in magnitude, got -1e+200"),
+        # a model within the bounds may still predict beyond them: a finite value no trainer's target reaches, or
+        # an overflow inside the search (three layers of 1e150 weights), is refused at the answer, with no warning
+        ({**fits, "weights": [[[1e150]] * 3]}, "e+150 at the optimized configuration"),
+        ({**fits, "weights": [[[1e150] * 2] * 3, [[1e150] * 2] * 2, [[1e150]] * 2],
+          "biases": [[0.0] * 2, [0.0] * 2, [0.0]]},
+         "speed evaluates to inf at the optimized configuration"),
     ):
         model.write_text(json.dumps(doc))
         rc = main(
@@ -504,6 +515,8 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
                 "--model", str(model),
                 "--objective", "speed",
                 "--data", str(cli_dataset),
+                "--generations", "3",
+                "--pop", "4",
                 "--out", str(tmp_path / "x.json"),
             ]
         )

@@ -17,7 +17,7 @@ import pytest
 
 from macrosim.fundamental import ideal_speed, invert_speed
 from macrosim.metrics import aggregate, step_metrics
-from macrosim import network
+from macrosim import network, solver
 from macrosim.network import RoadNetwork, turn_angle
 from macrosim.signals import IntersectionSignal, Phase, edge_phases, load_config, sample_config
 from macrosim.solver import (
@@ -482,36 +482,61 @@ def test_run_sampling_contract(twolights_net, twolights_speeds, fixtures_dir):
     assert result.final_state.t == pytest.approx(340.0)
 
 
+_MANUAL_STEPS = 120  # 60 s at dt = 0.5 s
+
+
+@pytest.fixture(scope="module")
+def manual_runs():
+    """Manual trajectories by (fixture, batch row); no warm-up changes them, so each is stepped once."""
+    return {}
+
+
+def _manual_run(runs, net, name, row, config, state0, params):
+    """(clock, mean speed, queue) and phases before each of the first _MANUAL_STEPS steps, and the state after
+    them, from the public per-step definitions."""
+    if (name, row) not in runs:
+        state, samples, seen_phases = state0.copy(), [], []
+        for _ in range(_MANUAL_STEPS):
+            phases = edge_phases(net, config, state.t)
+            samples.append((state.t, *step_metrics(state)))
+            seen_phases.append(phases)
+            state = step(net, state, virtual_boundaries(net, state, phases, params), phases, params)
+        runs[name, row] = samples, seen_phases, state
+    return runs[name, row]
+
+
 @pytest.mark.parametrize("name", ["ring", "cross", "twolights", "roadcats"])
-def test_run_metrics_match_manual_stepping(request, fixtures_dir, name):
-    """run's loop equals stepping the public per-step definitions one by one."""
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("samples", ["one", "block - 1", "block", "block + 1", "every step"])
+def test_run_metrics_match_manual_stepping(request, fixtures_dir, manual_runs, name, batch, samples):
+    """run's loop equals stepping the public per-step definitions one by one, wherever the warm-up leaves
+    the end of run's last metric block: one sample, one short of a block, a full block, one more, every step."""
     net = request.getfixturevalue(f"{name}_net")
     speeds, default = read_speeds_csv(fixtures_dir / f"{name}_init.csv")
     lights = fixtures_dir / f"{name}_lights.json"
-    config = load_config(lights) if lights.exists() else None
+    configs = [load_config(lights)] + [sample_config(net, np.random.default_rng(row)) for row in (1, 2)] \
+        if lights.exists() else [None] * 3
+    configs = configs[:batch]
     params = SimParams(seed=8)
     state0 = initialize(net, speeds, params, default_speed=default)
+    block = solver._BLOCK_VALUES // (batch * net.total_cells)  # the samples of one step_metrics call
+    assert 2 <= block < _MANUAL_STEPS - 1
+    n_samples = {"one": 1, "block - 1": block - 1, "block": block, "block + 1": block + 1}.get(samples, _MANUAL_STEPS)
+    warmup = (_MANUAL_STEPS - n_samples) * params.dt_s
 
-    result = run(net, state0, config, params, horizon=60.0, warmup=20.0)
+    results = run(net, state0, configs, params, horizon=_MANUAL_STEPS * params.dt_s, warmup=warmup)
 
-    state = state0.copy()
-    speeds, queues, seen_phases = [], [], []
-    for _ in range(120):
-        if state.t >= 20.0 - 1e-9:
-            a, q = step_metrics(state)
-            speeds.append(a)
-            queues.append(q)
-        phases = edge_phases(net, config, state.t)
-        seen_phases.append(phases)
-        state = step(net, state, virtual_boundaries(net, state, phases, params), phases, params)
-
-    if config is not None:
-        assert any(p != seen_phases[0] for p in seen_phases), "no signal switched within the horizon"
-    assert result.metrics == aggregate(speeds, queues)
-    assert result.metrics.samples == 80
-    assert (result.final_state.t, result.final_state.k) == (state.t, state.k)
-    assert np.array_equal(result.final_state.rho, state.rho)
-    assert np.array_equal(result.final_state.v, state.v)
+    for row, (config, result) in enumerate(zip(configs, results)):
+        trajectory, seen_phases, state = _manual_run(manual_runs, net, name, row, config, state0, params)
+        if config is not None:
+            assert any(p != seen_phases[0] for p in seen_phases), "no signal switched within the horizon"
+        sampled = [(avg, queue) for t, avg, queue in trajectory if t >= warmup - 1e-9]
+        assert result.metrics == aggregate(*zip(*sampled))
+        assert result.metrics.samples == len(sampled) == n_samples
+        assert result.warmup_steps == _MANUAL_STEPS - n_samples
+        assert (result.final_state.t, result.final_state.k) == (state.t, state.k)
+        assert np.array_equal(result.final_state.rho, state.rho)
+        assert np.array_equal(result.final_state.v, state.v)
 
 
 # Metrics of each fixture under the paper's protocol (340 s, 100 s warm-up),
@@ -603,6 +628,68 @@ def test_run_probe_snapshots(ring_net):
     assert [s.k for s in result.snapshots] == [0, 20, 40]
     np.testing.assert_array_equal(result.snapshots[0].v, state.v)
     np.testing.assert_array_equal(result.snapshots[-1].v, result.final_state.v)
+
+
+def test_step_returns_arrays_of_its_own(cross_net):
+    # each step call owns its result: it shares no memory with the state it read or with another call's result
+    params = SimParams()
+    state = _random_state(cross_net, 2)
+    before = state.copy()
+    phases = {"n_in": Phase.RED}
+    vb = virtual_boundaries(cross_net, state, phases, params)
+    first, second = (step(cross_net, state, vb, phases, params) for _ in range(2))
+    arrays = [state.rho, state.v, first.rho, first.v, second.rho, second.v]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(state.rho, before.rho) and np.array_equal(state.v, before.v)
+    assert np.array_equal(first.rho, second.rho) and np.array_equal(first.v, second.v)
+
+
+def test_run_probe_snapshots_are_not_overwritten(cross_net):
+    # run steps on two state buffers in turn; a snapshot must keep the state of its own time to the end
+    params = SimParams(seed=4)
+    state0 = initialize(cross_net, {}, params, default_speed=8.0)
+    configs = [sample_config(cross_net, np.random.default_rng(row)) for row in range(2)]
+    probes = [0.0, 0.5, 1.0, 7.5, 20.0]
+    results = run(cross_net, state0, configs, params, horizon=20.0, warmup=0.0, probes=probes)
+    for t, *snapshots in zip(probes, *(r.snapshots for r in results)):
+        alone = run(cross_net, state0, configs, params, horizon=t, warmup=0.0) if t else None
+        for row, snapshot in enumerate(snapshots):
+            wanted = alone[row].final_state if alone else state0
+            assert snapshot.t == t and np.array_equal(snapshot.rho, wanted.rho) and np.array_equal(snapshot.v, wanted.v)
+    for r in results:
+        arrays = [r.final_state.rho, r.final_state.v] + [a for s in r.snapshots for a in (s.rho, s.v)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+def test_run_names_a_non_finite_cell_that_appears_inside_a_metric_block(cross_net, monkeypatch):
+    # the guard still stops the run at the step that makes the cell, with a half-filled block of samples pending
+    params = SimParams(seed=1)
+    state0 = initialize(cross_net, {}, params, default_speed=8.0)
+    configs = [sample_config(cross_net, np.random.default_rng(row)) for row in range(3)]
+    block = solver._BLOCK_VALUES // (3 * cross_net.total_cells)
+    warmup_steps, bad_step, row = 10, 10 + block + block // 2, 2
+    eid = cross_net.edge_order[1]
+    cell = row * cross_net.total_cells + cross_net.cell_slice(eid).start + 2
+    curve, metric_calls = solver._curve, []
+
+    def poisoned_curve(*args):  # called once per step, by the step that makes state k on its k-th call
+        out = curve(*args)
+        poisoned_curve.calls += 1
+        if poisoned_curve.calls == bad_step:
+            out[cell] = np.nan
+        return out
+
+    poisoned_curve.calls = 0
+    monkeypatch.setattr(solver, "_curve", poisoned_curve)
+    monkeypatch.setattr(solver, "step_metrics", lambda s: metric_calls.append(len(s.v)) or step_metrics(s))
+    wanted = rf"^non-finite state on edge {eid} cell 3 at step {bad_step} \(t={bad_step * params.dt_s:g} s\) in batch row {row}$"
+    with pytest.raises(SimulationError, match=wanted):
+        run(cross_net, state0, configs, params, horizon=60.0, warmup=warmup_steps * params.dt_s)
+    assert metric_calls == [block]  # one full block measured; the bad state fell inside the second
 
 
 def test_run_argument_validation(ring_net):

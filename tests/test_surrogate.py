@@ -330,6 +330,10 @@ _MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.
         (json.dumps({**_MLP, "biases": [[0.0, float("inf")], [0.0]]}), "biases: expected finite numbers"),
         (json.dumps({**_MLP, "target_mean": [-float("inf")]}), "target_mean: expected finite numbers"),
         (json.dumps({**_MLP, "target_scale": [float("inf")]}), "target_scale: expected finite numbers"),
+        (json.dumps({**_MLP, "weights": [[[1.0, -3e150]], [[1.0], [1.0]]]}),
+         "weights: expected values at most 1e+150 in magnitude, got -3e+150"),
+        (json.dumps({**_MLP, "biases": [[0.0, 0.0], [1e151]]}),
+         "biases: expected values at most 1e+150 in magnitude, got 1e+151"),
         (json.dumps({**_MLP, "target_mean": [-2e150]}), "target_mean: expected values at most 1e+150 in magnitude"),
         (json.dumps({**_MLP, "target_scale": [2e150]}), "target_scale: expected values in (0, 1e+150], got 2e+150"),
         (json.dumps({**_MLP, "target_scale": [-0.0]}), "target_scale: expected values in (0, 1e+150], got -0"),
