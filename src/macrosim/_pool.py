@@ -1,12 +1,16 @@
 """One runner for independent, deterministic tasks over worker processes.
 
-``run(fn, context, tasks, workers)`` is ``[fn(context, task) for task in
-tasks]``. The context (the data every task reads) reaches each worker once,
-through the pool's initializer, rather than pickled into every task. Workers
-use the platform's default start method (fork on Linux up to Python 3.13);
-a fork pool forks all its workers before it starts its manager thread. Never run a pool
-while a module is being imported (a forked worker would wait on the import
-lock), and pass a module-level ``fn``, never a closure.
+``Pool(fn, context)`` is a context manager whose ``map(tasks, workers)`` is
+``[fn(context, task) for task in tasks]``; ``run`` is the one-shot case, one
+map in a pool of its own. The context (the data every task reads) reaches
+each worker once, through the pool's initializer, rather than pickled into
+every task. A pool starts its workers at the first map that runs on more
+than one and keeps them for later maps until the ``with`` block ends, so no
+worker outlives it. Workers use the platform's default start method (fork on
+Linux up to Python 3.13); a fork pool forks all its workers before it starts
+its manager thread. Never run a pool while a module is being imported (a
+forked worker would wait on the import lock), and pass a module-level
+``fn``, never a closure.
 """
 from __future__ import annotations
 
@@ -42,17 +46,40 @@ def forked_cpus() -> int:
     return usable_cpus() if multiprocessing.get_start_method() == "fork" else 1
 
 
-def run(fn, context, tasks: list, workers: int) -> list:
-    """``fn(context, task)`` of every task, in task order, on at most ``workers`` processes.
+class Pool:
+    """``fn(context, task)`` over lists of tasks, on worker processes that live until the ``with`` block ends."""
 
-    With one worker or one task the tasks run in the calling process. A
-    task's exception is raised here once the pool has shut down, so no worker
-    outlives the call.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(context, task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(fn, context)) as pool:
-        return list(pool.map(_call, tasks))
+    def __init__(self, fn, context):
+        self.fn, self.context = fn, context
+        self._executor = None
+
+    def __enter__(self) -> Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def map(self, tasks: list, workers: int) -> list:
+        """``fn(context, task)`` of every task, in task order, on at most ``workers`` processes.
+
+        With one worker or one task the tasks run in the calling process.
+        Otherwise the first such call starts min(workers, len(tasks)) workers,
+        and later calls run on those. A task's exception is raised here.
+        """
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        workers = min(workers, len(tasks))
+        if workers <= 1:
+            return [self.fn(self.context, task) for task in tasks]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=workers, initializer=_serve,
+                                                 initargs=(self.fn, self.context))
+        return list(self._executor.map(_call, tasks))
+
+
+def run(fn, context, tasks: list, workers: int) -> list:
+    """``map(tasks, workers)`` of a pool of its own; a task's exception is raised once the pool has shut down."""
+    with Pool(fn, context) as pool:
+        return pool.map(tasks, workers)

@@ -65,6 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocol_args(p, init_required=False)
     p.add_argument("--generations", type=int, default=300)
     p.add_argument("--pop", type=int, default=None, help="population size (default 15 x dim, max 150)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="--direct only: worker processes (default 1; results are identical for any count)")
     p.add_argument("--validate", action="store_true", help="re-simulate the optimized configuration")
     p.add_argument("--out", required=True, help="output JSON signal configuration")
     p.add_argument("--report", default=None, help="optional JSON run report")
@@ -93,6 +95,13 @@ def _initial_state(args, net):
     speeds, default = solver.read_speeds_csv(args.init)
     with naming(args.init):
         return solver.initialize(net, speeds, params, default_speed=default), params
+
+
+def _workers(jobs: int) -> int:
+    """The worker count of ``--jobs``, refused by name below 1."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _cmd_calibrate_fd(args) -> int:
@@ -135,7 +144,7 @@ def _cmd_gen_dataset(args) -> int:
     net = load_network(args.network)
     state0, params = _initial_state(args, net)
     rows = dataset.generate(
-        net, state0, params, n_runs=args.runs, seed=args.seed, workers=args.jobs,
+        net, state0, params, n_runs=args.runs, seed=args.seed, workers=_workers(args.jobs),
         horizon=args.horizon, warmup=args.warmup,
     )
     dataset.write_csv(rows, args.out)
@@ -189,29 +198,16 @@ def _cmd_optimize(args) -> int:
     for flag, wanted in (("--direct", args.direct), ("--validate", args.validate)):
         if wanted and state0 is None:
             raise ValueError(f"{flag} needs --init to build the shared initial state")
-    solver.check_protocol(net, params, args.horizon, args.warmup)  # before the search, not after it
-    if args.direct:
-        objective = optimizer.simulation_objective(
-            net, state0, params, args.objective, horizon=args.horizon, warmup=args.warmup
-        )
-    else:
-        model = surrogate.load_model(args.model)
-        ids = net.signalized_ids()
-        if model.feature_ids and model.feature_ids != ids:
-            raise ValueError(
-                f"{args.model}: model features are intersections {list(model.feature_ids)}, "
-                f"but {args.network} signalizes {list(ids)}"
-            )
-        width = model.layers[0][0].shape[0]
-        if width != 3 * len(ids):
-            raise ValueError(
-                f"{args.model}: model takes {width} inputs, but {args.network} needs {3 * len(ids)} "
-                f"(3 per signalized intersection)"
-            )
-        with naming(args.model):  # a model trained for other targets
-            objective = optimizer.surrogate_objective(model, args.objective)
-
-    result = optimizer.optimize_config(net, objective, de, training_rows=rows)
+    if args.jobs is not None and not args.direct:
+        raise ValueError("--jobs applies to --direct only")
+    workers = 1 if args.jobs is None else _workers(args.jobs)
+    # checks the protocol before the search, not after it; only --direct runs anything through it
+    with dataset.BatchRunner(net, state0, params, workers, args.horizon, args.warmup) as runner:
+        if args.direct:
+            objective = optimizer.simulation_objective(runner, args.objective)
+        else:
+            objective = _surrogate_objective(args, net)
+        result = optimizer.optimize_config(net, objective, de, training_rows=rows)
     if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
         raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
                          f"at the optimized configuration")
@@ -242,6 +238,25 @@ def _cmd_optimize(args) -> int:
         line += f" simulated avg_speed={simulated['avg_speed_mps']:.4f} queue={simulated['queue_length']:.4f}"
     print(line + f" after {result.de.evaluations} evaluations -> {args.out}")
     return 0
+
+
+def _surrogate_objective(args, net) -> optimizer.Objective:
+    """The objective of ``optimize --model``: the model's prediction, once its inputs fit the network."""
+    model = surrogate.load_model(args.model)
+    ids = net.signalized_ids()
+    if model.feature_ids and model.feature_ids != ids:
+        raise ValueError(
+            f"{args.model}: model features are intersections {list(model.feature_ids)}, "
+            f"but {args.network} signalizes {list(ids)}"
+        )
+    width = model.layers[0][0].shape[0]
+    if width != 3 * len(ids):
+        raise ValueError(
+            f"{args.model}: model takes {width} inputs, but {args.network} needs {3 * len(ids)} "
+            f"(3 per signalized intersection)"
+        )
+    with naming(args.model):  # a model trained for other targets
+        return optimizer.surrogate_objective(model, args.objective)
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _pool
 from ._files import Fields, naming, read_table, write_table
+from .network import MAX_CELLS
 from .signals import IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
 
@@ -42,27 +43,60 @@ def child_seed(master_seed: int, run_id: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-CHUNK_CELLS = 8000  # cells one batched run simulates at most, unless one row alone is larger
+CHUNK_CELLS = 8000  # cells of a chunk that runs beside others at most, unless one row alone is larger
+WORKER_CELLS = 1500  # cells each worker must get, at least, for a pool to beat one in-process batched run
 
 
-def _run_chunk(context, jobs) -> list[DatasetRow]:
-    """Rows of a contiguous chunk of jobs, simulated as one batched run.
+def _simulate(context, configs: list) -> list:
+    """Metrics of each configuration, or the one-line diagnostic of the exception its run raised.
 
-    ``context`` is (net, state0, params, horizon, warmup). If the batched run
-    raises, the chunk is redone row by row, so only a bad row fails.
+    ``context`` is (net, state0, params, horizon, warmup). The configurations
+    run as one batched run; if it raises, they are redone one by one, so only
+    a bad row fails.
     """
     net, state0, params, horizon, warmup = context
-    configs = [sample_config(net, np.random.default_rng(seed)) for _, seed in jobs]
     try:
-        results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
-        outcomes = [(r.metrics.avg_speed, r.metrics.queue_length, "ok") for r in results]
+        return [r.metrics for r in run(net, state0, configs, params, horizon=horizon, warmup=warmup)]
     except Exception as exc:  # one bad row must not take the batch down with it
-        if len(jobs) > 1:
-            return [row for job in jobs for row in _run_chunk(context, [job])]
-        diagnostic = " ".join(f"{type(exc).__name__}: {exc}".split())
-        outcomes = [(float("nan"), float("nan"), f"failed: {diagnostic}")]
-    return [DatasetRow(run_id, seed, config, *outcome)
-            for (run_id, seed), config, outcome in zip(jobs, configs, outcomes)]
+        if len(configs) > 1:
+            return [outcome for config in configs for outcome in _simulate(context, [config])]
+        return [" ".join(f"{type(exc).__name__}: {exc}".split())]
+
+
+class BatchRunner(_pool.Pool):
+    """Congestion metrics of lists of signal configurations, all run from one initial state under one protocol.
+
+    A list runs in this process as one batched run, split only above
+    ``MAX_CELLS`` cells, unless splitting it over the workers gives each at
+    least ``WORKER_CELLS`` cells. Then it runs as chunks of at most
+    ``CHUNK_CELLS`` cells (one row each, if a row alone is larger), as many
+    as a multiple of the worker count where there are rows enough, on worker
+    processes that the first such list starts and the ``with`` block stops.
+    The workers are at most the usable CPUs. Every row is bit-identical to
+    its own run alone, so neither workers nor chunks ever change a result.
+    The checks of ``check_protocol``, which every run would fail alike, raise
+    here, before any run.
+    """
+
+    def __init__(self, net, state0: SimState, params: SimParams, workers: int = 1,
+                 horizon: float = HORIZON_S, warmup: float = WARMUP_S):
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        check_protocol(net, params, horizon, warmup)
+        super().__init__(_simulate, (net, state0, params, horizon, warmup))
+        self.net = net
+        self.workers = min(workers, _pool.usable_cpus())
+
+    def __call__(self, configs: list) -> list:
+        """Per configuration, in order: its CongestionMetrics, or the diagnostic of the exception its run raised."""
+        n, cells = len(configs), self.net.total_cells
+        workers = min(self.workers, n)
+        if workers > 1 and n * cells >= workers * WORKER_CELLS:
+            n_chunks = min(n, workers * -(-n // (workers * max(1, CHUNK_CELLS // cells))))
+        else:
+            workers, n_chunks = 1, -(-n // max(1, MAX_CELLS // cells))
+        chunks = [configs[c * n // n_chunks:(c + 1) * n // n_chunks] for c in range(n_chunks)]
+        return [outcome for outcomes in self.map(chunks, workers) for outcome in outcomes]
 
 
 def generate(
@@ -77,26 +111,28 @@ def generate(
 ) -> list[DatasetRow]:
     """Simulate ``n_runs`` random configurations from a shared initial state.
 
-    Rows are ordered by run_id. The runs are split into contiguous chunks,
-    at least one per worker and at most max(1, CHUNK_CELLS // net.total_cells)
-    rows each, and every chunk is simulated as one batched run. An error
-    that would fail every row (the checks of ``check_protocol``) raises before
-    any run starts; a run that raises otherwise (a non-finite state, or any
-    other exception) becomes a failed row with NaN metrics whose status names
-    the exception, instead of stopping the batch. Worker processes and
-    chunking only change wall time, never results.
+    Rows are ordered by run_id. The configurations run through one
+    ``BatchRunner`` call on at most ``workers`` processes: in this process as
+    one batched run when the batch is too small to pay for a pool, else in
+    chunks over a pool. An error that would fail every row (the checks of
+    ``check_protocol``) raises before any run starts; a run that raises
+    otherwise (a non-finite state, or any other exception) becomes a failed
+    row with NaN metrics whose status names the exception, instead of
+    stopping the batch. Worker processes and chunking only change wall time,
+    never results.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if not net.signalized_ids():
         raise ValueError("network has no signalized intersections; nothing to vary")
-    check_protocol(net, params, horizon, warmup)
-
-    jobs = [(i, child_seed(seed, i)) for i in range(n_runs)]
-    n_chunks = max(min(workers, n_runs), -(-n_runs // max(1, CHUNK_CELLS // net.total_cells)))
-    chunks = [jobs[c * n_runs // n_chunks:(c + 1) * n_runs // n_chunks] for c in range(n_chunks)]
-    context = (net, state0, params, horizon, warmup)
-    return [row for rows in _pool.run(_run_chunk, context, chunks, workers) for row in rows]
+    with BatchRunner(net, state0, params, workers, horizon, warmup) as runner:
+        seeds = [child_seed(seed, i) for i in range(n_runs)]
+        configs = [sample_config(net, np.random.default_rng(s)) for s in seeds]
+        outcomes = runner(configs)
+    nan = float("nan")
+    return [DatasetRow(i, s, config, nan, nan, f"failed: {outcome}") if isinstance(outcome, str)
+            else DatasetRow(i, s, config, outcome.avg_speed, outcome.queue_length, "ok")
+            for i, (s, config, outcome) in enumerate(zip(seeds, configs, outcomes))]
 
 
 def _header(ids) -> list[str]:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import signals
-from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, run
+from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, SimulationError, run
 from .surrogate import predict
 
 
@@ -190,24 +190,21 @@ def surrogate_objective(model, target: str) -> Objective:
     return Objective(name=target, direction=direction, evaluate_batch=evaluate_batch)
 
 
-def simulation_objective(
-    net,
-    state0: SimState,
-    params: SimParams,
-    target: str,
-    horizon: float = HORIZON_S,
-    warmup: float = WARMUP_S,
-) -> Objective:
+def simulation_objective(runner, target: str) -> Objective:
     """Objective that decodes vectors to integer timings and simulates them.
 
-    Its batch evaluator simulates every row of a population in one batched ``run``.
+    Its batch evaluator runs every row of a population through one call of
+    ``runner``, a ``dataset.BatchRunner``; a run that fails raises
+    SimulationError with the run's diagnostic.
     """
     metric, direction = _lookup(target)
 
     def evaluate_batch(X: np.ndarray) -> list[float]:
-        configs = [signals.decode(x, net) for x in np.asarray(X, dtype=float)]
-        results = run(net, state0, configs, params, horizon=horizon, warmup=warmup)
-        return [getattr(r.metrics, metric) for r in results]
+        outcomes = runner([signals.decode(x, runner.net) for x in np.asarray(X, dtype=float)])
+        failed = [outcome for outcome in outcomes if isinstance(outcome, str)]
+        if failed:
+            raise SimulationError(f"a candidate's run failed: {failed[0]}")
+        return [getattr(metrics, metric) for metrics in outcomes]
 
     return Objective(name=target, direction=direction, evaluate_batch=evaluate_batch)
 

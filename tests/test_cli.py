@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import macrosim
-from macrosim import _pool, surrogate
+from macrosim import _pool, dataset, surrogate
 from macrosim.cli import _build_parser, main
 from macrosim.dataset import feature_matrix, read_csv
 from macrosim.signals import load_config, save_config
@@ -234,6 +234,50 @@ def test_optimize_direct_with_validation(cli_dataset, fixtures_dir, tmp_path, ca
     # direct search re-simulates the winner; both numbers come from the same protocol
     assert report["simulated"]["avg_speed_mps"] == pytest.approx(report["predicted"])
     assert "simulated avg_speed=" in capsys.readouterr().out
+
+
+def test_optimize_direct_output_does_not_depend_on_jobs(cli_dataset, fixtures_dir, tmp_path, monkeypatch):
+    # every generation runs on the pool, which the search starts once; answer and history are those of one process
+    started = []
+
+    class Pool(_pool.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(dataset, "WORKER_CELLS", 0)
+    outputs = []
+    for jobs in ("1", "2"):
+        out, report = tmp_path / f"best_{jobs}.json", tmp_path / f"report_{jobs}.json"
+        assert main(["optimize", "--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv"),
+                     "--direct", "--objective", "queue", "--data", str(cli_dataset), "--horizon", "15", "--warmup", "5",
+                     "--generations", "3", "--pop", "8", "--jobs", jobs, "--out", str(out), "--report", str(report)]) == 0
+        outputs.append((out.read_bytes(), report.read_bytes()))
+    assert started == [2]
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0][1])["history"]) == 4
+
+
+def test_jobs_below_one_is_refused_by_name(cli_dataset, fixtures_dir, tmp_path, capsys):
+    protocol = ["--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv"),
+                "--horizon", "15", "--warmup", "5"]
+    out = tmp_path / "out"
+    for argv in (["gen-dataset", *protocol, "--runs", "2"],
+                 ["optimize", *protocol, "--direct", "--objective", "speed", "--data", str(cli_dataset)]):
+        assert main([*argv, "--jobs", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --jobs must be >= 1, got 0\n"
+        assert not out.exists()
+    # the pipeline hands its --jobs to gen-dataset
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
+    done = subprocess.run([sys.executable, str(script), "--jobs", "0", "--out-dir", str(tmp_path / "pipeline")],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "error: --jobs must be >= 1, got 0\n")
+    # --jobs sizes the direct search's pool; against a surrogate it would do nothing, so it is refused
+    assert main(["optimize", *protocol, "--model", str(tmp_path / "model.json"), "--objective", "speed",
+                 "--data", str(cli_dataset), "--jobs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --jobs applies to --direct only\n"
 
 
 def test_optimize_validate_without_init_fails_before_the_search(cli_dataset, fixtures_dir, tmp_path, capsys):

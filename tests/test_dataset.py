@@ -213,32 +213,8 @@ def test_one_bad_job_does_not_kill_the_batch(cross_net, monkeypatch):
     assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
 
 
-@pytest.mark.parametrize("chunk_rows", [64, 4, 1])
-def test_rows_do_not_depend_on_chunks_or_workers(cross_net, monkeypatch, chunk_rows):
-    """Every row equals the unbatched run of its own configuration, for any cell budget and worker count."""
-    state0, params = _cross_state(cross_net)
-    cells, n_runs = cross_net.total_cells, chunk_rows + 3 if chunk_rows > 4 else 7
-    real_run, batches = dataset.run, []
-    monkeypatch.setattr(dataset, "run", lambda net, s0, configs, *a, **kw: batches.append(len(configs))
-                        or real_run(net, s0, configs, *a, **kw))
-    # the least and the most cells that give chunk_rows rows per chunk; a budget below one row gives one
-    budgets = [chunk_rows * cells, (chunk_rows + 1) * cells - 1] + ([cells // 2] if chunk_rows == 1 else [])
-    tables = []
-    for budget in budgets:
-        monkeypatch.setattr(dataset, "CHUNK_CELLS", budget)
-        batches.clear()
-        for workers in (1, 2, 3):
-            tables.append(generate(cross_net, state0, params, n_runs=n_runs, seed=9, workers=workers,
-                                   horizon=3.0, warmup=1.0))
-            if workers == 1:  # the batches a pool runs are not seen here
-                assert len(batches) == -(-n_runs // chunk_rows) and max(batches) <= chunk_rows
-    assert all(table == tables[0] for table in tables)
-    for row in tables[0]:
-        metrics = real_run(cross_net, state0, row.config, params, horizon=3.0, warmup=1.0).metrics
-        assert (row.avg_speed, row.queue_length, row.status) == (metrics.avg_speed, metrics.queue_length, "ok")
-
-
-def test_pool_starts_no_more_workers_than_chunks(cross_net, monkeypatch):
+def _count_pools(monkeypatch) -> list:
+    """The max_workers of every process pool started from here on."""
     started = []
 
     class Pool(_pool.ProcessPoolExecutor):
@@ -247,10 +223,78 @@ def test_pool_starts_no_more_workers_than_chunks(cross_net, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", Pool)
+    return started
+
+
+@pytest.mark.parametrize("chunk_rows", [64, 4, 1])
+def test_rows_do_not_depend_on_chunks_or_workers(cross_net, monkeypatch, chunk_rows):
+    """Every row equals the unbatched run of its own configuration, for any cell budget and worker count."""
+    state0, params = _cross_state(cross_net)
+    cells, n_runs = cross_net.total_cells, chunk_rows + 3 if chunk_rows > 4 else 11
+    real_map, maps = _pool.Pool.map, []
+    monkeypatch.setattr(_pool.Pool, "map", lambda pool, tasks, workers: maps.append(([len(t) for t in tasks], workers))
+                        or real_map(pool, tasks, workers))
+    monkeypatch.setattr(dataset, "WORKER_CELLS", 0)  # every batch of more than one row is worth a pool
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 3)
+    # the least and the most cells that give chunk_rows rows per chunk; a budget below one row gives one
+    budgets = [chunk_rows * cells, (chunk_rows + 1) * cells - 1] + ([cells // 2] if chunk_rows == 1 else [])
+    tables = []
+    for budget in budgets:
+        monkeypatch.setattr(dataset, "CHUNK_CELLS", budget)
+        for workers in (1, 2, 3):
+            maps.clear()
+            tables.append(generate(cross_net, state0, params, n_runs=n_runs, seed=9, workers=workers,
+                                   horizon=3.0, warmup=1.0))
+            [(chunks, used)] = maps
+            if workers == 1:  # one batched run in process, whatever the budget
+                assert (chunks, used) == ([n_runs], 1)
+            else:  # concurrent chunks keep to the budget, a multiple of the workers of them where rows allow
+                assert used == workers and sum(chunks) == n_runs and max(chunks) <= chunk_rows
+                assert len(chunks) % workers == 0 or len(chunks) == n_runs
+    assert all(table == tables[0] for table in tables)
+    for row in tables[0]:
+        metrics = run(cross_net, state0, row.config, params, horizon=3.0, warmup=1.0).metrics
+        assert (row.avg_speed, row.queue_length, row.status) == (metrics.avg_speed, metrics.queue_length, "ok")
+
+
+def test_in_process_batches_split_only_above_max_cells(cross_net, monkeypatch):
+    state0, params = _cross_state(cross_net)
+    whole = generate(cross_net, state0, params, n_runs=7, seed=9, horizon=3.0, warmup=1.0)
+    real_run, batches = dataset.run, []
+    monkeypatch.setattr(dataset, "run", lambda net, s0, configs, *a, **kw: batches.append(len(configs))
+                        or real_run(net, s0, configs, *a, **kw))
+    monkeypatch.setattr(dataset, "MAX_CELLS", 3 * cross_net.total_cells)
+    assert generate(cross_net, state0, params, n_runs=7, seed=9, horizon=3.0, warmup=1.0) == whole
+    assert batches == [2, 2, 3]
+
+
+def test_small_batch_starts_no_pool(cross_net, monkeypatch):
+    """Below WORKER_CELLS cells per worker a batch runs in process as one batched run; at it, on the pool."""
+    started = _count_pools(monkeypatch)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    state0, params = _cross_state(cross_net)
+    smallest_pooled = -(-2 * dataset.WORKER_CELLS // cross_net.total_cells)
+    small = generate(cross_net, state0, params, n_runs=smallest_pooled - 1, seed=3, workers=2, horizon=3.0, warmup=1.0)
+    assert started == []
+    pooled = generate(cross_net, state0, params, n_runs=smallest_pooled, seed=3, workers=2, horizon=3.0, warmup=1.0)
+    assert started == [2]
+    assert pooled[:-1] == small
+
+
+def test_pool_starts_no_more_workers_than_chunks(cross_net, monkeypatch):
+    started = _count_pools(monkeypatch)
+    monkeypatch.setattr(dataset, "WORKER_CELLS", 0)
+    cpus = 8
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
     state0, params = _cross_state(cross_net)
     rows = generate(cross_net, state0, params, n_runs=2, seed=3, workers=8, horizon=3.0, warmup=1.0)
     assert started == [2]
     assert [r.run_id for r in rows] == [0, 1] and all(r.ok for r in rows)
+    # nor more than the CPUs this process may use
+    cpus = 2
+    rows = generate(cross_net, state0, params, n_runs=8, seed=3, workers=8, horizon=3.0, warmup=1.0)
+    assert started == [2, 2]
+    assert [r.run_id for r in rows] == list(range(8)) and all(r.ok for r in rows)
 
 
 def test_poisoned_configuration_fails_only_its_own_row(cross_net, monkeypatch):

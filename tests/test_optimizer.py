@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from macrosim.dataset import DatasetRow
+from macrosim import dataset
+from macrosim.dataset import BatchRunner, DatasetRow
 from macrosim.optimizer import (
     DeConfig,
     Objective,
@@ -14,7 +15,7 @@ from macrosim.optimizer import (
     validate_config,
 )
 from macrosim.signals import IntersectionSignal, encode
-from macrosim.solver import SimParams, initialize
+from macrosim.solver import SimParams, SimulationError, initialize
 from macrosim.surrogate import MlpHyper, fit_linear, fit_mlp
 
 
@@ -205,14 +206,29 @@ def test_optimize_config_requires_signals(ring_net):
 def test_simulation_objective_and_validate_agree(cross_net):
     params = SimParams(seed=4)
     state0 = initialize(cross_net, {}, params, default_speed=8.0)
-    obj = simulation_objective(cross_net, state0, params, "speed", horizon=30.0, warmup=10.0)
+    runner = BatchRunner(cross_net, state0, params, horizon=30.0, warmup=10.0)
+    obj = simulation_objective(runner, "speed")
     config = {"X": IntersectionSignal(red=30, green=30, offset=0)}
     value = obj.evaluate(encode(config, cross_net))
     metrics = validate_config(cross_net, state0, params, config, horizon=30.0, warmup=10.0)
     assert value == metrics.avg_speed
 
     with pytest.raises(ValueError):
-        simulation_objective(cross_net, state0, params, "delay")
+        simulation_objective(runner, "delay")
+
+
+def test_simulation_objective_raises_a_failed_run(cross_net, monkeypatch):
+    # a failed candidate has no value to rank, so the search stops with the run's diagnostic
+    def blow_up(*args, **kwargs):
+        raise SimulationError("non-finite state on edge n_in cell 1\n  at step 3")
+
+    monkeypatch.setattr(dataset, "run", blow_up)
+    params = SimParams(seed=4)
+    runner = BatchRunner(cross_net, initialize(cross_net, {}, params, default_speed=8.0), params, horizon=30.0,
+                         warmup=10.0)
+    with pytest.raises(SimulationError, match="^a candidate's run failed: SimulationError: non-finite state on "
+                                              "edge n_in cell 1 at step 3$"):
+        simulation_objective(runner, "speed").evaluate_batch(np.full((2, 3), 0.5))
 
 
 def test_simulation_batch_evaluator_matches_scalar_evaluate(cross_net):
@@ -220,7 +236,7 @@ def test_simulation_batch_evaluator_matches_scalar_evaluate(cross_net):
     state0 = initialize(cross_net, {}, params, default_speed=8.0)
     X = np.random.default_rng(6).uniform(0.0, 1.0, (7, 3))
     for target in ("speed", "queue"):
-        obj = simulation_objective(cross_net, state0, params, target, horizon=30.0, warmup=10.0)
+        obj = simulation_objective(BatchRunner(cross_net, state0, params, horizon=30.0, warmup=10.0), target)
         assert list(obj.evaluate_batch(X)) == [obj.evaluate(x) for x in X]
 
 
