@@ -16,9 +16,15 @@ the grid costs 2k trainings of 4 models rather than 8k of one. Those 2k stacks
 are independent and deterministic, so where worker processes fork they run on
 every usable CPU, and they score the same for any worker count.
 
+The MLP trainer runs in float32, the usual precision for training neural
+networks, and returns its models in float64, so ``predict``, model files and
+the optimizer see one dtype. Its predictions lie within 1e-6 of a float64
+trainer's at a fixed epoch count; early stopping may stop at another epoch.
+
 Both trainers refuse, with a ValueError, targets above ``TARGET_MAX`` in
 magnitude: squared, finite but huge targets overflow into a model that is not
-finite.
+finite. The MLP trainer also refuses features that are not finite or are above
+``FEATURE_MAX`` in magnitude, which its float32 arithmetic could overflow on.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ RIDGE = 1e-8               # ridge term of the linear fit's normal equations
 BATCH_SIZE = 32            # MLP mini-batch rows
 VALIDATION_FRACTION = 0.1  # share of rows the MLP holds out for early stopping
 TARGET_MAX = 1e150         # largest target magnitude a fit takes: fits and scores square errors of that size
+FEATURE_MAX = 1e6          # largest feature magnitude the MLP trainer takes: its float32 Adam squares gradients
 
 
 class SurrogateError(Exception):
@@ -98,11 +105,11 @@ def _as_2d(Y) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
-def _check_targets(Y) -> None:
-    """Raise ValueError unless every target is within TARGET_MAX in magnitude; both trainers check it first."""
-    largest = np.abs(Y).max()
-    if not largest <= TARGET_MAX:
-        raise ValueError(f"targets must be at most {TARGET_MAX:g} in magnitude, got {largest:.6g}")
+def _check_magnitude(values, bound: float, name: str) -> None:
+    """Raise ValueError unless every value is finite and at most ``bound`` in magnitude."""
+    largest = np.abs(values).max()
+    if not largest <= bound:
+        raise ValueError(f"{name} must be at most {bound:g} in magnitude, got {largest:.6g}")
 
 
 def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
@@ -119,7 +126,7 @@ def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> M
         raise ValueError("X must be 2-d with one row per target row")
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty design matrix")
-    _check_targets(Y)
+    _check_magnitude(Y, TARGET_MAX, "targets")
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     gram = A.T @ A + RIDGE * np.eye(A.shape[1])
     theta = np.linalg.solve(gram, A.T @ Y)
@@ -203,7 +210,7 @@ def _layer_views(buffer, sizes, stack: int):
 
 def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
             targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
-    """Train the neural surrogate; deterministic for a fixed seed.
+    """Train the neural surrogate in float32 and return it in float64; deterministic for a fixed seed.
 
     Targets are standardized internally. A seeded shuffle sets aside
     VALIDATION_FRACTION of the rows; training stops when the validation
@@ -225,6 +232,10 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
     stacked call whose slices are the 2-D products of a lone fit. Early
     stopping and the best-epoch snapshot are per model; a model that has
     stopped keeps stepping until all have, its snapshot final.
+
+    Targets are standardized in float64; training then runs in float32 (rows,
+    parameters, gradients, Adam moments and rates), and the models' arrays are
+    float64 copies of the best float32 parameters.
     """
     X = np.asarray(X, dtype=float)
     Y = _as_2d(Y)
@@ -236,12 +247,14 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
     hyper = hypers[0]
     if any(replace(h, alpha=hyper.alpha, learning_rate=hyper.learning_rate) != hyper for h in hypers):
         raise ValueError("stacked fits may differ in alpha and learning_rate only")
-    _check_targets(Y)
+    _check_magnitude(Y, TARGET_MAX, "targets")
+    _check_magnitude(X, FEATURE_MAX, "features")
 
     mean = Y.mean(axis=0)
     scale = Y.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    Ys = (Y - mean) / scale
+    Ys = ((Y - mean) / scale).astype(np.float32)
+    X = X.astype(np.float32)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -253,10 +266,12 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
     X_val, Y_val = X[val_idx], Ys[val_idx]
 
     # weights and biases are views into theta, their gradients views into grad laid out alike: Adam and the
-    # snapshot act on whole preallocated buffers, so a step allocates only inside backprop
+    # snapshot act on whole preallocated buffers, so a step allocates only inside backprop. Every array of
+    # the step loop is float32 and every scalar a Python float, which numpy applies in float32.
     stack = len(hypers)
     sizes = [X.shape[1], *hyper.hidden, Y.shape[1]]
-    theta = np.zeros(stack * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
+    theta = np.zeros(stack * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])),
+                     dtype=np.float32)
     grad = np.empty_like(theta)
     views = _layer_views(theta, sizes, stack)
     for W in views[0]:
@@ -264,7 +279,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
         W[...] = rng.uniform(-limit, limit, W.shape[1:])
     best_theta = theta.copy()
     (weights, biases), (grads_w, grads_b) = views, _layer_views(grad, sizes, stack)
-    alpha = np.array([h.alpha for h in hypers])[:, None, None]
+    alpha = np.array([h.alpha for h in hypers], dtype=np.float32)[:, None, None]
     rates = np.array([h.learning_rate for h in hypers])[:, None, None]
     learning_rate = np.empty_like(theta)  # each parameter's own model's rate
     for view in sum(_layer_views(learning_rate, sizes, stack), []):
@@ -272,7 +287,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
     # (snapshot, current) pairs of every layer's arrays, indexed by model
     snapshot = list(zip(sum(_layer_views(best_theta, sizes, stack), []), sum(views, [])))
 
-    m, v, step = np.zeros((3, *theta.shape))
+    m, v, step = np.zeros((3, *theta.shape), dtype=np.float32)
     denom = grad  # backprop rewrites grad before it is read again, so it can hold Adam's denominator
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
@@ -318,8 +333,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"
         if not training:
             break
 
-    theta[...] = best_theta
-    weights, biases = views
+    weights, biases = _layer_views(best_theta.astype(float), sizes, stack)
     return [
         Model(
             weights=weights[-1][s],

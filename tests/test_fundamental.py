@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from macrosim import fundamental
@@ -34,16 +34,25 @@ def test_speed_formula_against_direct_evaluation():
     assert ideal_speed(p, rho) == pytest.approx(expected, rel=1e-15)
 
 
+# Densities this far apart, relative to the larger, always give distinct speeds: near 1e-6 the curve
+# falls by about 1.5e-6 of itself per unit relative density, so 1e-9 is about 11 ulps of the speed.
+# Over 10^6 log-uniform densities in [1e-6, 0.3], a gap of 3e-10 already left no tie; at one ulp apart
+# the speeds tie in most pairs, and the curve can only be asked not to rise.
+STRICT_GAP = 1e-9
+
+
 @given(
     st.floats(min_value=1e-6, max_value=0.3),
     st.floats(min_value=1e-6, max_value=0.3),
 )
+@example(1e-6, float(np.nextafter(1e-6, 1.0)))  # one ulp apart: both give 13.679983558503443
+@example(1e-6, 1e-6 * (1.0 + 2 * STRICT_GAP))  # just past the gap, at the curve's flattest
 def test_speed_strictly_decreasing_in_density(r1, r2):
     p = FdParams()
     lo, hi = sorted((r1, r2))
-    if lo == hi:
-        return
-    assert ideal_speed(p, lo) > ideal_speed(p, hi)
+    assert ideal_speed(p, lo) >= ideal_speed(p, hi)
+    if hi - lo > STRICT_GAP * hi:
+        assert ideal_speed(p, lo) > ideal_speed(p, hi)
 
 
 def test_speed_accepts_arrays():

@@ -155,19 +155,23 @@ def test_mlp_is_deterministic_for_fixed_seed():
 
 
 def test_fit_mlp_trains_through_backprop_once_per_mini_batch(monkeypatch):
-    # the finite-difference check above runs the same _backprop that every training step runs
-    calls = []
+    # the finite-difference check above runs the same _backprop that every training step runs, here in
+    # float32 throughout: rows, parameters, alpha and the gradient buffers; the model comes back in float64
+    calls, dtypes = [], set()
     backprop = surrogate._backprop
 
-    def spy(weights, biases, X, Y, *args):
+    def spy(weights, biases, X, Y, activation, alpha, grads_w, grads_b):
         calls.append(X.shape[0])
-        return backprop(weights, biases, X, Y, *args)
+        dtypes.update(a.dtype for a in (*weights, *biases, X, Y, alpha, *grads_w, *grads_b))
+        return backprop(weights, biases, X, Y, activation, alpha, grads_w, grads_b)
 
     monkeypatch.setattr(surrogate, "_backprop", spy)
     X, Y = _xor_clusters(seed=3, per_corner=20)  # 80 rows: 72 train in batches of 32, 32 and 8
     model = fit_mlp(X, Y, MlpHyper(hidden=(8,), max_epochs=4, patience=4), seed=0)
     assert model.epochs_trained == 4
     assert calls == [32, 32, 8] * 4
+    assert dtypes == {np.dtype(np.float32)}
+    assert {a.dtype for layer in model.layers for a in layer} == {np.dtype(np.float64)}
 
 
 def test_mlp_early_stopping_and_best_weights():
@@ -434,35 +438,50 @@ def test_targets_too_large_to_square_are_refused(fit):
         assert all(np.isfinite(a).all() for layer in fit(X, Y).layers for a in layer)
 
 
+def test_features_the_float32_trainer_cannot_take_are_refused():
+    X, Y = _smooth_design(40, 3)
+    for bad in (np.nan, -np.inf, 1.5 * surrogate.FEATURE_MAX):
+        X_bad = X.copy()
+        X_bad[3, 1] = bad
+        wanted = f"features must be at most 1e+06 in magnitude, got {abs(bad):g}"
+        with pytest.raises(ValueError, match=re.escape(wanted)):
+            fit_mlp(X_bad, Y, MlpHyper(hidden=(4,), max_epochs=2))
+    # [0, 1] features scaled to the bound train the default architecture with no overflow; the first
+    # overflow warning, in Adam's squared gradients, came at 1e10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_mlp(X * -surrogate.FEATURE_MAX, Y, MlpHyper(learning_rate=0.01, max_epochs=30, patience=30))
+    assert all(np.isfinite(a).all() for layer in model.layers for a in layer)
+
+
 def test_a_stack_may_differ_in_alpha_and_learning_rate_only():
     X, Y = _xor_clusters(seed=13, per_corner=5)
     with pytest.raises(ValueError, match="alpha and learning_rate only$"):
         surrogate._fit_stack(X, Y, [MlpHyper(hidden=(4,)), MlpHyper(hidden=(4,), patience=4)])
 
 
-# Predictions of ``fit_mlp`` on a fixed design, recorded before the trainer
-# moved to a flat parameter buffer. The trainer must reproduce them exactly,
-# so any change to its arithmetic or RNG use shows up here. Recorded with
-# numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+# Predictions of ``fit_mlp`` on a fixed design, recorded from the float32 trainer. The trainer must
+# reproduce them exactly, so any change to its arithmetic or RNG use shows up here. Recorded with
+# numpy 2.4.6 and its bundled OpenBLAS on x86-64; the exact values depend on numpy's SIMD kernels
+# and the BLAS, which the tier-1 workflow prints before the tests.
 _PINNED_QUERY = np.array([[0.1, 0.2, 0.3], [0.9, 0.5, 0.1], [0.4, 0.8, 0.7]])
 _PINNED_MLP = {
-    ("relu", "early"): (115, [[0.3648790070530623, -0.17441489988790407],
-                              [0.5252986243793143, 0.06587197799877331],
-                              [1.4881516078241632, -0.7099676673915405]]),
-    ("relu", "fixed"): (12, [[0.7599670625840582, -0.3519478009498808],
-                             [0.7669966514200502, 0.08734392066122892],
-                             [1.033354803620838, -0.7247530715179975]]),
-    ("tanh", "early"): (51, [[0.616546336960089, -0.1956155832162938],
-                             [0.7205478691966802, 0.002300285433079974],
-                             [1.1209606731758917, -0.6925003286427327]]),
-    ("tanh", "fixed"): (12, [[0.6766834800438334, -0.20812787384902787],
-                             [0.7186681544893314, -0.001982296042796483],
-                             [1.0733250059646204, -0.6957108780832657]]),
+    ("relu", "early"): (140, [[0.3577133937625887, -0.16596842832063383],
+                              [0.48379600176557214, 0.06405257807621995],
+                              [1.463970674006893, -0.7064956449426827]]),
+    ("relu", "fixed"): (12, [[0.7599671690047692, -0.35194795755359515],
+                             [0.7669967290161225, 0.08734380988762441],
+                             [1.033354889113964, -0.7247530755004115]]),
+    ("tanh", "early"): (51, [[0.6165464935845433, -0.19561565867436362],
+                             [0.72054784350469, 0.0023002491239362266],
+                             [1.1209605778141631, -0.6925002527521569]]),
+    ("tanh", "fixed"): (12, [[0.6766834963885267, -0.20812796658430988],
+                             [0.7186681762473668, -0.0019821985347856508],
+                             [1.0733249769028816, -0.6957108694525325]]),
 }
 
 
-@pytest.mark.parametrize("activation,stopping", sorted(_PINNED_MLP))
-def test_fit_mlp_reproduces_pinned_predictions(activation, stopping):
+def _pinned_fit(activation, stopping):
     rng = np.random.default_rng(21)
     X = rng.uniform(0.0, 1.0, (120, 3))
     Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2], (X[:, 0] - 0.5) ** 2 - X[:, 2]])
@@ -472,34 +491,74 @@ def test_fit_mlp_reproduces_pinned_predictions(activation, stopping):
     else:  # patience never runs out: exactly max_epochs epochs
         hyper = MlpHyper(hidden=(8, 6), activation=activation, learning_rate=0.01,
                          max_epochs=12, patience=1000)
-    model = fit_mlp(X, Y, hyper, seed=3)
+    return fit_mlp(X, Y, hyper, seed=3)
+
+
+@pytest.mark.parametrize("activation,stopping", sorted(_PINNED_MLP))
+def test_fit_mlp_reproduces_pinned_predictions(activation, stopping):
+    model = _pinned_fit(activation, stopping)
     epochs, expected = _PINNED_MLP[(activation, stopping)]
     assert model.epochs_trained == epochs
     np.testing.assert_array_equal(predict(model, _PINNED_QUERY), np.array(expected))
 
 
-# Predictions of ``fit_mlp`` with the default architecture, hidden=(100, 50), recorded before the
-# trainer moved to in-place backprop and Adam. 80 rows leave 72 training rows, in mini-batches of
-# 32, 32 and 8 as in the benchmark's folds, so the matmuls run at the benchmark's BLAS shapes.
-# Recorded with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+# Predictions of ``fit_mlp`` with the default architecture, hidden=(100, 50), recorded from the float32
+# trainer. 80 rows leave 72 training rows, in mini-batches of 32, 32 and 8 as in the benchmark's folds,
+# so the matmuls run at the benchmark's BLAS shapes. Recorded with numpy 2.4.6 and its bundled OpenBLAS
+# on x86-64.
 _PINNED_QUERY_6 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.9, 0.5, 0.1, 0.7, 0.3, 0.2],
                             [0.4, 0.8, 0.7, 0.0, 1.0, 0.5]])
 _PINNED_DEFAULT_MLP = {
-    "relu": [[0.0821115886303645, -0.5629422408228693],
-             [0.5325940842970392, -0.2914045758191728],
-             [0.6275260309664292, -0.7478480008567945]],
-    "tanh": [[-0.028568206740804125, -0.54234421493055],
-             [0.6758933602674044, -0.24791623440853078],
-             [0.6073944995795488, -0.9060534842327572]],
+    "relu": [[0.08211163503634256, -0.5629422499626787],
+             [0.5325940739593318, -0.2914045875283292],
+             [0.6275260514723432, -0.7478478638016122]],
+    "tanh": [[-0.028568178544137623, -0.5423442433524281],
+             [0.6758933516538654, -0.24791627188000162],
+             [0.6073944780593117, -0.9060534032786753]],
 }
+
+
+def _default_fit(activation):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 1.0, (80, 6))
+    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2] - X[:, 5], (X[:, 3] - 0.5) ** 2 - X[:, 4]])
+    return fit_mlp(X, Y, MlpHyper(activation=activation, max_epochs=30, patience=30), seed=5)
 
 
 @pytest.mark.parametrize("activation", sorted(_PINNED_DEFAULT_MLP))
 def test_fit_mlp_default_architecture_reproduces_pinned_predictions(activation):
-    rng = np.random.default_rng(31)
-    X = rng.uniform(0.0, 1.0, (80, 6))
-    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2] - X[:, 5], (X[:, 3] - 0.5) ** 2 - X[:, 4]])
-    model = fit_mlp(X, Y, MlpHyper(activation=activation, max_epochs=30, patience=30), seed=5)
+    model = _default_fit(activation)
     assert [W.shape for W, _ in model.layers] == [(6, 100), (100, 50), (50, 2)]
     assert model.epochs_trained == 30
     np.testing.assert_array_equal(predict(model, _PINNED_QUERY_6), np.array(_PINNED_DEFAULT_MLP[activation]))
+
+
+# The fixed-epoch predictions above as the float64 trainer gave them, the float32 trainer's declared
+# reference: training in float32 moves each by at most FLOAT32_TOLERANCE (1.6e-7 measured). Recorded
+# with numpy 2.4.6 and its bundled OpenBLAS on x86-64. Early stopping is left out: its epoch count
+# flips on differences that small (relu-early stops at 140 epochs in float32, 115 in float64).
+FLOAT32_TOLERANCE = 1e-6
+_FLOAT64_FIXED = {
+    ("relu", "fixed"): [[0.7599670625840582, -0.3519478009498808],
+                        [0.7669966514200502, 0.08734392066122892],
+                        [1.033354803620838, -0.7247530715179975]],
+    ("relu", "default"): [[0.0821115886303645, -0.5629422408228693],
+                          [0.5325940842970392, -0.2914045758191728],
+                          [0.6275260309664292, -0.7478480008567945]],
+    ("tanh", "fixed"): [[0.6766834800438334, -0.20812787384902787],
+                        [0.7186681544893314, -0.001982296042796483],
+                        [1.0733250059646204, -0.6957108780832657]],
+    ("tanh", "default"): [[-0.028568206740804125, -0.54234421493055],
+                          [0.6758933602674044, -0.24791623440853078],
+                          [0.6073944995795488, -0.9060534842327572]],
+}
+
+
+@pytest.mark.parametrize("activation,case", sorted(_FLOAT64_FIXED))
+def test_float32_training_stays_within_tolerance_of_the_float64_trainer(activation, case):
+    if case == "default":
+        model, query = _default_fit(activation), _PINNED_QUERY_6
+    else:
+        model, query = _pinned_fit(activation, case), _PINNED_QUERY
+    np.testing.assert_allclose(predict(model, query), _FLOAT64_FIXED[(activation, case)],
+                               rtol=0, atol=FLOAT32_TOLERANCE)
