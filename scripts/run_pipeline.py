@@ -21,10 +21,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from macrosim import cli
 from macrosim._files import read_json, write_json
 from macrosim.dataset import read_csv
+from macrosim.metrics import DOCUMENT_KEYS
 from macrosim.optimizer import TARGETS, best_training_row
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SIMULATED_KEY = {"speed": "avg_speed_mps", "queue": "queue_length"}  # each target's key in a report's "simulated"
 
 
 def main() -> int:
@@ -53,7 +53,7 @@ def main() -> int:
     summary = {}
     for target, (metric, direction) in TARGETS.items():
         report = read_json(out / f"report_{target}.json")
-        got = report["simulated"][SIMULATED_KEY[target]]
+        got = report["simulated"][DOCUMENT_KEYS[metric]]
         ref = getattr(best_training_row(rows, target), metric)
         verdict = "beats" if (got >= ref if direction == "maximize" else got <= ref) else "misses"
         print(f"{target:>5}: optimized {got:.4f} {verdict} training best {ref:.4f}")

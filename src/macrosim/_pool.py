@@ -6,9 +6,10 @@ map in a pool of its own. The context (the data every task reads) reaches
 each worker once, through the pool's initializer, rather than pickled into
 every task. A pool starts its workers at the first map that runs on more
 than one and keeps them for later maps until the ``with`` block ends, so no
-worker outlives it. Workers use the platform's default start method (fork on
-Linux up to Python 3.13); a fork pool forks all its workers before it starts
-its manager thread. Never run a pool while a module is being imported (a
+worker outlives it. Workers use the start method the host set, else the
+platform's default (fork on Linux up to Python 3.13), which nothing here fixes
+for the process; a fork pool forks all its workers before it starts its
+manager thread. Never run a pool while a module is being imported (a
 forked worker would wait on the import lock), and pass a module-level
 ``fn``, never a closure.
 """
@@ -36,6 +37,11 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _start_method() -> str:
+    """The host's start method, else the default (the first of ``get_all_start_methods``), read without fixing it."""
+    return multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+
+
 def forked_cpus() -> int:
     """Workers worth starting for tasks of tens of milliseconds: the usable CPUs where workers fork, else 1.
 
@@ -43,7 +49,7 @@ def forked_cpus() -> int:
     Python 3.14) imports numpy and macrosim again, at 0.1-0.2 s each, which is
     about what a pool of such short tasks saves.
     """
-    return usable_cpus() if multiprocessing.get_start_method() == "fork" else 1
+    return usable_cpus() if _start_method() == "fork" else 1
 
 
 class Pool:
@@ -74,8 +80,9 @@ class Pool:
         if workers <= 1:
             return [self.fn(self.context, task) for task in tasks]
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=workers, initializer=_serve,
-                                                 initargs=(self.fn, self.context))
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context(_start_method()), initializer=_serve,
+                initargs=(self.fn, self.context))
         return list(self._executor.map(_call, tasks))
 
 

@@ -97,11 +97,12 @@ def _initial_state(args, net):
         return solver.initialize(net, speeds, params, default_speed=default), params
 
 
-def _workers(jobs: int) -> int:
-    """The worker count of ``--jobs``, refused by name below 1."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
+def _refuse_below(args, **least) -> None:
+    """Refuse by name each numeric flag given below its least value, before the command does any work."""
+    for dest, low in least.items():
+        value = getattr(args, dest)
+        if value is not None and value < low:
+            raise ValueError(f"--{dest} must be >= {low}, got {value}")
 
 
 def _cmd_calibrate_fd(args) -> int:
@@ -141,10 +142,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
+    _refuse_below(args, runs=1, jobs=1)
     net = load_network(args.network)
     state0, params = _initial_state(args, net)
     rows = dataset.generate(
-        net, state0, params, n_runs=args.runs, seed=args.seed, workers=_workers(args.jobs),
+        net, state0, params, n_runs=args.runs, seed=args.seed, workers=args.jobs,
         horizon=args.horizon, warmup=args.warmup,
     )
     dataset.write_csv(rows, args.out)
@@ -156,6 +158,7 @@ def _cmd_gen_dataset(args) -> int:
 def _cmd_train_surrogate(args) -> int:
     if args.grid and args.model != "mlp":
         raise ValueError("--grid applies to --model mlp only")
+    _refuse_below(args, folds=2)  # more folds than the table has rows is the table's fault
     rows = dataset.read_csv(args.data)
     with naming(args.data, dataset.DatasetError):
         X, Y, ids = dataset.feature_matrix(rows)
@@ -190,6 +193,7 @@ def _cmd_train_surrogate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _refuse_below(args, generations=0, pop=4, jobs=1)
     net = load_network(args.network)
     rows = dataset.read_csv(args.data)
     de = optimizer.DeConfig(pop_size=args.pop, max_generations=args.generations, seed=args.seed)
@@ -200,31 +204,25 @@ def _cmd_optimize(args) -> int:
             raise ValueError(f"{flag} needs --init to build the shared initial state")
     if args.jobs is not None and not args.direct:
         raise ValueError("--jobs applies to --direct only")
-    workers = 1 if args.jobs is None else _workers(args.jobs)
-    # checks the protocol before the search, not after it; only --direct runs anything through it
+    workers = 1 if args.jobs is None else args.jobs
+    # checks the protocol before the search, not after it; --direct and --validate run their simulations through it
     with dataset.BatchRunner(net, state0, params, workers, args.horizon, args.warmup) as runner:
         if args.direct:
             objective = optimizer.simulation_objective(runner, args.objective)
         else:
             objective = _surrogate_objective(args, net)
         result = optimizer.optimize_config(net, objective, de, training_rows=rows)
-    if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
-        raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
-                         f"at the optimized configuration")
-    signals.save_config(result.config, args.out)
-
-    simulated = None
-    if args.validate:
-        metrics = optimizer.validate_config(
-            net, state0, params, result.config, horizon=args.horizon, warmup=args.warmup
-        )
-        simulated = {"avg_speed_mps": metrics.avg_speed, "queue_length": metrics.queue_length}
+        if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
+            raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
+                             f"at the optimized configuration")
+        signals.save_config(result.config, args.out)
+        metrics = optimizer.simulate(runner, [result.config])[0] if args.validate else None
 
     report = {
         "objective": result.objective,
         "direction": result.direction,
         "predicted": result.predicted,
-        "simulated": simulated,
+        "simulated": None if metrics is None else metrics.document(),
         "generations": result.de.generations,
         "evaluations": result.de.evaluations,
         "converged": result.de.converged,
@@ -234,8 +232,8 @@ def _cmd_optimize(args) -> int:
         write_json(report, args.report)
     verb = "max" if result.direction == "maximize" else "min"
     line = f"optimized {result.objective} ({verb}): predicted={result.predicted:.4f}"
-    if simulated:
-        line += f" simulated avg_speed={simulated['avg_speed_mps']:.4f} queue={simulated['queue_length']:.4f}"
+    if metrics is not None:
+        line += f" simulated avg_speed={metrics.avg_speed:.4f} queue={metrics.queue_length:.4f}"
     print(line + f" after {result.de.evaluations} evaluations -> {args.out}")
     return 0
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _pool
 from ._files import Fields, naming, read_table, write_table
+from .metrics import METRICS
 from .network import MAX_CELLS
 from .signals import IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
@@ -138,7 +139,7 @@ def generate(
 def _header(ids) -> list[str]:
     """Columns of a dataset table: run_id, seed, one red/green/offset triple per intersection, both metrics, status."""
     return ["run_id", "seed", *(f"{iid}_{part}" for iid in ids for part in ("red", "green", "offset")),
-            "avg_speed", "queue_length", "status"]
+            *METRICS, "status"]
 
 
 def _ids(header) -> list[str]:
@@ -155,7 +156,7 @@ def write_csv(rows: list[DatasetRow], path) -> None:
         if sorted(row.config) != ids:
             raise DatasetError(f"run {row.run_id}: configuration covers different intersections")
         timings = [t for iid in ids for t in (row.config[iid].red, row.config[iid].green, row.config[iid].offset)]
-        records.append([row.run_id, row.seed, *timings, float(row.avg_speed), float(row.queue_length), row.status])
+        records.append([row.run_id, row.seed, *timings, *(float(getattr(row, m)) for m in METRICS), row.status])
     write_table(_header(ids), records, path)
 
 
@@ -172,8 +173,8 @@ def read_csv(path) -> list[DatasetRow]:
         with naming(f"{path}: line {line_no}", DatasetError):
             config = {iid: IntersectionSignal(*timings[3 * j:3 * j + 3]) for j, iid in enumerate(ids)}
             if status == "ok" and not np.isfinite([avg_speed, queue]).all():
-                raise DatasetError(f"a row marked ok needs finite metrics, got avg_speed={avg_speed}, "
-                                   f"queue_length={queue}")
+                got = ", ".join(f"{metric}={value}" for metric, value in zip(METRICS, (avg_speed, queue)))
+                raise DatasetError(f"a row marked ok needs finite metrics, got {got}")
         rows.append(DatasetRow(run_id, seed, config, avg_speed, queue, status))
     return rows
 
@@ -181,13 +182,13 @@ def read_csv(path) -> list[DatasetRow]:
 def feature_matrix(rows: list[DatasetRow]):
     """Encoded configurations of the ok rows as an (n, 3K) matrix in [0, 1].
 
-    Returns (X, Y, ids): features, the (n, 2) [avg_speed, queue_length]
-    targets, and the intersection-id order defining the columns.
+    Returns (X, Y, ids): features, the (n, 2) targets in METRICS order, and
+    the intersection-id order defining the columns.
     """
     ok_rows = [r for r in rows if r.ok]
     if not ok_rows:
         raise DatasetError("no successful rows in dataset")
     ids = sorted(ok_rows[0].config)
     X = np.stack([encode_values(r.config, ids) for r in ok_rows])
-    Y = np.array([[r.avg_speed, r.queue_length] for r in ok_rows])
+    Y = np.array([[getattr(r, m) for m in METRICS] for r in ok_rows])
     return X, Y, ids

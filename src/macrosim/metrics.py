@@ -14,12 +14,20 @@ import numpy as np
 QUEUE_STEEPNESS = 3.0      # 1/(m/s); a larger value makes the weight switch more sharply
 QUEUE_THRESHOLD_MPS = 5.0  # speed at which a cell's weight is 0.5
 
+# the two metrics, in the order of table columns and model outputs, each with its key in a metrics document
+DOCUMENT_KEYS = {"avg_speed": "avg_speed_mps", "queue_length": "queue_length"}
+METRICS = tuple(DOCUMENT_KEYS)
+
 
 @dataclass(frozen=True)
 class CongestionMetrics:
     avg_speed: float     # m/s, time-averaged mean cell speed
     queue_length: float  # time-averaged sum of logistic congestion weights
     samples: int         # number of time samples aggregated
+
+    def document(self) -> dict:
+        """Both metrics under their metrics-document keys, in METRICS order."""
+        return {key: getattr(self, metric) for metric, key in DOCUMENT_KEYS.items()}
 
 
 def congestion_weight(v):

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import signals
-from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, SimulationError, run
+from .metrics import METRICS
+from .solver import SimulationError
 from .surrogate import predict
 
 
@@ -24,7 +25,7 @@ class Target(NamedTuple):
 
 
 TARGETS = {"speed": Target("avg_speed", "maximize"), "queue": Target("queue_length", "minimize")}
-TARGET_COLUMNS = {name: col for col, name in enumerate(TARGETS)}  # column of each metric in feature_matrix's Y
+TARGET_COLUMNS = {name: METRICS.index(target.metric) for name, target in TARGETS.items()}  # in feature_matrix's Y
 
 MUTATION = 0.7          # scale of the donor difference
 CROSSOVER = 0.9         # probability that a coordinate comes from the mutant
@@ -93,12 +94,14 @@ class DeResult:
 def draw_donors(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) donor indices: row i holds three distinct members other than i.
 
-    Drawn for all rows at once: pick j comes from the n - 1 - j slots left, shifted past earlier picks, then past i.
+    Drawn for all rows at once: pick j comes from the n - 1 - j slots left, shifted past earlier picks in
+    ascending order, then past i.
     """
     picks = rng.integers(0, [n - 1, n - 2, n - 3], size=(n, 3))
-    for j in (1, 2):
-        for earlier in np.sort(picks[:, :j], axis=1).T:
-            picks[:, j] += picks[:, j] >= earlier
+    first, second, third = picks.T  # views: the shifts write into picks
+    second += second >= first
+    third += third >= np.minimum(first, second)
+    third += third >= np.maximum(first, second)
     return picks + (picks >= np.arange(n)[:, None])
 
 
@@ -190,20 +193,27 @@ def surrogate_objective(model, target: str) -> Objective:
     return Objective(name=target, direction=direction, evaluate_batch=evaluate_batch)
 
 
+def simulate(runner, configs: list) -> list:
+    """CongestionMetrics of each configuration, run through one call of ``runner``, a ``dataset.BatchRunner``.
+
+    A run that fails raises SimulationError with the run's diagnostic.
+    """
+    outcomes = runner(configs)
+    failed = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    if failed:
+        raise SimulationError(f"a candidate's run failed: {failed[0]}")
+    return outcomes
+
+
 def simulation_objective(runner, target: str) -> Objective:
     """Objective that decodes vectors to integer timings and simulates them.
 
-    Its batch evaluator runs every row of a population through one call of
-    ``runner``, a ``dataset.BatchRunner``; a run that fails raises
-    SimulationError with the run's diagnostic.
+    Its batch evaluator runs every row of a population through ``simulate``.
     """
     metric, direction = _lookup(target)
 
     def evaluate_batch(X: np.ndarray) -> list[float]:
-        outcomes = runner([signals.decode(x, runner.net) for x in np.asarray(X, dtype=float)])
-        failed = [outcome for outcome in outcomes if isinstance(outcome, str)]
-        if failed:
-            raise SimulationError(f"a candidate's run failed: {failed[0]}")
+        outcomes = simulate(runner, [signals.decode(x, runner.net) for x in np.asarray(X, dtype=float)])
         return [getattr(metrics, metric) for metrics in outcomes]
 
     return Objective(name=target, direction=direction, evaluate_batch=evaluate_batch)
@@ -269,16 +279,3 @@ def optimize_config(net, objective: Objective, de: DeConfig, training_rows=None)
         de=de_result,
         seed_config=seed_config,
     )
-
-
-def validate_config(
-    net,
-    state0: SimState,
-    params: SimParams,
-    config: dict,
-    horizon: float = HORIZON_S,
-    warmup: float = WARMUP_S,
-):
-    """Full re-simulation of a configuration under the standard protocol."""
-    result = run(net, state0, config, params, horizon=horizon, warmup=warmup)
-    return result.metrics

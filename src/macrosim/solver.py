@@ -563,10 +563,5 @@ def write_heatmap_pgm(net: RoadNetwork, snapshot: SimState, path) -> None:
 
 def write_metrics_json(result: RunResult, path) -> None:
     """The one metrics document of simulate and validate: the metrics, their sample count, the step counts."""
-    write_json({
-        "avg_speed_mps": result.metrics.avg_speed,
-        "queue_length": result.metrics.queue_length,
-        "samples": result.metrics.samples,
-        "steps": result.steps,
-        "warmup_steps": result.warmup_steps,
-    }, path)
+    write_json({**result.metrics.document(), "samples": result.metrics.samples, "steps": result.steps,
+                "warmup_steps": result.warmup_steps}, path)

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import _pool
 from ._files import Fields, read_json, write_json
+from .metrics import METRICS
 
 RIDGE = 1e-8               # ridge term of the linear fit's normal equations
 BATCH_SIZE = 32            # MLP mini-batch rows
@@ -90,7 +91,7 @@ class Model:
     target_scale: np.ndarray  # (n_targets,)
     hidden: tuple[tuple[np.ndarray, np.ndarray], ...] = ()  # (W, b) of each hidden layer
     activation: str = "relu"
-    targets: tuple[str, ...] = ("avg_speed", "queue_length")
+    targets: tuple[str, ...] = METRICS
     feature_ids: tuple[str, ...] = ()
     epochs_trained: int = 0
 
@@ -112,7 +113,7 @@ def _check_magnitude(values, bound: float, name: str) -> None:
         raise ValueError(f"{name} must be at most {bound:g} in magnitude, got {largest:.6g}")
 
 
-def fit_linear(X, Y, targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
+def fit_linear(X, Y, targets=METRICS, feature_ids=()) -> Model:
     """Least squares with intercept through the normal equations.
 
     Solving one system with a multi-column right-hand side decouples across
@@ -208,8 +209,7 @@ def _layer_views(buffer, sizes, stack: int):
     return weights, biases
 
 
-def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
-            targets=("avg_speed", "queue_length"), feature_ids=()) -> Model:
+def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0, targets=METRICS, feature_ids=()) -> Model:
     """Train the neural surrogate in float32 and return it in float64; deterministic for a fixed seed.
 
     Targets are standardized internally. A seeded shuffle sets aside
@@ -221,7 +221,7 @@ def fit_mlp(X, Y, hyper: MlpHyper = MlpHyper(), seed: int = 0,
     return _fit_stack(X, Y, [hyper], seed, targets, feature_ids)[0]
 
 
-def _fit_stack(X, Y, hypers, seed: int = 0, targets=("avg_speed", "queue_length"), feature_ids=()) -> list[Model]:
+def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> list[Model]:
     """One model per hyperparameter set, each bit for bit the model ``fit_mlp`` trains with that set alone.
 
     The sets may differ in ``alpha`` and ``learning_rate`` only. Nothing the

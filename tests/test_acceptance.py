@@ -20,7 +20,6 @@ from macrosim.optimizer import (
     differential_evolution,
     optimize_config,
     surrogate_objective,
-    validate_config,
 )
 from macrosim.signals import IntersectionSignal, Phase, edge_phases, sample_config
 from macrosim.solver import (
@@ -317,7 +316,7 @@ def test_c14_end_to_end_optimization(training, twolights_net):
         simulated = {}
         for target in ("speed", "queue"):
             opt = optimize_config(twolights_net, surrogate_objective(model, target), DeConfig(seed=0), training_rows=rows)
-            simulated[target] = validate_config(twolights_net, state0, params, opt.config)
+            simulated[target] = run(twolights_net, state0, opt.config, params).metrics
 
         beat_speed = simulated["speed"].avg_speed >= train_best_speed
         beat_queue = simulated["queue"].queue_length <= train_min_queue

@@ -13,7 +13,7 @@ from macrosim import _pool, dataset, surrogate
 from macrosim.cli import _build_parser, main
 from macrosim.dataset import feature_matrix, read_csv
 from macrosim.signals import load_config, save_config
-from macrosim.solver import HORIZON_S, WARMUP_S, SimParams
+from macrosim.solver import HORIZON_S, WARMUP_S, SimParams, SimulationError
 from macrosim.surrogate import load_model
 
 
@@ -304,6 +304,26 @@ def test_optimize_validate_without_init_fails_before_the_search(cli_dataset, fix
     assert not cfg_path.exists()
 
 
+def test_optimize_validate_reports_a_failed_run_as_direct_does(cli_dataset, fixtures_dir, tmp_path, capsys,
+                                                               monkeypatch):
+    # --validate simulates through the runner of --direct, so a failed run stops the command with its diagnostic
+    model_path = tmp_path / "lin.json"
+    assert main(
+        ["train-surrogate", "--data", str(cli_dataset), "--model", "linear", "--folds", "3", "--out", str(model_path)]
+    ) == 0
+
+    def blow_up(*args, **kwargs):
+        raise SimulationError("non-finite state on edge n_in cell 1\n  at step 3")
+
+    monkeypatch.setattr(dataset, "run", blow_up)
+    protocol = ["--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv")]
+    rc = main(["optimize", *protocol, "--model", str(model_path), "--objective", "speed", "--data", str(cli_dataset),
+               "--generations", "2", "--pop", "6", "--validate", "--out", str(tmp_path / "best.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: a candidate's run failed: SimulationError: non-finite state on edge "
+                                       "n_in cell 1 at step 3\n")
+
+
 def test_validate_command(fixtures_dir, tmp_path, capsys):
     # validate is simulate under a second name: same flags, same metrics document
     docs = []
@@ -583,8 +603,28 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ]
     )
     assert rc == 1
-    assert capsys.readouterr().err == "error: max_generations must be >= 0, got -3\n"
+    assert capsys.readouterr().err == "error: --generations must be >= 0, got -3\n"
     assert not (tmp_path / "best.json").exists()
+
+    # so is every numeric flag below its least value, before any work: these files are missing and never read
+    network, data = str(fixtures_dir / "missing.json"), str(fixtures_dir / "missing.csv")
+    search = ["optimize", "--network", network, "--model", str(tmp_path / "m.json"), "--objective", "speed",
+              "--data", data]
+    for argv, wanted in (
+        (["gen-dataset", "--network", network, "--init", data, "--runs", "0"], "--runs must be >= 1, got 0"),
+        ([*search, "--pop", "3"], "--pop must be >= 4, got 3"),
+        ([*search, "--generations", "-1"], "--generations must be >= 0, got -1"),
+        (["train-surrogate", "--data", data, "--model", "linear", "--folds", "1"], "--folds must be >= 2, got 1"),
+    ):
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == f"error: {wanted}\n"
+        assert not (tmp_path / "x.json").exists()
+    # more folds than the table has rows is the table's fault
+    rc = main(["train-surrogate", "--data", str(cli_dataset), "--model", "linear", "--folds", "7",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cli_dataset}: k must be in [2, 6]\n"
+    assert not (tmp_path / "x.json").exists()
 
     # --grid searches MLP hyperparameters; a linear model has none, so the flag is refused, not ignored
     rc = main(

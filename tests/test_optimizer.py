@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,9 @@ from macrosim.optimizer import (
     optimize_config,
     simulation_objective,
     surrogate_objective,
-    validate_config,
 )
 from macrosim.signals import IntersectionSignal, encode
-from macrosim.solver import SimParams, SimulationError, initialize
+from macrosim.solver import SimParams, SimulationError, initialize, run
 from macrosim.surrogate import MlpHyper, fit_linear, fit_mlp
 
 
@@ -99,6 +100,36 @@ def test_de_is_deterministic():
     assert np.array_equal(r1.best, r2.best)
     assert r1.history == r2.history
     assert r1.evaluations == r2.evaluations
+
+
+# optimize_config's answers (seed 0) on the benchmark's committed twolights table, under the linear model and the
+# default MLP: every search lands on the shortest red and longest green, offset 0, at both junctions. Recorded with
+# numpy 2.4.6 and its bundled OpenBLAS on x86-64; the MLP's float32 training depends on both.
+_CORNER = {"J1": IntersectionSignal(red=20, green=54, offset=0), "J2": IntersectionSignal(red=20, green=54, offset=0)}
+_PINNED_ANSWERS = {
+    ("linear", "speed"): (_CORNER, 6.546035344931586),
+    ("linear", "queue"): (_CORNER, 94.36393098666414),
+    ("mlp", "speed"): (_CORNER, 6.570511137851912),
+    ("mlp", "queue"): (_CORNER, 88.68641405281096),
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_table(twolights_net):
+    """The rows of the benchmark's twolights table (read only) and a linear and a default MLP model trained on it."""
+    rows = dataset.read_csv(pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "twolights_train.csv")
+    X, Y, ids = dataset.feature_matrix(rows)
+    return rows, {"linear": fit_linear(X, Y, feature_ids=ids), "mlp": fit_mlp(X, Y, feature_ids=ids)}
+
+
+@pytest.mark.parametrize("kind, target", list(_PINNED_ANSWERS))
+def test_search_answers_are_pinned(benchmark_table, twolights_net, kind, target):
+    rows, models = benchmark_table
+    result = optimize_config(twolights_net, surrogate_objective(models[kind], target), DeConfig(seed=0),
+                             training_rows=rows)
+    config, predicted = _PINNED_ANSWERS[kind, target]
+    assert result.config == config
+    assert result.predicted == pytest.approx(predicted, rel=1e-12)
 
 
 def test_de_input_validation():
@@ -210,7 +241,7 @@ def test_simulation_objective_and_validate_agree(cross_net):
     obj = simulation_objective(runner, "speed")
     config = {"X": IntersectionSignal(red=30, green=30, offset=0)}
     value = obj.evaluate(encode(config, cross_net))
-    metrics = validate_config(cross_net, state0, params, config, horizon=30.0, warmup=10.0)
+    metrics = run(cross_net, state0, config, params, horizon=30.0, warmup=10.0).metrics
     assert value == metrics.avg_speed
 
     with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import json
 import multiprocessing
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -418,10 +422,32 @@ def test_the_grid_starts_workers_only_where_they_fork(method, workers, monkeypat
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(_pool.multiprocessing, "get_start_method", lambda: method)
+    monkeypatch.setattr(_pool.multiprocessing, "get_start_method", lambda allow_none=False: method)
     X, Y = _smooth_design(40, 3)
     grid_search_mlp(X, Y, seed=1, k=2, base=MlpHyper(hidden=(4,), max_epochs=3))
     assert started == ([workers] if workers > 1 else [])
+
+
+def test_neither_the_grid_nor_a_pool_fixes_the_start_method():
+    # the host may set its start method after the library ran, whether the grid trained in process or on workers
+    src = str(pathlib.Path(surrogate.__file__).resolve().parents[1])
+    code = """if True:
+        import multiprocessing
+        import numpy as np
+        from macrosim import _pool
+        from macrosim.surrogate import MlpHyper, grid_search_mlp
+        X = np.random.default_rng(0).random((12, 2))
+        base = MlpHyper(hidden=(2,), max_epochs=1, patience=1)
+        for cpus in (1, 2):
+            _pool.usable_cpus = lambda: cpus
+            grid_search_mlp(X, X.sum(axis=1), seed=0, k=2, base=base)
+        assert _pool.run(max, 1, [0, 2], 2) == [1, 2]
+        multiprocessing.set_start_method("spawn")
+        assert multiprocessing.get_start_method() == "spawn"
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("fit", [fit_linear, fit_mlp])
