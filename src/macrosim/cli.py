@@ -215,9 +215,9 @@ def _cmd_optimize(args) -> int:
         if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
             raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
                              f"at the optimized configuration")
-        signals.save_config(result.config, args.out)
         metrics = optimizer.simulate(runner, [result.config])[0] if args.validate else None
 
+    signals.save_config(result.config, args.out)  # only once --validate has passed
     report = {
         "objective": result.objective,
         "direction": result.direction,

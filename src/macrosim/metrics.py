@@ -46,15 +46,14 @@ def congestion_weight(v):
     return out
 
 
-def step_metrics(state):
-    """(mean speed, queue length) of one state snapshot.
+def step_metrics(v: np.ndarray):
+    """(mean speed, queue length) of the cell speeds ``v`` of one state.
 
     The mean is an unweighted average over all cells of all edges. A
-    (rows, cells) state gives one mean and one queue length per row, and a
+    (rows, cells) array gives one mean and one queue length per row, and a
     (samples, rows, cells) block of speeds one per sample and row, each
-    summed exactly as that row alone. Only ``state.v`` is read.
+    summed exactly as that row alone.
     """
-    v = state.v
     avg = np.add.reduce(v, axis=-1) / v.shape[-1]  # np.mean's own arithmetic, without its wrapper
     queue = np.add.reduce(congestion_weight(v), axis=-1)
     return avg, queue

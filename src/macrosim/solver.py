@@ -29,8 +29,8 @@ read. From the first sampled step on, every step is sampled; ``run`` copies
 the speeds into a block of a few steps and computes their metrics in one
 call. A list of signal configurations runs as one plan of disjoint network
 copies, one per configuration. ``virtual_boundaries`` and ``step`` are
-per-edge dict views of the same two kernels; each builds its own plan, so the
-state ``step`` returns belongs to its caller.
+one-step views of the same two kernels, each compiling one plan per call;
+``step`` derives its ghosts on that plan, and its state is its caller's.
 """
 from __future__ import annotations
 
@@ -249,10 +249,6 @@ class _Plan:
         self.pinned = self.last[red]
 
 
-def _red_mask(plan: _Plan, phases: dict) -> np.ndarray:
-    return np.array([phases.get(eid) is Phase.RED for eid in plan.edges], dtype=bool)
-
-
 def _red_schedule(net: RoadNetwork, plan: _Plan, config: dict | None, times: np.ndarray) -> np.ndarray:
     """Red stop lines per step, shape (len(times), edges), from one check of the configuration."""
     red = np.zeros((len(times), len(plan.edges)), dtype=bool)
@@ -351,6 +347,14 @@ def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, params: SimParams,
     return new
 
 
+def _view(net: RoadNetwork, state: SimState, phases: dict, params: SimParams):
+    """Both views' setup: a plan with the red flags of ``phases``, the pair (rho, v), its (q, v*v) in plan.x, the ghosts."""
+    plan = _Plan(net, params)
+    plan.set_red(np.array([phases.get(eid) is Phase.RED for eid in plan.edges], dtype=bool))
+    s = np.stack([state.rho, state.v])
+    return plan, s, _boundaries(plan, _fluxes(plan, s), s[0], s[1], params)
+
+
 def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> VirtualBoundary:
     """Ghost values for every edge end from intersection mixing and boundary rules.
 
@@ -364,28 +368,22 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: 
     zero-gradient values. A dict view of the boundary kernel that ``run``
     executes.
     """
-    plan = _Plan(net, params)
-    plan.set_red(_red_mask(plan, phases))
-    ghosts = _boundaries(plan, _fluxes(plan, np.stack([state.rho, state.v])), state.rho, state.v, params)
+    plan, _, ghosts = _view(net, state, phases, params)
     return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
-def step(net: RoadNetwork, state: SimState, vb: VirtualBoundary, phases: dict, params: SimParams) -> SimState:
-    """Advance one time step; does not mutate ``state``.
+def step(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> SimState:
+    """Advance one time step from the ghosts ``virtual_boundaries`` gives; does not mutate ``state``.
 
     Order within the step: densities from the flux balance, speeds from
     convection + relaxation + anticipation, then red stop lines are pinned to
     zero speed, then both fields are clamped (density into
     [density_floor, jam_density], speed into [0, v_max]). Non-finite values
-    abort with the offending edge and cell. A dict view of the cell-update
-    kernel that ``run`` executes.
+    abort with the offending edge and cell. A view of both kernels that
+    ``run`` executes.
     """
-    plan = _Plan(net, params)
-    plan.set_red(_red_mask(plan, phases))
-    s = np.stack([state.rho, state.v])
-    _fluxes(plan, s)
-    ghosts = (np.array([g[eid] for eid in plan.edges], dtype=float) for g in (vb.q_in, vb.v_in, vb.rho_out))
     with np.errstate(over="ignore", invalid="ignore"):  # as in run
+        plan, s, ghosts = _view(net, state, phases, params)
         rho, v = _advance(plan, s, *ghosts, params, state.k, state.t)
     return SimState(rho=rho, v=v, t=state.t + params.dt_s, k=state.k + 1)
 
@@ -452,7 +450,8 @@ def run(
     Metrics are sampled on the state before each step (t = 0, dt, ...) and
     accumulated once t reaches ``warmup``. ``probes`` is an optional list of
     times at which the full state is recorded as a SimState, taken at the
-    first state whose clock reaches each probe. Deterministic: no randomness
+    first state whose clock reaches each probe; a probe outside the run's clock
+    span [state0.t, state0.t + horizon] is refused. Deterministic: no randomness
     is drawn here, so equal inputs give bit-identical results.
 
     ``config`` may also be a list of configurations, all started from
@@ -468,6 +467,9 @@ def run(
     n_steps = math.ceil(horizon / params.dt_s)
     batch = len(configs)
     probe_times = sorted(float(p) for p in probes) if probes else []
+    for p in probe_times:
+        if not state0.t <= p <= state0.t + horizon:  # also nan, which sorted leaves anywhere
+            raise ValueError(f"probe {p!r} s is outside the run's clock span [{state0.t!r}, {state0.t + horizon!r}] s")
     probe_idx = 0
     snapshots: list[SimState] = []
 
@@ -497,7 +499,7 @@ def run(
                 block[i] = s[1].reshape(batch, -1)
                 if i == len(block) - 1 or k == n_steps - 1:
                     lo = k - first - i
-                    series[:, lo:lo + i + 1] = step_metrics(SimState(rho=None, v=block[:i + 1]))  # reads speeds only
+                    series[:, lo:lo + i + 1] = step_metrics(block[:i + 1])
             if switches[k]:
                 plan.set_red(red[k])
             q = _fluxes(plan, s)

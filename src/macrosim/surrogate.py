@@ -25,6 +25,8 @@ Both trainers refuse, with a ValueError, targets above ``TARGET_MAX`` in
 magnitude: squared, finite but huge targets overflow into a model that is not
 finite. The MLP trainer also refuses features that are not finite or are above
 ``FEATURE_MAX`` in magnitude, which its float32 arithmetic could overflow on.
+Both refuse a ``targets`` tuple that names fewer than Y's columns, since
+``load_model`` refuses the file of such a model.
 """
 from __future__ import annotations
 
@@ -113,6 +115,14 @@ def _check_magnitude(values, bound: float, name: str) -> None:
         raise ValueError(f"{name} must be at most {bound:g} in magnitude, got {largest:.6g}")
 
 
+def _target_names(targets, Y: np.ndarray) -> tuple[str, ...]:
+    """The names of Y's columns: the first Y.shape[1] of ``targets``, which must name every column."""
+    names = tuple(targets)
+    if len(names) < Y.shape[1]:
+        raise ValueError(f"targets {list(names)} name {len(names)} of Y's {Y.shape[1]} columns")
+    return names[: Y.shape[1]]
+
+
 def fit_linear(X, Y, targets=METRICS, feature_ids=()) -> Model:
     """Least squares with intercept through the normal equations.
 
@@ -128,12 +138,13 @@ def fit_linear(X, Y, targets=METRICS, feature_ids=()) -> Model:
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty design matrix")
     _check_magnitude(Y, TARGET_MAX, "targets")
+    names = _target_names(targets, Y)
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     gram = A.T @ A + RIDGE * np.eye(A.shape[1])
     theta = np.linalg.solve(gram, A.T @ Y)
     return Model(
         weights=theta[:-1, :], intercept=theta[-1, :], target_mean=np.zeros(Y.shape[1]),
-        target_scale=np.ones(Y.shape[1]), targets=tuple(targets)[: Y.shape[1]], feature_ids=tuple(feature_ids),
+        target_scale=np.ones(Y.shape[1]), targets=names, feature_ids=tuple(feature_ids),
     )
 
 
@@ -249,6 +260,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> 
         raise ValueError("stacked fits may differ in alpha and learning_rate only")
     _check_magnitude(Y, TARGET_MAX, "targets")
     _check_magnitude(X, FEATURE_MAX, "features")
+    names = _target_names(targets, Y)
 
     mean = Y.mean(axis=0)
     scale = Y.std(axis=0)
@@ -342,7 +354,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> 
             target_scale=scale,
             hidden=tuple((W[s], b[s, 0]) for W, b in zip(weights[:-1], biases[:-1])),
             activation=hyper.activation,
-            targets=tuple(targets)[: Y.shape[1]],
+            targets=names,
             feature_ids=tuple(feature_ids),
             epochs_trained=epochs_done[s],
         )

@@ -123,7 +123,7 @@ def test_c04_conservation(ring_net):
             for e in ring_net.edge_order
         )
         for _ in range(1000):
-            state = step(ring_net, state, virtual_boundaries(ring_net, state, {}, params), {}, params)
+            state = step(ring_net, state, {}, params)
         after = sum(
             float(np.sum(state.rho[ring_net.cell_slice(e)])) * ring_net.edges[e].cell_length * ring_net.edges[e].lanes
             for e in ring_net.edge_order
@@ -138,7 +138,7 @@ def test_c05_equilibrium_stationarity(ring_net):
         rho0, v0 = 0.05, ideal_speed(fd, 0.05)
         state = SimState(rho=np.full(ring_net.total_cells, rho0), v=np.full(ring_net.total_cells, v0))
         for _ in range(200):
-            nxt = step(ring_net, state, virtual_boundaries(ring_net, state, {}, params), {}, params)
+            nxt = step(ring_net, state, {}, params)
             assert float(np.max(np.abs(nxt.rho - state.rho))) < 1e-12
             assert float(np.max(np.abs(nxt.v - state.v))) < 1e-12
             state = nxt
@@ -154,7 +154,7 @@ def test_c06_signal_queue_dynamics(cross_net):
         series = []
         for _ in range(240):  # 120 s: red [0, 59), green [59, 89), red again
             phases = edge_phases(cross_net, config, state.t)
-            state = step(cross_net, state, virtual_boundaries(cross_net, state, phases, params), phases, params)
+            state = step(cross_net, state, phases, params)
             qmass = float(np.sum(congestion_weight(state.v[sl])))
             series.append((state.t, float(state.v[sl.stop - 1]), qmass))
 

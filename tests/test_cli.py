@@ -318,10 +318,13 @@ def test_optimize_validate_reports_a_failed_run_as_direct_does(cli_dataset, fixt
     monkeypatch.setattr(dataset, "run", blow_up)
     protocol = ["--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv")]
     rc = main(["optimize", *protocol, "--model", str(model_path), "--objective", "speed", "--data", str(cli_dataset),
-               "--generations", "2", "--pop", "6", "--validate", "--out", str(tmp_path / "best.json")])
+               "--generations", "2", "--pop", "6", "--validate", "--out", str(tmp_path / "best.json"),
+               "--report", str(tmp_path / "report.json")])
     assert rc == 1
     assert capsys.readouterr().err == ("error: a candidate's run failed: SimulationError: non-finite state on edge "
                                        "n_in cell 1 at step 3\n")
+    # nothing is written until the validation run has passed
+    assert not (tmp_path / "best.json").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_validate_command(fixtures_dir, tmp_path, capsys):
@@ -512,6 +515,15 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert f"error: {init}: line 2" in capsys.readouterr().err
+
+    # a probe the run's clock never reaches: after the horizon, not a number, or before the start
+    for probe, shown in (("11", "11.0"), ("nan", "nan"), ("-5", "-5.0")):
+        rc = main(["simulate", "--network", str(fixtures_dir / "cross.json"), "--init", str(fixtures_dir / "cross_init.csv"),
+                   "--lights", str(fixtures_dir / "cross_lights.json"), "--horizon", "10", "--warmup", "0",
+                   "--probes", f"0,{probe}", "--heatmap", str(tmp_path / "hm"), "--out", str(tmp_path / "x.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: probe {shown} s is outside the run's clock span [0.0, 10.0] s\n"
+        assert not list(tmp_path.glob("hm*")) and not (tmp_path / "x.json").exists()
 
     # nothing to vary on an unsignalized network
     rc = main(

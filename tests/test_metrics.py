@@ -11,7 +11,6 @@ from macrosim.metrics import (
     congestion_weight,
     step_metrics,
 )
-from macrosim.solver import SimState
 
 # frozen independently: 1 / (1 + exp(3 * (4 - 5)))
 WEIGHT_AT_4_MPS = 0.9525741268224334
@@ -67,21 +66,15 @@ def test_weight_equals_split_form_exactly():
         assert congestion_weight(x) == float(_split_weight(x))
 
 
-def _state(rho, v):
-    return SimState(rho=np.asarray(rho, float), v=np.asarray(v, float), t=0.0, k=0)
-
-
 def test_step_metrics_unweighted_mean_and_queue():
-    state = _state([0.01, 0.10, 0.02], [12.0, 1.0, 8.0])
-    avg, queue = step_metrics(state)
+    avg, queue = step_metrics(np.array([12.0, 1.0, 8.0]))
     assert avg == pytest.approx((12.0 + 1.0 + 8.0) / 3)
     expected_queue = sum(congestion_weight(v) for v in (12.0, 1.0, 8.0))
     assert queue == pytest.approx(expected_queue, abs=1e-12)
 
 
 def test_jammed_cells_count_fully_toward_queue():
-    state = _state([0.2] * 5, [0.0] * 5)
-    _, queue = step_metrics(state)
+    _, queue = step_metrics(np.zeros(5))
     assert queue == pytest.approx(5.0, abs=1e-5)
 
 

@@ -183,9 +183,8 @@ def test_step_matches_reference(cross_net, ring_net, seed):
         state = _random_state(net, seed)
         phases = edge_phases(net, cfg, 0.0)
         params = SimParams()
-        vb = virtual_boundaries(net, state, phases, params)
-        out = step(net, state, vb, phases, params)
-        rho_ref, v_ref = _reference_step(net, state, vb, phases, params)
+        out = step(net, state, phases, params)
+        rho_ref, v_ref = _reference_step(net, state, virtual_boundaries(net, state, phases, params), phases, params)
         np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.v, v_ref, rtol=0, atol=1e-12)
         assert out.t == state.t + params.dt_s
@@ -202,8 +201,7 @@ def test_single_cell_update_by_hand(cross_net):
     state.rho[sl.start:sl.start + 3] = [0.05, 0.04, 0.06]
     state.v[sl.start:sl.start + 3] = [10.0, 8.0, 6.0]
     phases = edge_phases(cross_net, {"X": IntersectionSignal(30, 30, 10)}, 0.0)
-    vb = virtual_boundaries(cross_net, state, phases, params)
-    out = step(cross_net, state, vb, phases, params)
+    out = step(cross_net, state, phases, params)
 
     # density: 0.04 - (0.5 / 10) * (0.04*8 - 0.05*10) = 0.049
     assert out.rho[sl.start + 1] == pytest.approx(0.049, abs=1e-15)
@@ -295,11 +293,8 @@ def test_step_reports_non_finite_cells(cross_net):
     params = SimParams()
     state = _random_state(cross_net, 7)
     state.v[cross_net.cell_slice("n_in").start] = np.inf
-    phases = {}
-    vb = virtual_boundaries(cross_net, state, phases, params)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(SimulationError, match="edge n_in"):
-            step(cross_net, state, vb, phases, params)
+    with pytest.raises(SimulationError, match="edge n_in"):
+        step(cross_net, state, {}, params)
 
 
 def test_step_survives_an_overflowing_finiteness_reduction(ring_net):
@@ -307,11 +302,9 @@ def test_step_survives_an_overflowing_finiteness_reduction(ring_net):
     params = SimParams()
     n = ring_net.total_cells
     state = SimState(rho=np.full(n, 1e153), v=np.full(n, 1e154))  # q = 1e307 and v * v = 1e308 stay finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        vb = virtual_boundaries(ring_net, state, {}, params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = step(ring_net, state, vb, {}, params)
+        out = step(ring_net, state, {}, params)
         ran = run(ring_net, state, None, params, horizon=params.dt_s, warmup=0.0).final_state
     for s in (out, ran):
         assert np.all((s.rho >= params.density_floor) & (s.rho <= params.jam_density))
@@ -376,8 +369,7 @@ def test_closed_ring_conserves_mass_exactly_uniform(ring_net):
     before = total_cars(ring_net, state)
     assert before == pytest.approx(0.05 * 8 * 120.0)
     for _ in range(100):
-        phases = {}
-        state = step(ring_net, state, virtual_boundaries(ring_net, state, phases, params), phases, params)
+        state = step(ring_net, state, {}, params)
     assert total_cars(ring_net, state) == pytest.approx(before, abs=1e-12)
 
 
@@ -390,7 +382,7 @@ def test_closed_ring_conserves_mass_with_perturbation(ring_net):
     state = SimState(rho=rho, v=ideal_speed(fd, rho))
     before = total_cars(ring_net, state)
     for _ in range(500):
-        state = step(ring_net, state, virtual_boundaries(ring_net, state, {}, params), {}, params)
+        state = step(ring_net, state, {}, params)
     drift = abs(total_cars(ring_net, state) - before) / before
     assert drift < 1e-9
 
@@ -401,7 +393,7 @@ def test_uniform_equilibrium_is_stationary(ring_net):
     rho0, v0 = 0.05, ideal_speed(fd, 0.05)
     state = SimState(rho=np.full(ring_net.total_cells, rho0), v=np.full(ring_net.total_cells, v0))
     for _ in range(50):
-        state = step(ring_net, state, virtual_boundaries(ring_net, state, {}, params), {}, params)
+        state = step(ring_net, state, {}, params)
         assert float(np.max(np.abs(state.rho - rho0))) < 1e-12
         assert float(np.max(np.abs(state.v - v0))) < 1e-12
 
@@ -442,7 +434,7 @@ def test_red_light_pins_stop_line_and_grows_queue(cross_net):
     records = []
     for _ in range(240):  # 120 s
         phases = edge_phases(cross_net, config, state.t)
-        state = step(cross_net, state, virtual_boundaries(cross_net, state, phases, params), phases, params)
+        state = step(cross_net, state, phases, params)
         records.append((state.t, float(state.v[sl.stop - 1]), float(np.sum(state.rho[sl])) * 10.0))
 
     by_time = {round(t, 3): (v_stop, mass) for t, v_stop, mass in records}
@@ -461,7 +453,7 @@ def test_red_light_pins_stop_line_and_grows_queue(cross_net):
     assert by_time[119.0][1] < by_time[59.0][1]
 
     # the queue metric sees the same story
-    q_red = step_metrics(SimState(rho=np.zeros(1), v=np.array([0.0])))[1]
+    q_red = step_metrics(np.array([0.0]))[1]
     assert q_red == pytest.approx(1.0, abs=1e-6)
 
 
@@ -498,9 +490,9 @@ def _manual_run(runs, net, name, row, config, state0, params):
         state, samples, seen_phases = state0.copy(), [], []
         for _ in range(_MANUAL_STEPS):
             phases = edge_phases(net, config, state.t)
-            samples.append((state.t, *step_metrics(state)))
+            samples.append((state.t, *step_metrics(state.v)))
             seen_phases.append(phases)
-            state = step(net, state, virtual_boundaries(net, state, phases, params), phases, params)
+            state = step(net, state, phases, params)
         runs[name, row] = samples, seen_phases, state
     return runs[name, row]
 
@@ -629,6 +621,14 @@ def test_run_probe_snapshots(ring_net):
     np.testing.assert_array_equal(result.snapshots[0].v, state.v)
     np.testing.assert_array_equal(result.snapshots[-1].v, result.final_state.v)
 
+    # a probe the clock never reaches is refused by name; one at exactly the horizon is reached by the last clock
+    later = SimState(rho=state.rho, v=state.v, t=5.0)
+    for start, bad in ((state, 20.5), (state, math.nan), (state, -5.0), (state, math.inf), (later, 0.0)):
+        span = f"[{start.t!r}, {start.t + 20.0!r}]"
+        with pytest.raises(ValueError, match=f"^probe {bad!r} s is outside the run's clock span {re.escape(span)} s$"):
+            run(ring_net, start, None, params, horizon=20.0, warmup=0.0, probes=[0.0, bad])
+    assert [s.t for s in run(ring_net, later, None, params, horizon=20.0, warmup=0.0, probes=[25.0]).snapshots] == [25.0]
+
 
 def test_step_returns_arrays_of_its_own(cross_net):
     # each step call owns its result: it shares no memory with the state it read or with another call's result
@@ -636,8 +636,7 @@ def test_step_returns_arrays_of_its_own(cross_net):
     state = _random_state(cross_net, 2)
     before = state.copy()
     phases = {"n_in": Phase.RED}
-    vb = virtual_boundaries(cross_net, state, phases, params)
-    first, second = (step(cross_net, state, vb, phases, params) for _ in range(2))
+    first, second = (step(cross_net, state, phases, params) for _ in range(2))
     arrays = [state.rho, state.v, first.rho, first.v, second.rho, second.v]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
@@ -685,7 +684,7 @@ def test_run_names_a_non_finite_cell_that_appears_inside_a_metric_block(cross_ne
 
     poisoned_curve.calls = 0
     monkeypatch.setattr(solver, "_curve", poisoned_curve)
-    monkeypatch.setattr(solver, "step_metrics", lambda s: metric_calls.append(len(s.v)) or step_metrics(s))
+    monkeypatch.setattr(solver, "step_metrics", lambda v: metric_calls.append(len(v)) or step_metrics(v))
     wanted = rf"^non-finite state on edge {eid} cell 3 at step {bad_step} \(t={bad_step * params.dt_s:g} s\) in batch row {row}$"
     with pytest.raises(SimulationError, match=wanted):
         run(cross_net, state0, configs, params, horizon=60.0, warmup=warmup_steps * params.dt_s)

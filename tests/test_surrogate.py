@@ -464,6 +464,15 @@ def test_targets_too_large_to_square_are_refused(fit):
         assert all(np.isfinite(a).all() for layer in fit(X, Y).layers for a in layer)
 
 
+@pytest.mark.parametrize("fit", [fit_linear, fit_mlp])
+def test_fewer_target_names_than_columns_are_refused(fit):
+    # such a model would save, and load_model would then refuse its file: "2 model outputs for 1 targets"
+    X, Y = _smooth_design(12, 3)
+    with pytest.raises(ValueError, match=re.escape("targets ['avg_speed'] name 1 of Y's 2 columns")):
+        fit(X, Y, targets=("avg_speed",))
+    assert fit(X, Y[:, 0]).targets == ("avg_speed",)  # a one-column Y still takes the first default name
+
+
 def test_features_the_float32_trainer_cannot_take_are_refused():
     X, Y = _smooth_design(40, 3)
     for bad in (np.nan, -np.inf, 1.5 * surrogate.FEATURE_MAX):
