@@ -7,6 +7,7 @@ and cell is read through ``Fields``; every read error starts with the file's pat
 from __future__ import annotations
 
 import csv
+import io
 import json
 import reprlib
 import sys
@@ -14,12 +15,12 @@ from contextlib import contextmanager
 
 
 @contextmanager
-def naming(prefix, error=ValueError):
-    """Re-raise a ValueError or ``error`` raised inside as ``error``, its message prefixed with ``prefix: ``."""
+def naming(prefix):
+    """Re-raise a ValueError raised inside, its message prefixed with ``prefix: ``."""
     try:
         yield
-    except (ValueError, error) as exc:
-        raise error(f"{prefix}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
 
 
 def _kind_name(kind) -> str:
@@ -29,7 +30,7 @@ def _kind_name(kind) -> str:
 
 
 class Fields:
-    """Typed reads of one file's fields, raising ``error`` as ``<path>: <key path>: expected <kind>, got <value>``.
+    """Typed reads of one file's fields, raising ValueError as ``<path>: <key path>: expected <kind>, got <value>``.
 
     A kind is ``str``, ``int``, ``float``, ``bool``, ``list`` or ``dict``; ``[kind]`` is a list of that kind,
     a tuple of kinds a list of exactly those. An ``int`` refuses a bool, a fraction and a non-finite number
@@ -37,15 +38,15 @@ class Fields:
     finiteness are the domain checks' business. A key path looks like ``edges[3].lanes``.
     """
 
-    def __init__(self, path, error=ValueError):
-        self.path, self.error = path, error
+    def __init__(self, path):
+        self.path = path
 
     def __call__(self, obj: dict, key: str, kind, at: str = "", default=None):
         """The field ``key`` of the object ``obj`` at key path ``at``; ``default`` if absent, required if None."""
         name = f"{at}.{key}" if at else key
         if key not in obj:
             if default is None:
-                raise self.error(f"{self.path}: missing key '{name}'")
+                raise ValueError(f"{self.path}: missing key '{name}'")
             return default
         return self.value(obj[key], kind, name)
 
@@ -74,7 +75,16 @@ class Fields:
             return float(value)
         if kind in (str, bool, list, dict) and isinstance(value, kind):
             return value
-        raise self.error(f"{self.path}: {at}: expected {_kind_name(kind)}, got {reprlib.repr(value)}")
+        raise ValueError(f"{self.path}: {at}: expected {_kind_name(kind)}, got {reprlib.repr(value)}")
+
+
+def _text(path, newline=None) -> str:
+    """The whole text of a file; a byte its encoding cannot decode raises ValueError naming the file."""
+    with open(path, newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: cannot decode: {exc}") from None
 
 
 def write_json(doc: dict, path) -> None:
@@ -83,15 +93,14 @@ def write_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def read_json(path, error=ValueError) -> dict:
-    """The object a JSON file holds; a syntax error or any other document raises ``error``."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: cannot parse JSON: {exc}") from None
+def read_json(path) -> dict:
+    """The object a JSON file holds; a syntax error or any other document raises ValueError."""
+    try:
+        doc = json.loads(_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: cannot parse JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -102,7 +111,7 @@ def write_table(header, records, path) -> None:
         writer.writerows(records)
 
 
-def read_table(path, header, error=ValueError):
+def read_table(path, header):
     """(header, rows) of a CSV table: its stripped header cells, and (line number, cells) per non-blank row.
 
     A row's line number is the physical line it ends on, so a quoted field
@@ -111,17 +120,16 @@ def read_table(path, header, error=ValueError):
     ``header`` is the required header, or a function from the file's header to
     the required one. Every row must be as wide as the header.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = [cell.strip() for cell in next(reader, [])]
-        expected = header(found) if callable(header) else header
-        if found != list(expected):
-            raise error(f"{path}: expected header {','.join(expected)}, got {','.join(found) or 'an empty file'}")
-        rows = []
-        for cells in reader:
-            if not any(cell.strip() for cell in cells):
-                continue
-            if len(cells) != len(found):
-                raise error(f"{path}: line {reader.line_num}: expected {len(found)} columns, got {len(cells)}")
-            rows.append((reader.line_num, cells))
+    reader = csv.reader(io.StringIO(_text(path, newline=""), newline=""))
+    found = [cell.strip() for cell in next(reader, [])]
+    expected = header(found) if callable(header) else header
+    if found != list(expected):
+        raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(found) or 'an empty file'}")
+    rows = []
+    for cells in reader:
+        if not any(cell.strip() for cell in cells):
+            continue
+        if len(cells) != len(found):
+            raise ValueError(f"{path}: line {reader.line_num}: expected {len(found)} columns, got {len(cells)}")
+        rows.append((reader.line_num, cells))
     return found, rows

@@ -10,11 +10,12 @@ second name, for re-simulating an optimized configuration file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import dataset, fundamental, optimizer, signals, solver, surrogate
 from ._files import naming, write_json
-from .network import NetworkError, load_network
+from .network import load_network
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,6 +107,8 @@ def _refuse_below(args, **least) -> None:
 
 
 def _cmd_calibrate_fd(args) -> int:
+    if args.fix_vmax is not None and not (math.isfinite(args.fix_vmax) and args.fix_vmax > 0):
+        raise ValueError(f"--fix-vmax must be finite and > 0, got {args.fix_vmax}")
     fit = fundamental.fit_fd(fundamental.read_counters(args.counters), fixed_v_max=args.fix_vmax)
     fundamental.save_fit(fit, args.out)
     status = "converged" if fit.converged else "NOT converged (iteration cap hit)"
@@ -128,12 +131,13 @@ def _cmd_simulate(args) -> int:
     result = solver.run(net, state0, config, params, horizon=args.horizon, warmup=args.warmup, probes=probes)
     solver.write_metrics_json(result, args.out)
     if args.heatmap:
-        for snap in result.snapshots:
+        states = {snap.k: snap for snap in result.snapshots}  # probes that one state answers share its file pair
+        for snap in states.values():
             base = f"{args.heatmap}_t{snap.t:g}"
             solver.write_heatmap_csv(net, snap, base + ".csv")
             solver.write_heatmap_pgm(net, snap, base + ".pgm")
-        if result.snapshots:
-            print(f"wrote {len(result.snapshots)} heatmap snapshot(s) to {args.heatmap}_t*.csv/.pgm")
+        if states:
+            print(f"wrote {len(states)} heatmap snapshot(s) to {args.heatmap}_t*.csv/.pgm")
     print(
         f"avg_speed={result.metrics.avg_speed:.4f} m/s queue_length={result.metrics.queue_length:.4f} "
         f"({result.metrics.samples} samples) -> {args.out}"
@@ -160,7 +164,7 @@ def _cmd_train_surrogate(args) -> int:
         raise ValueError("--grid applies to --model mlp only")
     _refuse_below(args, folds=2)  # more folds than the table has rows is the table's fault
     rows = dataset.read_csv(args.data)
-    with naming(args.data, dataset.DatasetError):
+    with naming(args.data):
         X, Y, ids = dataset.feature_matrix(rows)
     names = list(optimizer.TARGETS) if args.target == "both" else [args.target]
     targets = tuple(optimizer.TARGETS[name].metric for name in names)
@@ -261,8 +265,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (NetworkError, dataset.DatasetError, surrogate.SurrogateError, solver.SimulationError,
-            ValueError, OSError) as exc:
+    except (solver.SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

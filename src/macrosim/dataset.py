@@ -20,10 +20,6 @@ from .signals import IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
 
 
-class DatasetError(Exception):
-    """Raised for malformed dataset files."""
-
-
 @dataclass(frozen=True)
 class DatasetRow:
     run_id: int
@@ -149,12 +145,12 @@ def _ids(header) -> list[str]:
 def write_csv(rows: list[DatasetRow], path) -> None:
     """Write a dataset table, intersections in sorted-id order; floats at full precision."""
     if not rows:
-        raise DatasetError("refusing to write an empty dataset")
+        raise ValueError("refusing to write an empty dataset")
     ids = sorted(rows[0].config)
     records = []
     for row in rows:
         if sorted(row.config) != ids:
-            raise DatasetError(f"run {row.run_id}: configuration covers different intersections")
+            raise ValueError(f"run {row.run_id}: configuration covers different intersections")
         timings = [t for iid in ids for t in (row.config[iid].red, row.config[iid].green, row.config[iid].offset)]
         records.append([row.run_id, row.seed, *timings, *(float(getattr(row, m)) for m in METRICS), row.status])
     write_table(_header(ids), records, path)
@@ -162,19 +158,19 @@ def write_csv(rows: list[DatasetRow], path) -> None:
 
 def read_csv(path) -> list[DatasetRow]:
     """Read a table as write_csv writes it, its intersection ids taken from the _red columns; floats round-trip exactly."""
-    header, records = read_table(path, lambda found: _header(_ids(found)), DatasetError)
+    header, records = read_table(path, lambda found: _header(_ids(found)))
     ids = _ids(header)
-    fields = Fields(path, DatasetError)
+    fields = Fields(path)
     kinds = [int] * (len(header) - 3) + [float, float, str]
     rows = []
     for line_no, cells in records:
         run_id, seed, *timings, avg_speed, queue, status = (
             fields.cell(cell, kind, line_no, column) for cell, kind, column in zip(cells, kinds, header))
-        with naming(f"{path}: line {line_no}", DatasetError):
+        with naming(f"{path}: line {line_no}"):
             config = {iid: IntersectionSignal(*timings[3 * j:3 * j + 3]) for j, iid in enumerate(ids)}
             if status == "ok" and not np.isfinite([avg_speed, queue]).all():
                 got = ", ".join(f"{metric}={value}" for metric, value in zip(METRICS, (avg_speed, queue)))
-                raise DatasetError(f"a row marked ok needs finite metrics, got {got}")
+                raise ValueError(f"a row marked ok needs finite metrics, got {got}")
         rows.append(DatasetRow(run_id, seed, config, avg_speed, queue, status))
     return rows
 
@@ -187,7 +183,7 @@ def feature_matrix(rows: list[DatasetRow]):
     """
     ok_rows = [r for r in rows if r.ok]
     if not ok_rows:
-        raise DatasetError("no successful rows in dataset")
+        raise ValueError("no successful rows in dataset")
     ids = sorted(ok_rows[0].config)
     X = np.stack([encode_values(r.config, ids) for r in ok_rows])
     Y = np.array([[getattr(r, m) for m in METRICS] for r in ok_rows])

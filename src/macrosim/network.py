@@ -21,10 +21,6 @@ MAX_CELLS = 1_000_000  # cells of a network's layout at most, so a huge length i
 MAX_LANES = 16  # lanes of an edge at most: lanes multiply its flux into a junction, so a huge count is meaningless
 
 
-class NetworkError(Exception):
-    """Raised for unparseable or invalid network documents."""
-
-
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -86,7 +82,7 @@ def _by_id(kind: str, items) -> dict:
     by_id = {}
     for item in items:
         if item.id in by_id:
-            raise NetworkError(f"duplicate {kind} id {item.id!r}")
+            raise ValueError(f"duplicate {kind} id {item.id!r}")
         by_id[item.id] = item
     return by_id
 
@@ -97,7 +93,7 @@ class RoadNetwork:
     rho_cr and a are the shape of the network's one speed-density curve; each
     edge's fundamental diagram is that shape at the edge's free_flow_speed.
     A repeated id, an edge length that is not finite and > 0 (the cell layout
-    needs it), or a layout of more than MAX_CELLS cells raises NetworkError.
+    needs it), or a layout of more than MAX_CELLS cells raises ValueError.
     """
 
     def __init__(self, nodes, edges, intersections, rho_cr: float = DEFAULT_RHO_CR, a: float = DEFAULT_A):
@@ -114,12 +110,12 @@ class RoadNetwork:
         for eid in self.edge_order:
             length = self.edges[eid].length_m
             if not (math.isfinite(length) and length > 0):
-                raise NetworkError(f"edge {eid}: length must be finite and > 0, got {length!r}")
+                raise ValueError(f"edge {eid}: length must be finite and > 0, got {length!r}")
             n = self.edges[eid].cell_count
             self._slices[eid] = slice(offset, offset + n)
             offset += n
             if offset > MAX_CELLS:
-                raise NetworkError(f"edge {eid}: the cell layout reaches {offset} cells, more than {MAX_CELLS}")
+                raise ValueError(f"edge {eid}: the cell layout reaches {offset} cells, more than {MAX_CELLS}")
         self.total_cells: int = offset
 
         # which intersection feeds / drains each edge end
@@ -255,11 +251,11 @@ def turn_angle(net: RoadNetwork, e_in: str, e_out: str) -> float:
     straight through, 90 deg a turn, 0 deg a U-turn.
     """
     if e_in not in net.edges or e_out not in net.edges:
-        raise NetworkError(f"unknown edge in turn ({e_in}, {e_out})")
+        raise ValueError(f"unknown edge in turn ({e_in}, {e_out})")
     edge_in, edge_out = net.edges[e_in], net.edges[e_out]
     junction = net.intersections.get(net.downstream_of.get(e_in))
     if junction is None or e_out not in junction.outgoing:
-        raise NetworkError(f"edges {e_in} and {e_out} do not meet at a common intersection")
+        raise ValueError(f"edges {e_in} and {e_out} do not meet at a common intersection")
 
     center = net.nodes[junction.node]
     back = net.nodes[edge_in.from_node]
@@ -269,7 +265,7 @@ def turn_angle(net: RoadNetwork, e_in: str, e_out: str) -> float:
     n1 = math.hypot(*v1)
     n2 = math.hypot(*v2)
     if n1 == 0 or n2 == 0:
-        raise NetworkError(f"degenerate geometry for turn ({e_in}, {e_out}): zero-length ray")
+        raise ValueError(f"degenerate geometry for turn ({e_in}, {e_out}): zero-length ray")
     cos_angle = (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)
     return math.degrees(math.acos(max(-1.0, min(1.0, cos_angle))))
 
@@ -288,17 +284,17 @@ EDGE_FIELDS = (("id", "id", str), ("from", "from_node", str), ("to", "to_node", 
 
 
 def load_network(path) -> RoadNetwork:
-    """Load and validate a network document; raises NetworkError on problems."""
-    doc = read_json(path, NetworkError)
-    fields = Fields(path, NetworkError)
+    """Load and validate a network document; raises ValueError naming the file on problems."""
+    doc = read_json(path)
+    fields = Fields(path)
     nodes = [Node(**{attr: fields(n, key, kind, at) for key, attr, kind in NODE_FIELDS})
              for at, n in fields.items(doc, "nodes", dict)]
     edges = []
     for at, e in fields.items(doc, "edges", dict):
         edges.append(RoadEdge(**{attr: fields(e, key, kind, at) for key, attr, kind in EDGE_FIELDS}))
         if "fd" in e:
-            raise NetworkError(f"{path}: edge {edges[-1].id}: a per-edge fd is refused: every edge's curve is "
-                               f"fd_defaults' shape at its free_flow_speed_mps")
+            raise ValueError(f"{path}: edge {edges[-1].id}: a per-edge fd is refused: every edge's curve is "
+                             f"fd_defaults' shape at its free_flow_speed_mps")
     intersections = []
     for at, i in fields.items(doc, "intersections", dict, default=[]):
         names = {key: tuple(fields(i, key, [str], at, default=[]))
@@ -311,14 +307,14 @@ def load_network(path) -> RoadNetwork:
         ))
     shape = fields(doc, "fd_defaults", dict, default={"rho_cr": DEFAULT_RHO_CR, "a": DEFAULT_A})
     if "v_max" in shape:
-        raise NetworkError(f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max")
+        raise ValueError(f"{path}: fd_defaults.v_max is not read: each edge's free_flow_speed_mps sets its v_max")
     rho_cr, a = (fields(shape, key, float, "fd_defaults") for key in ("rho_cr", "a"))
 
-    with naming(path, NetworkError):
+    with naming(path):
         net = RoadNetwork(nodes, edges, intersections, rho_cr, a)
     problems = validate(net)
     if problems:
-        raise NetworkError(f"invalid network {path}:\n  " + "\n  ".join(problems))
+        raise ValueError(f"invalid network {path}:\n  " + "\n  ".join(problems))
     return net
 
 

@@ -21,12 +21,13 @@ networks, and returns its models in float64, so ``predict``, model files and
 the optimizer see one dtype. Its predictions lie within 1e-6 of a float64
 trainer's at a fixed epoch count; early stopping may stop at another epoch.
 
-Both trainers refuse, with a ValueError, targets above ``TARGET_MAX`` in
-magnitude: squared, finite but huge targets overflow into a model that is not
-finite. The MLP trainer also refuses features that are not finite or are above
-``FEATURE_MAX`` in magnitude, which its float32 arithmetic could overflow on.
-Both refuse a ``targets`` tuple that names fewer than Y's columns, since
-``load_model`` refuses the file of such a model.
+Both trainers refuse, with a ValueError, the same training sets: targets
+above ``TARGET_MAX`` in magnitude, since squared, finite but huge targets
+overflow into a model that is not finite; features that are not finite or are
+above ``FEATURE_MAX`` in magnitude, which the float32 trainer could overflow on
+and which give the normal equations non-finite weights; and a ``targets`` tuple
+that names fewer than Y's columns, since ``load_model`` refuses the file of
+such a model.
 """
 from __future__ import annotations
 
@@ -44,11 +45,7 @@ RIDGE = 1e-8               # ridge term of the linear fit's normal equations
 BATCH_SIZE = 32            # MLP mini-batch rows
 VALIDATION_FRACTION = 0.1  # share of rows the MLP holds out for early stopping
 TARGET_MAX = 1e150         # largest target magnitude a fit takes: fits and scores square errors of that size
-FEATURE_MAX = 1e6          # largest feature magnitude the MLP trainer takes: its float32 Adam squares gradients
-
-
-class SurrogateError(Exception):
-    pass
+FEATURE_MAX = 1e6          # largest feature magnitude a fit takes: the MLP trainer's float32 Adam squares gradients
 
 
 def _is_int(value) -> bool:
@@ -108,19 +105,27 @@ def _as_2d(Y) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
-def _check_magnitude(values, bound: float, name: str) -> None:
-    """Raise ValueError unless every value is finite and at most ``bound`` in magnitude."""
-    largest = np.abs(values).max()
-    if not largest <= bound:
-        raise ValueError(f"{name} must be at most {bound:g} in magnitude, got {largest:.6g}")
+def _training_set(X, Y, targets):
+    """(X, Y, names) of a training set that both trainers take, X and Y as float arrays, Y 2-d.
 
-
-def _target_names(targets, Y: np.ndarray) -> tuple[str, ...]:
-    """The names of Y's columns: the first Y.shape[1] of ``targets``, which must name every column."""
+    X must be 2-d, with at least one row and one row per row of Y; its features finite and at most
+    FEATURE_MAX in magnitude, its targets at most TARGET_MAX, and ``targets`` must name every column of Y.
+    ``names`` are the first Y.shape[1] of ``targets``.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = _as_2d(Y)
+    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise ValueError("X must be 2-d with one row per target row")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty design matrix")
+    for values, bound, name in ((Y, TARGET_MAX, "targets"), (X, FEATURE_MAX, "features")):
+        largest = np.abs(values).max(initial=0.0)
+        if not largest <= bound:
+            raise ValueError(f"{name} must be at most {bound:g} in magnitude, got {largest:.6g}")
     names = tuple(targets)
     if len(names) < Y.shape[1]:
         raise ValueError(f"targets {list(names)} name {len(names)} of Y's {Y.shape[1]} columns")
-    return names[: Y.shape[1]]
+    return X, Y, names[: Y.shape[1]]
 
 
 def fit_linear(X, Y, targets=METRICS, feature_ids=()) -> Model:
@@ -131,14 +136,7 @@ def fit_linear(X, Y, targets=METRICS, feature_ids=()) -> Model:
     enough to be invisible at any sane conditioning but keeps degenerate
     designs solvable.
     """
-    X = np.asarray(X, dtype=float)
-    Y = _as_2d(Y)
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("X must be 2-d with one row per target row")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit on an empty design matrix")
-    _check_magnitude(Y, TARGET_MAX, "targets")
-    names = _target_names(targets, Y)
+    X, Y, names = _training_set(X, Y, targets)
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     gram = A.T @ A + RIDGE * np.eye(A.shape[1])
     theta = np.linalg.solve(gram, A.T @ Y)
@@ -248,19 +246,13 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> 
     parameters, gradients, Adam moments and rates), and the models' arrays are
     float64 copies of the best float32 parameters.
     """
-    X = np.asarray(X, dtype=float)
-    Y = _as_2d(Y)
-    if X.shape[0] != Y.shape[0] or X.ndim != 2:
-        raise ValueError("X and Y must have matching row counts")
+    X, Y, names = _training_set(X, Y, targets)
     n = X.shape[0]
     if n < 3:
         raise ValueError("need at least 3 rows to train with a validation split")
     hyper = hypers[0]
     if any(replace(h, alpha=hyper.alpha, learning_rate=hyper.learning_rate) != hyper for h in hypers):
         raise ValueError("stacked fits may differ in alpha and learning_rate only")
-    _check_magnitude(Y, TARGET_MAX, "targets")
-    _check_magnitude(X, FEATURE_MAX, "features")
-    names = _target_names(targets, Y)
 
     mean = Y.mean(axis=0)
     scale = Y.std(axis=0)
@@ -457,48 +449,48 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a model as written by save_model; a bad document raises SurrogateError naming the file and key.
+    """Read a model as written by save_model; a bad document raises ValueError naming the file and key.
 
     Every number must be finite, the layers must chain from the inputs to one output per target, weights,
     biases and target means must be at most TARGET_MAX in magnitude, and target scales in (0, TARGET_MAX].
     """
-    doc = read_json(path, SurrogateError)
-    fields = Fields(path, SurrogateError)
+    doc = read_json(path)
+    fields = Fields(path)
     weights, biases = fields(doc, "weights", [[[float]]]), fields(doc, "biases", [[float]])
     for i, W in enumerate(weights):
         if len(set(map(len, W))) > 1:
-            raise SurrogateError(f"{path}: weights[{i}]: expected rows of one length")
+            raise ValueError(f"{path}: weights[{i}]: expected rows of one length")
     if not weights or len(weights) != len(biases):
-        raise SurrogateError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
+        raise ValueError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
     activation = fields(doc, "activation", str)
     if activation not in ("relu", "tanh"):
-        raise SurrogateError(f"{path}: activation: expected 'relu' or 'tanh', got {activation!r}")
+        raise ValueError(f"{path}: activation: expected 'relu' or 'tanh', got {activation!r}")
     layers = [(np.array(W), np.array(b)) for W, b in zip(weights, biases)]
     mean, scale = np.array(fields(doc, "target_mean", [float])), np.array(fields(doc, "target_scale", [float]))
     numbers = dict(zip(("weights", "biases", "target_mean", "target_scale"),
                        (np.concatenate([np.ravel(a) for a in arrays]) for arrays in (*zip(*layers), [mean], [scale]))))
     for key, value in numbers.items():
         if not np.isfinite(value).all():
-            raise SurrogateError(f"{path}: {key}: expected finite numbers")
+            raise ValueError(f"{path}: {key}: expected finite numbers")
     for key, ok, rule in (
         *((key, np.abs(numbers[key]) <= TARGET_MAX, f"at most {TARGET_MAX:g} in magnitude")
           for key in ("weights", "biases", "target_mean")),
         ("target_scale", (scale > 0) & (scale <= TARGET_MAX), f"in (0, {TARGET_MAX:g}]"),
     ):
         if not ok.all():
-            raise SurrogateError(f"{path}: {key}: expected values {rule}, got {numbers[key][~ok][0]:g}")
+            raise ValueError(f"{path}: {key}: expected values {rule}, got {numbers[key][~ok][0]:g}")
     targets = tuple(fields(doc, "targets", [str]))
     width = layers[0][0].shape[0]
     for i, (W, b) in enumerate(layers):
         if W.ndim != 2 or W.shape[0] != width or b.shape != W.shape[1:]:
-            raise SurrogateError(f"{path}: layer {i}: weights of shape {W.shape} and bias of shape {b.shape}, "
-                                 f"expected ({width}, n) and (n,)")
+            raise ValueError(f"{path}: layer {i}: weights of shape {W.shape} and bias of shape {b.shape}, "
+                               f"expected ({width}, n) and (n,)")
         width = W.shape[1]
     if width != len(targets):
-        raise SurrogateError(f"{path}: {width} model outputs for {len(targets)} targets {list(targets)}")
+        raise ValueError(f"{path}: {width} model outputs for {len(targets)} targets {list(targets)}")
     for key, value in (("target_mean", mean), ("target_scale", scale)):
         if value.shape != (width,):
-            raise SurrogateError(f"{path}: {key}: expected {width} values, got shape {value.shape}")
+            raise ValueError(f"{path}: {key}: expected {width} values, got shape {value.shape}")
     return Model(weights=layers[-1][0], intercept=layers[-1][1], target_mean=mean, target_scale=scale,
                  hidden=tuple(layers[:-1]), activation=activation, targets=targets,
                  feature_ids=tuple(fields(doc, "feature_ids", [str])),

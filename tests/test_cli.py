@@ -58,6 +58,15 @@ def test_calibrate_fd_with_fixed_vmax(fixtures_dir, tmp_path):
     assert json.loads(out.read_text())["v_max"] == 13.68
 
 
+@pytest.mark.parametrize("v_max, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")])
+def test_calibrate_fd_refuses_fix_vmax_by_name_before_reading(tmp_path, capsys, v_max, shown):
+    out = tmp_path / "fd.json"
+    rc = main(["calibrate-fd", "--counters", str(tmp_path / "absent.csv"), "--fix-vmax", v_max, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --fix-vmax must be finite and > 0, got {shown}\n"
+    assert not out.exists()
+
+
 def test_simulate_command_with_probes_and_heatmaps(fixtures_dir, tmp_path, capsys):
     out = tmp_path / "metrics.json"
     rc = main(
@@ -81,6 +90,17 @@ def test_simulate_command_with_probes_and_heatmaps(fixtures_dir, tmp_path, capsy
     for suffix in ("hm_t0.csv", "hm_t0.pgm", "hm_t30.csv", "hm_t30.pgm"):
         assert (tmp_path / suffix).exists()
     assert "avg_speed=" in capsys.readouterr().out
+
+
+def test_simulate_writes_each_probed_state_once(fixtures_dir, tmp_path, capsys):
+    # both probes are answered by the first state whose clock reaches them, t = 0.5 s: one file pair, counted once
+    rc = main(["simulate", "--network", str(fixtures_dir / "cross.json"),
+               "--init", str(fixtures_dir / "cross_init.csv"), "--lights", str(fixtures_dir / "cross_lights.json"),
+               "--horizon", "10", "--warmup", "0", "--probes", "0.1,0.2", "--heatmap", str(tmp_path / "hm"),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.glob("hm*")) == ["hm_t0.5.csv", "hm_t0.5.pgm"]
+    assert f"wrote 1 heatmap snapshot(s) to {tmp_path / 'hm'}_t*.csv/.pgm\n" in capsys.readouterr().out
 
 
 def test_gen_dataset_output_is_readable(cli_dataset):

@@ -6,7 +6,6 @@ import pytest
 
 from macrosim import _pool, dataset
 from macrosim.dataset import (
-    DatasetError,
     DatasetRow,
     child_seed,
     feature_matrix,
@@ -103,11 +102,11 @@ def test_csv_round_trip_preserves_everything(tmp_path):
 
 
 def test_write_csv_rejects_empty_and_mismatched(tmp_path):
-    with pytest.raises(DatasetError):
+    with pytest.raises(ValueError, match="^refusing to write an empty dataset$"):
         write_csv([], tmp_path / "x.csv")
     rows = _toy_rows()
     rows[1] = DatasetRow(1, 222, {"J9": IntersectionSignal(20, 20, 0)}, 1.0, 1.0, "ok")
-    with pytest.raises(DatasetError, match="different intersections"):
+    with pytest.raises(ValueError, match="different intersections"):
         write_csv(rows, tmp_path / "x.csv")
 
 
@@ -115,23 +114,23 @@ def test_read_csv_names_missing_columns(tmp_path):
     # the header must be exactly the one write_csv writes for the intersections of its _red columns
     path = tmp_path / "bad.csv"
     path.write_text("run_id,seed,J1_red,J1_green,J1_offset,avg_speed,status\n")
-    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: expected header .*queue_length"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected header .*queue_length"):
         read_csv(path)
 
     path.write_text("seed,run_id,J1_red,J1_green,J1_offset,avg_speed,queue_length,status\n")
-    with pytest.raises(DatasetError, match="expected header run_id,seed,J1_red,J1_green,J1_offset,avg_speed,"):
+    with pytest.raises(ValueError, match="expected header run_id,seed,J1_red,J1_green,J1_offset,avg_speed,"):
         read_csv(path)
 
     path.write_text("")
-    with pytest.raises(DatasetError, match="got an empty file$"):
+    with pytest.raises(ValueError, match="got an empty file$"):
         read_csv(path)
 
     path.write_text("run_id,seed,J1_red,J1_offset,avg_speed,queue_length,status\n")
-    with pytest.raises(DatasetError, match="J1_green"):
+    with pytest.raises(ValueError, match="J1_green"):
         read_csv(path)
 
     path.write_text("run_id,seed,J1_red,J1_green,J1_offset,bogus,avg_speed,queue_length,status\n")
-    with pytest.raises(DatasetError, match="bogus"):
+    with pytest.raises(ValueError, match="bogus"):
         read_csv(path)
 
 
@@ -142,7 +141,7 @@ def test_read_csv_reports_malformed_line(tmp_path):
         "0,1,30,25,12,6.25,40.5,ok\n"
         "1,2,thirty,25,12,6.25,40.5,ok\n"
     )
-    with pytest.raises(DatasetError, match="line 3"):
+    with pytest.raises(ValueError, match="line 3"):
         read_csv(path)
 
 
@@ -152,7 +151,7 @@ def test_read_csv_refuses_non_finite_metrics_in_ok_rows(tmp_path, speed, queue):
     path = tmp_path / "bad.csv"
     header = "run_id,seed,J1_red,J1_green,J1_offset,avg_speed,queue_length,status\n"
     path.write_text(header + f"0,1,30,25,12,{speed},{queue},ok\n1,2,30,25,12,nan,nan,failed: boom\n")
-    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: line 2: a row marked ok needs finite metrics"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: a row marked ok needs finite metrics"):
         read_csv(path)
     path.write_text(header + f"0,1,30,25,12,{speed},{queue},failed: boom\n")
     assert not read_csv(path)[0].ok
@@ -327,5 +326,5 @@ def test_feature_matrix_filters_failed_rows():
     assert X[0, 0] == pytest.approx((30 - 20) / 34)
     assert X[0, 5] == pytest.approx(0.0)
 
-    with pytest.raises(DatasetError, match="no successful rows"):
+    with pytest.raises(ValueError, match="no successful rows"):
         feature_matrix([rows[1]])

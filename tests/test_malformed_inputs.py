@@ -9,12 +9,18 @@ import copy
 import json
 import math
 import os
+import re
 import warnings
 
 import pytest
 
+from macrosim import dataset
 from macrosim.cli import main
-from macrosim.network import MAX_LANES
+from macrosim.fundamental import read_counters
+from macrosim.network import MAX_LANES, load_network
+from macrosim.signals import load_config
+from macrosim.solver import read_speeds_csv
+from macrosim.surrogate import load_model
 
 BAD = [None, True, "x", 1.5, -1, 0, math.nan, math.inf, -math.inf, 1e308, 10**30, [], {}]
 DELETE = object()
@@ -162,3 +168,31 @@ def test_a_huge_metric_is_refused_before_any_model_is_written(tmp_path, capsys, 
     wanted = f"error: {path}: targets must be at most 1e+150 in magnitude, got 1e+308\n"
     assert (rc, capsys.readouterr()) == (1, ("", wanted))
     assert not out.exists()
+
+
+# (reader, file name, a file of the reader's dialect with one field of the wrong type, the error after the path)
+READERS = [
+    (load_network, "net.json", '{"nodes": [{"id": "A", "x": "east", "y": 0}], "edges": []}',
+     "nodes[0].x: expected float, got 'east'"),
+    (load_config, "lights.json", '{"X": {"red": "thirty", "green": 20, "offset": 10}}',
+     "X.red: expected int, got 'thirty'"),
+    (dataset.read_csv, "data.csv", "\n".join([DATASET[0], DATASET[1].replace("0,11,30,", "0,11,thirty,")]),
+     "line 2: X_red: expected int, got 'thirty'"),
+    (load_model, "model.json", json.dumps({**MODEL, "activation": 3}), "activation: expected str, got 3"),
+    (read_counters, "counters.csv", "interval_s,count,avg_speed_mps\n300.0,many,13.2\n",
+     "line 2: count: expected float, got 'many'"),
+    (read_speeds_csv, "init.csv", "edge_id,speed_mps\n*,fast\n", "line 2: speed_mps: expected float, got 'fast'"),
+]
+
+
+@pytest.mark.parametrize("reader, name, wrong_type, wanted", READERS, ids=[r[0].__name__ for r in READERS])
+def test_every_reader_refuses_with_a_value_error_that_starts_with_its_path(tmp_path, reader, name, wrong_type, wanted):
+    path = tmp_path / name
+    other = "edge_id,speed_mps\n*,8.0\n" if name.endswith(".json") else json.dumps(MODEL)  # the other dialect
+    for data in (b"\xff\xfe\x00 not text", other.encode()):  # unparseable: undecodable bytes, or not its dialect
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            reader(path)
+    path.write_text(wrong_type)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {wanted}')}$"):
+        reader(path)

@@ -11,7 +11,6 @@ from macrosim.signals import load_config, save_config
 from macrosim.network import (
     MAX_CELLS,
     Intersection,
-    NetworkError,
     Node,
     RoadEdge,
     RoadNetwork,
@@ -163,7 +162,7 @@ def test_load_network_rejects_a_node_on_its_junction(fixtures_dir, tmp_path, nam
             n["x"], n["y"] = xy
     path = tmp_path / "moved.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(NetworkError, match=re.escape(wanted)):
+    with pytest.raises(ValueError, match=re.escape(wanted)):
         load_network(path)
 
 
@@ -175,7 +174,7 @@ def test_turn_angle_straight_and_perpendicular():
 
 def test_turn_angle_requires_shared_intersection():
     net = _t_junction()
-    with pytest.raises(NetworkError):
+    with pytest.raises(ValueError, match="^edges e and w do not meet at a common intersection$"):
         turn_angle(net, "e", "w")
 
 
@@ -228,7 +227,7 @@ def test_fd_defaults_carry_no_v_max(tmp_path):
 
     doc["fd_defaults"]["v_max"] = 12.0
     path.write_text(json.dumps(doc))
-    with pytest.raises(NetworkError, match=rf"^{re.escape(str(path))}: fd_defaults.v_max .*free_flow_speed_mps"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: fd_defaults.v_max .*free_flow_speed_mps"):
         load_network(path)
 
 
@@ -253,7 +252,7 @@ def test_load_network_refuses_a_per_edge_fd(tmp_path):
     doc["edges"][0]["fd"] = {"v_max": 8.0, "rho_cr": 0.03, "a": 2.0}
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(NetworkError, match=rf"^{re.escape(str(path))}: edge r: a per-edge fd is refused"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: edge r: a per-edge fd is refused"):
         load_network(path)
 
 
@@ -263,7 +262,7 @@ def test_load_network_rejects_a_bad_curve_shape(tmp_path, key, value):
     shape = {"rho_cr": 0.05, "a": 1.24, key: value}
     path = tmp_path / "net.json"
     path.write_text(json.dumps(_one_edge_doc(fd_defaults=shape)))
-    with pytest.raises(NetworkError, match=rf"^invalid network {re.escape(str(path))}:\n  fd_defaults.{key} must be"):
+    with pytest.raises(ValueError, match=rf"^invalid network {re.escape(str(path))}:\n  fd_defaults.{key} must be"):
         load_network(path)
 
 
@@ -287,7 +286,7 @@ def test_load_network_rejects_duplicates(tmp_path):
          ]}
         """
     )
-    with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}: duplicate edge id 'r'$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate edge id 'r'$"):
         load_network(path)
 
 
@@ -298,20 +297,20 @@ def test_network_rejects_a_repeated_id(kind):
     intersections = [Intersection("X", "B", ("r",), ())]
     parts = {"node": nodes, "edge": edges, "intersection": intersections}
     parts[kind] = parts[kind] + [parts[kind][0]]
-    with pytest.raises(NetworkError, match=f"^duplicate {kind} id '{parts[kind][0].id}'$"):
+    with pytest.raises(ValueError, match=f"^duplicate {kind} id '{parts[kind][0].id}'$"):
         RoadNetwork(*parts.values())
 
 
 @pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0, -5.0])
 def test_network_rejects_a_length_the_cell_layout_cannot_use(tmp_path, length):
     wanted = f"edge r: length must be finite and > 0, got {length!r}"
-    with pytest.raises(NetworkError, match=f"^{re.escape(wanted)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
         RoadNetwork([Node("A", 0.0, 0.0), Node("B", 100.0, 0.0)], [RoadEdge("r", "A", "B", length, 1, 10.0)], [])
     doc = _one_edge_doc()
     doc["edges"][0]["length_m"] = length
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes and reads them
-    with pytest.raises(NetworkError, match=f"^{re.escape(f'{path}: {wanted}')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {wanted}')}$"):
         load_network(path)
 
 
@@ -320,14 +319,14 @@ def test_network_refuses_a_cell_layout_above_the_cap(tmp_path):
     nodes = [Node("A", 0.0, 0.0), Node("B", 100.0, 0.0)]
     assert RoadNetwork(nodes, [RoadEdge("r", "A", "B", 10.0 * MAX_CELLS, 1, 10.0)], []).total_cells == MAX_CELLS
     wanted = f"edge r: the cell layout reaches {MAX_CELLS + 1} cells, more than {MAX_CELLS}"
-    with pytest.raises(NetworkError, match=f"^{re.escape(wanted)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
         RoadNetwork(nodes, [RoadEdge("r", "A", "B", 10.0 * (MAX_CELLS + 1), 1, 10.0)], [])
     path = tmp_path / "net.json"
     for length in (10.0 * (MAX_CELLS + 1), 1e11, 1e308):
         doc = _one_edge_doc()
         doc["edges"][0]["length_m"] = length
         path.write_text(json.dumps(doc))
-        with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}: edge r: the cell layout reaches "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: edge r: the cell layout reaches "):
             load_network(path)
 
 
@@ -364,10 +363,10 @@ def test_load_network_names_the_key_path_of_a_bad_field(tmp_path, where, key, va
         doc[where][0][key] = value
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(NetworkError, match=f"^{re.escape(f'{path}: {wanted}')}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {wanted}')}"):
         load_network(path)
     path.write_text(json.dumps({**_ONE_JUNCTION, where: [None]}))
-    with pytest.raises(NetworkError, match=f"^{re.escape(f'{path}: {where}[0]: expected dict, got None')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {where}[0]: expected dict, got None')}$"):
         load_network(path)
     path.write_text(json.dumps(_ONE_JUNCTION))
     assert load_network(path).edges["r"].lanes == 1
@@ -388,14 +387,14 @@ def test_fixtures_round_trip_byte_for_byte(fixtures_dir, tmp_path):
 def test_load_network_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(NetworkError, match="cannot parse"):
+    with pytest.raises(ValueError, match="cannot parse"):
         load_network(path)
 
 
 def test_load_network_rejects_missing_field(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text('{"nodes": [], "edges": [{"id": "r"}]}')
-    with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}: missing key 'edges\\[0\\].from'$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key 'edges\\[0\\].from'$"):
         load_network(path)
 
 
@@ -408,5 +407,5 @@ def test_load_network_runs_validation(tmp_path):
                     "free_flow_speed_mps": 10}]}
         """
     )
-    with pytest.raises(NetworkError, match="invalid network"):
+    with pytest.raises(ValueError, match="invalid network"):
         load_network(path)

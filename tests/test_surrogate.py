@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from macrosim import _pool, surrogate
 from macrosim.surrogate import (
     MlpHyper,
-    SurrogateError,
     fit_linear,
     fit_mlp,
     grid_search_mlp,
@@ -78,9 +78,10 @@ def test_linear_single_target_predict_shape():
 
 
 def test_fit_linear_input_validation():
-    with pytest.raises(ValueError):
+    # both trainers share these refusals and their wording; test_mlp_input_validation holds the MLP's
+    with pytest.raises(ValueError, match="^cannot fit on an empty design matrix$"):
         fit_linear(np.zeros((0, 3)), np.zeros((0, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^X must be 2-d with one row per target row$"):
         fit_linear(np.zeros((5, 3)), np.zeros((4, 2)))
 
 
@@ -199,8 +200,12 @@ def test_mlp_input_validation():
         MlpHyper(activation="sigmoid")
     with pytest.raises(ValueError):
         MlpHyper(hidden=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least 3 rows to train with a validation split$"):
         fit_mlp(np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="^cannot fit on an empty design matrix$"):
+        fit_mlp(np.zeros((0, 3)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="^X must be 2-d with one row per target row$"):
+        fit_mlp(np.zeros((5, 3)), np.zeros((4, 2)))
     # no epochs, no patience, a step that is not positive, a negative penalty or tolerance: refused by name
     bad = [("max_epochs", 0), ("patience", 0), ("learning_rate", 0.0), ("learning_rate", -1.0),
            ("alpha", -1e-4), ("tol", -1e-4), ("tol", float("nan"))]
@@ -297,7 +302,7 @@ def test_model_json_round_trip(tmp_path):
 def test_load_model_rejects_unknown_kind(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"kind": "forest"}\n')
-    with pytest.raises(SurrogateError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key 'weights'$"):
         load_model(path)
 
 
@@ -350,7 +355,7 @@ _MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.
 def test_load_model_names_the_file_and_bad_key(tmp_path, text, wanted):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(SurrogateError, match=f"^{re.escape(str(path))}: {re.escape(wanted)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(wanted)}"):
         load_model(path)
     path.write_text(json.dumps(_LINEAR))
     assert load_model(path).feature_ids == ("J",)
@@ -473,19 +478,24 @@ def test_fewer_target_names_than_columns_are_refused(fit):
     assert fit(X, Y[:, 0]).targets == ("avg_speed",)  # a one-column Y still takes the first default name
 
 
-def test_features_the_float32_trainer_cannot_take_are_refused():
+@pytest.mark.parametrize(
+    "fit", [fit_linear, partial(fit_mlp, hyper=MlpHyper(learning_rate=0.01, max_epochs=30, patience=30))],
+    ids=["fit_linear", "fit_mlp"],
+)
+def test_features_the_float32_trainer_cannot_take_are_refused(fit):
+    # both trainers take one training set: the normal equations turn such features into non-finite weights
     X, Y = _smooth_design(40, 3)
-    for bad in (np.nan, -np.inf, 1.5 * surrogate.FEATURE_MAX):
+    for bad in (np.nan, -np.inf, 1.5 * surrogate.FEATURE_MAX, 1e200):
         X_bad = X.copy()
         X_bad[3, 1] = bad
         wanted = f"features must be at most 1e+06 in magnitude, got {abs(bad):g}"
         with pytest.raises(ValueError, match=re.escape(wanted)):
-            fit_mlp(X_bad, Y, MlpHyper(hidden=(4,), max_epochs=2))
+            fit(X_bad, Y)
     # [0, 1] features scaled to the bound train the default architecture with no overflow; the first
     # overflow warning, in Adam's squared gradients, came at 1e10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = fit_mlp(X * -surrogate.FEATURE_MAX, Y, MlpHyper(learning_rate=0.01, max_epochs=30, patience=30))
+        model = fit(X * -surrogate.FEATURE_MAX, Y)
     assert all(np.isfinite(a).all() for layer in model.layers for a in layer)
 
 
