@@ -3,7 +3,7 @@
 from .fundamental import FdParams, fit_fd, ideal_speed, invert_speed
 from .metrics import CongestionMetrics, congestion_weight
 from .network import RoadNetwork, load_network, save_network, turn_angle, turn_speed_factor, validate
-from .signals import IntersectionSignal, Phase, decode, encode, sample_config
+from .signals import IntersectionSignal, decode, encode, sample_config
 from .solver import SimParams, SimState, check_cfl, initialize, run, step, virtual_boundaries
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "turn_speed_factor",
     "validate",
     "IntersectionSignal",
-    "Phase",
     "decode",
     "encode",
     "sample_config",

@@ -109,7 +109,9 @@ def _refuse_below(args, **least) -> None:
 def _cmd_calibrate_fd(args) -> int:
     if args.fix_vmax is not None and not (math.isfinite(args.fix_vmax) and args.fix_vmax > 0):
         raise ValueError(f"--fix-vmax must be finite and > 0, got {args.fix_vmax}")
-    fit = fundamental.fit_fd(fundamental.read_counters(args.counters), fixed_v_max=args.fix_vmax)
+    samples = fundamental.read_counters(args.counters)
+    with naming(args.counters):  # too few samples, or too few distinct densities, to fit
+        fit = fundamental.fit_fd(samples, fixed_v_max=args.fix_vmax)
     fundamental.save_fit(fit, args.out)
     status = "converged" if fit.converged else "NOT converged (iteration cap hit)"
     print(
@@ -145,9 +147,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _signalized_network(path):
+    """The network at ``path``, refused naming the file when it has no signalized intersections to vary."""
+    net = load_network(path)
+    if not net.signalized_ids():
+        raise ValueError(f"{path}: network has no signalized intersections; nothing to vary")
+    return net
+
+
 def _cmd_gen_dataset(args) -> int:
     _refuse_below(args, runs=1, jobs=1)
-    net = load_network(args.network)
+    net = _signalized_network(args.network)
     state0, params = _initial_state(args, net)
     rows = dataset.generate(
         net, state0, params, n_runs=args.runs, seed=args.seed, workers=args.jobs,
@@ -198,7 +208,7 @@ def _cmd_train_surrogate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     _refuse_below(args, generations=0, pop=4, jobs=1)
-    net = load_network(args.network)
+    net = _signalized_network(args.network)
     rows = dataset.read_csv(args.data)
     de = optimizer.DeConfig(pop_size=args.pop, max_generations=args.generations, seed=args.seed)
 
@@ -211,6 +221,10 @@ def _cmd_optimize(args) -> int:
     workers = 1 if args.jobs is None else args.jobs
     # checks the protocol before the search, not after it; --direct and --validate run their simulations through it
     with dataset.BatchRunner(net, state0, params, workers, args.horizon, args.warmup) as runner:
+        ids = net.signalized_ids()
+        if rows and sorted(rows[0].config) != list(ids):  # a row seeds the search, so the rows must fit the network
+            raise ValueError(f"{args.data}: table rows are intersections {sorted(rows[0].config)}, "
+                             f"but {args.network} signalizes {list(ids)}")
         if args.direct:
             objective = optimizer.simulation_objective(runner, args.objective)
         else:

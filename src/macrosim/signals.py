@@ -4,13 +4,12 @@ Each signalized intersection runs two complementary groups. Group A starts
 RED, stays red for ``offset`` seconds, then alternates green for ``green``
 seconds and red for ``red`` seconds forever; group B is always the opposite
 of group A. Timings are integer seconds: red and green in [20, 54], offset
-in [0, red + green - 1].
+in [0, red + green - 1]. ``red_schedule`` states which stop lines are red when.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,11 +17,6 @@ from ._files import Fields, naming, read_json, write_json
 
 RED_GREEN_MIN = 20
 RED_GREEN_MAX = 54
-
-
-class Phase(Enum):
-    GREEN = "GREEN"
-    RED = "RED"
 
 
 @dataclass(frozen=True)
@@ -51,10 +45,11 @@ class IntersectionSignal:
 
 
 def group_a_red(signal: IntersectionSignal, t):
-    """Whether group A is red at time t seconds; t may be a scalar or an array."""
+    """Whether group A is red at time t seconds; t may be a scalar or an array of finite times >= 0."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"time must be >= 0, got {t.min()}")
+    bad = t[~((0 <= t) & (t < np.inf))]  # nan fails both comparisons
+    if bad.size:
+        raise ValueError(f"time must be finite and >= 0, got {bad[0]}")
     return (t < signal.offset) | ((t - signal.offset) % signal.cycle >= signal.green)
 
 
@@ -80,18 +75,24 @@ def signal_groups(net, config: dict | None) -> list[tuple[IntersectionSignal, tu
     return [(config[iid], net.intersections[iid].group_a, net.intersections[iid].group_b) for iid in ids]
 
 
-def edge_phases(net, config: dict | None, t: float) -> dict[str, Phase]:
-    """Phase of every signal-controlled incoming edge at time t; group B is always group A's complement.
+def red_schedule(net, config: dict | None, times) -> np.ndarray:
+    """Red stop lines at each clock of ``times``: a (len(times), len(net.edge_order)) bool array in net.edge_order.
 
-    Edges not controlled by a signal are absent from the result (treat as
-    green); config is checked as in signal_groups.
+    Group A is red as group_a_red says, group B is its complement, and an edge without a signal is never red;
+    config is checked as in signal_groups.
     """
-    phases: dict[str, Phase] = {}
+    index = {eid: i for i, eid in enumerate(net.edge_order)}
+    red = np.zeros((len(times), len(index)), dtype=bool)
     for signal, group_a, group_b in signal_groups(net, config):
-        a, b = (Phase.RED, Phase.GREEN) if group_a_red(signal, t) else (Phase.GREEN, Phase.RED)
-        phases.update(dict.fromkeys(group_a, a))
-        phases.update(dict.fromkeys(group_b, b))
-    return phases
+        a_red = group_a_red(signal, times)[:, None]
+        red[:, [index[eid] for eid in group_a]] = a_red
+        red[:, [index[eid] for eid in group_b]] = ~a_red
+    return red
+
+
+def edge_phases(net, config: dict | None, t: float) -> frozenset[str]:
+    """The ids of the stop lines that are red at time t: the row of red_schedule at that clock."""
+    return frozenset(eid for eid, red in zip(net.edge_order, red_schedule(net, config, [t])[0].tolist()) if red)
 
 
 def sample_config(net, rng: np.random.Generator) -> dict:

@@ -13,13 +13,13 @@ Stability requires v_max * dt / dx <= 1 on every edge; ``run`` refuses to
 start otherwise.
 
 ``run`` compiles the network once per call into a private plan of flat
-per-cell, per-edge and per-movement arrays and gather indices, plus a
-per-step red-light mask whose consequences it recomputes only at the steps
-where the mask changes, then advances each step with two whole-array
-kernels that share one cell-flux array: the boundary kernel (every movement
-summed by np.bincount, red ones into a dropped bin) and the cell update (one
-dot product guards finiteness; only if it is not finite are the cells
-checked one by one). On small networks a step costs tens of numpy calls
+per-cell, per-edge and per-movement arrays and gather indices, takes its
+per-step red-light mask from ``signals.red_schedule``, recomputes the mask's
+consequences only at the steps where it changes, and advances each step
+with two whole-array kernels that share one cell-flux array: the boundary
+kernel (every movement summed by np.bincount, red ones into a dropped bin)
+and the cell update (one dot product guards finiteness; only if it is not
+finite are the cells checked one by one). On small networks a step costs tens of numpy calls
 rather than arithmetic, so the kernels keep that count low, and they write
 their per-cell results into work arrays the plan owns rather than into new
 temporaries, one ufunc at a time in the order the update's expressions
@@ -29,14 +29,16 @@ read. From the first sampled step on, every step is sampled; ``run`` copies
 the speeds into a block of a few steps and computes their metrics in one
 call. A list of signal configurations runs as one plan of disjoint network
 copies, one per configuration. ``virtual_boundaries`` and ``step`` are
-one-step views of the same two kernels, each compiling one plan per call;
-``step`` derives its ghosts on that plan, and its state is its caller's.
+one-step views of the same two kernels, each compiling one plan per call
+and taking the red stop lines as edge ids, one row of that schedule
+(``edge_phases``); ``step`` derives its ghosts on that plan, and its state
+is its caller's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping
+from typing import ClassVar, Collection, Mapping
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from ._files import Fields, read_table, write_json, write_table
 from .fundamental import _curve, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
-from .signals import Phase, edge_phases, group_a_red, signal_groups  # noqa: F401 (edge_phases: as above)
+from .signals import edge_phases, red_schedule  # noqa: F401 (edge_phases: as above)
 
 HORIZON_S = 340.0  # the paper's protocol: simulated seconds per run
 WARMUP_S = 100.0   # and the seconds before metrics are sampled
@@ -183,7 +185,7 @@ class _Plan:
 
     def __init__(self, net: RoadNetwork, params: SimParams, batch: int = 1):
         self.edges = net.edge_order
-        self.index = {eid: i for i, eid in enumerate(self.edges)}
+        index = {eid: i for i, eid in enumerate(self.edges)}
         edges = [net.edges[eid] for eid in self.edges]
         dt = params.dt_s
 
@@ -211,13 +213,13 @@ class _Plan:
                 if w > 0:
                     rows.setdefault(e_in, {})[e_out] = w
                     row_sum[e_in] = row_sum.get(e_in, 0.0) + w
-                    rows_dn.append((self.index[e_in], self.index[e_out], w))
+                    rows_dn.append((index[e_in], index[e_out], w))
             for e_out in ix.outgoing:
                 for e_in in ix.incoming:
                     w = rows.get(e_in, {}).get(e_out)
                     if w is not None:
                         cap = net.edges[e_in].free_flow_speed * turn_speed_factor(turn_angle(net, e_in, e_out))
-                        movements.append((self.index[e_in], self.index[e_out], w / row_sum[e_in], cap))
+                        movements.append((index[e_in], index[e_out], w / row_sum[e_in], cap))
         self.mv_in, self.mv_out, self.mv_share, self.mv_cap = _columns(movements, np.intp, np.intp, float, float)
         self.dn_in, self.dn_out, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
 
@@ -247,16 +249,6 @@ class _Plan:
         self.dest = np.where(red[self.mv_in], len(self.first), self.mv_out)
         self.jammed = red & self.has_dn
         self.pinned = self.last[red]
-
-
-def _red_schedule(net: RoadNetwork, plan: _Plan, config: dict | None, times: np.ndarray) -> np.ndarray:
-    """Red stop lines per step, shape (len(times), edges), from one check of the configuration."""
-    red = np.zeros((len(times), len(plan.edges)), dtype=bool)
-    for signal, group_a, group_b in signal_groups(net, config):
-        a_red = group_a_red(signal, times)[:, None]
-        red[:, [plan.index[eid] for eid in group_a]] = a_red
-        red[:, [plan.index[eid] for eid in group_b]] = ~a_red
-    return red
 
 
 def _fluxes(plan: _Plan, s: np.ndarray) -> np.ndarray:
@@ -347,15 +339,15 @@ def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, params: SimParams,
     return new
 
 
-def _view(net: RoadNetwork, state: SimState, phases: dict, params: SimParams):
-    """Both views' setup: a plan with the red flags of ``phases``, the pair (rho, v), its (q, v*v) in plan.x, the ghosts."""
+def _view(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams):
+    """Both views' setup: a plan with the red stop lines ``red``, the pair (rho, v), its (q, v*v) in plan.x, the ghosts."""
     plan = _Plan(net, params)
-    plan.set_red(np.array([phases.get(eid) is Phase.RED for eid in plan.edges], dtype=bool))
+    plan.set_red(np.array([eid in red for eid in plan.edges], dtype=bool))
     s = np.stack([state.rho, state.v])
     return plan, s, _boundaries(plan, _fluxes(plan, s), s[0], s[1], params)
 
 
-def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> VirtualBoundary:
+def virtual_boundaries(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams) -> VirtualBoundary:
     """Ghost values for every edge end from intersection mixing and boundary rules.
 
     For an outgoing edge, the inflow flux is the turn-weight share of every
@@ -365,14 +357,15 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, phases: dict, params: 
     it, a U-turn nothing). For an incoming edge, the downstream ghost density
     is a flux-consistent quadratic mean over the receiving edges' first
     cells; a red incoming edge instead sees jam density. Uncoupled ends use
-    zero-gradient values. A dict view of the boundary kernel that ``run``
-    executes.
+    zero-gradient values. ``red`` holds the ids of the red stop lines, as
+    ``edge_phases`` gives them. A dict view of the boundary kernel that
+    ``run`` executes.
     """
-    plan, _, ghosts = _view(net, state, phases, params)
+    plan, _, ghosts = _view(net, state, red, params)
     return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
-def step(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> SimState:
+def step(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams) -> SimState:
     """Advance one time step from the ghosts ``virtual_boundaries`` gives; does not mutate ``state``.
 
     Order within the step: densities from the flux balance, speeds from
@@ -383,7 +376,7 @@ def step(net: RoadNetwork, state: SimState, phases: dict, params: SimParams) -> 
     ``run`` executes.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in run
-        plan, s, ghosts = _view(net, state, phases, params)
+        plan, s, ghosts = _view(net, state, red, params)
         rho, v = _advance(plan, s, *ghosts, params, state.k, state.t)
     return SimState(rho=rho, v=v, t=state.t + params.dt_s, k=state.k + 1)
 
@@ -447,12 +440,14 @@ def run(
 ) -> RunResult | list[RunResult]:
     """Simulate for ``horizon`` seconds and time-average the congestion metrics.
 
-    Metrics are sampled on the state before each step (t = 0, dt, ...) and
-    accumulated once t reaches ``warmup``. ``probes`` is an optional list of
-    times at which the full state is recorded as a SimState, taken at the
-    first state whose clock reaches each probe; a probe outside the run's clock
-    span [state0.t, state0.t + horizon] is refused. Deterministic: no randomness
-    is drawn here, so equal inputs give bit-identical results.
+    The clock starts at ``state0.t``, which must be finite and >= 0, as the
+    signals' clock starts at 0. Metrics are sampled on the state before each
+    step (t = 0, dt, ...) and accumulated once t reaches ``warmup``.
+    ``probes`` is an optional list of times at which the full state is
+    recorded as a SimState, taken at the first state whose clock reaches each
+    probe; a probe outside the run's clock span [state0.t, state0.t + horizon]
+    is refused. Deterministic: no randomness is drawn here, so equal inputs
+    give bit-identical results.
 
     ``config`` may also be a list of configurations, all started from
     ``state0``: they are simulated in one pass as disjoint copies of the
@@ -460,6 +455,8 @@ def run(
     bit-identical to the run of that configuration alone.
     """
     check_protocol(net, params, horizon, warmup)
+    if not (math.isfinite(state0.t) and state0.t >= 0):
+        raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
     configs = config if isinstance(config, list) else [config]
     if not configs:
         raise ValueError("config list is empty")
@@ -474,21 +471,21 @@ def run(
     snapshots: list[SimState] = []
 
     plan = _Plan(net, params, batch)
-    # the clock values t takes below: add.accumulate sums left to right, as the steps do
-    times = np.cumsum(np.r_[state0.t, np.full(n_steps - 1, params.dt_s)])
-    red = np.concatenate([_red_schedule(net, plan, c, times) for c in configs], axis=1)
+    # the clock before each step and after the last: add.accumulate sums left to right, as t += dt would
+    clock = np.cumsum(np.r_[state0.t, np.full(n_steps, params.dt_s)])
+    red = np.concatenate([red_schedule(net, c, clock[:-1]) for c in configs], axis=1)
     switches = np.r_[True, (red[1:] != red[:-1]).any(axis=1)].tolist()  # steps whose red flags differ from the last
     # the clock only grows, so every step from the first at the warm-up on is sampled; the speeds of up to
     # len(block) samples are gathered and measured by one step_metrics call, whose per-row sums are as alone
-    first = int(np.count_nonzero(times < warmup - 1e-9))
+    first = int(np.count_nonzero(clock[:-1] < warmup - 1e-9))
     series = np.empty((2, n_steps - first, batch))  # mean speed and queue length per sample and row
     block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // plan.tmp.size)), batch, net.total_cells))
 
-    s, t = np.stack([np.tile(state0.rho, batch), np.tile(state0.v, batch)]), state0.t  # the pair (rho, v), the clock
+    s = np.stack([np.tile(state0.rho, batch), np.tile(state0.v, batch)])  # the pair (rho, v)
     # overflows only reach _advance's finiteness guard, which raises on a non-finite cell; its one dot
     # product can also overflow on finite cells, so the warnings say nothing the guard does not
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
+        for k, t in enumerate(clock.tolist()):
             while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - 1e-9:
                 snapshots.append(SimState(*s.reshape(2, batch, -1).copy(), t=t, k=state0.k + k))
                 probe_idx += 1
@@ -504,7 +501,6 @@ def run(
                 plan.set_red(red[k])
             q = _fluxes(plan, s)
             s = _advance(plan, s, *_boundaries(plan, q, s[0], s[1], params), params, state0.k + k, t)
-            t += params.dt_s
 
     # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
     speeds, queues = series.transpose(0, 2, 1).copy()

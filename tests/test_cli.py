@@ -711,6 +711,35 @@ def test_cross_file_errors_name_the_file_or_flag(fixtures_dir, tmp_path, capsys)
         assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("case", ["gen-dataset on ring", "optimize on ring", "table of other intersections",
+                                  "counters with two moving rows", "counters of one density"])
+def test_inputs_that_do_not_fit_the_command_name_their_file(cli_dataset, fixtures_dir, tmp_path, capsys, case):
+    # a network with nothing to vary, a table of other intersections, or counters too few or too alike to fit
+    ring, twolights = fixtures_dir / "ring.json", fixtures_dir / "twolights.json"
+    direct = ["optimize", "--direct", "--objective", "speed", "--data", str(cli_dataset)]
+    counters = tmp_path / "counters.csv"
+    counters.write_text("interval_s,count,avg_speed_mps\n" + {
+        "counters with two moving rows": "60,10,0\n60,12,0\n60,8,10\n",  # a row at rest gives no sample
+        "counters of one density": "60,10,10\n60,10,10\n60,10,10\n",
+    }.get(case, ""))
+    argv, wanted = {
+        "gen-dataset on ring": (["gen-dataset", "--network", str(ring), "--init", str(fixtures_dir / "ring_init.csv"),
+                                 "--runs", "2"], f"{ring}: network has no signalized intersections; nothing to vary"),
+        "optimize on ring": ([*direct, "--network", str(ring), "--init", str(fixtures_dir / "ring_init.csv")],
+                             f"{ring}: network has no signalized intersections; nothing to vary"),
+        "table of other intersections": (
+            [*direct, "--network", str(twolights), "--init", str(fixtures_dir / "twolights_init.csv")],
+            f"{cli_dataset}: table rows are intersections ['X'], but {twolights} signalizes ['J1', 'J2']"),
+        "counters with two moving rows": (["calibrate-fd", "--counters", str(counters)],
+                                          f"{counters}: need at least 3 samples to fit 3 parameters"),
+        "counters of one density": (["calibrate-fd", "--counters", str(counters)],
+                                    f"{counters}: need at least 3 distinct densities"),
+    }[case]
+    assert main([*argv, "--out", str(tmp_path / "x.out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {wanted}\n")
+    assert not (tmp_path / "x.out").exists()
+
+
 @pytest.mark.parametrize("length", ["NaN", "Infinity", "0", "-5"])
 def test_a_bad_edge_length_is_an_error_naming_the_file_and_edge(fixtures_dir, tmp_path, capsys, length):
     path = tmp_path / "net.json"

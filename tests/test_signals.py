@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,6 @@ from macrosim.signals import (
     RED_GREEN_MAX,
     RED_GREEN_MIN,
     IntersectionSignal,
-    Phase,
     decode,
     decode_values,
     edge_phases,
@@ -15,6 +16,7 @@ from macrosim.signals import (
     encode_values,
     group_a_red,
     load_config,
+    red_schedule,
     sample_config,
     save_config,
     signal_groups,
@@ -46,12 +48,12 @@ def test_zero_offset_starts_green():
 
 @given(signals, st.floats(min_value=0, max_value=500))
 def test_groups_are_always_complementary(twolights_net, sig, t):
-    phases = edge_phases(twolights_net, {"J1": sig, "J2": sig}, t)
+    red = edge_phases(twolights_net, {"J1": sig, "J2": sig}, t)
     a_red = group_a_red(sig, t)
     for iid in ("J1", "J2"):
         ix = twolights_net.intersections[iid]
-        assert all((phases[e] is Phase.RED) == a_red for e in ix.group_a)
-        assert all((phases[e] is Phase.GREEN) == a_red for e in ix.group_b)
+        assert all((e in red) == a_red for e in ix.group_a)
+        assert all((e not in red) == a_red for e in ix.group_b)
 
 
 @given(signals, st.floats(min_value=0, max_value=300))
@@ -66,6 +68,10 @@ def test_phase_rejects_negative_time():
         group_a_red(IntersectionSignal(20, 20, 0), -1.0)
     with pytest.raises(ValueError):
         group_a_red(IntersectionSignal(20, 20, 0), np.array([0.0, -1.0]))
+    # a clock that is not a time has no phase: nan used to read as group A green, and so did inf
+    for t in (np.nan, np.inf, np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match=r"^time must be finite and >= 0, got (nan|inf)$"):
+            group_a_red(IntersectionSignal(20, 20, 0), t)
 
 
 def test_signal_validation():
@@ -96,21 +102,15 @@ def test_edge_phases_covers_signal_groups(twolights_net):
         "J1": IntersectionSignal(30, 20, 10),
         "J2": IntersectionSignal(20, 20, 0),
     }
-    phases = edge_phases(twolights_net, config, 0.0)
-    controlled = set()
-    for iid in ("J1", "J2"):
-        ix = twolights_net.intersections[iid]
-        controlled |= set(ix.group_a) | set(ix.group_b)
-    assert set(phases) == controlled
-    ix1 = twolights_net.intersections["J1"]
-    # group A of J1 sits in its initial red at t=0, group B is green
-    assert all(phases[e] is Phase.RED for e in ix1.group_a)
-    assert all(phases[e] is Phase.GREEN for e in ix1.group_b)
+    red = edge_phases(twolights_net, config, 0.0)
+    ix1, ix2 = twolights_net.intersections["J1"], twolights_net.intersections["J2"]
+    # group A of J1 sits in its initial red at t=0, so its group B is green; J2's zero offset starts group A green
+    assert red == frozenset(ix1.group_a) | frozenset(ix2.group_b)
 
 
 def test_edge_phases_unsignalized(ring_net):
-    assert edge_phases(ring_net, None, 5.0) == {}
-    assert edge_phases(ring_net, {}, 5.0) == {}
+    assert edge_phases(ring_net, None, 5.0) == frozenset()
+    assert edge_phases(ring_net, {}, 5.0) == frozenset()
     with pytest.raises(ValueError):
         edge_phases(ring_net, {"X": IntersectionSignal(20, 20, 0)}, 0.0)
 
@@ -118,6 +118,39 @@ def test_edge_phases_unsignalized(ring_net):
 def test_edge_phases_requires_config_when_signalized(twolights_net):
     with pytest.raises(ValueError):
         edge_phases(twolights_net, None, 0.0)
+
+
+def test_red_schedule_states_the_signal_rule(twolights_net, cross_net, ring_net):
+    config = {"J1": IntersectionSignal(30, 20, 10), "J2": IntersectionSignal(25, 40, 0)}
+    times = np.arange(0.0, 200.0, 0.5)
+    red = red_schedule(twolights_net, config, times)
+    assert red.shape == (len(times), len(twolights_net.edge_order)) and red.dtype == bool
+    column = {eid: red[:, i] for i, eid in enumerate(twolights_net.edge_order)}  # columns follow net.edge_order
+    signalled = set()
+    for iid, sig in config.items():
+        ix = twolights_net.intersections[iid]
+        for e in ix.group_a:
+            assert np.array_equal(column[e], group_a_red(sig, times))
+        for e in ix.group_b:  # group B is group A's complement
+            assert np.array_equal(column[e], ~group_a_red(sig, times))
+        signalled |= set(ix.group_a) | set(ix.group_b)
+    assert signalled and not any(column[e].any() for e in set(twolights_net.edge_order) - signalled)
+    for t, row in zip(times, red):  # each row is edge_phases at that clock
+        assert edge_phases(twolights_net, config, t) == {e for e, r in zip(twolights_net.edge_order, row) if r}
+    assert not red_schedule(ring_net, None, times).any()
+    assert red_schedule(cross_net, {"X": IntersectionSignal(30, 30, 0)}, []).shape == (0, len(cross_net.edge_order))
+
+
+def test_red_schedule_refuses_what_signal_groups_refuses(twolights_net, ring_net):
+    sig = IntersectionSignal(30, 30, 0)
+    for net, config in ((twolights_net, {"J1": sig}), (twolights_net, {"J1": sig, "J2": sig, "J3": sig}),
+                        (twolights_net, None), (ring_net, {"X": sig})):
+        with pytest.raises(ValueError) as refused:
+            signal_groups(net, config)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            red_schedule(net, config, [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"^time must be finite and >= 0, got -1.0$"):
+        red_schedule(twolights_net, {"J1": sig, "J2": sig}, [0.0, -1.0])
 
 
 def test_sample_config_is_reproducible_and_in_range(twolights_net):

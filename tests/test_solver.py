@@ -19,7 +19,7 @@ from macrosim.fundamental import ideal_speed, invert_speed
 from macrosim.metrics import aggregate, step_metrics
 from macrosim import network, solver
 from macrosim.network import RoadNetwork, turn_angle
-from macrosim.signals import IntersectionSignal, Phase, edge_phases, load_config, sample_config
+from macrosim.signals import IntersectionSignal, edge_phases, load_config, sample_config
 from macrosim.solver import (
     CflError,
     SimParams,
@@ -41,7 +41,7 @@ from macrosim.solver import (
 # ---------------------------------------------------------------- reference
 
 
-def _reference_boundaries(net, state, phases, params):
+def _reference_boundaries(net, state, red, params):
     """Scalar re-derivation of the ghost values, kept independent of solver.py."""
     q_in, v_in, rho_out = {}, {}, {}
 
@@ -61,7 +61,7 @@ def _reference_boundaries(net, state, phases, params):
         for e_out in ix.outgoing:
             q0 = speed_flux = cap_flux = 0.0
             for e_in in ix.incoming:
-                if phases.get(e_in) is Phase.RED:
+                if e_in in red:
                     continue
                 w = ix.turn_weights.get((e_in, e_out), 0.0)
                 if w <= 0:
@@ -83,7 +83,7 @@ def _reference_boundaries(net, state, phases, params):
 
         for e_in in ix.incoming:
             sl = net.cell_slice(e_in)
-            if phases.get(e_in) is Phase.RED:
+            if e_in in red:
                 rho_out[e_in] = params.jam_density
                 continue
             num = den = 0.0
@@ -99,7 +99,7 @@ def _reference_boundaries(net, state, phases, params):
     return q_in, v_in, rho_out
 
 
-def _reference_step(net, state, vb, phases, params):
+def _reference_step(net, state, vb, red, params):
     """Scalar re-derivation of one update, cell by cell."""
     rho_new = np.empty_like(state.rho)
     v_new = np.empty_like(state.v)
@@ -129,7 +129,7 @@ def _reference_step(net, state, vb, phases, params):
                 + dt / params.relaxation_s * (v_eq - v_i)
                 - dt * params.anticipation / (rho_i + params.density_guard) * (rho_dn - rho_i) / dx
             )
-            if i == n - 1 and phases.get(eid) is Phase.RED:
+            if i == n - 1 and eid in red:
                 u = 0.0
             rho_new[g] = min(max(r, params.density_floor), params.jam_density)
             v_new[g] = min(max(u, 0.0), e.free_flow_speed)
@@ -226,7 +226,7 @@ def test_turn_share_and_speed_cap(cross_net):
     sl = cross_net.cell_slice("n_in")
     state.rho[sl.stop - 1] = 0.05
     state.v[sl.stop - 1] = 10.0
-    phases = {"s_in": Phase.RED, "e_in": Phase.RED, "w_in": Phase.RED}
+    phases = {"s_in", "e_in", "w_in"}
     vb = virtual_boundaries(cross_net, state, phases, params)
 
     q_end = 0.05 * 10.0
@@ -243,7 +243,7 @@ def test_turn_share_and_speed_cap(cross_net):
 def test_all_red_outgoing_falls_back_to_first_cell_speed(cross_net):
     params = SimParams()
     state = _random_state(cross_net, 3)
-    phases = {e: Phase.RED for e in ("n_in", "s_in", "e_in", "w_in")}
+    phases = {"n_in", "s_in", "e_in", "w_in"}
     vb = virtual_boundaries(cross_net, state, phases, params)
     for e_out in ("n_out", "s_out", "e_out", "w_out"):
         sl = cross_net.cell_slice(e_out)
@@ -258,7 +258,7 @@ def test_downstream_ghost_density_quadratic_mean(cross_net):
     firsts = {}
     for e_out in ("e_out", "s_out", "w_out"):
         firsts[e_out] = float(state.rho[cross_net.cell_slice(e_out).start])
-    vb = virtual_boundaries(cross_net, state, {}, SimParams())
+    vb = virtual_boundaries(cross_net, state, set(), SimParams())
     w = {"e_out": 0.15, "s_out": 0.6, "w_out": 0.25}
     num = sum(firsts[e] ** 2 * w[e] for e in w)
     den = sum(firsts[e] * w[e] for e in w)
@@ -294,7 +294,7 @@ def test_step_reports_non_finite_cells(cross_net):
     state = _random_state(cross_net, 7)
     state.v[cross_net.cell_slice("n_in").start] = np.inf
     with pytest.raises(SimulationError, match="edge n_in"):
-        step(cross_net, state, {}, params)
+        step(cross_net, state, set(), params)
 
 
 def test_step_survives_an_overflowing_finiteness_reduction(ring_net):
@@ -304,7 +304,7 @@ def test_step_survives_an_overflowing_finiteness_reduction(ring_net):
     state = SimState(rho=np.full(n, 1e153), v=np.full(n, 1e154))  # q = 1e307 and v * v = 1e308 stay finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = step(ring_net, state, {}, params)
+        out = step(ring_net, state, set(), params)
         ran = run(ring_net, state, None, params, horizon=params.dt_s, warmup=0.0).final_state
     for s in (out, ran):
         assert np.all((s.rho >= params.density_floor) & (s.rho <= params.jam_density))
@@ -369,7 +369,7 @@ def test_closed_ring_conserves_mass_exactly_uniform(ring_net):
     before = total_cars(ring_net, state)
     assert before == pytest.approx(0.05 * 8 * 120.0)
     for _ in range(100):
-        state = step(ring_net, state, {}, params)
+        state = step(ring_net, state, set(), params)
     assert total_cars(ring_net, state) == pytest.approx(before, abs=1e-12)
 
 
@@ -382,7 +382,7 @@ def test_closed_ring_conserves_mass_with_perturbation(ring_net):
     state = SimState(rho=rho, v=ideal_speed(fd, rho))
     before = total_cars(ring_net, state)
     for _ in range(500):
-        state = step(ring_net, state, {}, params)
+        state = step(ring_net, state, set(), params)
     drift = abs(total_cars(ring_net, state) - before) / before
     assert drift < 1e-9
 
@@ -393,7 +393,7 @@ def test_uniform_equilibrium_is_stationary(ring_net):
     rho0, v0 = 0.05, ideal_speed(fd, 0.05)
     state = SimState(rho=np.full(ring_net.total_cells, rho0), v=np.full(ring_net.total_cells, v0))
     for _ in range(50):
-        state = step(ring_net, state, {}, params)
+        state = step(ring_net, state, set(), params)
         assert float(np.max(np.abs(state.rho - rho0))) < 1e-12
         assert float(np.max(np.abs(state.v - v0))) < 1e-12
 
@@ -635,7 +635,7 @@ def test_step_returns_arrays_of_its_own(cross_net):
     params = SimParams()
     state = _random_state(cross_net, 2)
     before = state.copy()
-    phases = {"n_in": Phase.RED}
+    phases = {"n_in"}
     first, second = (step(cross_net, state, phases, params) for _ in range(2))
     arrays = [state.rho, state.v, first.rho, first.v, second.rho, second.v]
     for i, a in enumerate(arrays):
@@ -718,6 +718,23 @@ def test_protocol_values_are_refused_by_name(ring_net, horizon, warmup, wanted):
         check_protocol(ring_net, params, horizon, warmup)
     with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
         run(ring_net, state, None, params, horizon=horizon, warmup=warmup)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_run_refuses_a_start_clock_that_is_not_a_time_from_zero(twolights_net, ring_net, twolights_speeds,
+                                                                  monkeypatch, t):
+    # the signals count from t = 0, so a start clock that is not finite and >= 0 is refused by name before any
+    # work, with or without signals; a NaN clock used to run with every group A held green
+    speeds, default = twolights_speeds
+    params = SimParams()
+    cases = ((twolights_net, speeds, default, sample_config(twolights_net, np.random.default_rng(0))),
+             (ring_net, {}, 6.0, None))
+    monkeypatch.setattr(solver, "_Plan", None)  # compiling a plan is the first work
+    for net, observed, default_speed, config in cases:
+        state = initialize(net, observed, params, default_speed=default_speed)
+        state.t = t
+        with pytest.raises(ValueError, match=f"^{re.escape(f'state0.t must be finite and >= 0, got {t!r}')}$"):
+            run(net, state, config, params)
 
 
 # --------------------------------------------------------------------- I/O
