@@ -147,17 +147,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _signalized_network(path):
-    """The network at ``path``, refused naming the file when it has no signalized intersections to vary."""
-    net = load_network(path)
-    if not net.signalized_ids():
-        raise ValueError(f"{path}: network has no signalized intersections; nothing to vary")
-    return net
-
-
 def _cmd_gen_dataset(args) -> int:
     _refuse_below(args, runs=1, jobs=1)
-    net = _signalized_network(args.network)
+    net = load_network(args.network)
+    with naming(args.network):
+        signals.varied_ids(net)
     state0, params = _initial_state(args, net)
     rows = dataset.generate(
         net, state0, params, n_runs=args.runs, seed=args.seed, workers=args.jobs,
@@ -208,7 +202,9 @@ def _cmd_train_surrogate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     _refuse_below(args, generations=0, pop=4, jobs=1)
-    net = _signalized_network(args.network)
+    net = load_network(args.network)
+    with naming(args.network):
+        ids = signals.varied_ids(net)
     rows = dataset.read_csv(args.data)
     de = optimizer.DeConfig(pop_size=args.pop, max_generations=args.generations, seed=args.seed)
 
@@ -219,16 +215,15 @@ def _cmd_optimize(args) -> int:
     if args.jobs is not None and not args.direct:
         raise ValueError("--jobs applies to --direct only")
     workers = 1 if args.jobs is None else args.jobs
-    # checks the protocol before the search, not after it; --direct and --validate run their simulations through it
+    # checks the protocol and start clock before the search, not after it; --direct and --validate simulate through it
     with dataset.BatchRunner(net, state0, params, workers, args.horizon, args.warmup) as runner:
-        ids = net.signalized_ids()
         if rows and sorted(rows[0].config) != list(ids):  # a row seeds the search, so the rows must fit the network
             raise ValueError(f"{args.data}: table rows are intersections {sorted(rows[0].config)}, "
                              f"but {args.network} signalizes {list(ids)}")
         if args.direct:
             objective = optimizer.simulation_objective(runner, args.objective)
         else:
-            objective = _surrogate_objective(args, net)
+            objective = _surrogate_objective(args, ids)
         result = optimizer.optimize_config(net, objective, de, training_rows=rows)
         if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
             raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
@@ -256,10 +251,9 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _surrogate_objective(args, net) -> optimizer.Objective:
-    """The objective of ``optimize --model``: the model's prediction, once its inputs fit the network."""
+def _surrogate_objective(args, ids) -> optimizer.Objective:
+    """The objective of ``optimize --model``: the model's prediction, once its inputs fit the network's ``ids``."""
     model = surrogate.load_model(args.model)
-    ids = net.signalized_ids()
     if model.feature_ids and model.feature_ids != ids:
         raise ValueError(
             f"{args.model}: model features are intersections {list(model.feature_ids)}, "

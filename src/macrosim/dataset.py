@@ -71,15 +71,15 @@ class BatchRunner(_pool.Pool):
     processes that the first such list starts and the ``with`` block stops.
     The workers are at most the usable CPUs. Every row is bit-identical to
     its own run alone, so neither workers nor chunks ever change a result.
-    The checks of ``check_protocol``, which every run would fail alike, raise
-    here, before any run.
+    The checks of ``check_protocol`` (the start clock of ``state0`` among
+    them), which every run would fail alike, raise here, before any run.
     """
 
-    def __init__(self, net, state0: SimState, params: SimParams, workers: int = 1,
+    def __init__(self, net, state0: SimState | None, params: SimParams, workers: int = 1,
                  horizon: float = HORIZON_S, warmup: float = WARMUP_S):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        check_protocol(net, params, horizon, warmup)
+        check_protocol(net, state0, params, horizon, warmup)
         super().__init__(_simulate, (net, state0, params, horizon, warmup))
         self.net = net
         self.workers = min(workers, _pool.usable_cpus())
@@ -112,7 +112,8 @@ def generate(
     ``BatchRunner`` call on at most ``workers`` processes: in this process as
     one batched run when the batch is too small to pay for a pool, else in
     chunks over a pool. An error that would fail every row (the checks of
-    ``check_protocol``) raises before any run starts; a run that raises
+    ``check_protocol``, the start clock among them, or a network without
+    signalized intersections) raises before any run starts; a run that raises
     otherwise (a non-finite state, or any other exception) becomes a failed
     row with NaN metrics whose status names the exception, instead of
     stopping the batch. Worker processes and chunking only change wall time,
@@ -120,8 +121,6 @@ def generate(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if not net.signalized_ids():
-        raise ValueError("network has no signalized intersections; nothing to vary")
     with BatchRunner(net, state0, params, workers, horizon, warmup) as runner:
         seeds = [child_seed(seed, i) for i in range(n_runs)]
         configs = [sample_config(net, np.random.default_rng(s)) for s in seeds]

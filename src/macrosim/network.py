@@ -191,16 +191,15 @@ def validate(net: RoadNetwork) -> list[str]:
         else:
             nodes_seen[ix.node] = ix.id
 
-        for eid in ix.incoming:
-            if eid not in net.edges:
-                problems.append(f"intersection {ix.id}: unknown incoming edge {eid}")
-            elif net.edges[eid].to_node != ix.node:
-                problems.append(f"intersection {ix.id}: incoming edge {eid} does not end at node {ix.node}")
-        for eid in ix.outgoing:
-            if eid not in net.edges:
-                problems.append(f"intersection {ix.id}: unknown outgoing edge {eid}")
-            elif net.edges[eid].from_node != ix.node:
-                problems.append(f"intersection {ix.id}: outgoing edge {eid} does not start at node {ix.node}")
+        for kind, eids, end, meets in (("incoming", ix.incoming, "to_node", "end at"),
+                                       ("outgoing", ix.outgoing, "from_node", "start at")):
+            for j, eid in enumerate(eids):
+                if eid not in net.edges:
+                    problems.append(f"intersection {ix.id}: unknown {kind} edge {eid}")
+                elif getattr(net.edges[eid], end) != ix.node:
+                    problems.append(f"intersection {ix.id}: {kind} edge {eid} does not {meets} node {ix.node}")
+                if eids[:j].count(eid) == 1:  # a movement listed twice would be fed twice, creating vehicles
+                    problems.append(f"intersection {ix.id}: {kind} edge {eid} is listed more than once")
 
         row_sums: dict[str, float] = {}
         for (e_in, e_out), w in ix.turn_weights.items():
@@ -299,10 +298,13 @@ def load_network(path) -> RoadNetwork:
     for at, i in fields.items(doc, "intersections", dict, default=[]):
         names = {key: tuple(fields(i, key, [str], at, default=[]))
                  for key in ("incoming", "outgoing", "group_a", "group_b")}
-        weights = fields(i, "turn_weights", [(str, str, float)], at, default=[])
+        turn_weights = {}
+        for k, (e_in, e_out, w) in enumerate(fields(i, "turn_weights", [(str, str, float)], at, default=[])):
+            if (e_in, e_out) in turn_weights:  # else the last weight would silently win
+                raise ValueError(f"{path}: {at}.turn_weights[{k}]: turn ({e_in}, {e_out}) is given more than once")
+            turn_weights[e_in, e_out] = w
         intersections.append(Intersection(
-            id=fields(i, "id", str, at), node=fields(i, "node", str, at), **names,
-            turn_weights={(e_in, e_out): w for e_in, e_out, w in weights},
+            id=fields(i, "id", str, at), node=fields(i, "node", str, at), **names, turn_weights=turn_weights,
             signalized=fields(i, "signalized", bool, at, default=False),
         ))
     shape = fields(doc, "fd_defaults", dict, default={"rho_cr": DEFAULT_RHO_CR, "a": DEFAULT_A})

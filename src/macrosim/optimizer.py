@@ -248,10 +248,7 @@ def optimize_config(net, objective: Objective, de: DeConfig, training_rows=None)
     snapped optimum, the seed is returned, so the result is never worse than
     the seed under the same evaluator.
     """
-    ids = net.signalized_ids()
-    if not ids:
-        raise ValueError("network has no signalized intersections to optimize")
-    dim = 3 * len(ids)
+    dim = 3 * len(signals.varied_ids(net))
 
     seed_config = None
     seed_point = None

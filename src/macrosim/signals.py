@@ -95,17 +95,22 @@ def edge_phases(net, config: dict | None, t: float) -> frozenset[str]:
     return frozenset(eid for eid, red in zip(net.edge_order, red_schedule(net, config, [t])[0].tolist()) if red)
 
 
+def varied_ids(net) -> tuple[str, ...]:
+    """The signalized intersection ids, in sorted order, whose timings a configuration varies; none is refused."""
+    ids = net.signalized_ids()
+    if not ids:
+        raise ValueError("network has no signalized intersections; nothing to vary")
+    return ids
+
+
 def sample_config(net, rng: np.random.Generator) -> dict:
     """Draw a uniform random configuration for every signalized intersection.
 
     Iterates intersections in sorted-id order and draws red, green, offset in
     that order, so a seeded generator gives a reproducible configuration.
     """
-    ids = net.signalized_ids()
-    if not ids:
-        raise ValueError("network has no signalized intersections")
     config = {}
-    for iid in ids:
+    for iid in varied_ids(net):
         red = int(rng.integers(RED_GREEN_MIN, RED_GREEN_MAX + 1))
         green = int(rng.integers(RED_GREEN_MIN, RED_GREEN_MAX + 1))
         offset = int(rng.integers(0, red + green))

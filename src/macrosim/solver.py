@@ -137,8 +137,12 @@ def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
     return CflReport(ok=not violations, ratios=ratios, violations=violations)
 
 
-def check_protocol(net: RoadNetwork, params: SimParams, horizon: float, warmup: float) -> None:
-    """The checks ``run`` makes before it starts: the CFL condition, a finite horizon > 0, a warmup that some step samples."""
+def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams, horizon: float, warmup: float) -> None:
+    """The checks ``run`` makes before it starts, which every run from ``state0`` under this protocol fails alike.
+
+    The CFL condition, a finite horizon > 0, a warmup that some step samples, and a start clock ``state0.t`` that
+    is finite and >= 0, as the signals' clock starts at 0; with ``state0`` None the clock is not checked.
+    """
     report = check_cfl(net, params.dt_s)
     if not report.ok:
         worst = ", ".join(f"edge {eid} (ratio {ratio:.3f})" for eid, ratio in report.violations)
@@ -154,6 +158,8 @@ def check_protocol(net: RoadNetwork, params: SimParams, horizon: float, warmup: 
     if warmup > last_start + 1e-9:
         raise ValueError(
             f"warmup {warmup!r} s is later than the last step's start at {last_start!r} s; no metric would be sampled")
+    if state0 is not None and not (math.isfinite(state0.t) and state0.t >= 0):
+        raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
 
 
 def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are no rows
@@ -440,8 +446,8 @@ def run(
 ) -> RunResult | list[RunResult]:
     """Simulate for ``horizon`` seconds and time-average the congestion metrics.
 
-    The clock starts at ``state0.t``, which must be finite and >= 0, as the
-    signals' clock starts at 0. Metrics are sampled on the state before each
+    The clock starts at ``state0.t``, which ``check_protocol`` checks with
+    the rest of the protocol first. Metrics are sampled on the state before each
     step (t = 0, dt, ...) and accumulated once t reaches ``warmup``.
     ``probes`` is an optional list of times at which the full state is
     recorded as a SimState, taken at the first state whose clock reaches each
@@ -454,9 +460,7 @@ def run(
     network, and the result is a list with one RunResult per entry, each
     bit-identical to the run of that configuration alone.
     """
-    check_protocol(net, params, horizon, warmup)
-    if not (math.isfinite(state0.t) and state0.t >= 0):
-        raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
+    check_protocol(net, state0, params, horizon, warmup)
     configs = config if isinstance(config, list) else [config]
     if not configs:
         raise ValueError("config list is empty")

@@ -60,14 +60,25 @@ def test_configs_vary_between_rows(cross_net):
         assert math.isfinite(r.avg_speed) and math.isfinite(r.queue_length)
 
 
-def test_generate_input_validation(cross_net, ring_net):
+@pytest.mark.parametrize("case, wanted", [
+    ("no runs", "n_runs must be >= 1"),
+    ("no workers", "workers must be >= 1"),
+    ("a runner of no workers", "workers must be >= 1"),
+    ("a pool map on no workers", "workers must be >= 1"),
+    ("nothing to vary", "network has no signalized intersections; nothing to vary"),
+])
+def test_generate_input_validation(cross_net, ring_net, case, wanted):
     state0, params = _cross_state(cross_net)
-    with pytest.raises(ValueError):
-        generate(cross_net, state0, params, n_runs=0, seed=0)
-    with pytest.raises(ValueError):
-        generate(cross_net, state0, params, n_runs=1, seed=0, workers=0)
-    with pytest.raises(ValueError, match="no signalized"):
-        generate(ring_net, state0, params, n_runs=1, seed=0)
+    ring_state = initialize(ring_net, {}, params, default_speed=6.0)
+    call = {
+        "no runs": lambda: generate(cross_net, state0, params, n_runs=0, seed=0),
+        "no workers": lambda: generate(cross_net, state0, params, n_runs=1, seed=0, workers=0),
+        "a runner of no workers": lambda: dataset.BatchRunner(cross_net, state0, params, workers=0),
+        "a pool map on no workers": lambda: _pool.Pool(max, 0).map([1, 2], 0),
+        "nothing to vary": lambda: generate(ring_net, ring_state, params, n_runs=1, seed=0),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
+        call()
 
 
 def _toy_rows():

@@ -166,6 +166,22 @@ def test_load_network_rejects_a_node_on_its_junction(fixtures_dir, tmp_path, nam
         load_network(path)
 
 
+@pytest.mark.parametrize("name, kind, wanted", [
+    ("ring", "outgoing", "intersection rx0: outgoing edge re0 is listed more than once"),
+    ("cross", "incoming", "intersection X: incoming edge n_in is listed more than once"),
+    ("cross", "outgoing", "intersection X: outgoing edge n_out is listed more than once"),
+])
+def test_load_network_rejects_an_edge_listed_twice_at_a_junction(fixtures_dir, tmp_path, name, kind, wanted):
+    # each listing feeds the movement once more, so a repeated edge created vehicles without a word
+    doc = json.loads((fixtures_dir / f"{name}.json").read_text())
+    edges = doc["intersections"][0][kind]
+    edges.append(edges[0])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid network {path}:')}\n  {re.escape(wanted)}$"):
+        load_network(path)
+
+
 def test_turn_angle_straight_and_perpendicular():
     net = _t_junction()
     assert turn_angle(net, "w", "e") == pytest.approx(180.0)
@@ -353,6 +369,8 @@ _ONE_JUNCTION = {
     ("intersections", "turn_weights", [["r", "s", "1"]],
      "intersections[0].turn_weights[0][2]: expected float, got '1'"),
     ("intersections", "node", None, "intersections[0].node: expected str, got None"),
+    ("intersections", "turn_weights", [["r", "s", 1.0], ["r", "s", 2.0]],
+     "intersections[0].turn_weights[1]: turn (r, s) is given more than once"),
     ("intersections", "id", "deleted", "missing key 'intersections[0].id'"),
 ])
 def test_load_network_names_the_key_path_of_a_bad_field(tmp_path, where, key, value, wanted):

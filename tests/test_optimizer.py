@@ -135,6 +135,8 @@ def test_search_answers_are_pinned(benchmark_table, twolights_net, kind, target)
 def test_de_input_validation():
     with pytest.raises(ValueError):
         differential_evolution(_quadratic([0.5]), dim=0, de=DeConfig())
+    with pytest.raises(ValueError, match=r"^pop_size must be >= 4 for rand/1/bin$"):
+        differential_evolution(_quadratic([0.5, 0.5]), dim=2, de=DeConfig(pop_size=3))
     with pytest.raises(ValueError):
         differential_evolution(_quadratic([0.5, 0.5]), dim=2, de=DeConfig(), seed_point=np.zeros(3))
     with pytest.raises(ValueError):
@@ -230,7 +232,7 @@ def test_optimize_config_snaps_to_integer_lattice(cross_net):
 
 def test_optimize_config_requires_signals(ring_net):
     obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [0.0 for x in X])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^network has no signalized intersections; nothing to vary$"):
         optimize_config(ring_net, obj, DeConfig())
 
 

@@ -165,7 +165,7 @@ def test_sample_config_is_reproducible_and_in_range(twolights_net):
 
 
 def test_sample_config_rejects_unsignalized(ring_net):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^network has no signalized intersections; nothing to vary$"):
         sample_config(ring_net, np.random.default_rng(0))
 
 

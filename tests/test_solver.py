@@ -17,7 +17,7 @@ import pytest
 
 from macrosim.fundamental import ideal_speed, invert_speed
 from macrosim.metrics import aggregate, step_metrics
-from macrosim import network, solver
+from macrosim import dataset, network, solver
 from macrosim.network import RoadNetwork, turn_angle
 from macrosim.signals import IntersectionSignal, edge_phases, load_config, sample_config
 from macrosim.solver import (
@@ -715,7 +715,7 @@ def test_protocol_values_are_refused_by_name(ring_net, horizon, warmup, wanted):
     params = SimParams()
     state = initialize(ring_net, {}, params, default_speed=6.0)
     with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
-        check_protocol(ring_net, params, horizon, warmup)
+        check_protocol(ring_net, state, params, horizon, warmup)
     with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
         run(ring_net, state, None, params, horizon=horizon, warmup=warmup)
 
@@ -724,17 +724,25 @@ def test_protocol_values_are_refused_by_name(ring_net, horizon, warmup, wanted):
 def test_run_refuses_a_start_clock_that_is_not_a_time_from_zero(twolights_net, ring_net, twolights_speeds,
                                                                   monkeypatch, t):
     # the signals count from t = 0, so a start clock that is not finite and >= 0 is refused by name before any
-    # work, with or without signals; a NaN clock used to run with every group A held green
+    # work, with or without signals; a NaN clock used to run with every group A held green. A dataset and its
+    # runner refuse it up front too, before any row runs
     speeds, default = twolights_speeds
     params = SimParams()
     cases = ((twolights_net, speeds, default, sample_config(twolights_net, np.random.default_rng(0))),
              (ring_net, {}, 6.0, None))
     monkeypatch.setattr(solver, "_Plan", None)  # compiling a plan is the first work
+    wanted = f"^{re.escape(f'state0.t must be finite and >= 0, got {t!r}')}$"
     for net, observed, default_speed, config in cases:
         state = initialize(net, observed, params, default_speed=default_speed)
         state.t = t
-        with pytest.raises(ValueError, match=f"^{re.escape(f'state0.t must be finite and >= 0, got {t!r}')}$"):
+        with pytest.raises(ValueError, match=wanted):
             run(net, state, config, params)
+    state = initialize(twolights_net, speeds, params, default_speed=default)
+    state.t = t
+    with pytest.raises(ValueError, match=wanted):
+        dataset.generate(twolights_net, state, params, n_runs=3, seed=0, workers=2)
+    with pytest.raises(ValueError, match=wanted):
+        dataset.BatchRunner(twolights_net, state, params)
 
 
 # --------------------------------------------------------------------- I/O
