@@ -73,6 +73,8 @@ class BatchRunner(_pool.Pool):
     its own run alone, so neither workers nor chunks ever change a result.
     The checks of ``check_protocol`` (the start clock of ``state0`` among
     them), which every run would fail alike, raise here, before any run.
+    Built with ``state0`` None, it checks the protocol only, and a call is
+    refused before any plan or worker starts.
     """
 
     def __init__(self, net, state0: SimState | None, params: SimParams, workers: int = 1,
@@ -81,11 +83,13 @@ class BatchRunner(_pool.Pool):
             raise ValueError("workers must be >= 1")
         check_protocol(net, state0, params, horizon, warmup)
         super().__init__(_simulate, (net, state0, params, horizon, warmup))
-        self.net = net
+        self.net, self.state0 = net, state0
         self.workers = min(workers, _pool.usable_cpus())
 
     def __call__(self, configs: list) -> list:
         """Per configuration, in order: its CongestionMetrics, or the diagnostic of the exception its run raised."""
+        if self.state0 is None:
+            raise ValueError("a BatchRunner without a start state (state0 None) checks its protocol but runs nothing")
         n, cells = len(configs), self.net.total_cells
         workers = min(self.workers, n)
         if workers > 1 and n * cells >= workers * WORKER_CELLS:

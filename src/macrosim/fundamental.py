@@ -6,12 +6,12 @@ The speed-density relationship used throughout the simulator is
 
 with a free-flow speed ``v_max``, a critical density ``rho_cr`` and a decay
 exponent ``a``. The default constants were calibrated against stationary
-counter data aggregated over 5-minute intervals.
+counter data aggregated over 5-minute intervals. Inputs the curve cannot take
+are refused, never clamped: a negative density, or a speed outside (0, v_max].
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,23 +88,14 @@ def ideal_speed(params: FdParams, rho):
 def invert_speed(params: FdParams, v):
     """Density at which the equilibrium speed equals ``v``.
 
-    Analytic inverse of :func:`ideal_speed`. Speeds above ``v_max`` are
-    clamped to ``v_max`` (density 0) with a warning; non-positive speeds are
-    an error because the curve never reaches them.
+    Analytic inverse of :func:`ideal_speed`. A speed outside (0, v_max] is
+    refused, since the curve never reaches it; ``v_max`` gives density 0.
     """
     arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("speed must be finite and > 0")
-    over = arr > params.v_max
-    if np.any(over):
-        n = int(np.count_nonzero(over))
-        warnings.warn(
-            f"{n} speed value(s) above v_max={params.v_max}; clamped to v_max (density 0)",
-            stacklevel=2,
-        )
-        arr = np.minimum(arr, params.v_max)
-    ratio = np.clip(arr / params.v_max, None, 1.0)
-    rho = params.rho_cr * (-params.a * np.log(ratio)) ** (1.0 / params.a)
+    bad = arr[~((0 < arr) & (arr <= params.v_max))]  # nan fails both comparisons
+    if bad.size:
+        raise ValueError(f"speed must be finite and in (0, {params.v_max}], got {bad[0]}")
+    rho = params.rho_cr * (-params.a * np.log(arr / params.v_max)) ** (1.0 / params.a)
     if np.ndim(v) == 0:
         return float(rho)
     return rho

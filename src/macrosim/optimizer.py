@@ -115,6 +115,7 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     each trial replaces its pre-generation member if it scores no worse. The
     best-so-far history is monotone by construction. Stops early when the
     population's value spread falls below CONVERGENCE_TOL relative to the best value.
+    A ``seed_point`` becomes member 0 as given; one outside the box is refused.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -124,9 +125,9 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     pop = rng.uniform(0.0, 1.0, (np_size, dim))
     if seed_point is not None:
         seed_point = np.asarray(seed_point, dtype=float)
-        if seed_point.shape != (dim,):
-            raise ValueError(f"seed_point must have shape ({dim},)")
-        pop[0] = np.clip(seed_point, 0.0, 1.0)
+        if seed_point.shape != (dim,) or not np.all((0 <= seed_point) & (seed_point <= 1)):
+            raise ValueError(f"seed_point must have shape ({dim},) and lie in [0, 1], got {seed_point.tolist()}")
+        pop[0] = seed_point
 
     values = objective.internal_batch(pop)
     evaluations = np_size
@@ -243,10 +244,10 @@ def optimize_config(net, objective: Objective, de: DeConfig, training_rows=None)
     """Run DE over a network's encoded configurations and snap to the lattice.
 
     When training rows are given, the best row for the objective seeds the
-    population. The continuous optimum is decoded to integer timings and
-    re-evaluated; if a seed was planted and still scores better than the
-    snapped optimum, the seed is returned, so the result is never worse than
-    the seed under the same evaluator.
+    population, its encoding planted as given. The continuous optimum is
+    decoded to integer timings and re-evaluated; if a seed was planted and
+    still scores better than the snapped optimum, the seed is returned, so
+    the result is never worse than the seed under the same evaluator.
     """
     dim = 3 * len(signals.varied_ids(net))
 

@@ -8,7 +8,6 @@ in [0, red + green - 1]. ``red_schedule`` states which stop lines are red when.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,14 +134,14 @@ def decode_values(vector: np.ndarray, ids) -> dict:
 
     Red and green are decoded first; the offset coordinate is then scaled by
     the decoded cycle, so its admissible range follows the decoded durations.
-    Coordinates outside [0, 1] are clamped with a warning.
+    A coordinate outside [0, 1], NaN among them, is refused by index and value.
     """
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (3 * len(ids),):
         raise ValueError(f"expected vector of length {3 * len(ids)}, got shape {vector.shape}")
-    if np.any(vector < 0) or np.any(vector > 1):
-        warnings.warn("encoded coordinates outside [0, 1]; clamping", stacklevel=2)
-        vector = np.clip(vector, 0.0, 1.0)
+    outside = np.flatnonzero(~((0 <= vector) & (vector <= 1)))  # nan fails both comparisons
+    if outside.size:
+        raise ValueError(f"encoded coordinate {outside[0]} must be in [0, 1], got {vector[outside[0]]}")
     span = RED_GREEN_MAX - RED_GREEN_MIN
     config = {}
     for j, iid in enumerate(ids):

@@ -236,6 +236,20 @@ def _count_pools(monkeypatch) -> list:
     return started
 
 
+def test_runner_without_start_state_refuses_to_run(twolights_net, monkeypatch):
+    """Built with state0 None, as a surrogate-only optimize checks its protocol, a runner runs no list it is given."""
+    started, runs = _count_pools(monkeypatch), []
+    monkeypatch.setattr(dataset, "run", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(dataset, "WORKER_CELLS", 0)  # a list of more than one row would go to the pool
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    configs = [sample_config(twolights_net, np.random.default_rng(s)) for s in range(4)]
+    with dataset.BatchRunner(twolights_net, None, SimParams(), workers=2, horizon=5.0, warmup=0.0) as runner:
+        with pytest.raises(ValueError, match=r"^a BatchRunner without a start state \(state0 None\) checks its "
+                                             r"protocol but runs nothing$"):
+            runner(configs)
+    assert runs == [] and started == []
+
+
 @pytest.mark.parametrize("chunk_rows", [64, 4, 1])
 def test_rows_do_not_depend_on_chunks_or_workers(cross_net, monkeypatch, chunk_rows):
     """Every row equals the unbatched run of its own configuration, for any cell budget and worker count."""

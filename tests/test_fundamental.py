@@ -79,9 +79,13 @@ def test_inversion_at_v_max_gives_zero_density():
     assert invert_speed(FdParams(), 13.68) == 0.0
 
 
-def test_inversion_clamps_overspeed_with_warning():
-    with pytest.warns(UserWarning):
-        assert invert_speed(FdParams(), 20.0) == 0.0
+@pytest.mark.parametrize("v, shown", [
+    (20.0, "20.0"), (float("nan"), "nan"), (float("inf"), "inf"), ([5.0, 13.69], "13.69"),
+])
+def test_inversion_refuses_speed_above_v_max_or_not_finite(v, shown):
+    """The curve never reaches such a speed, so no density is made up for it."""
+    with pytest.raises(ValueError, match=rf"^speed must be finite and in \(0, 13\.68\], got {re.escape(shown)}$"):
+        invert_speed(FdParams(), v)
 
 
 def test_inversion_rejects_nonpositive_speed():

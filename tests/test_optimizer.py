@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ def test_de_seed_point_guarantees_floor():
     result = differential_evolution(obj, dim=6, de=DeConfig(seed=0, max_generations=5), seed_point=seed_point)
     assert result.best_value == 5.0
     assert result.converged  # zero spread converges immediately
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_de_refuses_seed_point_outside_the_box(bad):
+    """A seed outside [0, 1] is refused before any evaluation, where a clipped nan seed came back as the best."""
+    batches = []
+    obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: batches.append(X) or [0.0] * len(X))
+    wanted = re.escape(f"seed_point must have shape (2,) and lie in [0, 1], got [{bad}, 0.5]")
+    with pytest.raises(ValueError, match=f"^{wanted}$"):
+        differential_evolution(obj, dim=2, de=DeConfig(), seed_point=[bad, 0.5])
+    assert batches == []
+
+
+def test_de_plants_a_seed_on_the_box_edge_as_given():
+    obj = Objective(name="queue", direction="minimize", evaluate_batch=lambda X: [5.0 for x in X])
+    seed_point = np.array([0.0, 1.0, 0.5])
+    result = differential_evolution(obj, dim=3, de=DeConfig(seed=0, max_generations=2), seed_point=seed_point)
+    assert result.best.tolist() == seed_point.tolist()
 
 
 def test_de_seeded_start_beats_cold_start_early():

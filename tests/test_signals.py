@@ -185,13 +185,15 @@ def test_encode_decode_round_trip(sig):
     assert back["X"] == sig
 
 
-def test_decode_clamps_out_of_range_with_warning():
-    with pytest.warns(UserWarning):
-        config = decode_values(np.array([-0.2, 1.4, 0.5]), ["X"])
-    sig = config["X"]
-    assert sig.red == RED_GREEN_MIN
-    assert sig.green == RED_GREEN_MAX
-    assert 0 <= sig.offset <= sig.cycle - 1
+@pytest.mark.parametrize("vector, index, shown", [
+    ([-0.2, 1.4, 0.5], 0, "-0.2"),
+    ([0.0, 1.4, 0.5], 1, "1.4"),
+    ([0.0, 1.0, float("nan")], 2, "nan"),
+])
+def test_decode_refuses_coordinates_outside_the_box(vector, index, shown):
+    """No timing is made up for a point outside [0, 1]; the first such coordinate is named."""
+    with pytest.raises(ValueError, match=rf"^encoded coordinate {index} must be in \[0, 1\], got {re.escape(shown)}$"):
+        decode_values(np.array(vector), ["X"])
 
 
 def test_decode_wrong_length_rejected():

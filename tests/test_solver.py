@@ -338,6 +338,19 @@ def test_initialize_without_noise_is_exact(ring_net):
     np.testing.assert_allclose(state.rho, invert_speed(fd, 6.0), rtol=1e-9)
 
 
+def test_initialize_at_free_flow_speed_clips_before_inverting(ring_net):
+    """About half the noisy speeds exceed v_max; initialize clips them to it first, so the inversion never refuses."""
+    params = SimParams(init_noise=0.05)
+    v_max = ring_net.fd_for("re0").v_max
+    assert {e.free_flow_speed for e in ring_net.edges.values()} == {v_max} == {13.68}
+    state = initialize(ring_net, {}, params, default_speed=v_max)
+    at_v_max = state.v == v_max
+    assert np.all(state.v <= v_max)
+    assert 0.3 < at_v_max.mean() < 0.7  # about half the noise is upward
+    assert np.all((params.density_floor <= state.rho) & (state.rho <= params.jam_density))
+    assert np.all(state.rho[at_v_max] == params.density_floor)
+
+
 def test_initialize_per_edge_speeds_and_errors(twolights_net, twolights_speeds):
     speeds, default = twolights_speeds
     params = SimParams(init_noise=0.0)
