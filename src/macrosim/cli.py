@@ -17,6 +17,9 @@ from . import dataset, fundamental, optimizer, signals, solver, surrogate
 from ._files import naming, write_json
 from .network import load_network
 
+# the least value of every integer flag, which main checks before any command reads a file
+FLAG_FLOORS = {"runs": 1, "jobs": 1, "folds": 2, "generations": 0, "pop": 4, "seed": 0}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -98,14 +101,6 @@ def _initial_state(args, net):
         return solver.initialize(net, speeds, params, default_speed=default), params
 
 
-def _refuse_below(args, **least) -> None:
-    """Refuse by name each numeric flag given below its least value, before the command does any work."""
-    for dest, low in least.items():
-        value = getattr(args, dest)
-        if value is not None and value < low:
-            raise ValueError(f"--{dest} must be >= {low}, got {value}")
-
-
 def _cmd_calibrate_fd(args) -> int:
     if args.fix_vmax is not None and not (math.isfinite(args.fix_vmax) and args.fix_vmax > 0):
         raise ValueError(f"--fix-vmax must be finite and > 0, got {args.fix_vmax}")
@@ -148,7 +143,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
-    _refuse_below(args, runs=1, jobs=1)
     net = load_network(args.network)
     with naming(args.network):
         signals.varied_ids(net)
@@ -166,7 +160,6 @@ def _cmd_gen_dataset(args) -> int:
 def _cmd_train_surrogate(args) -> int:
     if args.grid and args.model != "mlp":
         raise ValueError("--grid applies to --model mlp only")
-    _refuse_below(args, folds=2)  # more folds than the table has rows is the table's fault
     rows = dataset.read_csv(args.data)
     with naming(args.data):
         X, Y, ids = dataset.feature_matrix(rows)
@@ -201,7 +194,6 @@ def _cmd_train_surrogate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _refuse_below(args, generations=0, pop=4, jobs=1)
     net = load_network(args.network)
     with naming(args.network):
         ids = signals.varied_ids(net)
@@ -272,6 +264,10 @@ def _surrogate_objective(args, ids) -> optimizer.Objective:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for dest, floor in FLAG_FLOORS.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < floor:
+                raise ValueError(f"--{dest} must be >= {floor}, got {value}")
         return args.handler(args)
     except (solver.SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,11 +137,14 @@ def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
     return CflReport(ok=not violations, ratios=ratios, violations=violations)
 
 
-def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams, horizon: float, warmup: float) -> None:
+def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams, horizon: float,
+                   warmup: float) -> tuple[int, int]:
     """The checks ``run`` makes before it starts, which every run from ``state0`` under this protocol fails alike.
 
     The CFL condition, a finite horizon > 0, a warmup that some step samples, and a start clock ``state0.t`` that
-    is finite and >= 0, as the signals' clock starts at 0; with ``state0`` None the clock is not checked.
+    is finite and >= 0, as the signals' clock starts at 0; with ``state0`` None the clock is not checked. Returns
+    the run's step plan, both counted from ``state0.t``: its steps, ``ceil(horizon / dt)``, and the warm-up steps
+    before the first sampled one, ``ceil((warmup - 1e-9) / dt)``.
     """
     report = check_cfl(net, params.dt_s)
     if not report.ok:
@@ -154,12 +157,14 @@ def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams,
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     if not (0 <= warmup < horizon):
         raise ValueError(f"warmup must be in [0, horizon) = [0, {horizon!r}), got {warmup!r}")
-    last_start = (math.ceil(horizon / params.dt_s) - 1) * params.dt_s
-    if warmup > last_start + 1e-9:
-        raise ValueError(
-            f"warmup {warmup!r} s is later than the last step's start at {last_start!r} s; no metric would be sampled")
+    n_steps = math.ceil(horizon / params.dt_s)
+    warmup_steps = math.ceil((warmup - 1e-9) / params.dt_s)
+    if warmup_steps >= n_steps:
+        raise ValueError(f"warmup {warmup!r} s is later than the last step's start at "
+                         f"{(n_steps - 1) * params.dt_s!r} s; no metric would be sampled")
     if state0 is not None and not (math.isfinite(state0.t) and state0.t >= 0):
         raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
+    return n_steps, warmup_steps
 
 
 def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are no rows
@@ -448,7 +453,7 @@ def run(
 
     The clock starts at ``state0.t``, which ``check_protocol`` checks with
     the rest of the protocol first. Metrics are sampled on the state before each
-    step (t = 0, dt, ...) and accumulated once t reaches ``warmup``.
+    step from ``warmup`` seconds after ``state0.t`` on, as that check plans.
     ``probes`` is an optional list of times at which the full state is
     recorded as a SimState, taken at the first state whose clock reaches each
     probe; a probe outside the run's clock span [state0.t, state0.t + horizon]
@@ -460,12 +465,11 @@ def run(
     network, and the result is a list with one RunResult per entry, each
     bit-identical to the run of that configuration alone.
     """
-    check_protocol(net, state0, params, horizon, warmup)
+    n_steps, first = check_protocol(net, state0, params, horizon, warmup)
     configs = config if isinstance(config, list) else [config]
     if not configs:
         raise ValueError("config list is empty")
 
-    n_steps = math.ceil(horizon / params.dt_s)
     batch = len(configs)
     probe_times = sorted(float(p) for p in probes) if probes else []
     for p in probe_times:
@@ -479,9 +483,8 @@ def run(
     clock = np.cumsum(np.r_[state0.t, np.full(n_steps, params.dt_s)])
     red = np.concatenate([red_schedule(net, c, clock[:-1]) for c in configs], axis=1)
     switches = np.r_[True, (red[1:] != red[:-1]).any(axis=1)].tolist()  # steps whose red flags differ from the last
-    # the clock only grows, so every step from the first at the warm-up on is sampled; the speeds of up to
-    # len(block) samples are gathered and measured by one step_metrics call, whose per-row sums are as alone
-    first = int(np.count_nonzero(clock[:-1] < warmup - 1e-9))
+    # every step from the first after the warm-up on is sampled; the speeds of up to len(block) samples are
+    # gathered and measured by one step_metrics call, whose per-row sums are as alone
     series = np.empty((2, n_steps - first, batch))  # mean speed and queue length per sample and row
     block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // plan.tmp.size)), batch, net.total_cells))
 

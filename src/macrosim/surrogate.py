@@ -72,9 +72,9 @@ class MlpHyper:
             ("hidden", sizes and all(_is_int(h) and h >= 1 for h in sizes), "a non-empty sequence of integers >= 1"),
             ("max_epochs", _is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1"),
             ("patience", _is_int(self.patience) and self.patience >= 1, "an integer >= 1"),
-            ("learning_rate", self.learning_rate > 0, "> 0"),
-            ("alpha", self.alpha >= 0, ">= 0"),
-            ("tol", self.tol >= 0, ">= 0"),
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and > 0"),
+            ("alpha", math.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
+            ("tol", math.isfinite(self.tol) and self.tol >= 0, "finite and >= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -264,8 +264,6 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> 
     order = rng.permutation(n)
     n_val = max(1, int(round(VALIDATION_FRACTION * n)))
     val_idx, train_idx = order[:n_val], order[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation split leaves no training rows")
     X_train, Y_train = X[train_idx], Ys[train_idx]
     X_val, Y_val = X[val_idx], Ys[val_idx]
 
@@ -367,6 +365,8 @@ def predict(model: Model, X) -> np.ndarray:
 
 def _folds(n: int, k: int, seed: int):
     """(train, held_out) rows of each of k folds of one seeded shuffle; a fold trains on the others in order."""
+    if n < 2:
+        raise ValueError(f"k-fold CV needs at least 2 rows, got {n}")
     if not (2 <= k <= n):
         raise ValueError(f"k must be in [2, {n}]")
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)

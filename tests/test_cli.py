@@ -6,14 +6,16 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import macrosim
 from macrosim import _pool, dataset, surrogate
-from macrosim.cli import _build_parser, main
+from macrosim.cli import FLAG_FLOORS, _build_parser, main
 from macrosim.dataset import feature_matrix, read_csv
 from macrosim.signals import load_config, save_config
-from macrosim.solver import HORIZON_S, WARMUP_S, SimParams, SimulationError
+from macrosim.optimizer import DeConfig
+from macrosim.solver import HORIZON_S, WARMUP_S, SimParams, SimulationError, initialize
 from macrosim.surrogate import load_model
 
 
@@ -657,6 +659,12 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {cli_dataset}: k must be in [2, 6]\n"
     assert not (tmp_path / "x.json").exists()
+    # and a table too small for any fold names its row count, not the empty range [2, 1]
+    one = tmp_path / "one.csv"
+    one.write_text("".join(cli_dataset.read_text().splitlines(keepends=True)[:2]))
+    assert main(["train-surrogate", "--data", str(one), "--model", "linear", "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"error: {one}: k-fold CV needs at least 2 rows, got 1\n"
+    assert not (tmp_path / "x.json").exists()
 
     # --grid searches MLP hyperparameters; a linear model has none, so the flag is refused, not ignored
     rc = main(
@@ -684,6 +692,45 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+def test_seed_below_zero_is_refused_before_any_file_is_read(tmp_path, capsys):
+    # numpy refused it deep inside each command, blamed on whichever file was open; these files are missing
+    network, data, model = (str(tmp_path / name) for name in ("net.json", "data.csv", "model.json"))
+    for argv in (["simulate", "--network", network, "--init", data],
+                 ["validate", "--network", network, "--init", data],
+                 ["gen-dataset", "--network", network, "--init", data, "--runs", "2"],
+                 ["train-surrogate", "--data", data, "--model", "linear"],
+                 ["optimize", "--network", network, "--model", model, "--objective", "speed", "--data", data]):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1, argv[0]
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n"), argv[0]
+    assert list(tmp_path.iterdir()) == []
+    # every floor is checked before the command's own checks
+    assert main(["train-surrogate", "--data", data, "--model", "linear", "--grid", "--folds", "1", "--out", model]) == 1
+    assert capsys.readouterr().err == "error: --folds must be >= 2, got 1\n"
+
+
+def test_every_integer_flag_has_the_floor_its_library_call_refuses_below(cross_net):
+    # the CLI states each floor once, in FLAG_FLOORS; the library call each flag reaches refuses floor - 1 itself
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    int_flags = {a.dest for p in commands.values() for a in p._actions if a.type is int}
+    assert int_flags == set(FLAG_FLOORS)
+    params = SimParams()
+    state0 = initialize(cross_net, {}, params, default_speed=8.0)
+    library = {
+        "runs": lambda n: dataset.generate(cross_net, state0, params, n_runs=n, seed=0, horizon=1.0, warmup=0.0),
+        "jobs": lambda n: dataset.BatchRunner(cross_net, state0, params, workers=n),
+        "folds": lambda n: surrogate._folds(10, n, 0),
+        "generations": lambda n: DeConfig(max_generations=n),
+        "pop": lambda n: DeConfig(pop_size=n).resolved_pop_size(6),
+        "seed": lambda n: np.random.default_rng(n),
+    }
+    assert set(library) == set(FLAG_FLOORS)
+    for dest, floor in FLAG_FLOORS.items():
+        with pytest.raises(ValueError):
+            library[dest](floor - 1)
+        library[dest](floor)
 
 
 def test_cross_file_errors_name_the_file_or_flag(fixtures_dir, tmp_path, capsys):

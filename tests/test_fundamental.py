@@ -172,6 +172,9 @@ def test_fit_input_validation():
     bad[0] = (float("nan"), 5.0)
     with pytest.raises(ValueError):
         fit_fd(bad)
+    bad[0] = (-0.01, 5.0)  # finite, but no road holds fewer than no cars
+    with pytest.raises(ValueError, match="^sample densities must be non-negative$"):
+        fit_fd(bad)
 
 
 def test_counter_csv_gives_density_speed_samples(tmp_path):

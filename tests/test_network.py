@@ -129,6 +129,21 @@ def test_validate_flags_two_intersections_on_one_node():
     assert any("already used" in p for p in validate(net2))
 
 
+def test_validate_flags_an_edge_from_a_node_to_itself():
+    nodes = [Node("A", 0, 0), Node("B", 100, 0)]
+    net = RoadNetwork(nodes, [RoadEdge("r", "A", "A", 100.0, 1, 10.0)], [])
+    assert validate(net) == ["edge r: from and to node coincide"]
+
+
+@pytest.mark.parametrize("weight", [-0.5, float("nan")])
+def test_validate_flags_a_turn_weight_that_is_negative_or_not_finite(weight):
+    net = _t_junction()
+    ix = net.intersections["J"]
+    bad = Intersection(ix.id, ix.node, ix.incoming, ix.outgoing, {("w", "e"): weight, ("s", "e"): 1.0})
+    net = RoadNetwork(net.nodes.values(), net.edges.values(), [bad])
+    assert validate(net) == ["intersection J: turn weight (w, e) must be finite and >= 0"]
+
+
 def test_validate_flags_zero_weight_row():
     nodes = [Node("W", -100, 0), Node("C", 0, 0), Node("E", 100, 0)]
     edges = [RoadEdge("w", "W", "C", 100.0, 1, 10.0), RoadEdge("e", "C", "E", 100.0, 1, 10.0)]
@@ -192,6 +207,23 @@ def test_turn_angle_requires_shared_intersection():
     net = _t_junction()
     with pytest.raises(ValueError, match="^edges e and w do not meet at a common intersection$"):
         turn_angle(net, "e", "w")
+
+
+def test_turn_angle_refuses_an_unknown_edge():
+    net = _t_junction()
+    with pytest.raises(ValueError, match=r"^unknown edge in turn \(w, x\)$"):
+        turn_angle(net, "w", "x")
+    with pytest.raises(ValueError, match=r"^unknown edge in turn \(x, e\)$"):
+        turn_angle(net, "x", "e")
+
+
+def test_turn_angle_refuses_a_zero_length_ray():
+    # validate refuses this network as a file, so it is built here: W sits on the junction's coordinates
+    net = _t_junction()
+    moved = RoadNetwork([Node("W", 0, 0), *list(net.nodes.values())[1:]], net.edges.values(), net.intersections.values())
+    with pytest.raises(ValueError, match=r"^degenerate geometry for turn \(w, e\): zero-length ray$"):
+        turn_angle(moved, "w", "e")
+    assert turn_angle(moved, "s", "e") == pytest.approx(90.0)  # the other movement keeps both its rays
 
 
 def test_turn_speed_factor_endpoints():

@@ -643,6 +643,20 @@ def test_run_probe_snapshots(ring_net):
     assert [s.t for s in run(ring_net, later, None, params, horizon=20.0, warmup=0.0, probes=[25.0]).snapshots] == [25.0]
 
 
+@pytest.mark.parametrize("t0, warmup, samples", [(5.0, 9.0, 2), (50.0, 5.0, 10)])
+def test_warmup_counts_from_the_start_clock(ring_net, t0, warmup, samples):
+    # the warm-up, like the horizon, is seconds of the run: sampling starts warmup seconds after state0.t; the
+    # ring has no signals, so the start clock moves nothing else
+    params = SimParams(init_noise=0.0)
+    state = initialize(ring_net, {}, params, default_speed=6.0)
+    later = SimState(rho=state.rho, v=state.v, t=t0)
+    assert check_protocol(ring_net, later, params, 10.0, warmup) == (20, 20 - samples)
+    got, want = (run(ring_net, s, None, params, horizon=10.0, warmup=warmup) for s in (later, state))
+    assert (got.steps, got.warmup_steps, got.metrics.samples) == (20, 20 - samples, samples)
+    assert got.metrics == want.metrics
+    assert got.final_state.t == t0 + 10.0
+
+
 def test_step_returns_arrays_of_its_own(cross_net):
     # each step call owns its result: it shares no memory with the state it read or with another call's result
     params = SimParams()

@@ -206,9 +206,12 @@ def test_mlp_input_validation():
         fit_mlp(np.zeros((0, 3)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="^X must be 2-d with one row per target row$"):
         fit_mlp(np.zeros((5, 3)), np.zeros((4, 2)))
-    # no epochs, no patience, a step that is not positive, a negative penalty or tolerance: refused by name
+    # no epochs, no patience, a step that is not finite and positive, a penalty or tolerance that is not finite
+    # and >= 0: refused by name
     bad = [("max_epochs", 0), ("patience", 0), ("learning_rate", 0.0), ("learning_rate", -1.0),
            ("alpha", -1e-4), ("tol", -1e-4), ("tol", float("nan"))]
+    # with an infinite step, penalty or tolerance no epoch improves, and fit_mlp would return untrained weights
+    bad += [("learning_rate", float("inf")), ("alpha", float("inf")), ("tol", float("inf"))]
     # sizes and epoch counts that are not integers (floats, bools, a bare size): refused by name too
     bad += [("hidden", (2.5,)), ("hidden", (8, True)), ("hidden", 8), ("hidden", (0,)),
             ("max_epochs", 2.5), ("max_epochs", True), ("patience", 1.5), ("patience", True)]
@@ -256,10 +259,14 @@ def test_kfold_rmse_trains_each_fold_on_the_other_rows_in_shuffled_order():
 
 def test_kfold_rmse_validates_k():
     X, Y, _, _ = _planted_linear(n=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[2, 10\]$"):
         kfold_rmse(fit_linear, X, Y, k=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[2, 10\]$"):
         kfold_rmse(fit_linear, X, Y, k=11)
+    # a table too small for any fold names its row count, not the empty range [2, 1]
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"^k-fold CV needs at least 2 rows, got {n}$"):
+            kfold_rmse(fit_linear, X[:n], Y[:n], k=2)
 
 
 def test_grid_search_returns_best_scored_candidate():
