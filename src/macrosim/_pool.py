@@ -1,17 +1,17 @@
 """One runner for independent, deterministic tasks over worker processes.
 
 ``Pool(fn, context)`` is a context manager whose ``map(tasks, workers)`` is
-``[fn(context, task) for task in tasks]``; ``run`` is the one-shot case, one
-map in a pool of its own. The context (the data every task reads) reaches
-each worker once, through the pool's initializer, rather than pickled into
-every task. A pool starts its workers at the first map that runs on more
-than one and keeps them for later maps until the ``with`` block ends, so no
-worker outlives it. Workers use the start method the host set, else the
-platform's default (fork on Linux up to Python 3.13), which nothing here fixes
-for the process; a fork pool forks all its workers before it starts its
-manager thread. Never run a pool while a module is being imported (a
-forked worker would wait on the import lock), and pass a module-level
-``fn``, never a closure.
+``[fn(context, task) for task in tasks]``, the library's one way to run
+independent tasks. The context (the data every task reads) reaches each
+worker once, through the pool's initializer, rather than pickled into every
+task. A pool starts its workers at the first map that runs on more than one
+and keeps them for later maps until the ``with`` block ends, so no worker
+outlives it. Workers use the start method the host set, else the platform's
+default (fork on Linux up to Python 3.13), which nothing here fixes for the
+process; a fork pool forks all its workers before it starts its manager
+thread. Never run a pool while a module is being imported (a forked worker
+would wait on the import lock), and pass a module-level ``fn``, never a
+closure.
 """
 from __future__ import annotations
 
@@ -85,8 +85,3 @@ class Pool:
                 initargs=(self.fn, self.context))
         return list(self._executor.map(_call, tasks))
 
-
-def run(fn, context, tasks: list, workers: int) -> list:
-    """``map(tasks, workers)`` of a pool of its own; a task's exception is raised once the pool has shut down."""
-    with Pool(fn, context) as pool:
-        return pool.map(tasks, workers)

@@ -218,14 +218,14 @@ def _cmd_optimize(args) -> int:
             objective = _surrogate_objective(args, ids)
         result = optimizer.optimize_config(net, objective, de, training_rows=rows)
         if not abs(result.predicted) <= surrogate.TARGET_MAX:  # inf, nan, or a value no trained model predicts
-            raise ValueError(f"{args.model or args.network}: {result.objective} evaluates to {result.predicted} "
+            raise ValueError(f"{args.model or args.network}: {objective.name} evaluates to {result.predicted} "
                              f"at the optimized configuration")
         metrics = optimizer.simulate(runner, [result.config])[0] if args.validate else None
 
     signals.save_config(result.config, args.out)  # only once --validate has passed
     report = {
-        "objective": result.objective,
-        "direction": result.direction,
+        "objective": objective.name,
+        "direction": objective.direction,
         "predicted": result.predicted,
         "simulated": None if metrics is None else metrics.document(),
         "generations": result.de.generations,
@@ -235,8 +235,8 @@ def _cmd_optimize(args) -> int:
     }
     if args.report:
         write_json(report, args.report)
-    verb = "max" if result.direction == "maximize" else "min"
-    line = f"optimized {result.objective} ({verb}): predicted={result.predicted:.4f}"
+    verb = "max" if objective.direction == "maximize" else "min"
+    line = f"optimized {objective.name} ({verb}): predicted={result.predicted:.4f}"
     if metrics is not None:
         line += f" simulated avg_speed={metrics.avg_speed:.4f} queue={metrics.queue_length:.4f}"
     print(line + f" after {result.de.evaluations} evaluations -> {args.out}")

@@ -234,8 +234,6 @@ def best_training_row(rows, target: str):
 class OptimizationResult:
     config: dict
     predicted: float          # evaluator value of the returned configuration
-    objective: str
-    direction: str
     de: DeResult
     seed_config: dict | None
 
@@ -251,29 +249,21 @@ def optimize_config(net, objective: Objective, de: DeConfig, training_rows=None)
     """
     dim = 3 * len(signals.varied_ids(net))
 
-    seed_config = None
-    seed_point = None
-    if training_rows:
-        row = best_training_row(training_rows, objective.name)
-        if row is not None:
-            seed_config = row.config
-            seed_point = signals.encode(seed_config, net)
+    seed_config = seed_point = None
+    row = best_training_row(training_rows, objective.name) if training_rows else None
+    if row is not None:
+        seed_config, seed_point = row.config, signals.encode(row.config, net)
 
     de_result = differential_evolution(objective, dim, de, seed_point=seed_point)
 
-    snapped = signals.decode(de_result.best, net)
-    candidates = [snapped]
-    if seed_config is not None:
-        candidates.append(seed_config)
-    scored = [(objective.internal(signals.encode(c, net)), c) for c in candidates]
-    scored.sort(key=lambda item: item[0])
-    best_internal, best_config = scored[0]
+    # the snapped optimum, then the seed: min keeps the first of equal scores
+    candidates = [signals.decode(de_result.best, net)] + ([] if seed_config is None else [seed_config])
+    best_internal, best_config = min(((objective.internal(signals.encode(c, net)), c) for c in candidates),
+                                     key=lambda item: item[0])
 
     return OptimizationResult(
         config=best_config,
         predicted=objective.external(best_internal),
-        objective=objective.name,
-        direction=objective.direction,
         de=de_result,
         seed_config=seed_config,
     )

@@ -48,6 +48,10 @@ TARGET_MAX = 1e150         # largest target magnitude a fit takes: fits and scor
 FEATURE_MAX = 1e6          # largest feature magnitude a fit takes: the MLP trainer's float32 Adam squares gradients
 
 
+class _TooFewRows(ValueError):
+    """A training set too small for the MLP's validation split."""
+
+
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -249,7 +253,7 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> 
     X, Y, names = _training_set(X, Y, targets)
     n = X.shape[0]
     if n < 3:
-        raise ValueError("need at least 3 rows to train with a validation split")
+        raise _TooFewRows("need at least 3 rows to train with a validation split")
     hyper = hypers[0]
     if any(replace(h, alpha=hyper.alpha, learning_rate=hyper.learning_rate) != hyper for h in hypers):
         raise ValueError("stacked fits may differ in alpha and learning_rate only")
@@ -380,10 +384,18 @@ def _pooled_rmse(pooled, Y):
 
 
 def _held_out_predictions(context, task) -> np.ndarray:
-    """(models, held-out rows, targets) predictions of the models one fit trains on one fold's other rows."""
-    X, Y, fits = context
-    train, held_out, j = task
-    return np.stack([predict(model, X[held_out]) for model in fits[j](X[train], Y[train])])
+    """(models, held-out rows, targets) predictions of the models one fit trains on one fold's other rows.
+
+    A fit's refusal of too few rows names the fold and its training-row count, since the table may have enough.
+    """
+    X, Y, fits, folds = context
+    fold, j = task
+    train, held_out = folds[fold]
+    try:
+        models = fits[j](X[train], Y[train])
+    except _TooFewRows as exc:
+        raise ValueError(f"fold {fold + 1} of {len(folds)} trains on {len(train)} rows: {exc}") from None
+    return np.stack([predict(model, X[held_out]) for model in models])
 
 
 def _cross_validate(fits, X, Y, k: int, seed: int, workers: int):
@@ -393,10 +405,12 @@ def _cross_validate(fits, X, Y, k: int, seed: int, workers: int):
     """
     X = np.asarray(X, dtype=float)
     Y = _as_2d(Y)
-    tasks = [(train, held_out, j) for train, held_out in _folds(X.shape[0], k, seed) for j in range(len(fits))]
+    folds = _folds(X.shape[0], k, seed)
+    tasks = [(fold, j) for fold in range(k) for j in range(len(fits))]
     pooled = {}
-    for (_, held_out, j), predictions in zip(tasks, _pool.run(_held_out_predictions, (X, Y, fits), tasks, workers)):
-        pooled.setdefault(j, np.empty((len(predictions), *Y.shape)))[:, held_out] = predictions
+    with _pool.Pool(_held_out_predictions, (X, Y, fits, folds)) as pool:
+        for (fold, j), predictions in zip(tasks, pool.map(tasks, workers)):
+            pooled.setdefault(j, np.empty((len(predictions), *Y.shape)))[:, folds[fold][1]] = predictions
     return [_pooled_rmse(p, Y) for j in range(len(fits)) for p in pooled[j]]
 
 

@@ -694,6 +694,23 @@ def test_errors_exit_nonzero(cli_dataset, fixtures_dir, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid"]])
+def test_a_fold_too_small_for_the_mlp_names_the_fold(grid, tmp_path, capsys):
+    # the table has 4 rows; each of 2 folds trains on 2, fewer than the MLP's validation split needs
+    table = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "twolights_train.csv"
+    four = tmp_path / "four.csv"
+    four.write_text("".join(table.read_text().splitlines(keepends=True)[:5]))
+    out = tmp_path / "model.json"
+    assert main(["train-surrogate", "--data", str(four), "--model", "mlp", "--folds", "2", *grid,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {four}: fold 1 of 2 trains on 2 rows: "
+                                       "need at least 3 rows to train with a validation split\n")
+    assert not out.exists()
+    # a linear model trains on each fold's 2 rows
+    assert main(["train-surrogate", "--data", str(four), "--model", "linear", "--folds", "2", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_seed_below_zero_is_refused_before_any_file_is_read(tmp_path, capsys):
     # numpy refused it deep inside each command, blamed on whichever file was open; these files are missing
     network, data, model = (str(tmp_path / name) for name in ("net.json", "data.csv", "model.json"))

@@ -259,6 +259,12 @@ def test_network_json_round_trip(tmp_path, twolights_net):
     assert again == twolights_net
 
 
+def test_a_network_equals_no_other_kind_of_value(twolights_net):
+    # __eq__ defers to the other operand, so the comparison falls back to identity
+    assert (twolights_net == 5) is False
+    assert (twolights_net != "x") is True
+
+
 def test_fd_defaults_carry_no_v_max(tmp_path):
     doc = {
         "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 100, "y": 0}],

@@ -244,7 +244,6 @@ def test_optimize_config_snaps_to_integer_lattice(cross_net):
     assert isinstance(sig.red, int) and isinstance(sig.green, int) and isinstance(sig.offset, int)
     # speed = 4 + 2*red' + skew grows with red: pushed to the top of the range
     assert sig.red == 54
-    assert result.direction == "maximize"
     # predicted value is the evaluator's score of the snapped config
     assert result.predicted == pytest.approx(obj.evaluate(encode(result.config, cross_net)))
 

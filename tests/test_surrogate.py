@@ -420,7 +420,8 @@ def test_a_worker_raises_the_error_the_serial_grid_raises(monkeypatch):
             grid_search_mlp(X, Y, k=2, base=MlpHyper(hidden=(4,)))
         errors.append((type(raised.value), str(raised.value)))
         assert multiprocessing.active_children() == []
-    assert errors[0] == errors[1] == (ValueError, "need at least 3 rows to train with a validation split")
+    assert errors[0] == errors[1] == (
+        ValueError, "fold 1 of 2 trains on 2 rows: need at least 3 rows to train with a validation split")
 
 
 @pytest.mark.parametrize("method, workers", [("fork", 3), ("forkserver", 1), ("spawn", 1)])
@@ -453,7 +454,8 @@ def test_neither_the_grid_nor_a_pool_fixes_the_start_method():
         for cpus in (1, 2):
             _pool.usable_cpus = lambda: cpus
             grid_search_mlp(X, X.sum(axis=1), seed=0, k=2, base=base)
-        assert _pool.run(max, 1, [0, 2], 2) == [1, 2]
+        with _pool.Pool(max, 1) as pool:
+            assert pool.map([0, 2], 2) == [1, 2]
         multiprocessing.set_start_method("spawn")
         assert multiprocessing.get_start_method() == "spawn"
     """
