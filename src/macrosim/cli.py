@@ -126,15 +126,19 @@ def _cmd_simulate(args) -> int:
     with naming("--probes"):
         probes = [float(t) for t in args.probes.split(",")] if args.probes else None
     result = solver.run(net, state0, config, params, horizon=args.horizon, warmup=args.warmup, probes=probes)
+    heatmaps = {}  # file prefix -> state; probes that one state answers share its file pair
+    for snap in {snap.k: snap for snap in result.snapshots}.values() if args.heatmap else ():
+        base = f"{args.heatmap}_t{snap.t:g}"
+        if base in heatmaps:  # :g keeps 6 significant digits, so two clocks can share a name
+            raise ValueError(f"--heatmap: the states at t = {heatmaps[base].t!r} s and t = {snap.t!r} s "
+                             f"would both be written to {base}.csv/.pgm")
+        heatmaps[base] = snap
     solver.write_metrics_json(result, args.out)
-    if args.heatmap:
-        states = {snap.k: snap for snap in result.snapshots}  # probes that one state answers share its file pair
-        for snap in states.values():
-            base = f"{args.heatmap}_t{snap.t:g}"
-            solver.write_heatmap_csv(net, snap, base + ".csv")
-            solver.write_heatmap_pgm(net, snap, base + ".pgm")
-        if states:
-            print(f"wrote {len(states)} heatmap snapshot(s) to {args.heatmap}_t*.csv/.pgm")
+    for base, snap in heatmaps.items():
+        solver.write_heatmap_csv(net, snap, base + ".csv")
+        solver.write_heatmap_pgm(net, snap, base + ".pgm")
+    if heatmaps:
+        print(f"wrote {len(heatmaps)} heatmap snapshot(s) to {args.heatmap}_t*.csv/.pgm")
     print(
         f"avg_speed={result.metrics.avg_speed:.4f} m/s queue_length={result.metrics.queue_length:.4f} "
         f"({result.metrics.samples} samples) -> {args.out}"

@@ -402,10 +402,10 @@ def initialize(
 
     Every cell gets the edge's observed speed with multiplicative uniform
     noise of amplitude params.init_noise (seeded by params.seed, drawn in
-    edge-id order, so equal seeds give bit-identical states). Densities are
-    the fundamental-diagram inverse of the noisy speeds, clamped into the
-    admissible range. A speed for an edge the network does not have is an
-    error.
+    edge-id order, so equal seeds give bit-identical states), clipped into
+    [1e-9, free-flow speed]. Densities are the fundamental-diagram inverse of
+    those speeds, clamped into the admissible range. A speed for an edge the
+    network does not have is an error.
     """
     unknown = sorted(set(observed) - set(net.edges))
     if unknown:
@@ -471,7 +471,7 @@ def run(
         raise ValueError("config list is empty")
 
     batch = len(configs)
-    probe_times = sorted(float(p) for p in probes) if probes else []
+    probe_times = [] if probes is None else sorted(float(p) for p in probes)
     for p in probe_times:
         if not state0.t <= p <= state0.t + horizon:  # also nan, which sorted leaves anywhere
             raise ValueError(f"probe {p!r} s is outside the run's clock span [{state0.t!r}, {state0.t + horizon!r}] s")

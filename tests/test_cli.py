@@ -5,17 +5,18 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import macrosim
-from macrosim import _pool, dataset, surrogate
+from macrosim import _pool, dataset, solver, surrogate
 from macrosim.cli import FLAG_FLOORS, _build_parser, main
 from macrosim.dataset import feature_matrix, read_csv
 from macrosim.signals import load_config, save_config
 from macrosim.optimizer import DeConfig
-from macrosim.solver import HORIZON_S, WARMUP_S, SimParams, SimulationError, initialize
+from macrosim.solver import HORIZON_S, WARMUP_S, SimParams, SimState, SimulationError, initialize
 from macrosim.surrogate import load_model
 
 
@@ -103,6 +104,22 @@ def test_simulate_writes_each_probed_state_once(fixtures_dir, tmp_path, capsys):
     assert rc == 0
     assert sorted(p.name for p in tmp_path.glob("hm*")) == ["hm_t0.5.csv", "hm_t0.5.pgm"]
     assert f"wrote 1 heatmap snapshot(s) to {tmp_path / 'hm'}_t*.csv/.pgm\n" in capsys.readouterr().out
+
+
+def test_simulate_refuses_two_states_that_would_share_a_heatmap_name(fixtures_dir, tmp_path, capsys, monkeypatch):
+    # the file name keeps 6 significant digits of the clock, so the states at 100000.0 s and 100000.5 s would both
+    # be written as hm_t100000: refused by both clocks before any file, the metrics included, is written
+    def run(net, state0, config, params, **kwargs):
+        states = [SimState(state0.rho, state0.v, t=t, k=k) for t, k in ((100000.0, 200000), (100000.5, 200001))]
+        return types.SimpleNamespace(snapshots=states)
+
+    monkeypatch.setattr(solver, "run", run)
+    rc = main(["simulate", "--network", str(fixtures_dir / "ring.json"), "--init", str(fixtures_dir / "ring_init.csv"),
+               "--heatmap", str(tmp_path / "hm"), "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: --heatmap: the states at t = 100000.0 s and t = 100000.5 s would "
+                                       f"both be written to {tmp_path / 'hm'}_t100000.csv/.pgm\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_dataset_output_is_readable(cli_dataset):
@@ -322,7 +339,7 @@ def test_optimize_validate_without_init_fails_before_the_search(cli_dataset, fix
         ]
     )
     assert rc == 1
-    assert "--validate needs --init" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --validate needs --init to build the shared initial state\n"
     assert not cfg_path.exists()
 
 

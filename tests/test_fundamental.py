@@ -199,7 +199,7 @@ def test_counter_csv_reports_bad_line(tmp_path):
         read_counters(path)
 
     path.write_text("interval_s,count,avg_speed_mps\n300,2\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: expected 3 columns"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: expected 3 columns, got 2$"):
         read_counters(path)
 
     # a negative count, a non-positive interval or a non-finite value names the line and the rule

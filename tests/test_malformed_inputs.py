@@ -189,9 +189,9 @@ READERS = [
 def test_every_reader_refuses_with_a_value_error_that_starts_with_its_path(tmp_path, reader, name, wrong_type, wanted):
     path = tmp_path / name
     other = "edge_id,speed_mps\n*,8.0\n" if name.endswith(".json") else json.dumps(MODEL)  # the other dialect
-    for data in (b"\xff\xfe\x00 not text", other.encode()):  # unparseable: undecodable bytes, or not its dialect
+    for data, said in ((b"\xff\xfe\x00 not text", "cannot decode: "), (other.encode(), "")):  # or not its dialect
         path.write_bytes(data)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {said}')}"):
             reader(path)
     path.write_text(wrong_type)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {wanted}')}$"):

@@ -633,6 +633,10 @@ def test_run_probe_snapshots(ring_net):
     assert [s.k for s in result.snapshots] == [0, 20, 40]
     np.testing.assert_array_equal(result.snapshots[0].v, state.v)
     np.testing.assert_array_equal(result.snapshots[-1].v, result.final_state.v)
+    # an array of probes is read like the list of them
+    from_array = run(ring_net, state, None, params, horizon=20.0, warmup=0.0, probes=np.array([0.0, 10.0, 20.0]))
+    for a, b in zip(from_array.snapshots, result.snapshots, strict=True):
+        assert (a.t, a.k) == (b.t, b.k) and np.array_equal(a.rho, b.rho) and np.array_equal(a.v, b.v)
 
     # a probe the clock never reaches is refused by name; one at exactly the horizon is reached by the last clock
     later = SimState(rho=state.rho, v=state.v, t=5.0)
@@ -797,7 +801,7 @@ def test_read_speeds_csv(tmp_path):
         read_speeds_csv(bad)
 
     bad.write_text("edge_id,speed_mps\na,8,9\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2: expected 2 columns"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2: expected 2 columns, got 3$"):
         read_speeds_csv(bad)
 
     # a repeated edge or a second default row would silently override the first

@@ -315,10 +315,11 @@ def test_load_model_rejects_unknown_kind(tmp_path):
 
 _LINEAR = {"weights": [[[1.0]]], "biases": [[0.0]], "activation": "relu", "target_mean": [0.0], "target_scale": [1.0],
            "targets": ["avg_speed"], "feature_ids": ["J"]}
-# files of earlier versions: a linear one is refused, an MLP one loads ("kind" is unread)
+# files of earlier versions: a linear one is refused, an MLP one loads ("kind" and "feature_bounds" are unread)
 _OLD_LINEAR = {"kind": "linear", "weights": [[1.0]], "intercept": [0.0], "targets": ["avg_speed"], "feature_ids": ["J"]}
-_MLP = {"kind": "mlp", "weights": [[[1.0, 2.0]], [[1.0], [1.0]]], "biases": [[0.0, 0.0], [0.0]], "activation": "relu",
-        "target_mean": [0.0], "target_scale": [1.0], "targets": ["avg_speed"], "feature_ids": []}
+_MLP = {"kind": "mlp", "feature_bounds": [[0.0, 1.0]], "weights": [[[1.0, 2.0]], [[1.0], [1.0]]],
+        "biases": [[0.0, 0.0], [0.0]], "activation": "relu", "target_mean": [0.0], "target_scale": [1.0],
+        "targets": ["avg_speed"], "feature_ids": []}
 
 
 @pytest.mark.parametrize(
