@@ -219,12 +219,14 @@ def validate(net: RoadNetwork) -> list[str]:
 
         center = net.nodes.get(ix.node)
         for (e_in, e_out), w in ix.turn_weights.items():
-            # the solver caps every positive-weight movement's speed by its turn angle, which needs two rays
+            # the solver caps every positive-weight movement's speed by its turn angle, which needs two rays; one whose
+            # square underflows (under about 1e-162 m) counts as zero, so turn_angle's product of two is never 0
             if not (w > 0 and center is not None and e_in in net.edges and e_out in net.edges):
                 continue
             for end in (net.edges[e_in].from_node, net.edges[e_out].to_node):
                 node = net.nodes.get(end)
-                if node is not None and (node.x, node.y) == (center.x, center.y):
+                ray = math.inf if node is None else math.hypot(node.x - center.x, node.y - center.y)
+                if ray * ray == 0:
                     problems.append(
                         f"intersection {ix.id}: turn ({e_in}, {e_out}) has a zero-length ray: "
                         f"node {end} sits on junction node {ix.node}"
@@ -263,7 +265,7 @@ def turn_angle(net: RoadNetwork, e_in: str, e_out: str) -> float:
     v2 = (ahead.x - center.x, ahead.y - center.y)
     n1 = math.hypot(*v1)
     n2 = math.hypot(*v2)
-    if n1 == 0 or n2 == 0:
+    if n1 * n2 == 0:  # also two rays so short that the product of their lengths underflows
         raise ValueError(f"degenerate geometry for turn ({e_in}, {e_out}): zero-length ray")
     cos_angle = (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)
     return math.degrees(math.acos(max(-1.0, min(1.0, cos_angle))))

@@ -74,11 +74,11 @@ class Objective:
 
     def internal_batch(self, X: np.ndarray) -> np.ndarray:
         """Internal values of every row of X in one evaluate_batch call."""
-        values = np.asarray(self.evaluate_batch(X), dtype=float)
-        return -values if self.direction == "maximize" else values
+        return self.external(np.asarray(self.evaluate_batch(X), dtype=float))
 
-    def external(self, internal_value: float) -> float:
-        return -internal_value if self.direction == "maximize" else internal_value
+    def external(self, value: float | np.ndarray) -> float | np.ndarray:
+        """Maps a float or an array either way between internal and objective values: maximize negates."""
+        return -value if self.direction == "maximize" else value
 
 
 @dataclass

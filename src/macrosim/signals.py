@@ -16,6 +16,7 @@ from ._files import Fields, naming, read_json, write_json
 
 RED_GREEN_MIN = 20
 RED_GREEN_MAX = 54
+_SPAN = RED_GREEN_MAX - RED_GREEN_MIN  # the red and green range that encoding maps onto [0, 1]
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,11 @@ def sample_config(net, rng: np.random.Generator) -> dict:
 
 def encode_values(config: dict, ids) -> np.ndarray:
     """Encode a configuration as one [0, 1] triple (red, green, offset) per id."""
-    span = RED_GREEN_MAX - RED_GREEN_MIN
     out = np.empty(3 * len(ids))
     for j, iid in enumerate(ids):
         sig = config[iid]
-        out[3 * j] = (sig.red - RED_GREEN_MIN) / span
-        out[3 * j + 1] = (sig.green - RED_GREEN_MIN) / span
+        out[3 * j] = (sig.red - RED_GREEN_MIN) / _SPAN
+        out[3 * j + 1] = (sig.green - RED_GREEN_MIN) / _SPAN
         out[3 * j + 2] = sig.offset / (sig.cycle - 1)
     return out
 
@@ -142,11 +142,10 @@ def decode_values(vector: np.ndarray, ids) -> dict:
     outside = np.flatnonzero(~((0 <= vector) & (vector <= 1)))  # nan fails both comparisons
     if outside.size:
         raise ValueError(f"encoded coordinate {outside[0]} must be in [0, 1], got {vector[outside[0]]}")
-    span = RED_GREEN_MAX - RED_GREEN_MIN
     config = {}
     for j, iid in enumerate(ids):
-        red = int(round(RED_GREEN_MIN + vector[3 * j] * span))
-        green = int(round(RED_GREEN_MIN + vector[3 * j + 1] * span))
+        red = int(round(RED_GREEN_MIN + vector[3 * j] * _SPAN))
+        green = int(round(RED_GREEN_MIN + vector[3 * j + 1] * _SPAN))
         offset = int(round(vector[3 * j + 2] * (red + green - 1)))
         config[iid] = IntersectionSignal(red=red, green=green, offset=offset)
     return config

@@ -13,26 +13,27 @@ Stability requires v_max * dt / dx <= 1 on every edge; ``run`` refuses to
 start otherwise.
 
 ``run`` compiles the network once per call into a private plan of flat
-per-cell, per-edge and per-movement arrays and gather indices, takes its
-per-step red-light mask from ``signals.red_schedule``, recomputes the mask's
-consequences only at the steps where it changes, and advances each step
-with two whole-array kernels that share one cell-flux array: the boundary
-kernel (every movement summed by np.bincount, red ones into a dropped bin)
-and the cell update (one dot product guards finiteness; only if it is not
-finite are the cells checked one by one). On small networks a step costs tens of numpy calls
-rather than arithmetic, so the kernels keep that count low, and they write
-their per-cell results into work arrays the plan owns rather than into new
-temporaries, one ufunc at a time in the order the update's expressions
-evaluate, so every value rounds as they would. The state is double-buffered:
-each step writes the plan's spare pair of arrays and hands back the pair it
-read. From the first sampled step on, every step is sampled; ``run`` copies
-the speeds into a block of a few steps and computes their metrics in one
-call. A list of signal configurations runs as one plan of disjoint network
-copies, one per configuration. ``virtual_boundaries`` and ``step`` are
-one-step views of the same two kernels, each compiling one plan per call
-and taking the red stop lines as edge ids, one row of that schedule
-(``edge_phases``); ``step`` derives its ghosts on that plan, and its state
-is its caller's.
+per-cell, per-edge and per-movement arrays and gather indices. The plan holds
+the ``SimParams`` it was compiled for, so the kernels take only the plan and
+the state. ``run`` takes its per-step red-light mask from
+``signals.red_schedule``, recomputes the mask's consequences only at the steps
+where it changes, and advances each step with two whole-array kernels that
+share one cell-flux array: the boundary kernel (every movement summed by
+np.bincount, red ones into a dropped bin) and the cell update (one dot product
+guards finiteness; only if it is not finite are the cells checked one by one).
+On small networks a step costs tens of numpy calls rather than arithmetic, so
+the kernels keep that count low, and they write their per-cell results into
+work arrays the plan owns rather than into new temporaries, one ufunc at a time
+in the order the update's expressions evaluate, so every value rounds as they
+would. The state is double-buffered: each step writes the plan's spare pair of
+arrays and hands back the pair it read. From the first sampled step on, every
+step is sampled; ``run`` copies the speeds into a block of a few steps and
+computes their metrics in one call. A list of signal configurations runs as one
+plan of disjoint network copies, one per configuration. ``virtual_boundaries``
+and ``step`` are one-step views of the same two kernels, each compiling one
+plan per call and taking the red stop lines as edge ids, one row of that
+schedule (``edge_phases``); ``step`` derives its ghosts on that plan, and its
+state is its caller's.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ from .signals import edge_phases, red_schedule  # noqa: F401 (edge_phases: as ab
 
 HORIZON_S = 340.0  # the paper's protocol: simulated seconds per run
 WARMUP_S = 100.0   # and the seconds before metrics are sampled
+CLOCK_TOL_S = 1e-9  # a time within this of a step's start reaches that step, as the warm-up's end and as a probe
 # speeds per step_metrics call in run: 64 KB, so no temporary of the call reaches malloc's 128 KB mmap threshold,
 # above which every call maps and faults in fresh pages
 _BLOCK_VALUES = 1 << 13
@@ -144,7 +146,7 @@ def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams,
     The CFL condition, a finite horizon > 0, a warmup that some step samples, and a start clock ``state0.t`` that
     is finite and >= 0, as the signals' clock starts at 0; with ``state0`` None the clock is not checked. Returns
     the run's step plan, both counted from ``state0.t``: its steps, ``ceil(horizon / dt)``, and the warm-up steps
-    before the first sampled one, ``ceil((warmup - 1e-9) / dt)``.
+    before the first sampled one, ``ceil((warmup - CLOCK_TOL_S) / dt)``.
     """
     report = check_cfl(net, params.dt_s)
     if not report.ok:
@@ -158,7 +160,7 @@ def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams,
     if not (0 <= warmup < horizon):
         raise ValueError(f"warmup must be in [0, horizon) = [0, {horizon!r}), got {warmup!r}")
     n_steps = math.ceil(horizon / params.dt_s)
-    warmup_steps = math.ceil((warmup - 1e-9) / params.dt_s)
+    warmup_steps = math.ceil((warmup - CLOCK_TOL_S) / params.dt_s)
     if warmup_steps >= n_steps:
         raise ValueError(f"warmup {warmup!r} s is later than the last step's start at "
                          f"{(n_steps - 1) * params.dt_s!r} s; no metric would be sampled")
@@ -172,7 +174,7 @@ def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are 
 
 
 class _Plan:
-    """A network compiled for one SimParams into flat per-edge, per-cell and per-movement arrays.
+    """A network compiled for one SimParams, kept as ``params``, into flat per-edge, per-cell and per-movement arrays.
 
     Cells are laid out as in SimState. Movements are the positive turn
     weights, ordered by receiving edge and then by the feeding edge's place
@@ -185,17 +187,17 @@ class _Plan:
     b * total_cells and its edge indices by b * len(edges). No two copies
     share a bincount bin, so each copy rounds exactly as a plan of its own.
 
-    The kernels hold a state as one (2, cells) pair (rho, v), so an operation
-    that both fields take is one numpy call. The plan owns the work arrays a
-    step refills: ``x`` = (q, v*v), ``d`` = (rho_dn, V(rho_dn)), a per-cell
-    and a per-movement temporary, and the ``spare`` state pair that the next
-    step writes; ``set_red`` keeps what the red flags decide until they
-    change. A plan is private to one call of ``run``, ``step`` or
-    ``virtual_boundaries``.
+    The kernels take only the plan and a state, which they hold as one
+    (2, cells) pair (rho, v), so an operation that both fields take is one
+    numpy call. The plan owns the work arrays a step refills: ``x`` = (q, v*v),
+    ``d`` = (rho_dn, V(rho_dn)), a per-cell and a per-movement temporary, and
+    the ``spare`` state pair that the next step writes; ``set_red`` keeps what
+    the red flags decide until they change. A plan is private to one call of
+    ``run``, ``step`` or ``virtual_boundaries``.
     """
 
     def __init__(self, net: RoadNetwork, params: SimParams, batch: int = 1):
-        self.edges = net.edge_order
+        self.edges, self.params = net.edge_order, params
         index = {eid: i for i, eid in enumerate(self.edges)}
         edges = [net.edges[eid] for eid in self.edges]
         dt = params.dt_s
@@ -269,13 +271,13 @@ def _fluxes(plan: _Plan, s: np.ndarray) -> np.ndarray:
     return x[0]
 
 
-def _boundaries(plan: _Plan, q: np.ndarray, rho: np.ndarray, v: np.ndarray, params: SimParams):
-    """Boundary kernel: (q_in, v_in, rho_out) per edge from the cell fluxes q; see virtual_boundaries.
+def _boundaries(plan: _Plan, q: np.ndarray, s: np.ndarray):
+    """Boundary kernel: (q_in, v_in, rho_out) per edge from the state pair s and its fluxes q; see virtual_boundaries.
 
     Every movement is summed, but a red one into a spare bin n that is dropped, so each edge
     still sums exactly its green terms in order.
     """
-    n, dest = len(plan.first), plan.dest
+    n, dest, rho, v = len(plan.first), plan.dest, s[0], s[1]  # rows by index, as in _advance
     part = q[plan.mv_last]  # each gather makes a new array, which is cheaper than np.take into a kept one
     part *= plan.mv_share
     q0 = np.bincount(dest, part, n + 1)[:n]
@@ -295,18 +297,18 @@ def _boundaries(plan: _Plan, q: np.ndarray, rho: np.ndarray, v: np.ndarray, para
     r *= plan.dn_w
     num = np.bincount(plan.dn_in, r, n)
     rho_out = np.divide(num, den, out=rho[plan.last], where=den > 0.0)
-    rho_out[plan.jammed] = params.jam_density
+    rho_out[plan.jammed] = plan.params.jam_density
     return q_in, v_in, rho_out
 
 
-def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, params: SimParams, k: int, t: float) -> np.ndarray:
+def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, k: int, t: float) -> np.ndarray:
     """Cell-update kernel: step k of every cell, at clock t, from the state pair s = (rho, v), its (q, v*v) in
     plan.x, and the ghosts; see step.
 
     The new pair is written into plan.spare, and s becomes the next spare: s itself is never written, but
     a caller that steps on must not keep it.
     """
-    x, d, tmp, new, first = plan.x, plan.d, plan.tmp, plan.spare, plan.first
+    x, d, tmp, new, first, params = plan.x, plan.d, plan.tmp, plan.spare, plan.first, plan.params
     rho, r_next, u_next, dt = s[0], new[0], new[1], params.dt_s  # rows by index: unpacking an array is slower
 
     # new = (rho - flux_coef * (q - q_up), v - conv_coef * (v*v - v_up*v_up)), then
@@ -355,7 +357,7 @@ def _view(net: RoadNetwork, state: SimState, red: Collection[str], params: SimPa
     plan = _Plan(net, params)
     plan.set_red(np.array([eid in red for eid in plan.edges], dtype=bool))
     s = np.stack([state.rho, state.v])
-    return plan, s, _boundaries(plan, _fluxes(plan, s), s[0], s[1], params)
+    return plan, s, _boundaries(plan, _fluxes(plan, s), s)
 
 
 def virtual_boundaries(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams) -> VirtualBoundary:
@@ -388,7 +390,7 @@ def step(net: RoadNetwork, state: SimState, red: Collection[str], params: SimPar
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in run
         plan, s, ghosts = _view(net, state, red, params)
-        rho, v = _advance(plan, s, *ghosts, params, state.k, state.t)
+        rho, v = _advance(plan, s, *ghosts, state.k, state.t)
     return SimState(rho=rho, v=v, t=state.t + params.dt_s, k=state.k + 1)
 
 
@@ -430,16 +432,6 @@ def initialize(
     return SimState(rho=rho, v=v, t=0.0, k=0)
 
 
-def total_cars(net: RoadNetwork, state: SimState) -> float:
-    """Vehicles on the network: per-lane density * cell length * lanes, summed."""
-    total = 0.0
-    for eid in net.edge_order:
-        e = net.edges[eid]
-        sl = net.cell_slice(eid)
-        total += float(np.sum(state.rho[sl])) * e.cell_length * e.lanes
-    return total
-
-
 def run(
     net: RoadNetwork,
     state0: SimState,
@@ -456,9 +448,9 @@ def run(
     step from ``warmup`` seconds after ``state0.t`` on, as that check plans.
     ``probes`` is an optional list of times at which the full state is
     recorded as a SimState, taken at the first state whose clock reaches each
-    probe; a probe outside the run's clock span [state0.t, state0.t + horizon]
-    is refused. Deterministic: no randomness is drawn here, so equal inputs
-    give bit-identical results.
+    probe within ``CLOCK_TOL_S``; a probe outside the run's clock span
+    [state0.t, state0.t + horizon] is refused. Deterministic: no randomness is
+    drawn here, so equal inputs give bit-identical results.
 
     ``config`` may also be a list of configurations, all started from
     ``state0``: they are simulated in one pass as disjoint copies of the
@@ -493,7 +485,7 @@ def run(
     # product can also overflow on finite cells, so the warnings say nothing the guard does not
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(clock.tolist()):
-            while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - 1e-9:
+            while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - CLOCK_TOL_S:
                 snapshots.append(SimState(*s.reshape(2, batch, -1).copy(), t=t, k=state0.k + k))
                 probe_idx += 1
             if k == n_steps:
@@ -506,8 +498,7 @@ def run(
                     series[:, lo:lo + i + 1] = step_metrics(block[:i + 1])
             if switches[k]:
                 plan.set_red(red[k])
-            q = _fluxes(plan, s)
-            s = _advance(plan, s, *_boundaries(plan, q, s[0], s[1], params), params, state0.k + k, t)
+            s = _advance(plan, s, *_boundaries(plan, _fluxes(plan, s), s), state0.k + k, t)
 
     # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
     speeds, queues = series.transpose(0, 2, 1).copy()

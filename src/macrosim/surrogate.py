@@ -46,6 +46,7 @@ BATCH_SIZE = 32            # MLP mini-batch rows
 VALIDATION_FRACTION = 0.1  # share of rows the MLP holds out for early stopping
 TARGET_MAX = 1e150         # largest target magnitude a fit takes: fits and scores square errors of that size
 FEATURE_MAX = 1e6          # largest feature magnitude a fit takes: the MLP trainer's float32 Adam squares gradients
+ACTIVATIONS = ("relu", "tanh")  # the hidden layers' activations: MlpHyper's, a model file's and the grid's
 
 
 class _TooFewRows(ValueError):
@@ -69,8 +70,8 @@ class MlpHyper:
     tol: float = 1e-4           # minimum improvement that resets patience
 
     def __post_init__(self):
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError("activation must be 'relu' or 'tanh'")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be {' or '.join(map(repr, ACTIVATIONS))}")
         sizes = self.hidden if isinstance(self.hidden, tuple | list) else ()
         for name, ok, rule in (
             ("hidden", sizes and all(_is_int(h) and h >= 1 for h in sizes), "a non-empty sequence of integers >= 1"),
@@ -440,7 +441,7 @@ def grid_search_mlp(X, Y, seed: int = 0, k: int = 5, base: MlpHyper = MlpHyper()
     process; the results are the same either way.
     """
     grid = [[replace(base, activation=activation, alpha=alpha, learning_rate=lr)
-             for alpha in (0.0001, 0.001) for lr in (0.001, 0.01)] for activation in ("relu", "tanh")]
+             for alpha in (0.0001, 0.001) for lr in (0.001, 0.01)] for activation in ACTIVATIONS]
     fits = [partial(_fit_stack, hypers=stack, seed=seed) for stack in grid]
     scores = _cross_validate(fits, X, Y, k, seed, _pool.forked_cpus())
     results = [(hyper, *score) for hyper, score in zip(sum(grid, []), scores)]
@@ -477,8 +478,8 @@ def load_model(path) -> Model:
     if not weights or len(weights) != len(biases):
         raise ValueError(f"{path}: {len(weights)} weight matrices for {len(biases)} bias vectors")
     activation = fields(doc, "activation", str)
-    if activation not in ("relu", "tanh"):
-        raise ValueError(f"{path}: activation: expected 'relu' or 'tanh', got {activation!r}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"{path}: activation: expected {' or '.join(map(repr, ACTIVATIONS))}, got {activation!r}")
     layers = [(np.array(W), np.array(b)) for W, b in zip(weights, biases)]
     mean, scale = np.array(fields(doc, "target_mean", [float])), np.array(fields(doc, "target_scale", [float]))
     numbers = dict(zip(("weights", "biases", "target_mean", "target_scale"),

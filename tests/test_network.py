@@ -226,6 +226,19 @@ def test_turn_angle_refuses_a_zero_length_ray():
     assert turn_angle(moved, "s", "e") == pytest.approx(90.0)  # the other movement keeps both its rays
 
 
+def test_a_ray_too_short_to_square_is_a_zero_length_ray():
+    # drawn by tests/test_properties.py: J1 lies 4.2e-306 m from J2, so each ray of the U-turn at J2 has a length
+    # but the product of the two underflows to 0, and the turn has no angle
+    nodes = [Node("J1", 0.0, 4.240127937265437e-306), Node("J2", 0.0, 0.0)]
+    edges = [RoadEdge("L12", "J1", "J2", 20.0, 1, 20.0), RoadEdge("L21", "J2", "J1", 20.0, 1, 20.0)]
+    net = RoadNetwork(nodes, edges, [Intersection("I1", "J1", ("L21",), ("L12",)),
+                                     Intersection("I2", "J2", ("L12",), ("L21",), {("L12", "L21"): 1.0})])
+    wanted = "intersection I2: turn (L12, L21) has a zero-length ray: node J1 sits on junction node J2"
+    assert validate(net) == [wanted] * 2  # once per ray: both end at J1
+    with pytest.raises(ValueError, match=r"^degenerate geometry for turn \(L12, L21\): zero-length ray$"):
+        turn_angle(net, "L12", "L21")
+
+
 def test_turn_speed_factor_endpoints():
     assert turn_speed_factor(180.0) == pytest.approx(1.0)
     assert turn_speed_factor(90.0) == pytest.approx(0.5)

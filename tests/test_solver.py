@@ -31,7 +31,6 @@ from macrosim.solver import (
     read_speeds_csv,
     run,
     step,
-    total_cars,
     virtual_boundaries,
     write_heatmap_csv,
     write_heatmap_pgm,
@@ -371,6 +370,15 @@ def test_initialize_per_edge_speeds_and_errors(twolights_net, twolights_speeds):
 # -------------------------------------------------- conservation and rest
 
 
+def _total_cars(net, state):
+    """Vehicles on the network: per-lane density * cell length * lanes, summed per edge in edge order."""
+    total = 0.0
+    for eid in net.edge_order:
+        e = net.edges[eid]
+        total += float(np.sum(state.rho[net.cell_slice(eid)])) * e.cell_length * e.lanes
+    return total
+
+
 def test_closed_ring_conserves_mass_exactly_uniform(ring_net):
     params = SimParams(init_noise=0.0)
     fd = ring_net.fd_for("re0")
@@ -379,11 +387,11 @@ def test_closed_ring_conserves_mass_exactly_uniform(ring_net):
         rho=np.full(ring_net.total_cells, rho0),
         v=np.full(ring_net.total_cells, ideal_speed(fd, rho0)),
     )
-    before = total_cars(ring_net, state)
+    before = _total_cars(ring_net, state)
     assert before == pytest.approx(0.05 * 8 * 120.0)
     for _ in range(100):
         state = step(ring_net, state, set(), params)
-    assert total_cars(ring_net, state) == pytest.approx(before, abs=1e-12)
+    assert _total_cars(ring_net, state) == pytest.approx(before, abs=1e-12)
 
 
 def test_closed_ring_conserves_mass_with_perturbation(ring_net):
@@ -393,10 +401,10 @@ def test_closed_ring_conserves_mass_with_perturbation(ring_net):
     rho = 0.05 * (1.0 + 0.3 * rng.standard_normal(ring_net.total_cells))
     rho = np.clip(rho, 0.01, 0.15)
     state = SimState(rho=rho, v=ideal_speed(fd, rho))
-    before = total_cars(ring_net, state)
+    before = _total_cars(ring_net, state)
     for _ in range(500):
         state = step(ring_net, state, set(), params)
-    drift = abs(total_cars(ring_net, state) - before) / before
+    drift = abs(_total_cars(ring_net, state) - before) / before
     assert drift < 1e-9
 
 
@@ -659,6 +667,23 @@ def test_warmup_counts_from_the_start_clock(ring_net, t0, warmup, samples):
     assert (got.steps, got.warmup_steps, got.metrics.samples) == (20, 20 - samples, samples)
     assert got.metrics == want.metrics
     assert got.final_state.t == t0 + 10.0
+
+
+@pytest.mark.parametrize("late, reached", [(0.5, 4), (1.5, 5)])
+def test_warmup_and_probes_share_the_clock_tolerance(ring_net, late, reached):
+    # a time within CLOCK_TOL_S after step 4's clock, 2.0 s, reaches step 4 both as the warm-up's end and as a
+    # probe; one further after it reaches step 5 in both uses
+    params = SimParams(seed=3)
+    state = initialize(ring_net, {}, params, default_speed=6.0)
+    time = 2.0 + late * solver.CLOCK_TOL_S
+    result = run(ring_net, state, None, params, horizon=5.0, warmup=time, probes=[time])
+    exact = run(ring_net, state, None, params, horizon=5.0, warmup=reached * params.dt_s)
+    assert (result.warmup_steps, result.metrics.samples) == (reached, 10 - reached)
+    assert result.metrics == exact.metrics
+    at = run(ring_net, state, None, params, horizon=reached * params.dt_s, warmup=0.0).final_state
+    (snapshot,) = result.snapshots
+    assert (snapshot.k, snapshot.t) == (reached, at.t)
+    assert np.array_equal(snapshot.rho, at.rho) and np.array_equal(snapshot.v, at.v)
 
 
 def test_step_returns_arrays_of_its_own(cross_net):
