@@ -3,6 +3,7 @@
 A JSON document is an object, written with an indent of 2 and a trailing
 newline. A CSV table has one header row; blank lines are skipped. Every field
 and cell is read through ``Fields``; every read error starts with the file's path.
+``is_int`` is the integer rule of the settings that code builds instead of reading.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import reprlib
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 
 @contextmanager
 def naming(prefix):
@@ -21,6 +24,11 @@ def naming(prefix):
         yield
     except ValueError as exc:
         raise ValueError(f"{prefix}: {exc}") from None
+
+
+def is_int(value) -> bool:
+    """An int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _kind_name(kind) -> str:

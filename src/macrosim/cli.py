@@ -255,11 +255,11 @@ def _surrogate_objective(args, ids) -> optimizer.Objective:
             f"{args.model}: model features are intersections {list(model.feature_ids)}, "
             f"but {args.network} signalizes {list(ids)}"
         )
-    width = model.layers[0][0].shape[0]
-    if width != 3 * len(ids):
+    width, per = model.layers[0][0].shape[0], len(signals.TIMINGS)
+    if width != per * len(ids):
         raise ValueError(
-            f"{args.model}: model takes {width} inputs, but {args.network} needs {3 * len(ids)} "
-            f"(3 per signalized intersection)"
+            f"{args.model}: model takes {width} inputs, but {args.network} needs {per * len(ids)} "
+            f"({per} per signalized intersection)"
         )
     with naming(args.model):  # a model trained for other targets
         return optimizer.surrogate_objective(model, args.objective)

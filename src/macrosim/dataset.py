@@ -16,7 +16,7 @@ from . import _pool
 from ._files import Fields, naming, read_table, write_table
 from .metrics import METRICS
 from .network import MAX_CELLS
-from .signals import IntersectionSignal, encode_values, sample_config
+from .signals import TIMINGS, IntersectionSignal, encode_values, sample_config
 from .solver import HORIZON_S, WARMUP_S, SimParams, SimState, check_protocol, run
 
 
@@ -136,13 +136,12 @@ def generate(
 
 
 def _header(ids) -> list[str]:
-    """Columns of a dataset table: run_id, seed, one red/green/offset triple per intersection, both metrics, status."""
-    return ["run_id", "seed", *(f"{iid}_{part}" for iid in ids for part in ("red", "green", "offset")),
-            *METRICS, "status"]
+    """Columns of a dataset table: run_id, seed, ``<id>_<timing>`` per intersection and timing, both metrics, status."""
+    return ["run_id", "seed", *(f"{iid}_{name}" for iid in ids for name in TIMINGS), *METRICS, "status"]
 
 
 def _ids(header) -> list[str]:
-    return [h[: -len("_red")] for h in header if h.endswith("_red")]
+    return [h[: -len(TIMINGS[0]) - 1] for h in header if h.endswith(f"_{TIMINGS[0]}")]
 
 
 def write_csv(rows: list[DatasetRow], path) -> None:
@@ -154,13 +153,13 @@ def write_csv(rows: list[DatasetRow], path) -> None:
     for row in rows:
         if sorted(row.config) != ids:
             raise ValueError(f"run {row.run_id}: configuration covers different intersections")
-        timings = [t for iid in ids for t in (row.config[iid].red, row.config[iid].green, row.config[iid].offset)]
+        timings = [getattr(row.config[iid], name) for iid in ids for name in TIMINGS]
         records.append([row.run_id, row.seed, *timings, *(float(getattr(row, m)) for m in METRICS), row.status])
     write_table(_header(ids), records, path)
 
 
 def read_csv(path) -> list[DatasetRow]:
-    """Read a table as write_csv writes it, its intersection ids taken from the _red columns; floats round-trip exactly."""
+    """Read a table as write_csv writes it, its intersection ids taken from the header; floats round-trip exactly."""
     header, records = read_table(path, lambda found: _header(_ids(found)))
     ids = _ids(header)
     fields = Fields(path)
@@ -170,7 +169,8 @@ def read_csv(path) -> list[DatasetRow]:
         run_id, seed, *timings, avg_speed, queue, status = (
             fields.cell(cell, kind, line_no, column) for cell, kind, column in zip(cells, kinds, header))
         with naming(f"{path}: line {line_no}"):
-            config = {iid: IntersectionSignal(*timings[3 * j:3 * j + 3]) for j, iid in enumerate(ids)}
+            runs = zip(*[iter(timings)] * len(TIMINGS))  # the timings in consecutive runs of len(TIMINGS), one per id
+            config = {iid: IntersectionSignal(*run) for iid, run in zip(ids, runs)}
             if status == "ok" and not np.isfinite([avg_speed, queue]).all():
                 got = ", ".join(f"{metric}={value}" for metric, value in zip(METRICS, (avg_speed, queue)))
                 raise ValueError(f"a row marked ok needs finite metrics, got {got}")
@@ -179,7 +179,7 @@ def read_csv(path) -> list[DatasetRow]:
 
 
 def feature_matrix(rows: list[DatasetRow]):
-    """Encoded configurations of the ok rows as an (n, 3K) matrix in [0, 1].
+    """Encoded configurations of the ok rows as an (n, len(TIMINGS) * K) matrix in [0, 1].
 
     Returns (X, Y, ids): features, the (n, 2) targets in METRICS order, and
     the intersection-id order defining the columns.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._files import Fields, naming, read_json, write_json
+from ._files import Fields, is_int, naming, read_json, write_json
 from .fundamental import DEFAULT_A, DEFAULT_RHO_CR, FdParams
 
 CELL_TARGET_M = 10.0
@@ -170,7 +170,9 @@ def validate(net: RoadNetwork) -> list[str]:
             problems.append(f"edge {edge.id}: unknown to node {edge.to_node}")
         if edge.from_node == edge.to_node:
             problems.append(f"edge {edge.id}: from and to node coincide")
-        if not 1 <= edge.lanes <= MAX_LANES:
+        if not is_int(edge.lanes):
+            problems.append(f"edge {edge.id}: lanes must be an integer, got {edge.lanes!r}")
+        elif not 1 <= edge.lanes <= MAX_LANES:
             problems.append(f"edge {edge.id}: lanes must be in [1, {MAX_LANES}], got {edge.lanes}")
         if not (math.isfinite(edge.free_flow_speed) and edge.free_flow_speed > 0):
             problems.append(f"edge {edge.id}: free_flow_speed must be finite and > 0")

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import signals
+from ._files import is_int
 from .metrics import METRICS
 from .solver import SimulationError
 from .surrogate import predict
@@ -41,15 +42,17 @@ class DeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_generations < 0:
-            raise ValueError(f"max_generations must be >= 0, got {self.max_generations!r}")
+        for name in ("pop_size", "max_generations", "seed"):
+            if not (is_int(getattr(self, name)) or (name == "pop_size" and self.pop_size is None)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.pop_size is not None and self.pop_size < 4:
+            raise ValueError("pop_size must be >= 4 for rand/1/bin")
+        for name in ("max_generations", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def resolved_pop_size(self, dim: int) -> int:
-        if self.pop_size is not None:
-            if self.pop_size < 4:
-                raise ValueError("pop_size must be >= 4 for rand/1/bin")
-            return self.pop_size
-        return min(150, 15 * dim)
+        return min(150, 15 * dim) if self.pop_size is None else self.pop_size
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ def optimize_config(net, objective: Objective, de: DeConfig, training_rows=None)
     still scores better than the snapped optimum, the seed is returned, so
     the result is never worse than the seed under the same evaluator.
     """
-    dim = 3 * len(signals.varied_ids(net))
+    dim = len(signals.TIMINGS) * len(signals.varied_ids(net))
 
     seed_config = seed_point = None
     row = best_training_row(training_rows, objective.name) if training_rows else None

@@ -4,11 +4,14 @@ Each signalized intersection runs two complementary groups. Group A starts
 RED, stays red for ``offset`` seconds, then alternates green for ``green``
 seconds and red for ``red`` seconds forever; group B is always the opposite
 of group A. Timings are integer seconds: red and green in [20, 54], offset
-in [0, red + green - 1]. ``red_schedule`` states which stop lines are red when.
+in [0, red + green - 1]. ``TIMINGS``, the field order of ``IntersectionSignal``,
+orders them in files, tables and the unit cube. ``red_schedule`` states which
+stop lines are red when.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from operator import attrgetter
 
 import numpy as np
 
@@ -19,7 +22,7 @@ RED_GREEN_MAX = 54
 _SPAN = RED_GREEN_MAX - RED_GREEN_MIN  # the red and green range that encoding maps onto [0, 1]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class IntersectionSignal:
     """Signal timing of one intersection: red/green durations and group A's initial red offset."""
 
@@ -28,20 +31,25 @@ class IntersectionSignal:
     offset: int
 
     def __post_init__(self):
-        for name in ("red", "green", "offset"):
+        for name in TIMINGS:
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"IntersectionSignal.{name} must be an integer")
-        for name in ("red", "green"):
-            if not (RED_GREEN_MIN <= getattr(self, name) <= RED_GREEN_MAX):
-                raise ValueError(f"{name} must be in [{RED_GREEN_MIN}, {RED_GREEN_MAX}], got {getattr(self, name)}")
-        if not (0 <= self.offset <= self.red + self.green - 1):
-            raise ValueError(
-                f"offset must be in [0, {self.red + self.green - 1}], got {self.offset}"
-            )
+        for name, low, high in (("red", RED_GREEN_MIN, RED_GREEN_MAX), ("green", RED_GREEN_MIN, RED_GREEN_MAX),
+                                ("offset", 0, _last_offset(self.red, self.green))):
+            if not (low <= getattr(self, name) <= high):
+                raise ValueError(f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
 
     @property
     def cycle(self) -> int:
         return self.red + self.green
+
+
+TIMINGS = tuple(field.name for field in dataclasses.fields(IntersectionSignal))  # red, green, offset
+_timings = attrgetter(*TIMINGS)  # a signal's timings as a tuple in TIMINGS order
+
+
+def _last_offset(red: int, green: int) -> int:
+    return red + green - 1  # the largest offset: one second short of the cycle
 
 
 def group_a_red(signal: IntersectionSignal, t):
@@ -104,50 +112,41 @@ def varied_ids(net) -> tuple[str, ...]:
 
 
 def sample_config(net, rng: np.random.Generator) -> dict:
-    """Draw a uniform random configuration for every signalized intersection.
-
-    Iterates intersections in sorted-id order and draws red, green, offset in
-    that order, so a seeded generator gives a reproducible configuration.
-    """
+    """A uniform random configuration, drawn per signalized intersection in sorted-id order: red, green, offset."""
     config = {}
     for iid in varied_ids(net):
         red = int(rng.integers(RED_GREEN_MIN, RED_GREEN_MAX + 1))
         green = int(rng.integers(RED_GREEN_MIN, RED_GREEN_MAX + 1))
-        offset = int(rng.integers(0, red + green))
-        config[iid] = IntersectionSignal(red=red, green=green, offset=offset)
+        config[iid] = IntersectionSignal(red, green, int(rng.integers(0, _last_offset(red, green) + 1)))
     return config
 
 
 def encode_values(config: dict, ids) -> np.ndarray:
-    """Encode a configuration as one [0, 1] triple (red, green, offset) per id."""
-    out = np.empty(3 * len(ids))
-    for j, iid in enumerate(ids):
-        sig = config[iid]
-        out[3 * j] = (sig.red - RED_GREEN_MIN) / _SPAN
-        out[3 * j + 1] = (sig.green - RED_GREEN_MIN) / _SPAN
-        out[3 * j + 2] = sig.offset / (sig.cycle - 1)
-    return out
+    """Encode a configuration as one [0, 1] row of TIMINGS per id, the rows flattened in ids order."""
+    rows = [((red - RED_GREEN_MIN) / _SPAN, (green - RED_GREEN_MIN) / _SPAN, offset / _last_offset(red, green))
+            for red, green, offset in (_timings(config[iid]) for iid in ids)]
+    return np.array(rows, dtype=float).reshape(len(ids) * len(TIMINGS))
 
 
 def decode_values(vector: np.ndarray, ids) -> dict:
     """Inverse of encode_values, rounding to the integer timing lattice.
 
-    Red and green are decoded first; the offset coordinate is then scaled by
-    the decoded cycle, so its admissible range follows the decoded durations.
-    A coordinate outside [0, 1], NaN among them, is refused by index and value.
+    Red and green of each TIMINGS row are decoded first; the offset coordinate
+    is then scaled by the decoded cycle, so its admissible range follows the
+    decoded durations. A coordinate outside [0, 1], NaN among them, is refused
+    by index and value.
     """
     vector = np.asarray(vector, dtype=float)
-    if vector.shape != (3 * len(ids),):
-        raise ValueError(f"expected vector of length {3 * len(ids)}, got shape {vector.shape}")
+    width = len(ids) * len(TIMINGS)
+    if vector.shape != (width,):
+        raise ValueError(f"expected vector of length {width}, got shape {vector.shape}")
     outside = np.flatnonzero(~((0 <= vector) & (vector <= 1)))  # nan fails both comparisons
     if outside.size:
         raise ValueError(f"encoded coordinate {outside[0]} must be in [0, 1], got {vector[outside[0]]}")
     config = {}
-    for j, iid in enumerate(ids):
-        red = int(round(RED_GREEN_MIN + vector[3 * j] * _SPAN))
-        green = int(round(RED_GREEN_MIN + vector[3 * j + 1] * _SPAN))
-        offset = int(round(vector[3 * j + 2] * (red + green - 1)))
-        config[iid] = IntersectionSignal(red=red, green=green, offset=offset)
+    for iid, (red, green, offset) in zip(ids, vector.reshape(len(ids), len(TIMINGS)).tolist()):
+        red, green = (int(round(RED_GREEN_MIN + unit * _SPAN)) for unit in (red, green))
+        config[iid] = IntersectionSignal(red, green, int(round(offset * _last_offset(red, green))))
     return config
 
 
@@ -163,7 +162,7 @@ def decode(vector: np.ndarray, net) -> dict:
 
 
 def save_config(config: dict, path) -> None:
-    doc = {iid: {"red": sig.red, "green": sig.green, "offset": sig.offset} for iid, sig in sorted(config.items())}
+    doc = {iid: dict(zip(TIMINGS, _timings(sig))) for iid, sig in sorted(config.items())}
     write_json(doc, path)
 
 
@@ -176,7 +175,7 @@ def load_config(path) -> dict:
     fields = Fields(path)
     config = {}
     for iid in doc:
-        values = [fields(fields(doc, iid, dict), key, int, iid) for key in ("red", "green", "offset")]
+        values = [fields(fields(doc, iid, dict), key, int, iid) for key in TIMINGS]
         with naming(f"{path}: intersection {iid}"):
             config[iid] = IntersectionSignal(*values)
     return config

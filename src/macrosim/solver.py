@@ -43,7 +43,7 @@ from typing import ClassVar, Collection, Mapping
 
 import numpy as np
 
-from ._files import Fields, read_table, write_json, write_table
+from ._files import Fields, is_int, read_table, write_json, write_table
 from .fundamental import _curve, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, aggregate, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
@@ -90,6 +90,8 @@ class SimParams:
             raise ValueError(f"SimParams.dt_s must be finite and > 0, got {self.dt_s!r}")
         if not (0 <= self.init_noise < 1):
             raise ValueError("init_noise must be in [0, 1)")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"SimParams.seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass

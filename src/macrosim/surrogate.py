@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import _pool
-from ._files import Fields, read_json, write_json
+from ._files import Fields, is_int, read_json, write_json
 from .metrics import METRICS
 
 RIDGE = 1e-8               # ridge term of the linear fit's normal equations
@@ -51,10 +51,6 @@ ACTIVATIONS = ("relu", "tanh")  # the hidden layers' activations: MlpHyper's, a 
 
 class _TooFewRows(ValueError):
     """A training set too small for the MLP's validation split."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,9 +70,9 @@ class MlpHyper:
             raise ValueError(f"activation must be {' or '.join(map(repr, ACTIVATIONS))}")
         sizes = self.hidden if isinstance(self.hidden, tuple | list) else ()
         for name, ok, rule in (
-            ("hidden", sizes and all(_is_int(h) and h >= 1 for h in sizes), "a non-empty sequence of integers >= 1"),
-            ("max_epochs", _is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1"),
-            ("patience", _is_int(self.patience) and self.patience >= 1, "an integer >= 1"),
+            ("hidden", sizes and all(is_int(h) and h >= 1 for h in sizes), "a non-empty sequence of integers >= 1"),
+            ("max_epochs", is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1"),
+            ("patience", is_int(self.patience) and self.patience >= 1, "an integer >= 1"),
             ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and > 0"),
             ("alpha", math.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
             ("tol", math.isfinite(self.tol) and self.tol >= 0, "finite and >= 0"),

@@ -1,8 +1,12 @@
 import math
+import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from macrosim import _pool, dataset
 from macrosim.dataset import (
@@ -15,6 +19,8 @@ from macrosim.dataset import (
 )
 from macrosim.signals import IntersectionSignal, sample_config
 from macrosim.solver import CflError, SimParams, SimulationError, initialize, run
+
+from test_signals import configurations, intersection_ids
 
 
 def _cross_state(cross_net):
@@ -110,6 +116,19 @@ def test_csv_round_trip_preserves_everything(tmp_path):
     assert back[0].avg_speed == 6.25 and back[2].queue_length == 33.25
     assert math.isnan(back[1].avg_speed)
     assert not back[1].ok and back[0].ok
+
+
+_metric = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(intersection_ids.flatmap(lambda ids: st.lists(st.tuples(configurations(ids), _metric, _metric), min_size=1,
+                                                     max_size=5)))
+def test_tables_of_one_to_four_intersections_round_trip(drawn):
+    rows = [DatasetRow(i, 7 * i, config, speed, queue, "ok") for i, (config, speed, queue) in enumerate(drawn)]
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis runs many examples per test, so not tmp_path
+        path = pathlib.Path(tmp) / "data.csv"
+        write_csv(rows, path)
+        assert read_csv(path) == rows
 
 
 def test_write_csv_rejects_empty_and_mismatched(tmp_path):

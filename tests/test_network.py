@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -127,6 +128,17 @@ def test_validate_flags_two_intersections_on_one_node():
     extra = Intersection("J2", "C", incoming=("w",), outgoing=("e",))
     net2 = RoadNetwork(net.nodes.values(), net.edges.values(), [net.intersections["J"], extra])
     assert any("already used" in p for p in validate(net2))
+
+
+@pytest.mark.parametrize("lanes, problems", [
+    (1.5, ["edge r: lanes must be an integer, got 1.5"]),
+    (True, ["edge r: lanes must be an integer, got True"]),
+    (np.int64(2), []),
+])
+def test_validate_takes_integer_lanes_only(lanes, problems):
+    """A network built in Python meets the integer rule that load_network's typed reader applies to a file."""
+    nodes = [Node("A", 0, 0), Node("B", 100, 0)]
+    assert validate(RoadNetwork(nodes, [RoadEdge("r", "A", "B", 100.0, lanes, 10.0)], [])) == problems
 
 
 def test_validate_flags_an_edge_from_a_node_to_itself():

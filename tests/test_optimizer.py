@@ -112,6 +112,26 @@ def test_de_default_population_sizing():
         DeConfig(max_generations=-3)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pop_size", 10.5, "pop_size must be an integer, got 10.5"),
+    ("pop_size", True, "pop_size must be an integer, got True"),
+    ("max_generations", 2.5, "max_generations must be an integer, got 2.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_de_config_refuses_each_field_by_name(field, value, message):
+    """Refused when built, before DE or numpy's SeedSequence sees the value."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DeConfig(**{field: value})
+
+
+def test_de_config_takes_numpy_integers():
+    de = DeConfig(pop_size=np.int64(8), max_generations=np.int32(2), seed=np.uint64(5))
+    assert de.resolved_pop_size(2) == 8
+    assert differential_evolution(_quadratic([0.5, 0.5]), dim=2, de=de).generations <= 2
+
+
 def test_de_is_deterministic():
     obj = _quadratic(np.full(5, 0.6))
     r1 = differential_evolution(obj, dim=5, de=DeConfig(seed=7, max_generations=40))

@@ -30,6 +30,13 @@ signals = st.builds(
     st.integers(RED_GREEN_MIN, RED_GREEN_MAX),
     st.floats(min_value=0.0, max_value=1.0),
 )
+intersection_ids = st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True), min_size=1, max_size=4,
+                            unique=True)
+
+
+def configurations(ids):
+    """A configuration of one drawn signal per id."""
+    return st.fixed_dictionaries({iid: signals for iid in ids})
 
 
 def test_phase_schedule_walkthrough():
@@ -178,11 +185,11 @@ def test_encode_unit_interval_and_known_values():
     assert vec.tolist() == [1.0, 0.0, 1.0]
 
 
-@given(signals)
-def test_encode_decode_round_trip(sig):
-    config = {"X": sig}
-    back = decode_values(encode_values(config, ["X"]), ["X"])
-    assert back["X"] == sig
+@given(intersection_ids.flatmap(configurations))
+def test_encode_decode_round_trip(config):
+    """Every intersection's row comes back, not only the first: 1-4 ids in their drawn order, not sorted."""
+    ids = list(config)
+    assert decode_values(encode_values(config, ids), ids) == config
 
 
 @pytest.mark.parametrize("vector, index, shown", [

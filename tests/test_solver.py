@@ -879,3 +879,7 @@ def test_sim_params_validation():
     for dt in (math.nan, math.inf, -0.5):
         with pytest.raises(ValueError, match=f"^SimParams.dt_s must be finite and > 0, got {dt!r}$"):
             SimParams(dt_s=dt)
+    for seed in (1.5, -1, True):  # each would reach numpy's SeedSequence, which refuses the first two unnamed
+        with pytest.raises(ValueError, match=f"^SimParams.seed must be an integer >= 0, got {seed!r}$"):
+            SimParams(seed=seed)
+    assert SimParams(seed=np.int64(3)).seed == 3
