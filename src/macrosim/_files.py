@@ -3,7 +3,7 @@
 A JSON document is an object, written with an indent of 2 and a trailing
 newline. A CSV table has one header row; blank lines are skipped. Every field
 and cell is read through ``Fields``; every read error starts with the file's path.
-``is_int`` is the integer rule of the settings that code builds instead of reading.
+``is_int`` and ``is_real`` are the number rules of the settings that code builds instead of reading.
 """
 from __future__ import annotations
 
@@ -29,6 +29,11 @@ def naming(prefix):
 def is_int(value) -> bool:
     """An int or a numpy integer, never a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An int, a float, or a numpy integer or floating number, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _kind_name(kind) -> str:

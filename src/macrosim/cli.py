@@ -127,7 +127,7 @@ def _cmd_simulate(args) -> int:
         probes = [float(t) for t in args.probes.split(",")] if args.probes else None
     result = solver.run(net, state0, config, params, horizon=args.horizon, warmup=args.warmup, probes=probes)
     heatmaps = {}  # file prefix -> state; probes that one state answers share its file pair
-    for snap in {snap.k: snap for snap in result.snapshots}.values() if args.heatmap else ():
+    for snap in {snap.t: snap for snap in result.snapshots}.values() if args.heatmap else ():
         base = f"{args.heatmap}_t{snap.t:g}"
         if base in heatmaps:  # :g keeps 6 significant digits, so two clocks can share a name
             raise ValueError(f"--heatmap: the states at t = {heatmaps[base].t!r} s and t = {snap.t!r} s "

@@ -144,15 +144,22 @@ def _ids(header) -> list[str]:
     return [h[: -len(TIMINGS[0]) - 1] for h in header if h.endswith(f"_{TIMINGS[0]}")]
 
 
+def _common_ids(rows: list[DatasetRow]) -> list[str]:
+    """The sorted intersection ids that every row's configuration covers; a row that covers others is refused."""
+    ids = sorted(rows[0].config)
+    for row in rows:
+        if sorted(row.config) != ids:
+            raise ValueError(f"run {row.run_id}: configuration covers different intersections")
+    return ids
+
+
 def write_csv(rows: list[DatasetRow], path) -> None:
     """Write a dataset table, intersections in sorted-id order; floats at full precision."""
     if not rows:
         raise ValueError("refusing to write an empty dataset")
-    ids = sorted(rows[0].config)
+    ids = _common_ids(rows)
     records = []
     for row in rows:
-        if sorted(row.config) != ids:
-            raise ValueError(f"run {row.run_id}: configuration covers different intersections")
         timings = [getattr(row.config[iid], name) for iid in ids for name in TIMINGS]
         records.append([row.run_id, row.seed, *timings, *(float(getattr(row, m)) for m in METRICS), row.status])
     write_table(_header(ids), records, path)
@@ -187,7 +194,7 @@ def feature_matrix(rows: list[DatasetRow]):
     ok_rows = [r for r in rows if r.ok]
     if not ok_rows:
         raise ValueError("no successful rows in dataset")
-    ids = sorted(ok_rows[0].config)
+    ids = _common_ids(ok_rows)
     X = np.stack([encode_values(r.config, ids) for r in ok_rows])
     Y = np.array([[getattr(r, m) for m in METRICS] for r in ok_rows])
     return X, Y, ids

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import Fields, read_table, write_json
+from ._files import Fields, is_real, read_table, write_json
 
 DEFAULT_V_MAX = 13.68  # m/s
 DEFAULT_RHO_CR = 0.05  # cars/m per lane
@@ -42,7 +42,7 @@ class FdParams:
     def __post_init__(self):
         for name in ("v_max", "rho_cr", "a"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (is_real(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"FdParams.{name} must be finite and > 0, got {value!r}")
 
 

@@ -3,7 +3,8 @@
 Two summary quantities per simulation: the mean cell speed, and a queue
 length that counts cells by how congested they are. The queue contribution
 of one cell is a logistic weight in its speed, close to 1 when nearly
-stopped and close to 0 when moving freely.
+stopped and close to 0 when moving freely. ``solver.run`` averages the
+``step_metrics`` of its sampled steps into one ``CongestionMetrics``.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ METRICS = tuple(DOCUMENT_KEYS)
 class CongestionMetrics:
     avg_speed: float     # m/s, time-averaged mean cell speed
     queue_length: float  # time-averaged sum of logistic congestion weights
-    samples: int         # number of time samples aggregated
+    samples: int         # number of sampled steps averaged
 
     def document(self) -> dict:
         """Both metrics under their metrics-document keys, in METRICS order."""
@@ -58,17 +59,3 @@ def step_metrics(v: np.ndarray):
     queue = np.add.reduce(congestion_weight(v), axis=-1)
     return avg, queue
 
-
-def aggregate(speed_series, queue_series) -> CongestionMetrics:
-    """Time-average per-step metric samples into one summary."""
-    speeds = np.asarray(speed_series, dtype=float)
-    queues = np.asarray(queue_series, dtype=float)
-    if speeds.shape != queues.shape or speeds.ndim != 1:
-        raise ValueError("speed and queue series must be 1-d and equally long")
-    if speeds.size == 0:
-        raise ValueError("cannot aggregate empty metric series")
-    return CongestionMetrics(
-        avg_speed=float(np.mean(speeds)),
-        queue_length=float(np.mean(queues)),
-        samples=int(speeds.size),
-    )

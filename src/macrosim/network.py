@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._files import Fields, is_int, naming, read_json, write_json
+from ._files import Fields, is_int, is_real, naming, read_json, write_json
 from .fundamental import DEFAULT_A, DEFAULT_RHO_CR, FdParams
 
 CELL_TARGET_M = 10.0
@@ -109,7 +109,7 @@ class RoadNetwork:
         offset = 0
         for eid in self.edge_order:
             length = self.edges[eid].length_m
-            if not (math.isfinite(length) and length > 0):
+            if not (is_real(length) and math.isfinite(length) and length > 0):
                 raise ValueError(f"edge {eid}: length must be finite and > 0, got {length!r}")
             n = self.edges[eid].cell_count
             self._slices[eid] = slice(offset, offset + n)
@@ -156,11 +156,14 @@ def validate(net: RoadNetwork) -> list[str]:
         problems.append("network has no edges")
     for name in ("rho_cr", "a"):
         value = getattr(net, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (is_real(value) and math.isfinite(value) and value > 0):
             problems.append(f"fd_defaults.{name} must be finite and > 0, got {value!r}")
 
+    placed = {}  # the nodes whose coordinates are finite numbers
     for node in net.nodes.values():
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+        if all(is_real(c) and math.isfinite(c) for c in (node.x, node.y)):
+            placed[node.id] = node
+        else:
             problems.append(f"node {node.id}: non-finite coordinates")
 
     for edge in net.edges.values():
@@ -174,7 +177,7 @@ def validate(net: RoadNetwork) -> list[str]:
             problems.append(f"edge {edge.id}: lanes must be an integer, got {edge.lanes!r}")
         elif not 1 <= edge.lanes <= MAX_LANES:
             problems.append(f"edge {edge.id}: lanes must be in [1, {MAX_LANES}], got {edge.lanes}")
-        if not (math.isfinite(edge.free_flow_speed) and edge.free_flow_speed > 0):
+        if not (is_real(edge.free_flow_speed) and math.isfinite(edge.free_flow_speed) and edge.free_flow_speed > 0):
             problems.append(f"edge {edge.id}: free_flow_speed must be finite and > 0")
         dx = edge.cell_length
         if not (CELL_MIN_M <= dx <= CELL_MAX_M):
@@ -209,7 +212,7 @@ def validate(net: RoadNetwork) -> list[str]:
                 problems.append(f"intersection {ix.id}: turn weight from non-incoming edge {e_in}")
             if e_out not in ix.outgoing:
                 problems.append(f"intersection {ix.id}: turn weight to non-outgoing edge {e_out}")
-            if not (math.isfinite(w) and w >= 0):
+            if not (is_real(w) and math.isfinite(w) and w >= 0):
                 problems.append(f"intersection {ix.id}: turn weight ({e_in}, {e_out}) must be finite and >= 0")
             else:
                 row_sums[e_in] = row_sums.get(e_in, 0.0) + w
@@ -219,14 +222,14 @@ def validate(net: RoadNetwork) -> list[str]:
                     f"intersection {ix.id}: turn weights from {e_in} are declared but sum to 0"
                 )
 
-        center = net.nodes.get(ix.node)
+        center = placed.get(ix.node)
         for (e_in, e_out), w in ix.turn_weights.items():
             # the solver caps every positive-weight movement's speed by its turn angle, which needs two rays; one whose
             # square underflows (under about 1e-162 m) counts as zero, so turn_angle's product of two is never 0
-            if not (w > 0 and center is not None and e_in in net.edges and e_out in net.edges):
+            if not (is_real(w) and w > 0 and center is not None and e_in in net.edges and e_out in net.edges):
                 continue
             for end in (net.edges[e_in].from_node, net.edges[e_out].to_node):
-                node = net.nodes.get(end)
+                node = placed.get(end)
                 ray = math.inf if node is None else math.hypot(node.x - center.x, node.y - center.y)
                 if ray * ray == 0:
                     problems.append(

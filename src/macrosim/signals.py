@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._files import Fields, naming, read_json, write_json
+from ._files import Fields, is_int, naming, read_json, write_json
 
 RED_GREEN_MIN = 20
 RED_GREEN_MAX = 54
@@ -32,7 +32,7 @@ class IntersectionSignal:
 
     def __post_init__(self):
         for name in TIMINGS:
-            if not isinstance(getattr(self, name), int):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"IntersectionSignal.{name} must be an integer")
         for name, low, high in (("red", RED_GREEN_MIN, RED_GREEN_MAX), ("green", RED_GREEN_MIN, RED_GREEN_MAX),
                                 ("offset", 0, _last_offset(self.red, self.green))):
@@ -162,7 +162,7 @@ def decode(vector: np.ndarray, net) -> dict:
 
 
 def save_config(config: dict, path) -> None:
-    doc = {iid: dict(zip(TIMINGS, _timings(sig))) for iid, sig in sorted(config.items())}
+    doc = {iid: dict(zip(TIMINGS, map(int, _timings(sig)))) for iid, sig in sorted(config.items())}
     write_json(doc, path)
 
 

@@ -43,9 +43,9 @@ from typing import ClassVar, Collection, Mapping
 
 import numpy as np
 
-from ._files import Fields, is_int, read_table, write_json, write_table
+from ._files import Fields, is_int, is_real, read_table, write_json, write_table
 from .fundamental import _curve, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
-from .metrics import CongestionMetrics, aggregate, step_metrics
+from .metrics import CongestionMetrics, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
 from .signals import edge_phases, red_schedule  # noqa: F401 (edge_phases: as above)
 
@@ -86,9 +86,9 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
+        if not (is_real(self.dt_s) and math.isfinite(self.dt_s) and self.dt_s > 0):
             raise ValueError(f"SimParams.dt_s must be finite and > 0, got {self.dt_s!r}")
-        if not (0 <= self.init_noise < 1):
+        if not (is_real(self.init_noise) and 0 <= self.init_noise < 1):
             raise ValueError("init_noise must be in [0, 1)")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"SimParams.seed must be an integer >= 0, got {self.seed!r}")
@@ -96,15 +96,14 @@ class SimParams:
 
 @dataclass
 class SimState:
-    """Flat per-cell arrays over all edges (see RoadNetwork.cell_slice), plus clock."""
+    """Density and speed per cell, flat over all edges (see RoadNetwork.cell_slice), at the clock ``t`` in s."""
 
     rho: np.ndarray
     v: np.ndarray
     t: float = 0.0
-    k: int = 0
 
     def copy(self) -> "SimState":
-        return SimState(rho=self.rho.copy(), v=self.v.copy(), t=self.t, k=self.k)
+        return SimState(rho=self.rho.copy(), v=self.v.copy(), t=self.t)
 
 
 @dataclass
@@ -134,7 +133,7 @@ class RunResult:
 
 def check_cfl(net: RoadNetwork, dt: float) -> CflReport:
     """Stability ratios v_max * dt / dx per edge; ok iff none exceeds 1."""
-    if not (math.isfinite(dt) and dt > 0):
+    if not (is_real(dt) and math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     ratios = {eid: net.edges[eid].free_flow_speed * dt / net.edges[eid].cell_length for eid in net.edge_order}
     violations = tuple((eid, ratio) for eid, ratio in ratios.items() if ratio > 1.0 + 1e-12)
@@ -157,16 +156,16 @@ def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams,
             f"time step {params.dt_s}s violates the stability condition v_max*dt/dx <= 1 "
             f"on {worst}; reduce dt or use longer cells"
         )
-    if not (math.isfinite(horizon) and horizon > 0):
+    if not (is_real(horizon) and math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    if not (0 <= warmup < horizon):
+    if not (is_real(warmup) and 0 <= warmup < horizon):
         raise ValueError(f"warmup must be in [0, horizon) = [0, {horizon!r}), got {warmup!r}")
     n_steps = math.ceil(horizon / params.dt_s)
     warmup_steps = math.ceil((warmup - CLOCK_TOL_S) / params.dt_s)
     if warmup_steps >= n_steps:
         raise ValueError(f"warmup {warmup!r} s is later than the last step's start at "
                          f"{(n_steps - 1) * params.dt_s!r} s; no metric would be sampled")
-    if state0 is not None and not (math.isfinite(state0.t) and state0.t >= 0):
+    if state0 is not None and not (is_real(state0.t) and math.isfinite(state0.t) and state0.t >= 0):
         raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
     return n_steps, warmup_steps
 
@@ -304,8 +303,8 @@ def _boundaries(plan: _Plan, q: np.ndarray, s: np.ndarray):
 
 
 def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, k: int, t: float) -> np.ndarray:
-    """Cell-update kernel: step k of every cell, at clock t, from the state pair s = (rho, v), its (q, v*v) in
-    plan.x, and the ghosts; see step.
+    """Cell-update kernel: the caller's step k, counted from 0, of every cell at clock t, from the state pair
+    s = (rho, v), its (q, v*v) in plan.x, and the ghosts; see step. A non-finite cell is named at step k + 1.
 
     The new pair is written into plan.spare, and s becomes the next spare: s itself is never written, but
     a caller that steps on must not keep it.
@@ -392,8 +391,8 @@ def step(net: RoadNetwork, state: SimState, red: Collection[str], params: SimPar
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in run
         plan, s, ghosts = _view(net, state, red, params)
-        rho, v = _advance(plan, s, *ghosts, state.k, state.t)
-    return SimState(rho=rho, v=v, t=state.t + params.dt_s, k=state.k + 1)
+        rho, v = _advance(plan, s, *ghosts, 0, state.t)
+    return SimState(rho=rho, v=v, t=state.t + params.dt_s)
 
 
 def initialize(
@@ -431,7 +430,7 @@ def initialize(
         sl = net.cell_slice(eid)
         v[sl] = cells
         rho[sl] = np.clip(invert_speed(net.fd_for(eid), cells), params.density_floor, params.jam_density)
-    return SimState(rho=rho, v=v, t=0.0, k=0)
+    return SimState(rho=rho, v=v, t=0.0)
 
 
 def run(
@@ -446,8 +445,9 @@ def run(
     """Simulate for ``horizon`` seconds and time-average the congestion metrics.
 
     The clock starts at ``state0.t``, which ``check_protocol`` checks with
-    the rest of the protocol first. Metrics are sampled on the state before each
-    step from ``warmup`` seconds after ``state0.t`` on, as that check plans.
+    the rest of the protocol first, and steps are counted from 1 there. Metrics
+    are sampled on the state before each step from ``warmup`` seconds after
+    ``state0.t`` on, as that check plans, and each is the mean of its samples.
     ``probes`` is an optional list of times at which the full state is
     recorded as a SimState, taken at the first state whose clock reaches each
     probe within ``CLOCK_TOL_S``; a probe outside the run's clock span
@@ -488,7 +488,7 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(clock.tolist()):
             while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - CLOCK_TOL_S:
-                snapshots.append(SimState(*s.reshape(2, batch, -1).copy(), t=t, k=state0.k + k))
+                snapshots.append(SimState(*s.reshape(2, batch, -1).copy(), t=t))
                 probe_idx += 1
             if k == n_steps:
                 break
@@ -500,18 +500,18 @@ def run(
                     series[:, lo:lo + i + 1] = step_metrics(block[:i + 1])
             if switches[k]:
                 plan.set_red(red[k])
-            s = _advance(plan, s, *_boundaries(plan, _fluxes(plan, s), s), state0.k + k, t)
+            s = _advance(plan, s, *_boundaries(plan, _fluxes(plan, s), s), k, t)
 
     # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
     speeds, queues = series.transpose(0, 2, 1).copy()
     rho, v = s.reshape(2, batch, -1)
     results = [
         RunResult(
-            metrics=aggregate(speeds[b], queues[b]),
-            final_state=SimState(rho=rho[b], v=v[b], t=t, k=state0.k + n_steps),
+            metrics=CongestionMetrics(float(np.mean(speeds[b])), float(np.mean(queues[b])), n_steps - first),
+            final_state=SimState(rho=rho[b], v=v[b], t=t),
             steps=n_steps,
             warmup_steps=first,
-            snapshots=[SimState(rho=p.rho[b], v=p.v[b], t=p.t, k=p.k) for p in snapshots],
+            snapshots=[SimState(rho=p.rho[b], v=p.v[b], t=p.t) for p in snapshots],
         )
         for b in range(batch)
     ]

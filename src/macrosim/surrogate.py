@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import _pool
-from ._files import Fields, is_int, read_json, write_json
+from ._files import Fields, is_int, is_real, read_json, write_json
 from .metrics import METRICS
 
 RIDGE = 1e-8               # ridge term of the linear fit's normal equations
@@ -73,9 +73,10 @@ class MlpHyper:
             ("hidden", sizes and all(is_int(h) and h >= 1 for h in sizes), "a non-empty sequence of integers >= 1"),
             ("max_epochs", is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1"),
             ("patience", is_int(self.patience) and self.patience >= 1, "an integer >= 1"),
-            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and > 0"),
-            ("alpha", math.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
-            ("tol", math.isfinite(self.tol) and self.tol >= 0, "finite and >= 0"),
+            ("learning_rate", is_real(self.learning_rate) and math.isfinite(self.learning_rate)
+             and self.learning_rate > 0, "finite and > 0"),
+            ("alpha", is_real(self.alpha) and math.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
+            ("tol", is_real(self.tol) and math.isfinite(self.tol) and self.tol >= 0, "finite and >= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")

@@ -110,7 +110,7 @@ def test_simulate_refuses_two_states_that_would_share_a_heatmap_name(fixtures_di
     # the file name keeps 6 significant digits of the clock, so the states at 100000.0 s and 100000.5 s would both
     # be written as hm_t100000: refused by both clocks before any file, the metrics included, is written
     def run(net, state0, config, params, **kwargs):
-        states = [SimState(state0.rho, state0.v, t=t, k=k) for t, k in ((100000.0, 200000), (100000.5, 200001))]
+        states = [SimState(state0.rho, state0.v, t=t) for t in (100000.0, 100000.5)]
         return types.SimpleNamespace(snapshots=states)
 
     monkeypatch.setattr(solver, "run", run)

@@ -372,3 +372,13 @@ def test_feature_matrix_filters_failed_rows():
 
     with pytest.raises(ValueError, match="no successful rows"):
         feature_matrix([rows[1]])
+
+
+@pytest.mark.parametrize("second", [["B"], ["A", "B"]])
+def test_feature_matrix_refuses_rows_over_different_intersections(tmp_path, second):
+    """Every row's configuration must cover the first row's intersections, as write_csv requires of a table."""
+    rows = [DatasetRow(run_id, 1, {iid: IntersectionSignal(30, 25, 12) for iid in ids}, 6.0, 30.0, "ok")
+            for run_id, ids in enumerate([["A"], second])]
+    for write in (feature_matrix, lambda rows: write_csv(rows, tmp_path / "x.csv")):
+        with pytest.raises(ValueError, match="^run 1: configuration covers different intersections$"):
+            write(rows)

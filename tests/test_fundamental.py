@@ -104,6 +104,16 @@ def test_fd_params_must_be_positive():
         FdParams(a=float("nan"))
 
 
+@pytest.mark.parametrize("value, refused", [(True, True), (np.float32(13.0), False), (np.int64(13), False)])
+def test_fd_params_take_real_numbers_only(value, refused):
+    """A bool is no speed, and a numpy number is one, as for every number built in Python."""
+    if refused:
+        with pytest.raises(ValueError, match=f"^FdParams.v_max must be finite and > 0, got {value!r}$"):
+            FdParams(v_max=value)
+    else:
+        assert FdParams(v_max=value).v_max == 13.0
+
+
 def _curve_samples(params, noise=0.0, seed=0, n=50):
     rho = np.linspace(0.001, 0.15, n)
     v = ideal_speed(params, rho)

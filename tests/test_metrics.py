@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from macrosim.metrics import (
     QUEUE_STEEPNESS,
     QUEUE_THRESHOLD_MPS,
-    CongestionMetrics,
-    aggregate,
     congestion_weight,
     step_metrics,
 )
@@ -76,15 +74,3 @@ def test_step_metrics_unweighted_mean_and_queue():
 def test_jammed_cells_count_fully_toward_queue():
     _, queue = step_metrics(np.zeros(5))
     assert queue == pytest.approx(5.0, abs=1e-5)
-
-
-def test_aggregate_time_averages():
-    m = aggregate([10.0, 12.0, 14.0], [3.0, 4.0, 5.0])
-    assert m == CongestionMetrics(avg_speed=12.0, queue_length=4.0, samples=3)
-
-
-def test_aggregate_input_validation():
-    with pytest.raises(ValueError):
-        aggregate([], [])
-    with pytest.raises(ValueError):
-        aggregate([1.0, 2.0], [1.0])

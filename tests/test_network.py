@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrosim.fundamental import FdParams
@@ -22,6 +25,8 @@ from macrosim.network import (
     turn_speed_factor,
     validate,
 )
+
+from test_properties import road_networks
 
 
 def _t_junction(signalized=False, group_a=("w",), group_b=("s",)):
@@ -139,6 +144,37 @@ def test_validate_takes_integer_lanes_only(lanes, problems):
     """A network built in Python meets the integer rule that load_network's typed reader applies to a file."""
     nodes = [Node("A", 0, 0), Node("B", 100, 0)]
     assert validate(RoadNetwork(nodes, [RoadEdge("r", "A", "B", 100.0, lanes, 10.0)], [])) == problems
+
+
+@pytest.mark.parametrize("part, key, value, problems", [
+    ("node", "x", "-100", ["node W: non-finite coordinates"]),
+    ("node", "y", True, ["node W: non-finite coordinates"]),
+    ("edge", "free_flow_speed", "13.68", ["edge w: free_flow_speed must be finite and > 0"]),
+    ("edge", "free_flow_speed", True, ["edge w: free_flow_speed must be finite and > 0"]),
+    ("edge", "length_m", "100", "edge w: length must be finite and > 0, got '100'"),
+    ("weight", ("w", "e"), "1", ["intersection J: turn weight (w, e) must be finite and >= 0"]),
+    ("weight", ("w", "e"), True, ["intersection J: turn weight (w, e) must be finite and >= 0"]),
+    ("shape", "rho_cr", True, ["fd_defaults.rho_cr must be finite and > 0, got True"]),
+    ("shape", "a", np.float32(1.5), []),
+])
+def test_a_network_built_in_python_takes_real_numbers_only(part, key, value, problems):
+    """A string or a bool where a network holds a number is one more problem, or a refused layout; never a TypeError."""
+    net = _t_junction()
+    nodes, edges, shape = dict(net.nodes), dict(net.edges), {"rho_cr": net.rho_cr, "a": net.a}
+    ix = net.intersections["J"]
+    if part == "node":
+        nodes["W"] = dataclasses.replace(nodes["W"], **{key: value})
+    elif part == "edge":
+        edges["w"] = dataclasses.replace(edges["w"], **{key: value})
+    elif part == "weight":
+        ix = dataclasses.replace(ix, turn_weights={**ix.turn_weights, key: value})
+    else:
+        shape[key] = value
+    if isinstance(problems, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(problems)}$"):
+            RoadNetwork(nodes.values(), edges.values(), [ix], **shape)
+    else:
+        assert validate(RoadNetwork(nodes.values(), edges.values(), [ix], **shape)) == problems
 
 
 def test_validate_flags_an_edge_from_a_node_to_itself():
@@ -282,6 +318,16 @@ def test_network_json_round_trip(tmp_path, twolights_net):
     save_network(twolights_net, path)
     again = load_network(path)
     assert again == twolights_net
+
+
+@settings(max_examples=50)
+@given(net=road_networks())
+def test_generated_networks_round_trip(net):
+    """1-4 junctions, zero turn weights, links both ways, signalized and unsignalized junctions mixed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "net.json"
+        save_network(net, path)
+        assert load_network(path) == net
 
 
 def test_a_network_equals_no_other_kind_of_value(twolights_net):

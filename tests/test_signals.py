@@ -93,6 +93,19 @@ def test_signal_validation():
     assert IntersectionSignal(red=20, green=20, offset=39).cycle == 40
 
 
+@pytest.mark.parametrize("timings, refused", [((30, 30, True), "offset"), ((False, 30, 0), "red"),
+                                              ((np.int64(30), 30, 0), None), ((30, np.int32(25), np.int64(7)), None)])
+def test_signal_timings_are_integers_as_load_config_reads_them(tmp_path, timings, refused):
+    """A bool is no timing and a numpy integer is one; what builds is saved as plain integers and reads back."""
+    if refused:
+        with pytest.raises(ValueError, match=f"^IntersectionSignal.{refused} must be an integer$"):
+            IntersectionSignal(*timings)
+        return
+    config = {"X": IntersectionSignal(*timings)}
+    save_config(config, tmp_path / "lights.json")
+    assert load_config(tmp_path / "lights.json") == config == {"X": IntersectionSignal(*map(int, timings))}
+
+
 def test_signal_groups_names_mismatches(twolights_net):
     sig = IntersectionSignal(30, 30, 0)
     with pytest.raises(ValueError, match="missing"):

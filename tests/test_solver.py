@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from macrosim.fundamental import ideal_speed, invert_speed
-from macrosim.metrics import aggregate, step_metrics
+from macrosim.metrics import CongestionMetrics, step_metrics
 from macrosim import dataset, network, solver
 from macrosim.network import RoadNetwork, turn_angle
 from macrosim.signals import IntersectionSignal, edge_phases, load_config, sample_config
@@ -142,7 +142,7 @@ def _random_state(net, seed):
     for eid in net.edge_order:
         sl = net.cell_slice(eid)
         v[sl] = rng.uniform(0.0, net.edges[eid].free_flow_speed, sl.stop - sl.start)
-    return SimState(rho=rho, v=v, t=0.0, k=0)
+    return SimState(rho=rho, v=v, t=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -187,9 +187,8 @@ def test_step_matches_reference(cross_net, ring_net, seed):
         np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.v, v_ref, rtol=0, atol=1e-12)
         assert out.t == state.t + params.dt_s
-        assert out.k == state.k + 1
         # input state untouched
-        assert state.t == 0.0 and state.k == 0
+        assert state.t == 0.0
 
 
 def test_single_cell_update_by_hand(cross_net):
@@ -307,7 +306,7 @@ def test_step_survives_an_overflowing_finiteness_reduction(ring_net):
         ran = run(ring_net, state, None, params, horizon=params.dt_s, warmup=0.0).final_state
     for s in (out, ran):
         assert np.all((s.rho >= params.density_floor) & (s.rho <= params.jam_density))
-        assert np.all(np.isfinite(s.v)) and s.k == 1
+        assert np.all(np.isfinite(s.v)) and s.t == params.dt_s
 
 
 # ----------------------------------------------------------- initialization
@@ -491,7 +490,6 @@ def test_run_sampling_contract(twolights_net, twolights_speeds, fixtures_dir):
     assert result.warmup_steps == 200
     assert result.metrics.samples == 480
     assert math.isfinite(result.metrics.avg_speed)
-    assert result.final_state.k == 680
     assert result.final_state.t == pytest.approx(340.0)
 
 
@@ -544,10 +542,11 @@ def test_run_metrics_match_manual_stepping(request, fixtures_dir, manual_runs, n
         if config is not None:
             assert any(p != seen_phases[0] for p in seen_phases), "no signal switched within the horizon"
         sampled = [(avg, queue) for t, avg, queue in trajectory if t >= warmup - 1e-9]
-        assert result.metrics == aggregate(*zip(*sampled))
+        avgs, queues = zip(*sampled)
+        assert result.metrics == CongestionMetrics(float(np.mean(avgs)), float(np.mean(queues)), len(sampled))
         assert result.metrics.samples == len(sampled) == n_samples
         assert result.warmup_steps == _MANUAL_STEPS - n_samples
-        assert (result.final_state.t, result.final_state.k) == (state.t, state.k)
+        assert result.final_state.t == state.t
         assert np.array_equal(result.final_state.rho, state.rho)
         assert np.array_equal(result.final_state.v, state.v)
 
@@ -603,7 +602,7 @@ def test_batched_run_equals_unbatched_runs(request, fixtures_dir, name, batch):
         want = run(net, state0, config, params, **kwargs)
         assert got.metrics == want.metrics
         assert (got.steps, got.warmup_steps) == (want.steps, want.warmup_steps)
-        assert (got.final_state.t, got.final_state.k) == (want.final_state.t, want.final_state.k)
+        assert got.final_state.t == want.final_state.t
         assert np.array_equal(got.final_state.rho, want.final_state.rho)
         assert np.array_equal(got.final_state.v, want.final_state.v)
         assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots] and len(want.snapshots) == 3
@@ -638,13 +637,12 @@ def test_run_probe_snapshots(ring_net):
     result = run(ring_net, state, None, params, horizon=20.0, warmup=0.0, probes=[0.0, 10.0, 20.0])
     assert [s.t for s in result.snapshots] == [0.0, 10.0, 20.0]
     assert all(isinstance(s, SimState) for s in result.snapshots)
-    assert [s.k for s in result.snapshots] == [0, 20, 40]
     np.testing.assert_array_equal(result.snapshots[0].v, state.v)
     np.testing.assert_array_equal(result.snapshots[-1].v, result.final_state.v)
     # an array of probes is read like the list of them
     from_array = run(ring_net, state, None, params, horizon=20.0, warmup=0.0, probes=np.array([0.0, 10.0, 20.0]))
     for a, b in zip(from_array.snapshots, result.snapshots, strict=True):
-        assert (a.t, a.k) == (b.t, b.k) and np.array_equal(a.rho, b.rho) and np.array_equal(a.v, b.v)
+        assert a.t == b.t and np.array_equal(a.rho, b.rho) and np.array_equal(a.v, b.v)
 
     # a probe the clock never reaches is refused by name; one at exactly the horizon is reached by the last clock
     later = SimState(rho=state.rho, v=state.v, t=5.0)
@@ -682,7 +680,7 @@ def test_warmup_and_probes_share_the_clock_tolerance(ring_net, late, reached):
     assert result.metrics == exact.metrics
     at = run(ring_net, state, None, params, horizon=reached * params.dt_s, warmup=0.0).final_state
     (snapshot,) = result.snapshots
-    assert (snapshot.k, snapshot.t) == (reached, at.t)
+    assert snapshot.t == at.t
     assert np.array_equal(snapshot.rho, at.rho) and np.array_equal(snapshot.v, at.v)
 
 
@@ -883,3 +881,26 @@ def test_sim_params_validation():
         with pytest.raises(ValueError, match=f"^SimParams.seed must be an integer >= 0, got {seed!r}$"):
             SimParams(seed=seed)
     assert SimParams(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("call, wanted", [
+    (lambda net, state: SimParams(dt_s="0.5"), "SimParams.dt_s must be finite and > 0, got '0.5'"),
+    (lambda net, state: SimParams(dt_s=True), "SimParams.dt_s must be finite and > 0, got True"),
+    (lambda net, state: SimParams(init_noise="0.1"), "init_noise must be in [0, 1)"),
+    (lambda net, state: SimParams(init_noise=False), "init_noise must be in [0, 1)"),
+    (lambda net, state: check_cfl(net, "0.5"), "dt must be finite and > 0, got '0.5'"),
+    (lambda net, state: check_protocol(net, None, SimParams(), "10", 0.0), "horizon must be finite and > 0, got '10'"),
+    (lambda net, state: check_protocol(net, None, SimParams(), 10.0, "1"),
+     "warmup must be in [0, horizon) = [0, 10.0), got '1'"),
+    (lambda net, state: check_protocol(net, None, SimParams(), 10.0, False),
+     "warmup must be in [0, horizon) = [0, 10.0), got False"),
+    (lambda net, state: run(net, SimState(state.rho, state.v, t="0"), None, SimParams(), horizon=10.0, warmup=0.0),
+     "state0.t must be finite and >= 0, got '0'"),
+])
+def test_protocol_numbers_are_real_numbers(ring_net, call, wanted):
+    """A string or a bool where the solver takes a number is refused as a ValueError in the field's wording."""
+    state = initialize(ring_net, {}, SimParams(), default_speed=6.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
+        call(ring_net, state)
+    assert check_protocol(ring_net, SimState(state.rho, state.v, t=np.float32(1.0)), SimParams(np.float32(0.5)),
+                          np.float32(10.0), np.int64(0)) == (20, 0)

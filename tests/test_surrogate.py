@@ -222,6 +222,17 @@ def test_mlp_input_validation():
     MlpHyper(hidden=[np.int64(3)], max_epochs=np.int64(2))  # numpy integers and a list of sizes are fine
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("learning_rate", "x", "finite and > 0"), ("learning_rate", True, "finite and > 0"),
+    ("alpha", None, "finite and >= 0"), ("alpha", False, "finite and >= 0"), ("tol", "1", "finite and >= 0"),
+])
+def test_mlp_hyper_takes_real_numbers_only(field, value, rule):
+    """A string, None or a bool is refused by name as a ValueError, the field's wording for a bad number."""
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {re.escape(repr(value))}$"):
+        MlpHyper(**{field: value})
+    assert MlpHyper(**{field: np.float32(0.5)})  # a numpy float is a number
+
+
 def test_kfold_rmse_near_zero_on_noiseless_linear_data():
     X, Y, _, _ = _planted_linear(seed=8, n=100)
     per_target, mean = kfold_rmse(fit_linear, X, Y, k=5, seed=0)
