@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from ._files import Fields, naming, read_table, write_table
+from ._files import Fields, is_int, naming, read_table, write_table
 from .metrics import METRICS
 from .network import MAX_CELLS
 from .signals import TIMINGS, IntersectionSignal, encode_values, sample_config
@@ -79,7 +79,7 @@ class BatchRunner(_pool.Pool):
 
     def __init__(self, net, state0: SimState | None, params: SimParams, workers: int = 1,
                  horizon: float = HORIZON_S, warmup: float = WARMUP_S):
-        if workers < 1:
+        if not (is_int(workers) and workers >= 1):
             raise ValueError("workers must be >= 1")
         check_protocol(net, state0, params, horizon, warmup)
         super().__init__(_simulate, (net, state0, params, horizon, warmup))
@@ -123,8 +123,10 @@ def generate(
     stopping the batch. Worker processes and chunking only change wall time,
     never results.
     """
-    if n_runs < 1:
+    if not (is_int(n_runs) and n_runs >= 1):
         raise ValueError("n_runs must be >= 1")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     with BatchRunner(net, state0, params, workers, horizon, warmup) as runner:
         seeds = [child_seed(seed, i) for i in range(n_runs)]
         configs = [sample_config(net, np.random.default_rng(s)) for s in seeds]

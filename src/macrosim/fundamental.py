@@ -194,7 +194,7 @@ def fit_fd(
 
     if init is None:
         init = FdParams()
-    if fixed_v_max is not None and not (math.isfinite(fixed_v_max) and fixed_v_max > 0):
+    if fixed_v_max is not None and not (is_real(fixed_v_max) and math.isfinite(fixed_v_max) and fixed_v_max > 0):
         raise ValueError(f"fixed_v_max must be finite and > 0, got {fixed_v_max!r}")
 
     def sse_of(v_max, rho_cr, a):

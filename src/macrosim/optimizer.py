@@ -120,7 +120,7 @@ def differential_evolution(objective: Objective, dim: int, de: DeConfig, seed_po
     population's value spread falls below CONVERGENCE_TOL relative to the best value.
     A ``seed_point`` becomes member 0 as given; one outside the box is refused.
     """
-    if dim < 1:
+    if not (is_int(dim) and dim >= 1):
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(de.seed)
     np_size = de.resolved_pop_size(dim)

@@ -1,11 +1,28 @@
 """Finite-difference traffic solver on a road network.
 
-State is a per-lane density and a speed for every cell of every edge. Each
-step advances density by an upwind flux balance and speed by a convection
-term, relaxation toward the equilibrium speed of the local fundamental
-diagram, and an anticipation term reacting to downstream density. Edge ends
-are closed by virtual boundary values: intersections mix the fluxes of their
-incoming edges onto their outgoing edges according to turn weights, red
+State is a per-lane density rho and a speed v for every cell of every edge.
+With q = rho * v * lanes the cell flux and dx the cell length, a step of dt
+updates cell j from its upstream neighbour j - 1 and downstream one j + 1:
+
+    rho_j' = rho_j - dt / (lanes * dx) * (q_j - q_{j-1})
+    v_j'   = v_j - dt / (2 * dx) * (v_j**2 - v_{j-1}**2)
+               + dt / relaxation_s * (V(rho_{j+1}) - v_j)
+               - dt * anticipation / (rho_j + density_guard) * (rho_{j+1} - rho_j) / dx
+
+an upwind flux balance, then convection, relaxation toward the equilibrium
+speed V of the downstream cell's density, and anticipation of the downstream
+density. At an edge's first cell q_{j-1} and v_{j-1} are the inflow ghosts,
+and at its last cell rho_{j+1} is the downstream ghost. Red stop lines are
+then pinned to zero speed, and both fields clamped.
+
+Linearised around a uniform state, this update multiplies each Fourier mode
+by a 2x2 matrix per step. At the default 10 m cells and 0.5 s steps every
+mode decays: the upwind scheme's numerical diffusion removes Payne-Whitham's
+stop-and-go instability, so the pipeline's runs show no such waves. Below
+about 5 m cells the instability returns, at wavelengths the grid sets.
+
+The ghosts are virtual boundary values: intersections mix the fluxes of
+their incoming edges onto their outgoing edges according to turn weights, red
 signals cut an edge out of that mixing and pin its stop-line speed to zero,
 and uncoupled ends fall back to zero-gradient extrapolation.
 
@@ -101,9 +118,6 @@ class SimState:
     rho: np.ndarray
     v: np.ndarray
     t: float = 0.0
-
-    def copy(self) -> "SimState":
-        return SimState(rho=self.rho.copy(), v=self.v.copy(), t=self.t)
 
 
 @dataclass

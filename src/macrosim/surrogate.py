@@ -255,6 +255,8 @@ def _fit_stack(X, Y, hypers, seed: int = 0, targets=METRICS, feature_ids=()) -> 
     hyper = hypers[0]
     if any(replace(h, alpha=hyper.alpha, learning_rate=hyper.learning_rate) != hyper for h in hypers):
         raise ValueError("stacked fits may differ in alpha and learning_rate only")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
     mean = Y.mean(axis=0)
     scale = Y.std(axis=0)
@@ -369,8 +371,10 @@ def _folds(n: int, k: int, seed: int):
     """(train, held_out) rows of each of k folds of one seeded shuffle; a fold trains on the others in order."""
     if n < 2:
         raise ValueError(f"k-fold CV needs at least 2 rows, got {n}")
-    if not (2 <= k <= n):
+    if not (is_int(k) and 2 <= k <= n):
         raise ValueError(f"k must be in [2, {n}]")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
     return [(np.concatenate(folds[:j] + folds[j + 1 :]), held_out) for j, held_out in enumerate(folds)]
 

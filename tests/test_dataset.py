@@ -87,6 +87,22 @@ def test_generate_input_validation(cross_net, ring_net, case, wanted):
         call()
 
 
+@pytest.mark.parametrize("argument, value, wanted", [
+    ("n_runs", 2.5, "n_runs must be >= 1"), ("n_runs", True, "n_runs must be >= 1"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"), ("seed", True, "seed must be an integer >= 0, got True"),
+    ("workers", "2", "workers must be >= 1"), ("workers", True, "workers must be >= 1"),
+    ("workers", 2.5, "workers must be >= 1"),
+])
+def test_integer_arguments_refuse_fractions_bools_and_strings(cross_net, argument, value, wanted):
+    """A count, seed or worker number that is not an int or a numpy integer is a ValueError, never taken."""
+    state0, params = _cross_state(cross_net)
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
+        if argument == "workers":
+            dataset.BatchRunner(cross_net, state0, params, workers=value)
+        else:
+            generate(cross_net, state0, params, **{"n_runs": 1, "seed": 0, argument: value})
+
+
 def _toy_rows():
     cfg_a = {"J1": IntersectionSignal(30, 25, 12), "J2": IntersectionSignal(20, 54, 0)}
     cfg_b = {"J1": IntersectionSignal(54, 20, 73), "J2": IntersectionSignal(40, 40, 79)}

@@ -159,7 +159,7 @@ def test_fit_with_fixed_v_max():
     assert fit.params.a == pytest.approx(1.24, rel=1e-6)
 
 
-@pytest.mark.parametrize("v_max", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("v_max", [math.nan, math.inf, 0.0, -1.0, "13", True])
 def test_fit_refuses_a_fixed_v_max_that_is_not_finite_and_positive(v_max):
     with pytest.raises(ValueError, match=f"^{re.escape(f'fixed_v_max must be finite and > 0, got {v_max!r}')}$"):
         fit_fd(_curve_samples(FdParams()), fixed_v_max=v_max)

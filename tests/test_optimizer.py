@@ -182,6 +182,12 @@ def test_de_input_validation():
         Objective(name="x", direction="sideways", evaluate_batch=lambda X: [0.0 for x in X])
 
 
+@pytest.mark.parametrize("dim", [2.5, True, "2"])
+def test_de_refuses_a_dimension_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        differential_evolution(_quadratic([0.5, 0.5]), dim=dim, de=DeConfig())
+
+
 def test_surrogate_objective_reads_named_target_column():
     # plant a linear model: avg_speed = 2 + x0, queue_length = 10 - 3*x1
     model = fit_linear(

@@ -506,7 +506,7 @@ def _manual_run(runs, net, name, row, config, state0, params):
     """(clock, mean speed, queue) and phases before each of the first _MANUAL_STEPS steps, and the state after
     them, from the public per-step definitions."""
     if (name, row) not in runs:
-        state, samples, seen_phases = state0.copy(), [], []
+        state, samples, seen_phases = SimState(state0.rho.copy(), state0.v.copy(), state0.t), [], []
         for _ in range(_MANUAL_STEPS):
             phases = edge_phases(net, config, state.t)
             samples.append((state.t, *step_metrics(state.v)))
@@ -688,7 +688,7 @@ def test_step_returns_arrays_of_its_own(cross_net):
     # each step call owns its result: it shares no memory with the state it read or with another call's result
     params = SimParams()
     state = _random_state(cross_net, 2)
-    before = state.copy()
+    before = SimState(state.rho.copy(), state.v.copy(), state.t)
     phases = {"n_in"}
     first, second = (step(cross_net, state, phases, params) for _ in range(2))
     arrays = [state.rho, state.v, first.rho, first.v, second.rho, second.v]

@@ -280,6 +280,21 @@ def test_kfold_rmse_validates_k():
             kfold_rmse(fit_linear, X[:n], Y[:n], k=2)
 
 
+@pytest.mark.parametrize("call, wanted", [
+    (lambda X, Y: kfold_rmse(fit_linear, X, Y, k=2.5), r"k must be in \[2, 10\]"),
+    (lambda X, Y: kfold_rmse(fit_linear, X, Y, k=np.float64(3.0)), r"k must be in \[2, 10\]"),
+    (lambda X, Y: kfold_rmse(fit_linear, X, Y, seed=True), "seed must be an integer >= 0, got True"),
+    (lambda X, Y: grid_search_mlp(X, Y, k=2.5), r"k must be in \[2, 10\]"),
+    (lambda X, Y: fit_mlp(X, Y, seed=1.5), r"seed must be an integer >= 0, got 1\.5"),
+    (lambda X, Y: fit_mlp(X, Y, seed=True), "seed must be an integer >= 0, got True"),
+], ids=["kfold-k-fraction", "kfold-k-numpy-float", "kfold-seed-bool", "grid-k-fraction", "fit-seed-fraction",
+        "fit-seed-bool"])
+def test_fold_counts_and_seeds_refuse_fractions_and_bools(call, wanted):
+    X, Y, _, _ = _planted_linear(n=10)
+    with pytest.raises(ValueError, match=f"^{wanted}$"):
+        call(X, Y)
+
+
 def test_grid_search_returns_best_scored_candidate():
     X, Y = _xor_clusters(seed=11, per_corner=10)
     base = MlpHyper(hidden=(6,), max_epochs=15, patience=3)
