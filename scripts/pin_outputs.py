@@ -78,7 +78,8 @@ def commands() -> list[tuple[str, list[str], list[str], bool]]:
     fx = "fixtures/"
     twolights = ["--network", fx + "twolights.json", "--init", fx + "twolights_init.csv"]
     search = [*twolights, "--data", TABLE, "--seed", "2024", "--validate"]
-    out = [("calibrate-fd", ["calibrate-fd", "--counters", fx + "counters.csv", "--out", "fd.json"], ["fd.json"], False)]
+    out = [("calibrate-fd", ["calibrate-fd", "--counters", fx + "counters.csv", "--out", "fd.json"],
+            ["fd.json"], False)]
     for name, lights in (("ring", False), ("cross", True), ("twolights", True), ("roadcats", False)):
         argv = ["simulate", "--network", f"{fx}{name}.json", "--init", f"{fx}{name}_init.csv",
                 *(["--lights", f"{fx}{name}_lights.json"] if lights else []),

@@ -74,13 +74,10 @@ def test_a_moved_number_is_named_with_its_command_path_values_error_and_provenan
     moved = copy.deepcopy(recorded)
     sim = moved["commands"]["simulate cross"]["files"]["sim_cross.json"]
     sim["queue_length"] *= 1 + 1e-9
-    failures = _failures(moved, fresh)
-    assert len(failures) == 2
-    message, provenances = failures
+    got = fresh["commands"]["simulate cross"]["files"]["sim_cross.json"]["queue_length"]
+    message, provenances = _failures(moved, fresh)
     assert message.startswith("simulate cross [macrosim simulate --network fixtures/cross.json ")
-    assert ": files.sim_cross.json.queue_length: " in message
-    assert f"recorded {sim['queue_length']!r}, got {fresh['commands']['simulate cross']['files']['sim_cross.json']['queue_length']!r}" in message
-    assert "(rel error 1e-09 > 1e-12)" in message
+    assert message.endswith(f": files.sim_cross.json.queue_length: recorded {sim['queue_length']!r}, got {got!r} "
+                            "(rel error 1e-09 > 1e-12)")
     assert provenances == f"recorded on {recorded['provenance']}; running on {fresh['provenance']}"
-    assert "openblas_core" in provenances
 
