@@ -21,36 +21,34 @@ mode decays: the upwind scheme's numerical diffusion removes Payne-Whitham's
 stop-and-go instability, so the pipeline's runs show no such waves. Below
 about 5 m cells the instability returns, at wavelengths the grid sets.
 
-The ghosts are virtual boundary values: intersections mix the fluxes of
-their incoming edges onto their outgoing edges according to turn weights, red
-signals cut an edge out of that mixing and pin its stop-line speed to zero,
-and uncoupled ends fall back to zero-gradient extrapolation.
+The ghosts are virtual boundary values, and one rule closes every edge end:
+a junction mixes the fluxes of its incoming edges' last cells onto its
+outgoing edges according to turn weights, and an incoming edge sees a
+quadratic mean of the densities its weights lead to. A red signal cuts its
+edge out of that mixing, shows it jam density and pins its stop-line speed to
+zero. An end that no junction couples is a junction of one, which gives
+zero-gradient values: an entry edge takes its inflow from its own first cell,
+and an edge whose end feeds no cell sees its own last cell's density.
 
 Stability requires v_max * dt / dx <= 1 on every edge; ``run`` refuses to
 start otherwise.
 
-``run`` compiles the network once per call into a private plan of flat
-per-cell, per-edge and per-movement arrays and gather indices. The plan holds
-the ``SimParams`` it was compiled for, so the kernels take only the plan and
-the state. ``run`` takes its per-step red-light mask from
-``signals.red_schedule``, recomputes the mask's consequences only at the steps
-where it changes, and advances each step with two whole-array kernels that
-share one cell-flux array: the boundary kernel (every movement summed by
-np.bincount, red ones into a dropped bin) and the cell update (one dot product
-guards finiteness; only if it is not finite are the cells checked one by one).
-On small networks a step costs tens of numpy calls rather than arithmetic, so
-the kernels keep that count low, and they write their per-cell results into
-work arrays the plan owns rather than into new temporaries, one ufunc at a time
-in the order the update's expressions evaluate, so every value rounds as they
-would. The state is double-buffered: each step writes the plan's spare pair of
-arrays and hands back the pair it read. From the first sampled step on, every
-step is sampled; ``run`` copies the speeds into a block of a few steps and
-computes their metrics in one call. A list of signal configurations runs as one
-plan of disjoint network copies, one per configuration. ``virtual_boundaries``
-and ``step`` are one-step views of the same two kernels, each compiling one
-plan per call and taking the red stop lines as edge ids, one row of that
-schedule (``edge_phases``); ``step`` derives its ghosts on that plan, and its
-state is its caller's.
+``run`` compiles the network once per call into a private plan: per-cell
+constants, each edge's first and last cell, and the junction rule's
+movements and downstream rows as flat arrays, summed by np.bincount. It takes
+its per-step red-light mask from ``signals.red_schedule`` and advances each
+step with one function, ``_step``, the update above as numpy expressions over
+``rho`` and ``v``; one dot product guards finiteness, and only if it is not
+finite are the cells checked one by one. From the first sampled step on,
+every step is sampled; ``run`` copies the speeds into a block of a few steps
+and computes their metrics in one call. A list of signal configurations runs
+as one plan of disjoint network copies, one per configuration, each row
+bit-identical to its run alone. ``virtual_boundaries`` and ``step`` are
+one-step views of the same functions, each compiling one plan per call and
+taking the red stop lines as edge ids, one row of that schedule
+(``edge_phases``). Results are held to ``tests/pinned_outputs.json`` at rel
+1e-12 and to the scalar reference of ``tests/test_solver.py`` at abs 1e-12,
+not to the bits of an earlier version.
 """
 from __future__ import annotations
 
@@ -158,8 +156,9 @@ def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams,
                    warmup: float) -> tuple[int, int]:
     """The checks ``run`` makes before it starts, which every run from ``state0`` under this protocol fails alike.
 
-    The CFL condition, a finite horizon > 0, a warmup that some step samples, and a start clock ``state0.t`` that
-    is finite and >= 0, as the signals' clock starts at 0; with ``state0`` None the clock is not checked. Returns
+    The CFL condition, a finite horizon > 0, a warmup that some step samples, a start clock ``state0.t`` that is
+    finite and >= 0, as the signals' clock starts at 0, and ``state0.rho`` and ``state0.v`` 1-D with one value
+    per cell; with ``state0`` None the state is not checked. Returns
     the run's step plan, both counted from ``state0.t``: its steps, ``ceil(horizon / dt)``, and the warm-up steps
     before the first sampled one, ``ceil((warmup - CLOCK_TOL_S) / dt)``.
     """
@@ -179,8 +178,10 @@ def check_protocol(net: RoadNetwork, state0: SimState | None, params: SimParams,
     if warmup_steps >= n_steps:
         raise ValueError(f"warmup {warmup!r} s is later than the last step's start at "
                          f"{(n_steps - 1) * params.dt_s!r} s; no metric would be sampled")
-    if state0 is not None and not (is_real(state0.t) and math.isfinite(state0.t) and state0.t >= 0):
-        raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
+    if state0 is not None:
+        if not (is_real(state0.t) and math.isfinite(state0.t) and state0.t >= 0):
+            raise ValueError(f"state0.t must be finite and >= 0, got {state0.t!r}")
+        _check_cells(net, state0, "state0")
     return n_steps, warmup_steps
 
 
@@ -189,25 +190,23 @@ def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are 
 
 
 class _Plan:
-    """A network compiled for one SimParams, kept as ``params``, into flat per-edge, per-cell and per-movement arrays.
+    """A network compiled for one SimParams, kept as ``params``, into flat per-cell, per-edge and per-movement arrays.
 
-    Cells are laid out as in SimState. Movements are the positive turn
-    weights, ordered by receiving edge and then by the feeding edge's place
-    in its intersection's ``incoming`` tuple; downstream-density rows follow
-    each intersection's turn-weight order. np.bincount adds in input order,
-    so every junction sum rounds exactly as a scalar loop in that order.
+    Cells are laid out as in SimState. Per cell: ``lanes``, ``v_max`` and the update's three factors; per
+    edge: its ``first`` and ``last`` cell and ``edge_speed``, its v_max. The module docstring's junction rule is
+    two tables. A movement (``mv_cell``, ``mv_out``, ``mv_share``, ``mv_cap``) adds a share of its source
+    cell's flux to a receiving edge's inflow, at a speed of at most its cap; a downstream row (``dn_in``,
+    ``dn_cell``, ``dn_w``) weighs its cell's density in its edge's downstream ghost. Each positive turn weight
+    gives one of each. An entry edge adds one movement from its own first cell, with share 1 and cap v_max,
+    and an edge whose end feeds no cell one row from its own last cell, with weight 1. Movements are ordered
+    by receiving edge and then by the feeding edge's place in its intersection's ``incoming`` tuple, rows by
+    each intersection's turn-weight order, and np.bincount adds in input order, so every junction sum rounds
+    as a scalar loop in that order.
 
-    With ``batch`` > 1 the arrays hold that many disjoint copies of the
-    network back to back: copy b's cell indices are shifted by
-    b * total_cells and its edge indices by b * len(edges). No two copies
-    share a bincount bin, so each copy rounds exactly as a plan of its own.
-
-    The kernels take only the plan and a state, which they hold as one
-    (2, cells) pair (rho, v), so an operation that both fields take is one
-    numpy call. The plan owns the work arrays a step refills: ``x`` = (q, v*v),
-    ``d`` = (rho_dn, V(rho_dn)), a per-cell and a per-movement temporary, and
-    the ``spare`` state pair that the next step writes; ``set_red`` keeps what
-    the red flags decide until they change. A plan is private to one call of
+    With ``batch`` > 1 the arrays hold that many disjoint copies of the network back to back: copy b's
+    cell indices are shifted by b * total_cells and its edge indices by b * len(edges). No two copies share
+    a bincount bin, and every other operation is elementwise, so each copy rounds exactly as a plan of its
+    own. ``set_red`` keeps what the red flags decide until they change. A plan is private to one call of
     ``run``, ``step`` or ``virtual_boundaries``.
     """
 
@@ -215,24 +214,23 @@ class _Plan:
         self.edges, self.params = net.edge_order, params
         index = {eid: i for i, eid in enumerate(self.edges)}
         edges = [net.edges[eid] for eid in self.edges]
-        dt = params.dt_s
 
         def per_cell(values):
             return np.repeat(np.array(values, dtype=float), [e.cell_count for e in edges])
 
         self.lanes = per_cell([e.lanes for e in edges])
-        self.dx = per_cell([e.cell_length for e in edges])
-        self.speed_cap = per_cell([e.free_flow_speed for e in edges])  # also each cell's v_max
+        self.v_max = per_cell([e.free_flow_speed for e in edges])
+        # the update's per-cell factors of q - q_up, of v**2 - v_up**2 and of (rho_dn - rho) / (rho + density_guard)
+        dx = per_cell([e.cell_length for e in edges])
+        dt = params.dt_s
+        self.flux_factor = dt / (self.lanes * dx)
+        self.convection_factor = dt / (2.0 * dx)
+        self.anticipation_factor = dt * params.anticipation / dx
         self.rho_cr, self.a = net.rho_cr, net.a
-        # the upstream-difference coefficients of density and of speed: flux and convection
-        self.coef = np.stack([per_cell([dt / (e.lanes * e.cell_length) for e in edges]),
-                              per_cell([dt / (2.0 * e.cell_length) for e in edges])])
-
-        self.first = np.array([net.cell_slice(eid).start for eid in self.edges], dtype=np.intp)
-        self.last = np.array([net.cell_slice(eid).stop - 1 for eid in self.edges], dtype=np.intp)
-        self.edge_speed = self.speed_cap[self.first]
-        self.is_entry = np.array([eid not in net.upstream_of for eid in self.edges], dtype=bool)
-        self.has_dn = np.array([eid in net.downstream_of for eid in self.edges], dtype=bool)
+        first = {eid: net.cell_slice(eid).start for eid in self.edges}
+        last = {eid: net.cell_slice(eid).stop - 1 for eid in self.edges}
+        self.first, self.last = (np.array(list(cells.values()), dtype=np.intp) for cells in (first, last))
+        self.edge_speed = self.v_max[self.first]
 
         movements, rows_dn = [], []
         for ix in net.intersections.values():
@@ -241,155 +239,157 @@ class _Plan:
                 if w > 0:
                     rows.setdefault(e_in, {})[e_out] = w
                     row_sum[e_in] = row_sum.get(e_in, 0.0) + w
-                    rows_dn.append((index[e_in], index[e_out], w))
+                    rows_dn.append((index[e_in], first[e_out], w))
             for e_out in ix.outgoing:
                 for e_in in ix.incoming:
                     w = rows.get(e_in, {}).get(e_out)
                     if w is not None:
                         cap = net.edges[e_in].free_flow_speed * turn_speed_factor(turn_angle(net, e_in, e_out))
-                        movements.append((index[e_in], index[e_out], w / row_sum[e_in], cap))
-        self.mv_in, self.mv_out, self.mv_share, self.mv_cap = _columns(movements, np.intp, np.intp, float, float)
-        self.dn_in, self.dn_out, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
+                        movements.append((last[e_in], index[e_out], w / row_sum[e_in], cap))
+        fed = {row[0] for row in rows_dn}
+        for i, e in enumerate(edges):  # the junctions of one
+            if e.id not in net.upstream_of:
+                movements.append((first[e.id], i, 1.0, e.free_flow_speed))
+            if i not in fed:
+                rows_dn.append((i, last[e.id], 1.0))
+        self.mv_cell, self.mv_out, self.mv_share, self.mv_cap = _columns(movements, np.intp, np.intp, float, float)
+        self.dn_in, self.dn_cell, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
 
-        shift = dict.fromkeys(("first", "last"), net.total_cells)
-        shift.update(dict.fromkeys(("mv_in", "mv_out", "dn_in", "dn_out"), len(self.edges)))
+        shift = dict.fromkeys(("first", "last", "mv_cell", "dn_cell"), net.total_cells)
+        shift.update(dict.fromkeys(("mv_out", "dn_in"), len(self.edges)))
         for name, a in list(vars(self).items()):
             if name in shift:
                 setattr(self, name, (a + shift[name] * np.arange(batch)[:, None]).ravel())
             elif isinstance(a, np.ndarray):
                 setattr(self, name, np.tile(a, batch))
-        self.mv_last, self.dn_first = self.last[self.mv_in], self.first[self.dn_out]
-        cells = len(self.lanes)
-        # the bounds a state pair (rho, v) is clamped into
-        self.lower = np.stack([np.full(cells, params.density_floor), np.zeros(cells)])
-        self.upper = np.stack([np.full(cells, params.jam_density), self.speed_cap])
-        # work arrays that every step refills: the pairs (q, v*v) and (rho_dn, V(rho_dn)), a temporary, the spare
-        # state pair that _advance writes its result into, and the downstream-density weights
-        self.x, self.d, self.spare = (np.empty((2, cells)) for _ in range(3))
-        self.tmp, self.dn_tmp = np.empty(cells), np.empty(len(self.dn_in))
 
     def set_red(self, red: np.ndarray) -> None:
         """Take one red flag per edge for the steps to come, until the next call.
 
-        Kept: the bin each movement adds into (a red movement's is the dropped bin n), the edges whose
-        downstream ghost is jam density, and the stop-line cells pinned to zero speed.
+        Kept: the flags, whose edges see jam density downstream; the stop-line cells, held at zero speed; and
+        the bin each movement adds into, which for a movement out of a stop-line cell is the dropped bin n. An
+        entry edge's own movement leaves its first cell, never a stop line, as every edge has at least two cells.
         """
-        self.dest = np.where(red[self.mv_in], len(self.first), self.mv_out)
-        self.jammed = red & self.has_dn
-        self.pinned = self.last[red]
+        self.red, self.pinned = red, self.last[red]
+        stop_line = np.zeros(len(self.lanes), dtype=bool)
+        stop_line[self.pinned] = True
+        self.dest = np.where(stop_line[self.mv_cell], len(self.first), self.mv_out)
 
 
-def _fluxes(plan: _Plan, s: np.ndarray) -> np.ndarray:
-    """(q, v*v) of the state pair s = (rho, v) into plan.x, q being the cell flux rho * v * lanes; returns q."""
-    x = np.multiply(s, s[1], out=plan.x)
-    x[0] *= plan.lanes
-    return x[0]
+def _ghosts(plan: _Plan, rho: np.ndarray, v: np.ndarray, q: np.ndarray):
+    """(q_in, v_in, rho_out) per edge from the state and its cell fluxes q; see virtual_boundaries.
 
-
-def _boundaries(plan: _Plan, q: np.ndarray, s: np.ndarray):
-    """Boundary kernel: (q_in, v_in, rho_out) per edge from the state pair s and its fluxes q; see virtual_boundaries.
-
-    Every movement is summed, but a red one into a spare bin n that is dropped, so each edge
-    still sums exactly its green terms in order.
+    Every movement is summed, but a red one into a spare bin n that is dropped, so each edge still sums
+    exactly its green terms in order.
     """
-    n, dest, rho, v = len(plan.first), plan.dest, s[0], s[1]  # rows by index, as in _advance
-    part = q[plan.mv_last]  # each gather makes a new array, which is cheaper than np.take into a kept one
-    part *= plan.mv_share
-    q0 = np.bincount(dest, part, n + 1)[:n]
-    terms = v[plan.mv_last]
-    terms *= part
-    speed_flux = np.bincount(dest, terms, n + 1)[:n]
-    cap_flux = np.bincount(dest, np.multiply(plan.mv_cap, part, out=terms), n + 1)[:n]
-    # an entry edge has no movements, so q0 is 0 there and v0 keeps its first-cell speed
-    v0 = np.divide(np.minimum(speed_flux, cap_flux, out=speed_flux), q0, out=v[plan.first], where=q0 > 0.0)
-
-    q_in = np.where(plan.is_entry, q[plan.first], q0)
-    v_in = np.where(plan.is_entry, v0, np.minimum(np.maximum(v0, 0.0), plan.edge_speed))
-
-    r = rho[plan.dn_first]
-    den = np.bincount(plan.dn_in, np.multiply(r, plan.dn_w, out=plan.dn_tmp), n)
-    r *= r
-    r *= plan.dn_w
-    num = np.bincount(plan.dn_in, r, n)
-    rho_out = np.divide(num, den, out=rho[plan.last], where=den > 0.0)
-    rho_out[plan.jammed] = plan.params.jam_density
+    n, dest = len(plan.first), plan.dest
+    part = q[plan.mv_cell] * plan.mv_share
+    q_in = np.bincount(dest, part, n + 1)[:n]
+    speed_flux = np.bincount(dest, v[plan.mv_cell] * part, n + 1)[:n]
+    cap_flux = np.bincount(dest, plan.mv_cap * part, n + 1)[:n]
+    # the flux-weighted mean speed, capped; an edge that nothing flows into keeps its first cell's speed
+    v_in = np.divide(np.minimum(speed_flux, cap_flux), q_in, out=v[plan.first], where=q_in > 0.0)
+    v_in = np.minimum(np.maximum(v_in, 0.0), plan.edge_speed)
+    r = rho[plan.dn_cell]
+    w = r * plan.dn_w
+    rho_out = np.bincount(plan.dn_in, r * w, n)
+    rho_out /= np.bincount(plan.dn_in, w, n)
+    rho_out[plan.red] = plan.params.jam_density
     return q_in, v_in, rho_out
 
 
-def _advance(plan: _Plan, s: np.ndarray, q_in, v_in, rho_out, k: int, t: float) -> np.ndarray:
-    """Cell-update kernel: the caller's step k, counted from 0, of every cell at clock t, from the state pair
-    s = (rho, v), its (q, v*v) in plan.x, and the ghosts; see step. A non-finite cell is named at step k + 1.
+def _upwind(x: np.ndarray, ghost: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """x_j - x_{j-1} per cell, with the ghost in place of x_{j-1} at each edge's first cell."""
+    d = np.empty_like(x)
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    d[first] = x[first] - ghost
+    return d
 
-    The new pair is written into plan.spare, and s becomes the next spare: s itself is never written, but
-    a caller that steps on must not keep it.
-    """
-    x, d, tmp, new, first, params = plan.x, plan.d, plan.tmp, plan.spare, plan.first, plan.params
-    rho, r_next, u_next, dt = s[0], new[0], new[1], params.dt_s  # rows by index: unpacking an array is slower
 
-    # new = (rho - flux_coef * (q - q_up), v - conv_coef * (v*v - v_up*v_up)), then
-    # new[1] += (dt/relaxation) * (V(rho_dn) - v) and new[1] -= (dt*anticipation / (rho + guard)) * (rho_dn - rho) / dx,
-    # one operation at a time in that order, so each value rounds as the expressions would. A cell's upstream
-    # q_up and v_up are the previous cell's, or at an edge's first cell the ghosts; its downstream rho_dn is the
-    # next cell's density, or at an edge's last cell the ghost.
-    np.subtract(x[:, 1:], x[:, :-1], out=new[:, 1:])
-    r_next[first] = x[0][first] - q_in
-    u_next[first] = x[1][first] - v_in * v_in
-    new *= plan.coef
-    np.subtract(s, new, out=new)
-    rho_dn = d[0]
-    rho_dn[:-1], rho_dn[plan.last] = rho[1:], rho_out
-    _curve(plan.speed_cap, plan.rho_cr, plan.a, rho_dn, d[1])
-    d -= s
-    d[1] *= dt / params.relaxation_s
-    u_next += d[1]
-    np.add(rho, params.density_guard, out=tmp)
-    np.divide(dt * params.anticipation, tmp, out=tmp)
-    tmp *= d[0]
-    tmp /= plan.dx
-    u_next -= tmp
-    u_next[plan.pinned] = 0.0
+def _step(plan: _Plan, rho: np.ndarray, v: np.ndarray, k: int, t: float):
+    """The module docstring's update of every cell from (rho, v) at clock t, the caller's step k counted from 0:
+    the new (rho, v), in new arrays. A non-finite cell is named at step k + 1."""
+    p, first, last = plan.params, plan.first, plan.last
+    q = rho * v
+    q *= plan.lanes
+    q_in, v_in, rho_out = _ghosts(plan, rho, v, q)
+    # rho - dt / (lanes * dx) * (q - q_up)
+    new_rho = _upwind(q, q_in, first)
+    new_rho *= plan.flux_factor
+    np.subtract(rho, new_rho, out=new_rho)
+    # v - dt / (2 * dx) * (v**2 - v_up**2)
+    new_v = _upwind(v * v, v_in * v_in, first)
+    new_v *= plan.convection_factor
+    np.subtract(v, new_v, out=new_v)
+    # + dt / relaxation_s * (V(rho_dn) - v), rho_dn being the next cell's density or at an edge's last cell the ghost
+    rho_dn = np.empty_like(rho)
+    rho_dn[:-1], rho_dn[last] = rho[1:], rho_out
+    relax = _curve(plan.v_max, plan.rho_cr, plan.a, rho_dn)
+    relax -= v
+    relax *= p.dt_s / p.relaxation_s
+    new_v += relax
+    # - dt * anticipation / (rho + density_guard) * (rho_dn - rho) / dx
+    rho_dn -= rho
+    rho_dn *= plan.anticipation_factor
+    rho_dn /= rho + p.density_guard
+    new_v -= rho_dn
+    new_v[plan.pinned] = 0.0
 
     # one reduction is non-finite whenever a cell is; if it only overflowed, the exact mask passes
-    if not math.isfinite(np.dot(r_next, u_next)):
-        finite = np.isfinite(r_next) & np.isfinite(u_next)
+    if not math.isfinite(np.dot(new_rho, new_v)):
+        finite = np.isfinite(new_rho) & np.isfinite(new_v)
         if not finite.all():
             bad = int(np.argmin(finite))
-            e = int(np.searchsorted(plan.first, bad, side="right")) - 1
+            e = int(np.searchsorted(first, bad, side="right")) - 1
             row, edge = divmod(e, len(plan.edges))
-            in_row = f" in batch row {row}" if len(plan.first) > len(plan.edges) else ""
+            in_row = f" in batch row {row}" if len(first) > len(plan.edges) else ""
             raise SimulationError(
-                f"non-finite state on edge {plan.edges[edge]} cell {bad - plan.first[e] + 1} "
-                f"at step {k + 1} (t={t + dt:g} s){in_row}"
+                f"non-finite state on edge {plan.edges[edge]} cell {bad - first[e] + 1} "
+                f"at step {k + 1} (t={t + p.dt_s:g} s){in_row}"
             )
-    # cheaper than np.clip, and the same bits on finite values other than -0.0, which the update never makes
-    np.minimum(np.maximum(new, plan.lower, out=new), plan.upper, out=new)
-    plan.spare = s
-    return new
+    # cheaper than np.clip, and the same on finite values other than -0.0, which the update never makes
+    return (np.minimum(np.maximum(new_rho, p.density_floor, out=new_rho), p.jam_density, out=new_rho),
+            np.minimum(np.maximum(new_v, 0.0, out=new_v), plan.v_max, out=new_v))
 
 
-def _view(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams):
-    """Both views' setup: a plan with the red stop lines ``red``, the pair (rho, v), its (q, v*v) in plan.x, the ghosts."""
+def _check_cells(net: RoadNetwork, state: SimState, name: str) -> None:
+    """Refuse a state whose ``rho`` or ``v`` is not 1-D with one value per cell of ``net``, naming it ``name``."""
+    for key in ("rho", "v"):
+        shape = np.shape(getattr(state, key))
+        if shape != (net.total_cells,):
+            raise ValueError(f"{name}.{key} must have shape ({net.total_cells},), one value per cell of the "
+                             f"network, got shape {shape}")
+
+
+def _view(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams) -> _Plan:
+    """Both views' setup: the state checked, and a plan with the red stop lines ``red``."""
+    _check_cells(net, state, "state")
     plan = _Plan(net, params)
     plan.set_red(np.array([eid in red for eid in plan.edges], dtype=bool))
-    s = np.stack([state.rho, state.v])
-    return plan, s, _boundaries(plan, _fluxes(plan, s), s)
+    return plan
 
 
 def virtual_boundaries(net: RoadNetwork, state: SimState, red: Collection[str], params: SimParams) -> VirtualBoundary:
-    """Ghost values for every edge end from intersection mixing and boundary rules.
+    """Ghost values for every edge end from intersection mixing.
 
     For an outgoing edge, the inflow flux is the turn-weight share of every
     green incoming edge's end flux, and the inflow speed is the flux-weighted
     mean of their end speeds, capped by the turn-geometry speed limit (a
     straight movement passes at most v_max, a 90 degree turn at most half of
-    it, a U-turn nothing). For an incoming edge, the downstream ghost density
-    is a flux-consistent quadratic mean over the receiving edges' first
-    cells; a red incoming edge instead sees jam density. Uncoupled ends use
-    zero-gradient values. ``red`` holds the ids of the red stop lines, as
-    ``edge_phases`` gives them. A dict view of the boundary kernel that
-    ``run`` executes.
+    it, a U-turn nothing) and clipped into [0, v_max] of the edge. For an
+    incoming edge, the downstream ghost density is a flux-consistent
+    quadratic mean over the receiving edges' first cells; a red incoming edge
+    instead sees jam density. An end that no junction couples is a junction
+    of one, which gives zero-gradient values: an entry edge's inflow is its
+    own first cell's flux and speed, and an edge whose end feeds no cell sees
+    its own last cell's density. An entry edge's inflow speed is clipped as
+    every edge's is, which changes nothing for a state of ``initialize`` or
+    ``run`` but clips a hand-built one outside [0, v_max]. ``red`` holds the ids
+    of the red stop lines, as ``edge_phases`` gives them. A dict view of the
+    ghosts of the step that ``run`` executes.
     """
-    plan, _, ghosts = _view(net, state, red, params)
+    plan = _view(net, state, red, params)
+    ghosts = _ghosts(plan, state.rho, state.v, state.rho * state.v * plan.lanes)
     return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
@@ -400,12 +400,12 @@ def step(net: RoadNetwork, state: SimState, red: Collection[str], params: SimPar
     convection + relaxation + anticipation, then red stop lines are pinned to
     zero speed, then both fields are clamped (density into
     [density_floor, jam_density], speed into [0, v_max]). Non-finite values
-    abort with the offending edge and cell. A view of both kernels that
-    ``run`` executes.
+    abort with the offending edge and cell. A view of the step that ``run``
+    executes.
     """
+    plan = _view(net, state, red, params)
     with np.errstate(over="ignore", invalid="ignore"):  # as in run
-        plan, s, ghosts = _view(net, state, red, params)
-        rho, v = _advance(plan, s, *ghosts, 0, state.t)
+        rho, v = _step(plan, state.rho, state.v, 0, state.t)
     return SimState(rho=rho, v=v, t=state.t + params.dt_s)
 
 
@@ -494,31 +494,31 @@ def run(
     # every step from the first after the warm-up on is sampled; the speeds of up to len(block) samples are
     # gathered and measured by one step_metrics call, whose per-row sums are as alone
     series = np.empty((2, n_steps - first, batch))  # mean speed and queue length per sample and row
-    block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // plan.tmp.size)), batch, net.total_cells))
+    block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // len(plan.lanes))), batch, net.total_cells))
 
-    s = np.stack([np.tile(state0.rho, batch), np.tile(state0.v, batch)])  # the pair (rho, v)
-    # overflows only reach _advance's finiteness guard, which raises on a non-finite cell; its one dot
+    rho, v = np.tile(state0.rho, batch), np.tile(state0.v, batch)
+    # overflows only reach _step's finiteness guard, which raises on a non-finite cell; its one dot
     # product can also overflow on finite cells, so the warnings say nothing the guard does not
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(clock.tolist()):
             while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - CLOCK_TOL_S:
-                snapshots.append(SimState(*s.reshape(2, batch, -1).copy(), t=t))
+                snapshots.append(SimState(rho.reshape(batch, -1).copy(), v.reshape(batch, -1).copy(), t=t))
                 probe_idx += 1
             if k == n_steps:
                 break
             if k >= first:
                 i = (k - first) % len(block)
-                block[i] = s[1].reshape(batch, -1)
+                block[i] = v.reshape(batch, -1)
                 if i == len(block) - 1 or k == n_steps - 1:
                     lo = k - first - i
                     series[:, lo:lo + i + 1] = step_metrics(block[:i + 1])
             if switches[k]:
                 plan.set_red(red[k])
-            s = _advance(plan, s, *_boundaries(plan, _fluxes(plan, s), s), k, t)
+            rho, v = _step(plan, rho, v, k, t)
 
     # one contiguous series per row, so each row's time average sums exactly as an unbatched run's
     speeds, queues = series.transpose(0, 2, 1).copy()
-    rho, v = s.reshape(2, batch, -1)
+    rho, v = rho.reshape(batch, -1), v.reshape(batch, -1)
     results = [
         RunResult(
             metrics=CongestionMetrics(float(np.mean(speeds[b])), float(np.mean(queues[b])), n_steps - first),

@@ -1,7 +1,7 @@
 """The solver against Payne-Whitham's linear theory on the closed ring.
 
 Around a uniform state (rho0, v0 = V(rho0)) on equal cells of length h, with
-no turn cap binding, the update ``_advance`` computes is, to first order in
+no turn cap binding, the update ``solver._step`` computes is, to first order in
 the perturbation (r, u),
 
     r'_j = r_j - lam * (v0 * (r_j - r_{j-1}) + rho0 * (u_j - u_{j-1}))

@@ -143,7 +143,11 @@ def test_de_is_deterministic():
 
 # optimize_config's answers (seed 0) on the benchmark's committed twolights table, under the linear model and the
 # default MLP: every search lands on the shortest red and longest green, offset 0, at both junctions. Recorded with
-# numpy 2.4.6 and its bundled OpenBLAS on x86-64; the MLP's float32 training depends on both.
+# numpy 2.4.6 and its bundled OpenBLAS (SkylakeX kernel) on x86-64. The MLP's float32 training takes the order of
+# the BLAS kernel: under OPENBLAS_CORETYPE=Haswell, Zen or Sandybridge its searched prediction moved by up to rel
+# 7.5e-5 (speed) and 3.0e-5 (queue), and no configuration moved. So the configurations are pinned exactly, a linear
+# prediction to rel 1e-12 and an MLP prediction to rel 8e-4, 10x the largest kernel spread rounded up.
+_PREDICTED_RTOL = {"linear": 1e-12, "mlp": 8e-4}
 _CORNER = {"J1": IntersectionSignal(red=20, green=54, offset=0), "J2": IntersectionSignal(red=20, green=54, offset=0)}
 _PINNED_ANSWERS = {
     ("linear", "speed"): (_CORNER, 6.546035344931586),
@@ -168,7 +172,7 @@ def test_search_answers_are_pinned(benchmark_table, twolights_net, kind, target)
                              training_rows=rows)
     config, predicted = _PINNED_ANSWERS[kind, target]
     assert result.config == config
-    assert result.predicted == pytest.approx(predicted, rel=1e-12)
+    assert result.predicted == pytest.approx(predicted, rel=_PREDICTED_RTOL[kind])
 
 
 def test_de_input_validation():

@@ -19,12 +19,13 @@ from macrosim.fundamental import ideal_speed, invert_speed
 from macrosim.metrics import CongestionMetrics, step_metrics
 from macrosim import dataset, network, solver
 from macrosim.network import RoadNetwork, turn_angle
-from macrosim.signals import IntersectionSignal, edge_phases, load_config, sample_config
+from macrosim.signals import IntersectionSignal, edge_phases, load_config, red_schedule, sample_config
 from macrosim.solver import (
     CflError,
     SimParams,
     SimState,
     SimulationError,
+    VirtualBoundary,
     check_cfl,
     check_protocol,
     initialize,
@@ -189,6 +190,29 @@ def test_step_matches_reference(cross_net, ring_net, seed):
         assert out.t == state.t + params.dt_s
         # input state untouched
         assert state.t == 0.0
+
+
+@pytest.mark.parametrize("name", ["cross", "twolights"])
+def test_run_trajectory_matches_reference(request, fixtures_dir, name):
+    """run's own states, probed at every step clock across red switches, each follow from the one before by the
+    scalar reference: the oracle on the states run produces, with the red stop lines of red_schedule."""
+    net = request.getfixturevalue(f"{name}_net")
+    speeds, default = read_speeds_csv(fixtures_dir / f"{name}_init.csv")
+    config = load_config(fixtures_dir / f"{name}_lights.json")
+    params = SimParams(seed=3)
+    steps = 160
+    clock = params.dt_s * np.arange(steps + 1)
+    result = run(net, initialize(net, speeds, params, default_speed=default), config, params,
+                 horizon=steps * params.dt_s, warmup=0.0, probes=clock)
+    red = red_schedule(net, config, clock[:-1])
+    assert (red[1:] != red[:-1]).any(axis=1).sum() >= 2, "fewer than two red switches within the horizon"
+    assert [s.t for s in result.snapshots] == clock.tolist()
+    for state, after, flags in zip(result.snapshots, result.snapshots[1:], red):
+        phases = {eid for eid, is_red in zip(net.edge_order, flags) if is_red}
+        vb = VirtualBoundary(*_reference_boundaries(net, state, phases, params))
+        rho_ref, v_ref = _reference_step(net, state, vb, phases, params)
+        np.testing.assert_allclose(after.rho, rho_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(after.v, v_ref, rtol=0, atol=1e-12)
 
 
 def test_single_cell_update_by_hand(cross_net):
@@ -797,6 +821,35 @@ def test_run_refuses_a_start_clock_that_is_not_a_time_from_zero(twolights_net, r
         dataset.generate(twolights_net, state, params, n_runs=3, seed=0, workers=2)
     with pytest.raises(ValueError, match=wanted):
         dataset.BatchRunner(twolights_net, state, params)
+
+
+_ENTRY_POINTS = {
+    "run": lambda net, state, config, params: run(net, state, config, params),
+    "BatchRunner": lambda net, state, config, params: dataset.BatchRunner(net, state, params),
+    "generate": lambda net, state, config, params: dataset.generate(net, state, params, n_runs=3, seed=0, workers=2),
+    "step": lambda net, state, config, params: step(net, state, edge_phases(net, config, state.t), params),
+    "virtual_boundaries": lambda net, state, config, params: virtual_boundaries(
+        net, state, edge_phases(net, config, state.t), params),
+}
+
+
+@pytest.mark.parametrize("key, shape", [("rho", (3,)), ("rho", (265,)), ("rho", (2, 260)), ("v", (259,))])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_a_state_of_the_wrong_shape_is_refused_by_name(twolights_net, twolights_speeds, monkeypatch, key, shape,
+                                                        entry):
+    # twolights has 260 cells; a wrong shape used to escape as numpy's broadcast error, which named neither the
+    # field nor the cell count. run and the dataset entry points refuse it before compiling a plan
+    speeds, default = twolights_speeds
+    params = SimParams()
+    state = initialize(twolights_net, speeds, params, default_speed=default)
+    setattr(state, key, np.full(shape, 0.05))
+    config = sample_config(twolights_net, np.random.default_rng(0))
+    name = "state" if entry in ("step", "virtual_boundaries") else "state0"
+    if name == "state0":
+        monkeypatch.setattr(solver, "_Plan", None)
+    wanted = f"{name}.{key} must have shape (260,), one value per cell of the network, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(wanted)}$"):
+        _ENTRY_POINTS[entry](twolights_net, state, config, params)
 
 
 # --------------------------------------------------------------------- I/O

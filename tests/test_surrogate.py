@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -541,10 +542,12 @@ def test_a_stack_may_differ_in_alpha_and_learning_rate_only():
         surrogate._fit_stack(X, Y, [MlpHyper(hidden=(4,)), MlpHyper(hidden=(4,), patience=4)])
 
 
-# Predictions of ``fit_mlp`` on a fixed design, recorded from the float32 trainer. The trainer must
-# reproduce them exactly, so any change to its arithmetic or RNG use shows up here. Recorded with
-# numpy 2.4.6 and its bundled OpenBLAS on x86-64; the exact values depend on numpy's SIMD kernels
-# and the BLAS, which the tier-1 workflow prints before the tests.
+# Predictions of ``fit_mlp`` on a fixed design, recorded from the float32 trainer, so any change to its
+# arithmetic or RNG use shows up here. Recorded with numpy 2.4.6 and its bundled OpenBLAS (SkylakeX kernel) on
+# x86-64. The float32 sums take the order of the BLAS kernel: under OPENBLAS_CORETYPE=Haswell or Zen these
+# predictions moved by up to rel 1.6e-16, under Sandybridge by up to rel 6.8e-6, and no stopping epoch moved.
+# So the epochs are pinned exactly and the predictions to rel MLP_PIN_RTOL, 10x the largest kernel spread.
+MLP_PIN_RTOL = 7e-5
 _PINNED_QUERY = np.array([[0.1, 0.2, 0.3], [0.9, 0.5, 0.1], [0.4, 0.8, 0.7]])
 _PINNED_MLP = {
     ("relu", "early"): (140, [[0.3577133937625887, -0.16596842832063383],
@@ -580,13 +583,15 @@ def test_fit_mlp_reproduces_pinned_predictions(activation, stopping):
     model = _pinned_fit(activation, stopping)
     epochs, expected = _PINNED_MLP[(activation, stopping)]
     assert model.epochs_trained == epochs
-    np.testing.assert_array_equal(predict(model, _PINNED_QUERY), np.array(expected))
+    np.testing.assert_allclose(predict(model, _PINNED_QUERY), np.array(expected), rtol=MLP_PIN_RTOL, atol=0)
 
 
 # Predictions of ``fit_mlp`` with the default architecture, hidden=(100, 50), recorded from the float32
 # trainer. 80 rows leave 72 training rows, in mini-batches of 32, 32 and 8 as in the benchmark's folds,
 # so the matmuls run at the benchmark's BLAS shapes. Recorded with numpy 2.4.6 and its bundled OpenBLAS
-# on x86-64.
+# (SkylakeX kernel) on x86-64. Under the Haswell and Zen kernels they moved by up to rel 1.8e-7, under
+# Sandybridge by up to rel 2.9e-7; DEFAULT_MLP_PIN_RTOL is 10x the largest.
+DEFAULT_MLP_PIN_RTOL = 3e-6
 _PINNED_QUERY_6 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.9, 0.5, 0.1, 0.7, 0.3, 0.2],
                             [0.4, 0.8, 0.7, 0.0, 1.0, 0.5]])
 _PINNED_DEFAULT_MLP = {
@@ -611,7 +616,37 @@ def test_fit_mlp_default_architecture_reproduces_pinned_predictions(activation):
     model = _default_fit(activation)
     assert [W.shape for W, _ in model.layers] == [(6, 100), (100, 50), (50, 2)]
     assert model.epochs_trained == 30
-    np.testing.assert_array_equal(predict(model, _PINNED_QUERY_6), np.array(_PINNED_DEFAULT_MLP[activation]))
+    np.testing.assert_allclose(predict(model, _PINNED_QUERY_6), np.array(_PINNED_DEFAULT_MLP[activation]),
+                               rtol=DEFAULT_MLP_PIN_RTOL, atol=0)
+
+
+_MLP_PINS = [f"tests/test_surrogate.py::test_fit_mlp_reproduces_pinned_predictions[{a}-{s}]"
+             for a, s in sorted(_PINNED_MLP)]
+_MLP_PINS += [f"tests/test_surrogate.py::test_fit_mlp_default_architecture_reproduces_pinned_predictions[{a}]"
+              for a in sorted(_PINNED_DEFAULT_MLP)]
+_MLP_PINS += [f"tests/test_optimizer.py::test_search_answers_are_pinned[mlp-{t}]" for t in ("speed", "queue")]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="Sandybridge is an x86-64 OpenBLAS kernel")
+def test_mlp_pins_hold_on_another_blas_kernel():
+    # the MLP pins rerun in a process whose OpenBLAS takes its Sandybridge kernel, the one that moved them most; the
+    # child reports its kernel through scripts/pin_outputs.py, so the rerun cannot pass on this process's kernel
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = """if True:
+        import json, runpy, sys
+        import pytest
+        print(json.dumps(runpy.run_path("scripts/pin_outputs.py")["provenance"]()["openblas_core"]), flush=True)
+        sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+    """
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *_MLP_PINS], capture_output=True, text=True, env=env,
+                          cwd=root, timeout=300)
+    core = json.loads(done.stdout.partition("\n")[0] or "null")
+    if core is None and done.returncode == 0:
+        pytest.skip("numpy bundles no OpenBLAS that reports its kernel")
+    assert core == "Sandybridge", done.stdout + done.stderr
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 # The fixed-epoch predictions above as the float64 trainer gave them, the float32 trainer's declared
