@@ -31,20 +31,24 @@ class CongestionMetrics:
         return {key: getattr(self, metric) for metric, key in DOCUMENT_KEYS.items()}
 
 
+def _weight(v: np.ndarray) -> np.ndarray:
+    """congestion_weight of an array of speeds, in a new array; exp overflows, with a warning, above ~240 m/s."""
+    w = np.multiply(v, QUEUE_STEEPNESS)
+    w -= QUEUE_STEEPNESS * QUEUE_THRESHOLD_MPS
+    np.exp(w, out=w)
+    w += 1.0
+    return np.reciprocal(w, out=w)
+
+
 def congestion_weight(v):
     """Logistic congestion weight of a speed; scalar or array.
 
-    The weight is 1 / (1 + exp(QUEUE_STEEPNESS * (v - QUEUE_THRESHOLD_MPS))).
-
-    Computed from exp(-|x|), which never overflows, so large speed
-    deviations in either direction stay exact 0/1.
+    The weight is 1 / (1 + exp(QUEUE_STEEPNESS * v - QUEUE_STEEPNESS * QUEUE_THRESHOLD_MPS)): exactly 0.5 at
+    the threshold, 1 far below it, and 0 above about 240 m/s, where exp overflows without a warning.
     """
-    x = QUEUE_STEEPNESS * (np.asarray(v, dtype=float) - QUEUE_THRESHOLD_MPS)
-    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) where x < 0
-    out = np.where(x >= 0, e, 1.0) / (1.0 + e)
-    if x.ndim == 0:
-        return float(out)
-    return out
+    with np.errstate(over="ignore"):
+        out = _weight(np.array(v, dtype=float, ndmin=1))
+    return float(out[0]) if np.ndim(v) == 0 else out
 
 
 def step_metrics(v: np.ndarray):
@@ -56,6 +60,5 @@ def step_metrics(v: np.ndarray):
     summed exactly as that row alone.
     """
     avg = np.add.reduce(v, axis=-1) / v.shape[-1]  # np.mean's own arithmetic, without its wrapper
-    queue = np.add.reduce(congestion_weight(v), axis=-1)
+    queue = np.add.reduce(_weight(v), axis=-1)
     return avg, queue
-

@@ -39,7 +39,13 @@ movements and downstream rows as flat arrays, summed by np.bincount. It takes
 its per-step red-light mask from ``signals.red_schedule`` and advances each
 step with one function, ``_step``, the update above as numpy expressions over
 ``rho`` and ``v``; one dot product guards finiteness, and only if it is not
-finite are the cells checked one by one. From the first sampled step on,
+finite are the cells checked one by one. The plan folds the constants into
+per-cell factors (dt / dx, dt / (2 * dx), dt * anticipation / dx, v_relax =
+v_max * dt / relaxation_s) and curve_c = -(1/a) * rho_cr**-a, so
+``_relaxation`` takes no power; the flux is per lane, rho * v, with the lanes
+in each movement's share and in q_in. Results move by rounding only:
+``tests/test_solver.py`` holds the folded curve to ``fundamental._curve`` at
+rel 1e-14. From the first sampled step on,
 every step is sampled; ``run`` copies the speeds into a block of a few steps
 and computes their metrics in one call. A list of signal configurations runs
 as one plan of disjoint network copies, one per configuration, each row
@@ -59,7 +65,7 @@ from typing import ClassVar, Collection, Mapping
 import numpy as np
 
 from ._files import Fields, is_int, is_real, read_table, write_json, write_table
-from .fundamental import _curve, ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
+from .fundamental import ideal_speed, invert_speed  # noqa: F401 (ideal_speed: perfbench traces it here)
 from .metrics import CongestionMetrics, step_metrics
 from .network import RoadNetwork, turn_angle, turn_speed_factor
 from .signals import edge_phases, red_schedule  # noqa: F401 (edge_phases: as above)
@@ -67,9 +73,9 @@ from .signals import edge_phases, red_schedule  # noqa: F401 (edge_phases: as ab
 HORIZON_S = 340.0  # the paper's protocol: simulated seconds per run
 WARMUP_S = 100.0   # and the seconds before metrics are sampled
 CLOCK_TOL_S = 1e-9  # a time within this of a step's start reaches that step, as the warm-up's end and as a probe
-# speeds per step_metrics call in run: 64 KB, so no temporary of the call reaches malloc's 128 KB mmap threshold,
-# above which every call maps and faults in fresh pages
-_BLOCK_VALUES = 1 << 13
+# speeds per step_metrics call in run: 80 KB, two samples of an 8 x 8 grid, so no temporary of the call reaches
+# malloc's 128 KB mmap threshold, above which every call maps and faults in fresh pages
+_BLOCK_VALUES = 10 << 10
 
 
 class SimulationError(RuntimeError):
@@ -192,10 +198,11 @@ def _columns(rows, *dtypes) -> list[np.ndarray]:  # empty arrays when there are 
 class _Plan:
     """A network compiled for one SimParams, kept as ``params``, into flat per-cell, per-edge and per-movement arrays.
 
-    Cells are laid out as in SimState. Per cell: ``lanes``, ``v_max`` and the update's three factors; per
-    edge: its ``first`` and ``last`` cell and ``edge_speed``, its v_max. The module docstring's junction rule is
-    two tables. A movement (``mv_cell``, ``mv_out``, ``mv_share``, ``mv_cap``) adds a share of its source
-    cell's flux to a receiving edge's inflow, at a speed of at most its cap; a downstream row (``dn_in``,
+    Cells are laid out as in SimState. Per cell: ``v_max`` and the update's folded factors (the module
+    docstring); per edge: its ``first`` and ``last`` cell, ``edge_speed``, its v_max, and ``edge_lanes``. The
+    module docstring's junction rule is two tables. A movement (``mv_cell``, ``mv_edge``, ``mv_out``,
+    ``mv_flow``, ``mv_cap``) adds its share of its source edge's flux, ``mv_flow`` times the per-lane flux of
+    its source cell, to a receiving edge's inflow, at a speed of at most its cap; a downstream row (``dn_in``,
     ``dn_cell``, ``dn_w``) weighs its cell's density in its edge's downstream ghost. Each positive turn weight
     gives one of each. An entry edge adds one movement from its own first cell, with share 1 and cap v_max,
     and an edge whose end feeds no cell one row from its own last cell, with weight 1. Movements are ordered
@@ -218,19 +225,20 @@ class _Plan:
         def per_cell(values):
             return np.repeat(np.array(values, dtype=float), [e.cell_count for e in edges])
 
-        self.lanes = per_cell([e.lanes for e in edges])
         self.v_max = per_cell([e.free_flow_speed for e in edges])
-        # the update's per-cell factors of q - q_up, of v**2 - v_up**2 and of (rho_dn - rho) / (rho + density_guard)
+        # the update's per-cell factors of f - f_up, of v**2 - v_up**2 and of (rho_dn - rho) / (rho + density_guard)
         dx = per_cell([e.cell_length for e in edges])
-        dt = params.dt_s
-        self.flux_factor = dt / (self.lanes * dx)
+        dt, tau = params.dt_s, params.relaxation_s
+        self.flux_factor = dt / dx
         self.convection_factor = dt / (2.0 * dx)
         self.anticipation_factor = dt * params.anticipation / dx
-        self.rho_cr, self.a = net.rho_cr, net.a
+        # the relaxation dt / tau * (V(rho_dn) - v) as v_relax * exp(curve_c * rho_dn**a) - (1 - v_keep) * v
+        self.v_keep, self.v_relax = 1.0 - dt / tau, self.v_max * (dt / tau)
+        self.a, self.curve_c = net.a, -(1.0 / net.a) * net.rho_cr ** -net.a
         first = {eid: net.cell_slice(eid).start for eid in self.edges}
         last = {eid: net.cell_slice(eid).stop - 1 for eid in self.edges}
         self.first, self.last = (np.array(list(cells.values()), dtype=np.intp) for cells in (first, last))
-        self.edge_speed = self.v_max[self.first]
+        self.edge_speed, self.edge_lanes = self.v_max[self.first], np.array([e.lanes for e in edges], dtype=float)
 
         movements, rows_dn = [], []
         for ix in net.intersections.values():
@@ -245,51 +253,53 @@ class _Plan:
                     w = rows.get(e_in, {}).get(e_out)
                     if w is not None:
                         cap = net.edges[e_in].free_flow_speed * turn_speed_factor(turn_angle(net, e_in, e_out))
-                        movements.append((last[e_in], index[e_out], w / row_sum[e_in], cap))
+                        flow = w / row_sum[e_in] * net.edges[e_in].lanes
+                        movements.append((last[e_in], index[e_in], index[e_out], flow, cap))
         fed = {row[0] for row in rows_dn}
         for i, e in enumerate(edges):  # the junctions of one
             if e.id not in net.upstream_of:
-                movements.append((first[e.id], i, 1.0, e.free_flow_speed))
+                movements.append((first[e.id], i, i, float(e.lanes), e.free_flow_speed))
             if i not in fed:
                 rows_dn.append((i, last[e.id], 1.0))
-        self.mv_cell, self.mv_out, self.mv_share, self.mv_cap = _columns(movements, np.intp, np.intp, float, float)
+        self.mv_cell, self.mv_edge, self.mv_out, self.mv_flow, self.mv_cap = _columns(
+            movements, np.intp, np.intp, np.intp, float, float)
         self.dn_in, self.dn_cell, self.dn_w = _columns(rows_dn, np.intp, np.intp, float)
 
         shift = dict.fromkeys(("first", "last", "mv_cell", "dn_cell"), net.total_cells)
-        shift.update(dict.fromkeys(("mv_out", "dn_in"), len(self.edges)))
+        shift.update(dict.fromkeys(("mv_edge", "mv_out", "dn_in"), len(self.edges)))
         for name, a in list(vars(self).items()):
             if name in shift:
                 setattr(self, name, (a + shift[name] * np.arange(batch)[:, None]).ravel())
             elif isinstance(a, np.ndarray):
                 setattr(self, name, np.tile(a, batch))
+        # a movement's bin while its source edge is red: the dropped bin n from a stop line, its own from a first cell
+        self.mv_drop = np.where(self.mv_cell == self.last[self.mv_edge], len(self.first), self.mv_out)
 
     def set_red(self, red: np.ndarray) -> None:
         """Take one red flag per edge for the steps to come, until the next call.
 
         Kept: the flags, whose edges see jam density downstream; the stop-line cells, held at zero speed; and
-        the bin each movement adds into, which for a movement out of a stop-line cell is the dropped bin n. An
-        entry edge's own movement leaves its first cell, never a stop line, as every edge has at least two cells.
+        the bin each movement adds into, ``mv_drop`` where its source edge is red. An entry edge's own movement
+        leaves its first cell, never a stop line, as every edge has at least two cells.
         """
         self.red, self.pinned = red, self.last[red]
-        stop_line = np.zeros(len(self.lanes), dtype=bool)
-        stop_line[self.pinned] = True
-        self.dest = np.where(stop_line[self.mv_cell], len(self.first), self.mv_out)
+        self.dest = np.where(red[self.mv_edge], self.mv_drop, self.mv_out)
 
 
-def _ghosts(plan: _Plan, rho: np.ndarray, v: np.ndarray, q: np.ndarray):
-    """(q_in, v_in, rho_out) per edge from the state and its cell fluxes q; see virtual_boundaries.
+def _ghosts(plan: _Plan, rho: np.ndarray, v: np.ndarray, f: np.ndarray):
+    """(q_in, v_in, rho_out) per edge from the state and its per-lane cell fluxes f; see virtual_boundaries.
 
     Every movement is summed, but a red one into a spare bin n that is dropped, so each edge still sums
     exactly its green terms in order.
     """
     n, dest = len(plan.first), plan.dest
-    part = q[plan.mv_cell] * plan.mv_share
+    part = f[plan.mv_cell] * plan.mv_flow
     q_in = np.bincount(dest, part, n + 1)[:n]
     speed_flux = np.bincount(dest, v[plan.mv_cell] * part, n + 1)[:n]
     cap_flux = np.bincount(dest, plan.mv_cap * part, n + 1)[:n]
     # the flux-weighted mean speed, capped; an edge that nothing flows into keeps its first cell's speed
-    v_in = np.divide(np.minimum(speed_flux, cap_flux), q_in, out=v[plan.first], where=q_in > 0.0)
-    v_in = np.minimum(np.maximum(v_in, 0.0), plan.edge_speed)
+    v_in = np.divide(np.minimum(speed_flux, cap_flux, out=cap_flux), q_in, out=v[plan.first], where=q_in > 0.0)
+    v_in = np.minimum(np.maximum(v_in, 0.0, out=v_in), plan.edge_speed, out=v_in)
     r = rho[plan.dn_cell]
     w = r * plan.dn_w
     rho_out = np.bincount(plan.dn_in, r * w, n)
@@ -300,34 +310,40 @@ def _ghosts(plan: _Plan, rho: np.ndarray, v: np.ndarray, q: np.ndarray):
 
 def _upwind(x: np.ndarray, ghost: np.ndarray, first: np.ndarray) -> np.ndarray:
     """x_j - x_{j-1} per cell, with the ghost in place of x_{j-1} at each edge's first cell."""
-    d = np.empty_like(x)
-    np.subtract(x[1:], x[:-1], out=d[1:])
-    d[first] = x[first] - ghost
-    return d
+    up = np.empty_like(x)
+    up[1:], up[first] = x[:-1], ghost
+    return np.subtract(x, up, out=up)
+
+
+def _relaxation(plan: _Plan, rho_dn: np.ndarray) -> np.ndarray:
+    """dt / relaxation_s * V(rho_dn) per cell, fundamental._curve as v_relax * exp(curve_c * exp(a * log(rho_dn)))."""
+    r = np.log(rho_dn)
+    r *= plan.a
+    np.exp(r, out=r)
+    r *= plan.curve_c
+    np.exp(r, out=r)
+    r *= plan.v_relax
+    return r
 
 
 def _step(plan: _Plan, rho: np.ndarray, v: np.ndarray, k: int, t: float):
     """The module docstring's update of every cell from (rho, v) at clock t, the caller's step k counted from 0:
     the new (rho, v), in new arrays. A non-finite cell is named at step k + 1."""
     p, first, last = plan.params, plan.first, plan.last
-    q = rho * v
-    q *= plan.lanes
-    q_in, v_in, rho_out = _ghosts(plan, rho, v, q)
-    # rho - dt / (lanes * dx) * (q - q_up)
-    new_rho = _upwind(q, q_in, first)
+    f = rho * v
+    q_in, v_in, rho_out = _ghosts(plan, rho, v, f)
+    # rho - dt / dx * (f - f_up), the edge's inflow q_in shared among its lanes
+    new_rho = _upwind(f, q_in / plan.edge_lanes, first)
     new_rho *= plan.flux_factor
     np.subtract(rho, new_rho, out=new_rho)
-    # v - dt / (2 * dx) * (v**2 - v_up**2)
+    # v * (1 - dt / relaxation_s) - dt / (2 * dx) * (v**2 - v_up**2)
     new_v = _upwind(v * v, v_in * v_in, first)
     new_v *= plan.convection_factor
-    np.subtract(v, new_v, out=new_v)
-    # + dt / relaxation_s * (V(rho_dn) - v), rho_dn being the next cell's density or at an edge's last cell the ghost
+    np.subtract(v * plan.v_keep, new_v, out=new_v)
+    # + dt / relaxation_s * V(rho_dn), rho_dn being the next cell's density or at an edge's last cell the ghost
     rho_dn = np.empty_like(rho)
     rho_dn[:-1], rho_dn[last] = rho[1:], rho_out
-    relax = _curve(plan.v_max, plan.rho_cr, plan.a, rho_dn)
-    relax -= v
-    relax *= p.dt_s / p.relaxation_s
-    new_v += relax
+    new_v += _relaxation(plan, rho_dn)
     # - dt * anticipation / (rho + density_guard) * (rho_dn - rho) / dx
     rho_dn -= rho
     rho_dn *= plan.anticipation_factor
@@ -389,7 +405,7 @@ def virtual_boundaries(net: RoadNetwork, state: SimState, red: Collection[str], 
     ghosts of the step that ``run`` executes.
     """
     plan = _view(net, state, red, params)
-    ghosts = _ghosts(plan, state.rho, state.v, state.rho * state.v * plan.lanes)
+    ghosts = _ghosts(plan, state.rho, state.v, state.rho * state.v)
     return VirtualBoundary(*(dict(zip(plan.edges, g.tolist())) for g in ghosts))
 
 
@@ -404,7 +420,7 @@ def step(net: RoadNetwork, state: SimState, red: Collection[str], params: SimPar
     executes.
     """
     plan = _view(net, state, red, params)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in run
         rho, v = _step(plan, state.rho, state.v, 0, state.t)
     return SimState(rho=rho, v=v, t=state.t + params.dt_s)
 
@@ -494,12 +510,12 @@ def run(
     # every step from the first after the warm-up on is sampled; the speeds of up to len(block) samples are
     # gathered and measured by one step_metrics call, whose per-row sums are as alone
     series = np.empty((2, n_steps - first, batch))  # mean speed and queue length per sample and row
-    block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // len(plan.lanes))), batch, net.total_cells))
+    block = np.empty((max(1, min(n_steps - first, _BLOCK_VALUES // len(plan.v_max))), batch, net.total_cells))
 
     rho, v = np.tile(state0.rho, batch), np.tile(state0.v, batch)
-    # overflows only reach _step's finiteness guard, which raises on a non-finite cell; its one dot
-    # product can also overflow on finite cells, so the warnings say nothing the guard does not
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflows only reach _step's finiteness guard, which raises on a non-finite cell; its one dot product can
+    # also overflow on finite cells, so the warnings say nothing the guard does not; log(0) gives V(0) = v_max
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, t in enumerate(clock.tolist()):
             while probe_idx < len(probe_times) and t >= probe_times[probe_idx] - CLOCK_TOL_S:
                 snapshots.append(SimState(rho.reshape(batch, -1).copy(), v.reshape(batch, -1).copy(), t=t))

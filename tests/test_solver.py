@@ -9,13 +9,17 @@ equilibrium state, queue growth at a red light).
 """
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from macrosim.fundamental import ideal_speed, invert_speed
+from macrosim.fundamental import _curve, ideal_speed, invert_speed
 from macrosim.metrics import CongestionMetrics, step_metrics
 from macrosim import dataset, network, solver
 from macrosim.network import RoadNetwork, turn_angle
@@ -177,7 +181,7 @@ def test_boundaries_match_reference_on_twolights(twolights_net, fixtures_dir, se
 @pytest.mark.parametrize("seed", [0, 5])
 def test_step_matches_reference(cross_net, ring_net, seed):
     config = {"X": IntersectionSignal(red=30, green=30, offset=10)}
-    # with a = 2.0 numpy squares rather than calls pow, so the scalar-exponent kernel is checked on that path too
+    # a = 2.0 checks the plan's folded curve off the default shape as well
     steep = RoadNetwork(cross_net.nodes.values(), cross_net.edges.values(), cross_net.intersections.values(), a=2.0)
     for net, cfg in ((cross_net, config), (ring_net, None), (steep, config)):
         state = _random_state(net, seed)
@@ -236,6 +240,26 @@ def test_single_cell_update_by_hand(cross_net):
         - (0.5 * 7.0 / (0.04 + 0.008)) * (0.06 - 0.04) / 10.0
     )
     assert out.v[sl.start + 1] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ring", "cross", "twolights", "roadcats", "reshaped"])
+def test_the_plan_folded_curve_is_the_fundamental_curve(request, name):
+    # the step's relaxation evaluates dt / relaxation_s * V from the plan's folded factors; it stays within rel 1e-14
+    # of fundamental._curve, the statement ideal_speed and fit_fd evaluate. Measured: 2.7e-15 on the fixtures'
+    # default shape and 5.6e-15 on the reshaped one. The error grows with the exponent (1/a) * (rho / rho_cr)**a,
+    # so a steeper shape can exceed the bound: rho_cr 0.03 and a 2.2 reach 1.8e-14
+    if name == "reshaped":
+        base = request.getfixturevalue("roadcats_net")
+        net = RoadNetwork(base.nodes.values(), base.edges.values(), base.intersections.values(), rho_cr=0.035, a=1.6)
+    else:
+        net = request.getfixturevalue(f"{name}_net")
+    params = SimParams()
+    plan = solver._Plan(net, params)
+    rho = np.r_[np.geomspace(params.density_floor, params.jam_density, 1001),
+                np.linspace(params.density_floor, params.jam_density, 1001)][:, None]
+    got = solver._relaxation(plan, np.repeat(rho, len(plan.v_max), axis=1))
+    wanted = params.dt_s / params.relaxation_s * _curve(plan.v_max, net.rho_cr, net.a, rho)
+    np.testing.assert_allclose(got, wanted, rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------------- ghost values
@@ -751,17 +775,17 @@ def test_run_names_a_non_finite_cell_that_appears_inside_a_metric_block(cross_ne
     warmup_steps, bad_step, row = 10, 10 + block + block // 2, 2
     eid = cross_net.edge_order[1]
     cell = row * cross_net.total_cells + cross_net.cell_slice(eid).start + 2
-    curve, metric_calls = solver._curve, []
+    relaxation, metric_calls = solver._relaxation, []
 
-    def poisoned_curve(*args):  # called once per step, by the step that makes state k on its k-th call
-        out = curve(*args)
-        poisoned_curve.calls += 1
-        if poisoned_curve.calls == bad_step:
+    def poisoned_relaxation(*args):  # called once per step, by the step that makes state k on its k-th call
+        out = relaxation(*args)
+        poisoned_relaxation.calls += 1
+        if poisoned_relaxation.calls == bad_step:
             out[cell] = np.nan
         return out
 
-    poisoned_curve.calls = 0
-    monkeypatch.setattr(solver, "_curve", poisoned_curve)
+    poisoned_relaxation.calls = 0
+    monkeypatch.setattr(solver, "_relaxation", poisoned_relaxation)
     monkeypatch.setattr(solver, "step_metrics", lambda v: metric_calls.append(len(v)) or step_metrics(v))
     wanted = rf"^non-finite state on edge {eid} cell 3 at step {bad_step} \(t={bad_step * params.dt_s:g} s\) in batch row {row}$"
     with pytest.raises(SimulationError, match=wanted):
@@ -957,3 +981,31 @@ def test_protocol_numbers_are_real_numbers(ring_net, call, wanted):
         call(ring_net, state)
     assert check_protocol(ring_net, SimState(state.rho, state.v, t=np.float32(1.0)), SimParams(np.float32(0.5)),
                           np.float32(10.0), np.int64(0)) == (20, 0)
+
+
+def test_pins_hold_on_numpy_below_avx512():
+    # every cell-step runs numpy's exp and log, whose SIMD kernels differ in the last bits between dispatch levels:
+    # the pinned outputs and the acceptance criteria rerun in a process whose numpy dispatches none of its AVX-512
+    # groups. The child reports its dispatch targets through scripts/pin_outputs.py, so the rerun cannot pass on
+    # this process's path
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    groups = [g for g in __cpu_dispatch__ if "AVX512" in g or g == "X86_V4"]  # X86_V4 is AVX-512's baseline group
+    if not any("AVX512" in g for g in groups):
+        pytest.skip(f"numpy dispatches no AVX512 group: {__cpu_dispatch__}")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = """if True:
+        import json, runpy, sys
+        import pytest
+        print(json.dumps(runpy.run_path("scripts/pin_outputs.py")["provenance"]()["simd"]), flush=True)
+        sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+    """
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(groups),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, "tests/test_pinned_outputs.py", "tests/test_acceptance.py"],
+                          capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    simd = json.loads(done.stdout.partition("\n")[0] or "null")
+    assert simd is not None and not set(simd) & set(groups), done.stdout + done.stderr
+    assert done.returncode == 0, done.stdout + done.stderr
